@@ -26,6 +26,13 @@
 #
 #                                    CRASH=200 ./check.sh
 #
+#   4b. benchmark module           benchmark/ is a Go module of its own (it
+#                                  imports postlob/internal/... through a
+#                                  replace directive), so steps 1-4 never
+#                                  build it: vet it and run its unit tests
+#                                  here, or an internal/ API change breaks
+#                                  the repository benchmark silently
+#
 #   5. BenchmarkConcurrentRead     one-iteration smoke run of the concurrent
 #                                  read benchmark, so scaling regressions
 #                                  break the build, not just the numbers
@@ -157,6 +164,9 @@ else
 	echo "== go test -race ./..."
 	BENCH= go test -race ./...
 fi
+
+echo "== benchmark module (go vet + go test in benchmark/)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "== BenchmarkConcurrentRead smoke (-benchtime=1x)"
 go test -run '^$' -bench BenchmarkConcurrentRead -benchtime=1x .

@@ -336,6 +336,14 @@ func expandPatterns(loader *analysis.Loader, patterns []string) ([]string, error
 				name == "testdata" || name == "vendor") {
 				return filepath.SkipDir
 			}
+			// A nested module (benchmark/) is not part of this one, exactly
+			// as the go tool reads "./...": its packages are not importable
+			// under this module's path, and it is vetted from its own root.
+			if p != abs {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			ents, err := os.ReadDir(p)
 			if err != nil {
 				return err

@@ -61,8 +61,13 @@ var Hierarchy = []Level{
 		{Name: "heap.Relation.mu"},
 		{Name: "btree.Tree.mu"},
 	}},
-	{Doc: "buffer pool frame-count lock", Classes: []Class{
+	{Doc: "buffer pool frame-count lock and log-batch lock, never held " +
+		"together: LogDirtyPages holds logMu from taking frames off the " +
+		"WAL-dirty lists until their images are appended, pinning through " +
+		"partition latches and copying under content latches on the way, and " +
+		"an eviction reaches it from inside an access method", Classes: []Class{
 		{Name: "buffer.Pool.nbMu"},
+		{Name: "buffer.Pool.logMu"},
 	}},
 	{Doc: "buffer pool partition latches (ascending index when several)", Classes: []Class{
 		{Name: "buffer.partition.mu", Latch: true},
@@ -86,9 +91,13 @@ var Hierarchy = []Level{
 		{Name: "wal.Log.ioMu"},
 	}},
 	{Doc: "buffer pool leaf locks: free list, extension table, checksummers, " +
-		"background-writer error slot, and the write-back drain gate (wbMu is " +
+		"background-writer error slot, the write-back drain gate (wbMu is " +
 		"taken bare by write-backs signing in/out and by checkpoint syncs " +
-		"draining them; Cond.Wait releases it while blocked)", Classes: []Class{
+		"draining them; Cond.Wait releases it while blocked), and each " +
+		"partition's WAL-dirty list (wdMu is taken under a content latch by " +
+		"MarkDirty and under partition.mu by installs and the drain, and " +
+		"nothing is ever acquired while it is held)", Classes: []Class{
+		{Name: "buffer.partition.wdMu"},
 		{Name: "buffer.Pool.freeMu"},
 		{Name: "buffer.Pool.extMu"},
 		{Name: "buffer.Pool.csMu"},
@@ -111,10 +120,12 @@ var Hierarchy = []Level{
 		{Name: "client.Stream.mu"},
 		{Name: "client.Stream.wmu"},
 	}},
-	{Doc: "heap insert-placement hints and vacuum daemon state, all leaves: " +
-		"placeMu is taken under the relation lock but never across a pool call " +
-		"or frame latch; the vacuum daemon locks guard lifecycle state and are " +
-		"never held across a vacuum round or a goroutine join", Classes: []Class{
+	{Doc: "heap insert-placement hints, the stamped-block bitmap and vacuum " +
+		"daemon state, all leaves: placeMu is taken under the relation lock " +
+		"(and by Delete under the frame latch it stamped through) but never " +
+		"held across a pool call or a latch acquisition; the vacuum daemon " +
+		"locks guard lifecycle state and are never held across a vacuum round " +
+		"or a goroutine join", Classes: []Class{
 		{Name: "heap.Relation.placeMu"},
 		{Name: "core.Vacuum.mu"},
 		{Name: "postlob.DB.vacMu"},

@@ -428,11 +428,11 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 }
 
 // writeRun writes one contiguous same-relation run of pinned frames as a
-// single gather write. Images are snapshotted under each frame's shared
-// content latch (clearing dirty/walDirty exactly like writeBack); a frame
-// re-dirtied after the round's batch pre-log gets its own image appended and
-// a narrower flush before the device write, preserving the flush-ceiling
-// rule per frame.
+// single gather write. Images are snapshotted into pooled buffers under each
+// frame's shared content latch (clearing dirty/walDirty exactly like
+// writeBack); a frame re-dirtied after the round's batch pre-log gets its own
+// image appended and a narrower flush before the device write, preserving
+// the flush-ceiling rule per frame.
 func (p *Pool) writeRun(run []*Frame) (int, error) {
 	tag0 := run[0].tag
 	// Drain-gate sign-in, as in writeBack: the dirty bits cleared below must
@@ -455,56 +455,40 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 		// No-holes invariant, as in writeBack: materialise the gap with
 		// zeros; each such block still has its own dirty frame whose later
 		// write-back replaces them.
-		zero := make([]byte, page.Size)
 		for blk := phys; blk < tag0.Blk; blk++ {
-			if err := mgr.WriteBlock(tag0.Rel, blk, zero); err != nil {
+			if err := mgr.WriteBlock(tag0.Rel, blk, zeroPage[:]); err != nil {
 				return 0, err
 			}
 		}
-	}
-	cs := p.checksummer(tag0.SM, tag0.Rel)
-	imgs := make([][]byte, len(run))
-	needLog := make([]bool, len(run))
-	for k, f := range run {
-		img := make([]byte, page.Size)
-		f.latch.RLock()
-		f.dirty.Store(false)
-		if p.wal != nil {
-			needLog[k] = f.walDirty.Swap(false)
-		}
-		copy(img, f.data)
-		f.latch.RUnlock()
-		if cs != nil {
-			cs.Stamp(img)
-		}
-		imgs[k] = img
 	}
 	redirty := func() {
 		for _, f := range run {
 			f.dirty.Store(true)
 		}
 	}
-	if p.wal != nil {
-		var ceiling wal.LSN
-		for k, f := range run {
-			if needLog[k] {
-				lsn, err := p.wal.AppendPageImage(tag0.SM, tag0.Rel, f.tag.Blk, imgs[k], 0)
-				if err != nil {
-					f.walDirty.Store(true)
-					redirty()
-					return 0, err
-				}
-				f.walLSN.Store(uint64(lsn))
-			}
-			if l := wal.LSN(f.walLSN.Load()); l > ceiling {
-				ceiling = l
+	imgs := make([][]byte, len(run))
+	defer func() {
+		for _, img := range imgs {
+			if img != nil {
+				pageBufs.Put((*[page.Size]byte)(img))
 			}
 		}
-		if ceiling > 0 {
-			if err := p.wal.Flush(ceiling); err != nil {
-				redirty()
-				return 0, err
-			}
+	}()
+	var ceiling wal.LSN
+	for k, f := range run {
+		imgs[k] = getPageBuf()[:]
+		if err := p.snapshotForWrite(f, imgs[k]); err != nil {
+			redirty()
+			return 0, err
+		}
+		if l := wal.LSN(f.walLSN.Load()); l > ceiling {
+			ceiling = l
+		}
+	}
+	if ceiling > 0 {
+		if err := p.wal.Flush(ceiling); err != nil {
+			redirty()
+			return 0, err
 		}
 	}
 	if err := mgr.WriteBlocks(tag0.Rel, tag0.Blk, imgs); err != nil {

@@ -95,8 +95,10 @@ type Frame struct {
 
 	// WAL bookkeeping, meaningful only when the pool has a log attached.
 	// walDirty records that the page bytes changed since the last image of
-	// this page was appended to the log (the WAL analogue of dirty, cleared
-	// under the shared latch when an image is snapshotted). walLSN is the end
+	// this page was appended to the log (the WAL analogue of dirty). It is
+	// set under the exclusive content latch and cleared under the shared one,
+	// and only once the image is in the log: whoever finds it clear under the
+	// latch knows the page's newest state has been appended. walLSN is the end
 	// LSN of the newest logged image — the frame's flush ceiling: the page
 	// must not replace its home-location bytes until the log is durable
 	// through it.
@@ -115,7 +117,18 @@ func (f *Frame) Tag() Tag { return f.tag }
 // before eviction.
 func (f *Frame) MarkDirty() {
 	f.dirty.Store(true)
-	f.walDirty.Store(true)
+	f.noteWALDirty()
+}
+
+// noteWALDirty records that the page differs from its last logged image and,
+// when that is news, queues the frame on its partition's WAL-dirty list — the
+// only place LogDirtyPages looks. The caller holds a pin or part.mu, either
+// of which keeps tag and part stable. Without a log nobody drains the lists,
+// so only the flag is kept; AttachWAL queues what was flagged before it.
+func (f *Frame) noteWALDirty() {
+	if !f.walDirty.Swap(true) && f.pool.wal != nil {
+		f.part.queueWALDirty(f)
+	}
 }
 
 // LockContent takes the frame's content latch exclusive. Every code path
@@ -179,6 +192,51 @@ type partition struct {
 	lru    *list.List     // guarded by mu; unpinned frames, front = most recently used
 	hits   int64          // guarded by mu
 	misses int64          // guarded by mu
+
+	// wdMu guards the WAL-dirty list. It is a leaf: MarkDirty takes it under
+	// a frame's content latch and the install paths under mu, and nothing —
+	// not mu, not a content latch — is ever acquired while it is held.
+	wdMu sync.Mutex
+	// wdList names the frames whose walDirty flag went from clear to set
+	// since LogDirtyPages last drained the list: every frame of this
+	// partition with the flag set is on it (or in the hands of the drain that
+	// took it off). Entries go stale when a frame is logged by a write-back,
+	// evicted or dropped; the drain filters them under mu by looking the tag
+	// up again, which is why an entry carries the tag the frame had when it
+	// was queued.
+	wdList []walDirtyEntry // guarded by wdMu
+}
+
+type walDirtyEntry struct {
+	tag Tag
+	f   *Frame
+}
+
+func (part *partition) queueWALDirty(f *Frame) {
+	part.wdMu.Lock()
+	part.wdList = append(part.wdList, walDirtyEntry{f.tag, f})
+	part.wdMu.Unlock()
+}
+
+// pinWALDirty empties the partition's WAL-dirty list and appends to frames,
+// pinned, every listed frame that still holds the page it was queued for and
+// still awaits logging.
+func (part *partition) pinWALDirty(frames []*Frame) []*Frame {
+	// mu is held from before the list is taken until its frames are pinned,
+	// so no frame is ever off the list, unpinned, and evictable.
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	part.wdMu.Lock()
+	taken := part.wdList
+	part.wdList = nil
+	part.wdMu.Unlock()
+	for _, e := range taken {
+		if f, ok := part.lookup[e.tag]; ok && f == e.f && f.walDirty.Load() {
+			part.pinLocked(f)
+			frames = append(frames, f)
+		}
+	}
+	return frames
 }
 
 // tryPin returns the resident frame for tag with one more pin, or nil.
@@ -234,6 +292,11 @@ type Pool struct {
 	// checkpoint-grained durability modes. Set once by AttachWAL before the
 	// pool is shared between goroutines, read-only afterwards.
 	wal *wal.Log
+	// logMu serialises LogDirtyPages. A caller takes frames off the
+	// WAL-dirty lists long before it has appended their images; a commit that
+	// ran its own pass in between would find the lists empty and put its
+	// commit record ahead of pages it depends on.
+	logMu sync.Mutex
 
 	evictHand atomic.Uint64 // rotates the partition eviction scan start
 
@@ -343,7 +406,21 @@ func (p *Pool) Switch() *storage.Switch { return p.sw }
 // memory pressure) get an image appended first. Call once, after recovery
 // and before the pool is shared; attaching mid-flight would let earlier
 // unlogged write-backs escape the ceiling.
-func (p *Pool) AttachWAL(l *wal.Log) { p.wal = l }
+func (p *Pool) AttachWAL(l *wal.Log) {
+	p.wal = l
+	// Pages modified before the log existed (a promoted replica's replayed
+	// images) were flagged but not queued; queue them now, so the first
+	// LogDirtyPages covers them as it always has.
+	for _, part := range p.parts {
+		part.mu.Lock()
+		for _, f := range part.lookup {
+			if f.walDirty.Load() {
+				part.queueWALDirty(f)
+			}
+		}
+		part.mu.Unlock()
+	}
+}
 
 // WAL returns the attached write-ahead log, or nil.
 func (p *Pool) WAL() *wal.Log { return p.wal }
@@ -519,7 +596,8 @@ func (p *Pool) NewBlock(sm storage.ID, rel storage.RelName) (*Frame, storage.Blo
 	f.evicting = false
 	f.lruEl = nil
 	f.dirty.Store(true)
-	f.walDirty.Store(true)
+	f.walDirty.Store(false)
+	f.noteWALDirty()
 	f.walLSN.Store(0)
 	part.lookup[tag] = f
 	p.nblocks[relKey{sm, rel}] = n + 1
@@ -604,7 +682,8 @@ func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.Bl
 		f.evicting = false
 		f.lruEl = nil
 		f.dirty.Store(true)
-		f.walDirty.Store(true)
+		f.walDirty.Store(false)
+		f.noteWALDirty()
 		f.walLSN.Store(0)
 		part.lookup[tag] = f
 		part.mu.Unlock()
@@ -822,60 +901,18 @@ func (p *Pool) writeBack(f *Frame) error {
 		// ours as zero pages. Any such block still has a dirty in-pool frame
 		// (a clean frame implies the device already holds its block), and
 		// that frame's own write-back later replaces the zeros.
-		zero := make([]byte, page.Size)
 		for blk := phys; blk < tag.Blk; blk++ {
-			if err := mgr.WriteBlock(tag.Rel, blk, zero); err != nil {
+			if err := mgr.WriteBlock(tag.Rel, blk, zeroPage[:]); err != nil {
 				return err
 			}
 		}
 	}
-	// Snapshot the page under the shared content latch and stamp the
-	// write-back checksum on the copy, never on the live frame: the frame
-	// may be mutated again the moment the latch drops, while the device
-	// image must match its own stamp so a torn write is detectable when the
-	// block is read back after a crash. walDirty is cleared inside the same
-	// latch hold as the copy, so the logged image is exactly the state whose
-	// changes it marks; a mutation after the latch drops re-marks the frame.
-	// The image append happens under the same content-latch hold as the
-	// copy. Two latch-sharing appenders (a commit's LogDirtyPages and this
-	// write-back) can only interleave with byte-identical images, and any
-	// mutator's exclusive hold strictly orders its change after both their
-	// appends — so the log's last image of a page is always its newest
-	// state. Appending after the latch drops would let a mutate-and-log win
-	// the race and land the older image later in the log, where replay
-	// (crash recovery and replicas alike) would resurrect it.
-	img := make([]byte, page.Size)
-	f.latch.RLock()
-	f.dirty.Store(false)
-	needLog := false
-	if p.wal != nil {
-		needLog = f.walDirty.Swap(false)
+	buf := getPageBuf()
+	defer pageBufs.Put(buf)
+	img := buf[:]
+	if err := p.snapshotForWrite(f, img); err != nil {
+		return err
 	}
-	copy(img, f.data)
-	if cs := p.checksummer(tag.SM, tag.Rel); cs != nil {
-		cs.Stamp(img)
-	}
-	if needLog {
-		// The page reaches the device without a commit having logged it
-		// (eviction under memory pressure): append its image now. XID 0
-		// marks an image not attributed to any one transaction; replay is
-		// unconditional, so attribution is informational.
-		//
-		// The append runs under the shared content latch on purpose: latch
-		// order is then log order, so a mutator's newer image can never land
-		// earlier in the log than this one. The append can park on segment
-		// rotation, but only on the WAL flusher, which takes no frame
-		// latches — no cycle, just a bounded stall on a full segment.
-		lsn, err := p.wal.AppendPageImage(tag.SM, tag.Rel, tag.Blk, img, 0) //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
-		if err != nil {
-			f.dirty.Store(true)
-			f.walDirty.Store(true)
-			f.latch.RUnlock()
-			return err
-		}
-		f.walLSN.Store(uint64(lsn))
-	}
-	f.latch.RUnlock()
 	if p.wal != nil {
 		// The flush ceiling: the newest logged image of this page must be
 		// durable before the page replaces its home-location bytes, or a
@@ -917,65 +954,127 @@ func (p *Pool) LogDirtyPages(xid uint32) (wal.LSN, error) {
 	if p.wal == nil {
 		return 0, nil
 	}
+	p.logMu.Lock()
+	defer p.logMu.Unlock()
 	var frames []*Frame
 	for _, part := range p.parts {
-		part.mu.Lock()
-		for _, f := range part.lookup {
-			if f.walDirty.Load() {
-				part.pinLocked(f)
-				frames = append(frames, f)
-			}
-		}
-		part.mu.Unlock()
+		frames = part.pinWALDirty(frames)
 	}
 	// Deterministic append order, for the same reason FlushAll sorts: a
 	// seeded crash-simulation run must lay down the same log bytes every
 	// time.
-	sort.Slice(frames, func(i, j int) bool {
-		ti, tj := frames[i].tag, frames[j].tag
-		if ti.SM != tj.SM {
-			return ti.SM < tj.SM
-		}
-		if ti.Rel != tj.Rel {
-			return ti.Rel < tj.Rel
-		}
-		return ti.Blk < tj.Blk
-	})
+	sortFramesByTag(frames)
 	var (
 		end      wal.LSN
 		firstErr error
 	)
-	img := make([]byte, page.Size)
+	buf := getPageBuf()
+	defer pageBufs.Put(buf)
+	img := buf[:]
 	for _, f := range frames {
-		if firstErr == nil {
-			// Copy and append under one latch hold (see flushFrame): a
-			// mutator's exclusive latch then orders its newer image strictly
-			// after this one in the log, so replay never lands a stale image
-			// last. The append may park on segment rotation, but only on the
-			// WAL flusher, which takes no frame latches.
-			f.latch.RLock()
-			needLog := f.walDirty.Swap(false)
-			if needLog {
-				copy(img, f.data)
-				if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
-					cs.Stamp(img)
-				}
-				lsn, err := p.wal.AppendPageImage(f.tag.SM, f.tag.Rel, f.tag.Blk, img, xid) //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
-				if err != nil {
-					f.walDirty.Store(true)
-					firstErr = err
-				} else {
-					f.walLSN.Store(uint64(lsn))
-					if lsn > end {
-						end = lsn
-					}
-				}
-			}
-			f.latch.RUnlock()
+		if firstErr != nil {
+			// Never reached, yet already off its list: queue it again, or the
+			// next call would not find it.
+			f.part.queueWALDirty(f)
+			f.Release()
+			continue
 		}
+		// Copy and append under one latch hold (see flushFrame): a
+		// mutator's exclusive latch then orders its newer image strictly
+		// after this one in the log, so replay never lands a stale image
+		// last. The append may park on segment rotation, but only on the
+		// WAL flusher, which takes no frame latches.
+		f.latch.RLock()
+		if f.walDirty.Load() {
+			copy(img, f.data)
+			lsn, err := p.logImage(f, img, xid) //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
+			if err != nil {
+				f.part.queueWALDirty(f)
+				firstErr = err
+			} else if lsn > end {
+				end = lsn
+			}
+		}
+		f.latch.RUnlock()
 		f.Release()
 	}
 	return end, firstErr
+}
+
+// pageBufs recycles the private page copies that write-back and logging
+// stamp and hand to the device or the log; a fresh 8 KB per page written was
+// a fifth of a write-heavy workload's allocation.
+var pageBufs = sync.Pool{New: func() any { return new([page.Size]byte) }}
+
+func getPageBuf() *[page.Size]byte { return pageBufs.Get().(*[page.Size]byte) }
+
+// zeroPage materialises device blocks below a page being written back.
+var zeroPage [page.Size]byte
+
+// A holeFinder is a Checksummer whose page layout has a gap that carries no
+// information (a slotted page's free space). Hole returns its bounds within
+// img, or 0, 0.
+type holeFinder interface {
+	Hole(img []byte) (off, n int)
+}
+
+// snapshotForWrite fills img with f's page as it must reach the device, and
+// marks the frame clean. The page is copied under the shared content latch
+// and the write-back checksum stamped on the copy, never on the live frame:
+// the frame may be mutated again the moment the latch drops, while the device
+// image must match its own stamp so a torn write is detectable when the block
+// is read back after a crash.
+//
+// A page no commit has logged since it last changed (eviction under memory
+// pressure, or one re-dirtied after a round's batch pre-log) gets its image
+// appended here, under the same latch hold as the copy; XID 0 marks an image
+// not attributed to any one transaction (replay is unconditional, so
+// attribution is informational). Latch order is then log order: two
+// latch-sharing appenders (a commit's LogDirtyPages and this write-back) can
+// only interleave with byte-identical images, and a mutator's exclusive hold
+// strictly orders its change after both their appends, so the log's last
+// image of a page is always its newest state. Appending after the latch
+// drops would let a mutate-and-log win the race and land the older image
+// later in the log, where replay (crash recovery and replicas alike) would
+// resurrect it. The append can park on segment rotation, but only on the WAL
+// flusher, which takes no frame latches — no cycle, just a bounded stall on a
+// full segment. On error the frame is dirty again.
+func (p *Pool) snapshotForWrite(f *Frame, img []byte) error {
+	f.latch.RLock()
+	defer f.latch.RUnlock()
+	f.dirty.Store(false)
+	copy(img, f.data)
+	if p.wal != nil && f.walDirty.Load() {
+		if _, err := p.logImage(f, img, 0); err != nil { //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
+			f.dirty.Store(true)
+			return err
+		}
+	} else if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
+		cs.Stamp(img)
+	}
+	return nil
+}
+
+// logImage stamps img — the caller's private copy of f's page, taken under
+// the shared content latch the caller still holds — and appends it to the log
+// as f's newest image, clearing walDirty once it is there. A layout with a
+// hole is logged without it: the hole is zeroed first, so the stamp covers
+// the page replay will rebuild. On error walDirty stays set.
+func (p *Pool) logImage(f *Frame, img []byte, xid uint32) (wal.LSN, error) {
+	var off, n int
+	if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
+		if h, ok := cs.(holeFinder); ok {
+			off, n = h.Hole(img)
+			clear(img[off : off+n])
+		}
+		cs.Stamp(img)
+	}
+	lsn, err := p.wal.AppendPageImageHole(f.tag.SM, f.tag.Rel, f.tag.Blk, img, off, n, xid)
+	if err == nil {
+		f.walLSN.Store(uint64(lsn))
+		f.walDirty.Store(false)
+	}
+	return lsn, err
 }
 
 // LogUnlink records a relation drop in the attached log (a no-op without

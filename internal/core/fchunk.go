@@ -89,6 +89,9 @@ type fchunkObject struct {
 	// detected (block 0 never needs read-ahead — it precedes any chunk).
 	pfNext storage.BlockNum
 
+	// peek receives a chunk tuple's header when only its TID is wanted.
+	peek [chunkHdr]byte
+
 	closed bool
 }
 
@@ -178,6 +181,21 @@ func (o *fchunkObject) fetch(tid heap.TID) ([]byte, error) {
 // here by tuple visibility; entries whose heap slot vacuum recycled for a
 // different record are detected by tag mismatch and pruned.
 func (o *fchunkObject) lookupVisible(key uint64) ([]byte, heap.TID, error) {
+	return o.lookupVisibleWith(key, o.fetch)
+}
+
+// lookupVisibleTID is lookupVisible for a caller that will supersede or
+// delete chunk seq without reading it: the tuple's header is enough to tell
+// it from a recycled slot, so the payload is neither copied nor decoded.
+func (o *fchunkObject) lookupVisibleTID(seq int64) (heap.TID, error) {
+	_, tid, err := o.lookupVisibleWith(uint64(seq), func(tid heap.TID) ([]byte, error) {
+		n, err := o.rel.PeekSnap(o.snap, tid, o.peek[:])
+		return o.peek[:n], err
+	})
+	return tid, err
+}
+
+func (o *fchunkObject) lookupVisibleWith(key uint64, fetch func(heap.TID) ([]byte, error)) ([]byte, heap.TID, error) {
 	vals, err := o.idx.Lookup(key)
 	if err != nil {
 		return nil, heap.InvalidTID, err
@@ -185,7 +203,7 @@ func (o *fchunkObject) lookupVisible(key uint64) ([]byte, heap.TID, error) {
 	// Newest entries are most likely visible; scan from the end.
 	for i := len(vals) - 1; i >= 0; i-- {
 		tid := heap.DecodeTID(vals[i])
-		payload, err := o.fetch(tid)
+		payload, err := fetch(tid)
 		if err == nil {
 			if !payloadMatches(key, payload) {
 				o.pruneStale(key, vals[i])
@@ -276,7 +294,6 @@ func (o *fchunkObject) loadChunk(seq int64) error {
 	if o.curSeq == seq {
 		return nil
 	}
-	prev := o.curSeq
 	if err := o.flushChunk(); err != nil {
 		return err
 	}
@@ -306,29 +323,54 @@ func (o *fchunkObject) loadChunk(seq int64) error {
 	o.curData = decoded
 	o.curTID = tid
 	o.curHas = true
-	if prev >= 0 && seq == prev+1 {
-		// Sequential chunk reads are perfectly predictable: chunk tuples are
-		// appended in block order, so the next chunks live at ascending heap
-		// blocks. Keep a read-ahead frontier (pfNext) ahead of the scan and
-		// advance it a whole window at a time — posting fresh,
-		// non-overlapping windows lets the prefetcher issue one batched
-		// device read per window, instead of chasing the reader block by
-		// block with windows that are already mostly resident.
-		const w = buffer.DefaultPrefetchWindow
-		next := tid.Blk + 1
-		switch {
-		case o.pfNext == 0 || next > o.pfNext || next+2*w < o.pfNext:
-			// Frontier unset, overtaken, or far ahead of a scan that
-			// restarted behind it: open a fresh window at the reader.
-			o.rel.Prefetch(next, w)
-			o.pfNext = next + w
-		case next+w >= o.pfNext:
-			// The reader is within a window of the frontier: extend it.
-			o.rel.Prefetch(o.pfNext, w)
-			o.pfNext += w
-		}
-	}
 	return nil
+}
+
+// supersedeChunk makes seq the cached chunk for a write that covers all of
+// it: the cache starts empty, and of the stored version only the TID — which
+// the flush needs to Replace it — is looked up.
+func (o *fchunkObject) supersedeChunk(seq int64) error {
+	if o.curSeq == seq {
+		return nil
+	}
+	if err := o.flushChunk(); err != nil {
+		return err
+	}
+	tid, err := o.lookupVisibleTID(seq)
+	if err != nil {
+		return err
+	}
+	o.curSeq = seq
+	o.curDirty = false
+	o.curData = o.curData[:0]
+	o.curTID = tid
+	o.curHas = tid.Valid()
+	return nil
+}
+
+// readAhead keeps the scan prefetcher ahead of a sequential Read. Chunk
+// tuples are appended in block order, so the chunks after one just loaded
+// live at ascending heap blocks; the frontier (pfNext) advances a whole
+// window at a time, because fresh, non-overlapping windows let the
+// prefetcher issue one batched device read per window instead of chasing
+// the reader block by block with windows that are already mostly resident.
+// Only Read calls it: what a sequential Write is about to supersede sits in
+// recycled, scattered blocks, and reading ahead of it evicts the writer's
+// own pages for nothing.
+func (o *fchunkObject) readAhead() {
+	const w = buffer.DefaultPrefetchWindow
+	next := o.curTID.Blk + 1
+	switch {
+	case o.pfNext == 0 || next > o.pfNext || next+2*w < o.pfNext:
+		// Frontier unset, overtaken, or far ahead of a scan that
+		// restarted behind it: open a fresh window at the reader.
+		o.rel.Prefetch(next, w)
+		o.pfNext = next + w
+	case next+w >= o.pfNext:
+		// The reader is within a window of the frontier: extend it.
+		o.rel.Prefetch(o.pfNext, w)
+		o.pfNext += w
+	}
 }
 
 // flushChunk writes back the cached chunk if dirty.
@@ -405,9 +447,13 @@ func (o *fchunkObject) Read(p []byte) (int, error) {
 	for len(p) > 0 {
 		seq := o.pos / o.chunkSize()
 		within := o.pos % o.chunkSize()
+		prev := o.curSeq
 		if err := o.loadChunk(seq); err != nil {
 			fchunkMetrics.readBytes.Add(int64(total))
 			return total, err
+		}
+		if prev >= 0 && seq == prev+1 && o.curHas {
+			o.readAhead()
 		}
 		n := o.chunkSize() - within
 		if int64(len(p)) < n {
@@ -454,16 +500,22 @@ func (o *fchunkObject) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		seq := o.pos / o.chunkSize()
 		within := o.pos % o.chunkSize()
-		if err := o.loadChunk(seq); err != nil {
-			return total, err
-		}
 		n := o.chunkSize() - within
 		if int64(len(p)) < n {
 			n = int64(len(p))
 		}
+		var err error
+		if n == o.chunkSize() {
+			err = o.supersedeChunk(seq)
+		} else {
+			err = o.loadChunk(seq)
+		}
+		if err != nil {
+			return total, err
+		}
 		need := int(within + n)
-		for len(o.curData) < need {
-			o.curData = append(o.curData, 0)
+		if len(o.curData) < need {
+			o.curData = append(o.curData, make([]byte, need-len(o.curData))...)
 		}
 		copy(o.curData[within:need], p[:n])
 		o.curDirty = true
@@ -517,7 +569,7 @@ func (o *fchunkObject) Truncate(n int64) error {
 		o.curData = o.curData[:0]
 	}
 	for seq := firstDead; seq <= lastOld; seq++ {
-		_, tid, err := o.lookupVisible(uint64(seq))
+		tid, err := o.lookupVisibleTID(seq)
 		if err != nil {
 			return err
 		}

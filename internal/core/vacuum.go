@@ -34,6 +34,14 @@ var (
 // DefaultVacuumInterval is the daemon's clock tick when none is given.
 const DefaultVacuumInterval = 50 * time.Millisecond
 
+// vacuumWakeStamps is how many versions may be stamped deleted before a
+// history-reclaiming daemon runs a round without waiting for its tick. A
+// round costs what it visits, so running one per couple of megabytes of
+// superseded pages is cheap, and it keeps the unreclaimed backlog — which is
+// what makes relations grow — a fixed amount of work rather than a fixed
+// amount of time, whatever the write rate.
+const vacuumWakeStamps = 256
+
 // VacuumOptions configures the online vacuum daemon.
 type VacuumOptions struct {
 	// Interval is the daemon's clock tick; 0 means DefaultVacuumInterval.
@@ -53,6 +61,7 @@ type Vacuum struct {
 	s    *Store
 	opts VacuumOptions
 	stop chan struct{}
+	wake chan struct{} // capacity 1: at most one pending nudge from the heap
 	wg   sync.WaitGroup
 
 	mu      sync.Mutex // guards lastErr and stopped; never held across a Round
@@ -67,15 +76,19 @@ func (s *Store) StartVacuum(opts VacuumOptions) *Vacuum {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultVacuumInterval
 	}
-	v := &Vacuum{s: s, opts: opts, stop: make(chan struct{})}
+	v := &Vacuum{s: s, opts: opts, stop: make(chan struct{}), wake: make(chan struct{}, 1)}
 	if !opts.Manual {
+		if opts.ReclaimHistory {
+			s.pool.WatchStamps(vacuumWakeStamps, v.wake)
+		}
 		v.wg.Add(1)
 		go v.loop()
 	}
 	return v
 }
 
-// loop runs rounds on a clock tick until Stop. Errors are noted sticky for
+// loop runs rounds on a clock tick, and sooner when the heap reports enough
+// newly stamped versions, until Stop. Errors are noted sticky for
 // Stop to surface; the frames involved are untouched (VacuumBelow leaves a
 // relation consistent on error), so the loop just retries next tick.
 func (v *Vacuum) loop() {
@@ -87,6 +100,7 @@ func (v *Vacuum) loop() {
 		case <-v.stop:
 			return
 		case <-t.C:
+		case <-v.wake:
 		}
 		if _, err := v.Round(); err != nil {
 			v.mu.Lock()
@@ -152,6 +166,9 @@ func (v *Vacuum) Stop() error {
 	}
 	v.stopped = true
 	v.mu.Unlock()
+	if !v.opts.Manual && v.opts.ReclaimHistory {
+		v.s.pool.WatchStamps(0, nil)
+	}
 	close(v.stop)
 	v.wg.Wait()
 	v.mu.Lock()

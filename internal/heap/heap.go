@@ -13,7 +13,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"postlob/internal/buffer"
 	"postlob/internal/obs"
@@ -87,6 +89,36 @@ type Pool struct {
 
 	relMu sync.Mutex
 	rels  map[relCacheKey]*Relation
+
+	stamps     atomic.Uint64 // versions stamped deleted, pool-wide
+	stampWatch atomic.Pointer[stampWatch]
+}
+
+type stampWatch struct {
+	every uint64
+	ch    chan<- struct{}
+}
+
+// WatchStamps asks for a non-blocking send on ch each time another every
+// versions have been stamped deleted anywhere in the pool: the cue for a
+// vacuum daemon that enough has changed to be worth a round before its next
+// clock tick, however fast or slow the writers are. A nil ch cancels.
+func (p *Pool) WatchStamps(every uint64, ch chan<- struct{}) {
+	if ch == nil {
+		p.stampWatch.Store(nil)
+		return
+	}
+	p.stampWatch.Store(&stampWatch{every: every, ch: ch})
+}
+
+func (p *Pool) noteStamp() {
+	n := p.stamps.Add(1)
+	if w := p.stampWatch.Load(); w != nil && n%w.every == 0 {
+		select {
+		case w.ch <- struct{}{}:
+		default:
+		}
+	}
 }
 
 type relCacheKey struct {
@@ -118,8 +150,9 @@ func (p *Pool) cached(sm storage.ID, name storage.RelName) *Relation {
 // slottedChecksummer checksums slotted pages via their reserved header slot.
 type slottedChecksummer struct{}
 
-func (slottedChecksummer) Stamp(img []byte)        { page.Page(img).SetChecksum() }
-func (slottedChecksummer) Verify(img []byte) error { return page.Page(img).VerifyChecksum() }
+func (slottedChecksummer) Stamp(img []byte)             { page.Page(img).SetChecksum() }
+func (slottedChecksummer) Verify(img []byte) error      { return page.Page(img).VerifyChecksum() }
+func (slottedChecksummer) Hole(img []byte) (off, n int) { return page.Page(img).Hole() }
 
 // forget drops a cached relation handle (after Drop).
 func (p *Pool) forget(sm storage.ID, name storage.RelName) {
@@ -151,6 +184,51 @@ type Relation struct {
 	insertTarget  storage.BlockNum   // guarded by placeMu; block to try first for inserts
 	hasInsertHint bool               // guarded by placeMu
 	freeBlocks    []storage.BlockNum // guarded by placeMu; blocks vacuum found reusable space in
+
+	// stamped is the dead-candidate bitmap: bit b is set when block b may
+	// hold a version whose xmax stamp belongs to a deleter that committed or
+	// is still in flight — the only versions a history-reclaiming vacuum can
+	// ever free besides aborted debris. Delete sets a block's bit; a vacuum
+	// visit recomputes it. In memory only: walked is false on a fresh handle
+	// and the first vacuum rebuilds the bitmap with a full walk.
+	stamped []uint64 // guarded by placeMu
+	// walked says a full vacuum walk has completed on this handle, and
+	// walkedAborts is the transaction manager's abort count read just before
+	// that walk began: while the count stands, no transaction has aborted
+	// since, so no block hides aborted-insert debris that no stamp points at.
+	walked       bool   // guarded by mu
+	walkedAborts uint64 // guarded by mu
+}
+
+func (r *Relation) setStamped(blk storage.BlockNum, on bool) {
+	r.placeMu.Lock()
+	defer r.placeMu.Unlock()
+	w := int(blk / 64)
+	if !on {
+		if w < len(r.stamped) {
+			r.stamped[w] &^= 1 << (blk % 64)
+		}
+		return
+	}
+	for len(r.stamped) <= w {
+		r.stamped = append(r.stamped, 0)
+	}
+	r.stamped[w] |= 1 << (blk % 64)
+}
+
+// stampedBlocks returns the blocks below n whose bit is set, ascending.
+func (r *Relation) stampedBlocks(n storage.BlockNum) []storage.BlockNum {
+	r.placeMu.Lock()
+	defer r.placeMu.Unlock()
+	var out []storage.BlockNum
+	for w, word := range r.stamped {
+		for ; word != 0; word &= word - 1 {
+			if blk := storage.BlockNum(w*64 + bits.TrailingZeros64(word)); blk < n {
+				out = append(out, blk)
+			}
+		}
+	}
+	return out
 }
 
 // Create makes a new, empty heap relation on the given storage manager.
@@ -294,6 +372,13 @@ var (
 	obsInserts = obs.NewCounter("heap.inserts")
 	obsFetches = obs.NewCounter("heap.fetches")
 	obsScans   = obs.NewCounter("heap.scans")
+
+	// vacuum.blocks_visited counts every block a vacuum latched; full_walks
+	// counts the calls that walked a whole relation instead of its stamped
+	// blocks. visited <= blocks stamped since the relation's previous visit +
+	// blocks covered by full walks, which the vacuum tests assert.
+	obsVacBlocksVisited = obs.NewCounter("vacuum.blocks_visited")
+	obsVacFullWalks     = obs.NewCounter("vacuum.full_walks")
 
 	obsVersionsCreated   = obs.NewCounter("versions.created")
 	obsVersionsReclaimed = obs.NewCounter("versions.reclaimed")
@@ -457,6 +542,11 @@ func (r *Relation) Delete(t *txn.Txn, tid TID) error {
 	}
 	setTupleXmax(item, t.ID())
 	f.MarkDirty()
+	// Under the relation lock (shared) a vacuum cannot be between reading the
+	// bitmap and visiting this block, so it sees either neither the stamp nor
+	// the bit, or both.
+	r.setStamped(tid.Blk, true)
+	r.pool.noteStamp()
 	return nil
 }
 
@@ -527,28 +617,57 @@ func (r *Relation) FetchSnap(snap txn.Snapshot, tid TID) ([]byte, error) {
 	})
 }
 
+// PeekSnap is FetchSnap for a caller that needs to know which record a TID
+// holds, not the record: it copies the leading bytes of the payload into dst,
+// as many as fit, and returns how many. Nothing is allocated.
+func (r *Relation) PeekSnap(snap txn.Snapshot, tid TID, dst []byte) (int, error) {
+	n := 0
+	err := r.view(tid, func(item []byte, f *buffer.Frame) bool {
+		return r.visibleSnap(snap, item, f, false)
+	}, func(data []byte) { n = copy(dst, data) })
+	return n, err
+}
+
 // fetch is the lock-free read path: no relation lock at all, only the
 // frame's shared content latch, so readers synchronise with nothing but a
 // mutator of the very page they inspect. Visibility checks on this path
 // never write hint bits (only exclusive-latch holders may) and resolve
 // transaction outcomes through the manager's lock-free table.
 func (r *Relation) fetch(tid TID, vis func([]byte, *buffer.Frame) bool) ([]byte, error) {
+	var out []byte
+	err := r.view(tid, vis, func(data []byte) { out = append([]byte(nil), data...) })
+	return out, err
+}
+
+// view runs use on the payload at tid, in place under the page's shared
+// content latch, if vis accepts the tuple; use must not keep the slice.
+func (r *Relation) view(tid TID, vis func([]byte, *buffer.Frame) bool, use func(data []byte)) error {
 	obsFetches.Inc()
 	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})
+	if errors.Is(err, storage.ErrBadBlock) {
+		// A TID past the end of the relation names no tuple. Index entries
+		// can point there after a crash: page images are logged in fuzzy
+		// batches, so an uncommitted writer's index page may be durable when
+		// the heap block it had just filled is not. Like every trace of an
+		// uncommitted transaction the entry must read as absent, not as an
+		// I/O failure.
+		return fmt.Errorf("%w: %s (%v)", ErrNoTuple, tid, err)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Release()
 	rlatch(f)
 	defer f.RUnlockContent()
 	item, err := f.Page().Item(tid.Slot)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s (%v)", ErrNoTuple, tid, err)
+		return fmt.Errorf("%w: %s (%v)", ErrNoTuple, tid, err)
 	}
 	if !vis(item, f) {
-		return nil, fmt.Errorf("%w: %s", ErrNotVisible, tid)
+		return fmt.Errorf("%w: %s", ErrNotVisible, tid)
 	}
-	return append([]byte(nil), TupleData(item)...), nil
+	use(TupleData(item))
+	return nil
 }
 
 // Scan calls fn for every tuple visible to t, in physical order. fn returns
@@ -812,6 +931,14 @@ func (r *Relation) Vacuum(keepHistory bool) (int, error) {
 // observes the delete. With keepHistory true (the POSTGRES default: keep
 // everything for time travel) only aborted debris is removed. Returns the
 // number of tuples reclaimed.
+//
+// The work is proportional to what changed, not to the relation: only blocks
+// in the stamped bitmap are visited, because a superseded version is
+// reclaimable only where a Delete left a stamp. Aborted inserts leave debris
+// no stamp points at, so the whole relation is walked instead — rebuilding
+// the bitmap on the way — on the handle's first call and whenever the
+// transaction manager's abort count has moved since the last such walk. With
+// keepHistory and no abort to chase there is nothing to do at all.
 func (r *Relation) VacuumBelow(horizon txn.XID, keepHistory bool) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -819,62 +946,38 @@ func (r *Relation) VacuumBelow(horizon txn.XID, keepHistory bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	mgr := r.pool.Mgr
+	// Read before the walk: an abort that lands while it is under way may
+	// leave debris on a block already passed, and must trigger the next one.
+	aborts := r.pool.Mgr.AbortCount()
+	full := !r.walked || aborts != r.walkedAborts
+	var blocks []storage.BlockNum
+	switch {
+	case full:
+		obsVacFullWalks.Inc()
+		blocks = make([]storage.BlockNum, n)
+		for i := range blocks {
+			blocks[i] = storage.BlockNum(i)
+		}
+	case keepHistory:
+		return 0, nil
+	default:
+		blocks = r.stampedBlocks(n)
+	}
 	removed := 0
 	var reusable []storage.BlockNum
-	for blk := storage.BlockNum(0); blk < n; blk++ {
-		err := func() error {
-			f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
-			if err != nil {
-				return err
-			}
-			defer f.Release()
-			f.LockContent()
-			defer f.UnlockContent()
-			p := f.Page()
-			if !p.IsInitialized() {
-				return nil
-			}
-			changed := false
-			for s := 0; s < p.NumSlots(); s++ {
-				slot := page.SlotNum(s)
-				if p.ItemIsDead(slot) {
-					continue
-				}
-				item, err := p.Item(slot)
-				if err != nil {
-					return err
-				}
-				dead := false
-				if mgr.Status(tupleXmin(item)) == txn.Aborted {
-					dead = true
-				} else if !keepHistory {
-					if xmax := tupleXmax(item); xmax != txn.InvalidXID && xmax < horizon &&
-						mgr.Status(xmax) == txn.Committed {
-						dead = true
-					}
-				}
-				if dead {
-					if err := p.DeleteItem(slot); err != nil {
-						return err
-					}
-					removed++
-					changed = true
-				}
-			}
-			if changed {
-				free := p.Compact()
-				f.MarkDirty()
-				// Remember pages worth refilling (a crude free-space map).
-				if free > page.Size/4 {
-					reusable = append(reusable, blk)
-				}
-			}
-			return nil
-		}()
+	for _, blk := range blocks {
+		n, free, err := r.vacuumBlock(blk, horizon, keepHistory)
+		removed += n
 		if err != nil {
 			return removed, err
 		}
+		// Remember pages worth refilling (a crude free-space map).
+		if free > page.Size/4 {
+			reusable = append(reusable, blk)
+		}
+	}
+	if full {
+		r.walked, r.walkedAborts = true, aborts
 	}
 	if removed > 0 {
 		obsVersionsReclaimed.Add(int64(removed))
@@ -895,6 +998,67 @@ func (r *Relation) VacuumBelow(horizon txn.XID, keepHistory bool) (int, error) {
 		r.placeMu.Unlock()
 	}
 	return removed, nil
+}
+
+// vacuumBlock reclaims what it can on one block and leaves the block's
+// stamped bit saying whether a later round could reclaim
+// more there: set while some surviving version carries the stamp of a deleter
+// that committed (at or above this horizon, or history is being kept) or is
+// still in flight; clear otherwise — in particular when the only stamps left
+// belong to aborted deleters, which will never become reclaimable. It returns
+// how many versions it removed (also on error) and the page's free space if
+// it compacted the page, else 0. The caller holds the relation lock
+// exclusive.
+func (r *Relation) vacuumBlock(blk storage.BlockNum, horizon txn.XID, keepHistory bool) (removed, free int, err error) {
+	obsVacBlocksVisited.Inc()
+	mgr := r.pool.Mgr
+	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Release()
+	stamped := false
+	defer func() {
+		if err == nil {
+			r.setStamped(blk, stamped)
+		}
+	}()
+	f.LockContent()
+	defer f.UnlockContent()
+	p := f.Page()
+	if !p.IsInitialized() {
+		return 0, 0, nil
+	}
+	for s := 0; s < p.NumSlots(); s++ {
+		slot := page.SlotNum(s)
+		if p.ItemIsDead(slot) {
+			continue
+		}
+		item, err := p.Item(slot)
+		if err != nil {
+			return removed, 0, err
+		}
+		dead := mgr.Status(tupleXmin(item)) == txn.Aborted
+		if xmax := tupleXmax(item); !dead && xmax != txn.InvalidXID {
+			switch st := mgr.Status(xmax); {
+			case st == txn.Committed && !keepHistory && xmax < horizon:
+				dead = true
+			case st != txn.Aborted:
+				stamped = true
+			}
+		}
+		if dead {
+			if err := p.DeleteItem(slot); err != nil {
+				return removed, 0, err
+			}
+			removed++
+		}
+	}
+	if removed > 0 {
+		free = p.Compact()
+		f.MarkDirty()
+	}
+	return removed, free, nil
 }
 
 // Drop removes the relation: buffered pages are discarded and the underlying

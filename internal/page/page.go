@@ -184,6 +184,19 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
+// Hole returns the page's free-space gap — the bytes between the end of the
+// line pointer array and the start of item data, [off, off+n) — which carry
+// no information: nothing on the page addresses them. The write-ahead log
+// leaves them out of a page image. An unformatted page, or one whose bounds
+// do not describe a gap inside the page, has no hole.
+func (p Page) Hole() (off, n int) {
+	lower, upper := p.Lower(), p.Upper()
+	if len(p) != Size || !p.IsInitialized() || lower < headerSize || lower >= upper || upper > p.SpecialOffset() || p.SpecialOffset() > Size {
+		return 0, 0
+	}
+	return lower, upper - lower
+}
+
 // MaxItemSize returns the largest item that fits on an empty page with the
 // given special size.
 func MaxItemSize(specialSize int) int {

@@ -256,6 +256,10 @@ type Manager struct {
 	// atomically by Now with no lock.
 	nextTS atomic.Int64
 
+	// aborts counts transactions that ended aborted, each counted after its
+	// outcome is in the table (see AbortCount).
+	aborts atomic.Uint64
+
 	// table holds every transaction's packed outcome word, lock-free to read.
 	table statusTable
 
@@ -368,6 +372,13 @@ func (m *Manager) GlobalXmin() XID {
 	return h
 }
 
+// AbortCount returns how many transactions have ended aborted. Vacuum keeps
+// the value it read before a full walk: while the count stands, no
+// transaction has aborted since, so no new aborted-insert debris exists. An
+// abort is counted only after Status reports it, so a walk that starts at a
+// given count already sees every abort the count includes. Lock-free.
+func (m *Manager) AbortCount() uint64 { return m.aborts.Load() }
+
 // Counters returns the next XID to be issued and the timestamp of the most
 // recent commit — the version metadata a WAL checkpoint records so recovery
 // can restart numbering past everything the lost epoch might have stamped.
@@ -421,6 +432,7 @@ func (m *Manager) finish(x XID, st Status) TS {
 	m.table.growLocked(x)
 	if st != Committed {
 		m.table.setLocked(x, stAborted)
+		m.aborts.Add(1)
 		return InvalidTS
 	}
 	ts := TS(m.nextTS.Load())
@@ -449,6 +461,7 @@ func (m *Manager) finishCommit(x XID) (TS, uint64, error) {
 		if lsn, err = m.dlog.LogCommit(x, ts); err != nil {
 			m.table.growLocked(x)
 			m.table.setLocked(x, stAborted)
+			m.aborts.Add(1)
 			delete(m.active, x)
 			delete(m.snapXmin, x)
 			return InvalidTS, 0, err
@@ -489,6 +502,7 @@ func (m *Manager) ApplyRecoveredAbort(x XID) {
 	m.table.growLocked(x)
 	if m.table.load(x)&3 != stCommitted {
 		m.table.setLocked(x, stAborted)
+		m.aborts.Add(1)
 	}
 	delete(m.active, x)
 	delete(m.snapXmin, x)
@@ -833,6 +847,7 @@ func (m *Manager) ApplyState(data []byte) error {
 			m.table.setLocked(e.xid, packCommitted(e.ts))
 		} else if m.table.load(e.xid)&3 != stCommitted {
 			m.table.setLocked(e.xid, stAborted)
+			m.aborts.Add(1)
 		}
 		if e.xid >= m.nextXID {
 			m.nextXID = e.xid + 1

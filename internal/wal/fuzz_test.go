@@ -21,8 +21,14 @@ func fuzzSeedRecords() []*Record {
 	for i := range img {
 		img[i] = byte(i * 31)
 	}
+	// A slotted page as the pool logs it: free space zeroed and left out.
+	slotted := page.New(0)
+	slotted.AddItem([]byte("one small tuple on a vacuumed page"))
+	holeOff, holeLen := slotted.Hole()
 	return []*Record{
 		{Type: TypePageImage, SM: storage.Mem, Rel: "lob_data_7", Blk: 3, Image: img, XID: 7},
+		{Type: TypePageImage, SM: storage.Disk, Rel: "lobj_16384_data", Blk: 41, Image: slotted, XID: 8, HoleOff: holeOff, HoleLen: holeLen},
+		{Type: TypePageImage, SM: storage.Disk, Rel: "lobj_16384_data", Blk: 42, Image: img, XID: 8, HoleOff: page.Size - 1, HoleLen: 1},
 		{Type: TypeCommit, XID: 9, TS: 42},
 		{Type: TypeAbort, XID: 11},
 		{Type: TypeCheckpoint, Redo: 123456},
@@ -41,6 +47,7 @@ func FuzzWALDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypePageImage)})
+	f.Add([]byte{byte(wireHoleImage)})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Decoding arbitrary bytes must never panic; a successful decode
@@ -57,7 +64,8 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			if r2.Type != r.Type || r2.XID != r.XID || r2.TS != r.TS ||
 				r2.SM != r.SM || r2.Rel != r.Rel || r2.Blk != r.Blk ||
-				r2.Redo != r.Redo || r2.Oldest != r.Oldest || !bytes.Equal(r2.Image, r.Image) {
+				r2.Redo != r.Redo || r2.Oldest != r.Oldest || !bytes.Equal(r2.Image, r.Image) ||
+				r2.HoleOff != r.HoleOff || r2.HoleLen != r.HoleLen {
 				t.Fatalf("round trip changed the record: %+v != %+v", r2, r)
 			}
 		}

@@ -54,6 +54,7 @@ var (
 	obsAppends     = obs.NewCounter("wal.appends")
 	obsAppendBytes = obs.NewCounter("wal.append_bytes")
 	obsPageImages  = obs.NewCounter("wal.page_images")
+	obsHoleBytes   = obs.NewCounter("wal.image_hole_bytes")
 	obsCommitRecs  = obs.NewCounter("wal.commit_records")
 	obsAbortRecs   = obs.NewCounter("wal.abort_records")
 	obsCkptRecs    = obs.NewCounter("wal.checkpoint_records")
@@ -165,7 +166,14 @@ type Log struct {
 	notify []chan<- struct{} // guarded by mu
 
 	// ioMu serialises device I/O on the segment and control relations.
-	ioMu sync.Mutex
+	ioMu  sync.Mutex
+	ioVec [][]byte        // guarded by ioMu; writeRange's reused block vector
+	ioSeg uint64          // guarded by ioMu; segment ioRel names
+	ioRel storage.RelName // guarded by ioMu; cached segRel(ioSeg), "" before the first write
+
+	// flushBuf is the flusher's own copy of the unflushed tail, reused from
+	// one flushOnce to the next. Only the flusher goroutine touches it.
+	flushBuf []byte
 
 	kick        chan struct{}
 	stop        chan struct{}
@@ -475,10 +483,17 @@ func (l *Log) startSegmentLocked(seg uint64) error {
 			return err
 		}
 	}
-	img := make([]byte, l.segBytes)
-	stampSegHeader(img, seg)
+	// The image is reused across rotations. Appends only ever write below
+	// appendOff, so clearing that prefix restores the all-zero segment the
+	// scanner's end-of-records rule relies on; nothing outside mu holds a
+	// reference (flushes and shipping copy out of it under mu).
+	if uint64(len(l.img)) == l.segBytes {
+		clear(l.img[:l.appendOff])
+	} else {
+		l.img = make([]byte, l.segBytes)
+	}
+	stampSegHeader(l.img, seg)
 	l.seg = seg
-	l.img = img
 	l.appendOff = segHdrLen
 	l.durableOff = 0
 	if d := LSN(seg * l.segBytes); d > l.durable {
@@ -527,18 +542,21 @@ func (l *Log) Replay(fn func(*Record) error) error {
 
 // --- append -----------------------------------------------------------------
 
-// append encodes and appends one record, returning its end LSN: once
-// Flush(end) returns, the record is durable. The bytes are only in the
-// in-memory tail when append returns.
+// append encodes one record straight into the tail segment's image and
+// returns its end LSN: once Flush(end) returns, the record is durable. The
+// bytes are only in the in-memory tail when append returns. Nothing is
+// allocated: the length is known before the first byte is written, so the
+// record is encoded in place, into room the rotation loop has secured.
 func (l *Log) append(r *Record) (LSN, error) {
-	enc, err := appendRecord(nil, r)
+	n, err := recordLen(r)
 	if err != nil {
 		return 0, err
 	}
+	size := uint64(n)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if uint64(len(enc)) > l.segBytes-segHdrLen {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte segment", len(enc), l.segBytes)
+	if size > l.segBytes-segHdrLen {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte segment", size, l.segBytes)
 	}
 	for {
 		if l.closed {
@@ -547,17 +565,19 @@ func (l *Log) append(r *Record) (LSN, error) {
 		if l.ioErr != nil {
 			return 0, l.ioErr
 		}
-		if l.appendOff+uint64(len(enc)) <= l.segBytes {
+		if l.appendOff+size <= l.segBytes {
 			break
 		}
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
-	copy(l.img[l.appendOff:], enc)
-	l.appendOff += uint64(len(enc))
+	if _, err := appendRecord(l.img[:l.appendOff], r); err != nil {
+		return 0, err
+	}
+	l.appendOff += size
 	obsAppends.Inc()
-	obsAppendBytes.Add(int64(len(enc)))
+	obsAppendBytes.Add(int64(size))
 	return LSN(l.seg*l.segBytes + l.appendOff), nil
 }
 
@@ -585,32 +605,47 @@ func (l *Log) rotateLocked() error {
 }
 
 // writeRange writes data — whole blocks covering segment offsets
-// [start, start+len(data)) — to the segment's relation and syncs it. start
-// must be block-aligned. Takes ioMu; the caller must not hold state it
-// expects to stay stable across the wait.
+// [start, start+len(data)) — to the segment's relation with one vectored
+// write and syncs it. start must be block-aligned. Takes ioMu; the caller
+// must not hold state it expects to stay stable across the wait.
 func (l *Log) writeRange(seg uint64, data []byte, start uint64) error {
-	rel := l.segRel(seg)
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	if l.ioRel == "" || l.ioSeg != seg {
+		l.ioSeg, l.ioRel = seg, l.segRel(seg)
+	}
+	rel := l.ioRel
 	if !l.mgr.Exists(rel) {
 		if err := l.mgr.Create(rel); err != nil {
 			return err
 		}
 	}
-	for off := uint64(0); off < uint64(len(data)); off += page.Size {
-		blk := storage.BlockNum((start + off) / page.Size)
-		if err := l.mgr.WriteBlock(rel, blk, data[off:off+page.Size]); err != nil {
-			return err
-		}
+	l.ioVec = l.ioVec[:0]
+	for off := 0; off < len(data); off += page.Size {
+		l.ioVec = append(l.ioVec, data[off:off+page.Size])
+	}
+	if err := l.mgr.WriteBlocks(rel, storage.BlockNum(start/page.Size), l.ioVec); err != nil {
+		return err
 	}
 	return l.mgr.Sync(rel)
 }
 
 // AppendPageImage logs a physical redo image of one page.
 func (l *Log) AppendPageImage(sm storage.ID, rel storage.RelName, blk storage.BlockNum, image []byte, xid uint32) (LSN, error) {
-	lsn, err := l.append(&Record{Type: TypePageImage, XID: xid, SM: sm, Rel: rel, Blk: blk, Image: image})
+	return l.AppendPageImageHole(sm, rel, blk, image, 0, 0, xid)
+}
+
+// AppendPageImageHole logs a physical redo image of one page without its
+// hole, image[holeOff:holeOff+holeLen]: bytes the caller has zeroed and that
+// replay restores as zeros. The hole's bytes are never read, so the caller's
+// zeroing — done before it checksummed the image — is what makes the
+// replayed page verify.
+func (l *Log) AppendPageImageHole(sm storage.ID, rel storage.RelName, blk storage.BlockNum, image []byte, holeOff, holeLen int, xid uint32) (LSN, error) {
+	lsn, err := l.append(&Record{Type: TypePageImage, XID: xid, SM: sm, Rel: rel, Blk: blk,
+		Image: image, HoleOff: holeOff, HoleLen: holeLen})
 	if err == nil {
 		obsPageImages.Inc()
+		obsHoleBytes.Add(int64(holeLen))
 	}
 	return lsn, err
 }
@@ -764,8 +799,14 @@ func (l *Log) flushOnce() {
 	target := l.appendOff
 	start := l.durableOff - l.durableOff%page.Size
 	end := target + (page.Size-target%page.Size)%page.Size
-	buf := make([]byte, end-start)
-	copy(buf[:target-start], l.img[start:target])
+	if uint64(cap(l.flushBuf)) < end-start {
+		// One segment bounds every flush: the first allocates the buffer
+		// and none after it does.
+		l.flushBuf = make([]byte, l.segBytes)
+	}
+	buf := l.flushBuf[:end-start]
+	copy(buf, l.img[start:target])
+	clear(buf[target-start:])
 	l.mu.Unlock()
 
 	err := l.writeRange(seg, buf, start)
