@@ -43,6 +43,13 @@
 #                                  prefetch path (post, fill, install) is
 #                                  exercised end to end on every run
 #
+#   6b. BenchmarkFChunkRead        one-iteration smoke run of the f-chunk
+#                                  read path (one index descent per object,
+#                                  chunks decoded from the pinned page into
+#                                  the caller's buffer) with its allocations
+#                                  reported: the benchmark's scan_hot op in
+#                                  miniature
+#
 #   7. FuzzWALDecode smoke         a short native-fuzz run of the WAL record
 #                                  decoder over the checked-in corpus, so a
 #                                  framing regression fails fast
@@ -173,6 +180,9 @@ go test -run '^$' -bench BenchmarkConcurrentRead -benchtime=1x .
 
 echo "== BenchmarkScanPrefetch smoke (-benchtime=1x)"
 go test -run '^$' -bench BenchmarkScanPrefetch -benchtime=1x .
+
+echo "== BenchmarkFChunkRead smoke (-benchtime=1x)"
+go test -run '^$' -bench BenchmarkFChunkRead -benchtime=1x -benchmem ./internal/core
 
 echo "== FuzzWALDecode smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 200x ./internal/wal

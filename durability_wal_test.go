@@ -3,6 +3,8 @@ package postlob
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -148,5 +150,93 @@ func TestWALAbortInvisibleAfterCrash(t *testing.T) {
 	}
 	if len(got) != 2 || !got[1] || !got[3] || got[2] {
 		t.Fatalf("rows after crash = %v (want x=1 and x=3 only)", res.Rows)
+	}
+}
+
+// TestWALReadOnlyTxnLeavesNoTrace: in WAL mode a transaction that only reads
+// commits or aborts without appending a record — the log's end does not move
+// and no group flush is waited for — and without a pg_log entry, while a
+// writer still logs its commit.
+func TestWALReadOnlyTxnLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	// No background writer: nothing but the transactions below may append.
+	db, err := Open(dir, Options{Durability: DurabilityWAL, BackgroundWriter: new(bool)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	payload := bytes.Repeat([]byte("read me "), 3000)
+	tx := db.Begin()
+	ref, obj, err := db.LargeObjects().Create(tx, CreateOptions{Kind: FChunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obj.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	logSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "pg_log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	end, size := db.wlog.End(), logSize()
+	for i := 0; i < 200; i++ {
+		tx := db.Begin()
+		obj, err := db.LargeObjects().Open(tx, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(obj)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("read %d: %d bytes, %v", i, len(got), err)
+		}
+		if err := obj.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			_, err = tx.Commit()
+		} else {
+			err = tx.Abort()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.wlog.End(); got != end {
+		t.Fatalf("read-only transactions moved the log end from %d to %d", end, got)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := logSize(); got != size {
+		t.Fatalf("read-only transactions grew pg_log from %d to %d bytes", size, got)
+	}
+	end = db.wlog.End()
+	if err := db.RunInTxn(func(tx *Txn) error {
+		obj, err := db.LargeObjects().Open(tx, ref)
+		if err != nil {
+			return err
+		}
+		if _, err := obj.Write([]byte("written")); err != nil {
+			return err
+		}
+		return obj.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if db.wlog.End() == end {
+		t.Fatal("a writing transaction appended nothing to the log")
 	}
 }

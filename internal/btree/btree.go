@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"postlob/internal/buffer"
@@ -159,6 +160,11 @@ type Tree struct {
 	// mutation so the buffer pool can write back node pages concurrently
 	// without tearing them.
 	mu sync.RWMutex
+
+	// gen counts structural changes: every Insert (splits included) and every
+	// entry deletion adds one under mu's exclusive side. A Cursor trusts the
+	// leaf it saved only while gen is unchanged.
+	gen atomic.Uint64
 }
 
 // Create makes a new empty tree in its own relation.
@@ -413,6 +419,7 @@ func (t *Tree) bumpLen(delta int64) error {
 func (t *Tree) Insert(key, val uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.gen.Add(1)
 	root, err := t.root()
 	if err != nil {
 		return err
@@ -651,6 +658,7 @@ func (t *Tree) DeleteIf(key, val uint64, stale func() (bool, error)) error {
 }
 
 func (t *Tree) deleteLocked(key, val uint64) error {
+	t.gen.Add(1)
 	blk, err := t.descendToLeaf(key, val)
 	if err != nil {
 		return err

@@ -271,15 +271,14 @@ func (p *Pool) collectColdDirty(max int) []*Frame {
 		}
 		part := p.parts[(start+uint64(i))&p.partMask]
 		part.mu.Lock()
-		for el := part.lru.Back(); el != nil && len(frames) < max; {
-			prev := el.Prev()
-			f := el.Value.(*Frame)
+		for f := part.lru.back; f != nil && len(frames) < max; {
+			prev := f.lruPrev // pinning takes f off the list
 			if f.dirty.Load() {
 				part.pinLocked(f)
 				f.evicting = true
 				frames = append(frames, f)
 			}
-			el = prev
+			f = prev
 		}
 		part.mu.Unlock()
 	}
@@ -300,7 +299,7 @@ func (p *Pool) releaseToCold(f *Frame) {
 	f.pins--
 	f.evicting = false
 	if f.pins == 0 {
-		f.lruEl = part.lru.PushBack(f)
+		part.lru.pushBackLocked(f)
 	}
 	part.mu.Unlock()
 }
@@ -657,11 +656,9 @@ func (p *Pool) evictCleanOnly() *Frame {
 	for i := range p.parts {
 		part := p.parts[(start+uint64(i))&p.partMask]
 		part.mu.Lock()
-		for el := part.lru.Back(); el != nil; el = el.Prev() {
-			f := el.Value.(*Frame)
+		for f := part.lru.back; f != nil; f = f.lruPrev {
 			if !f.dirty.Load() {
-				part.lru.Remove(el)
-				f.lruEl = nil
+				part.lru.removeLocked(f)
 				delete(part.lookup, f.tag)
 				part.mu.Unlock()
 				obsEvictions.Inc()
@@ -702,7 +699,7 @@ func (p *Pool) installPrefetched(tag Tag, f *Frame) {
 	f.walDirty.Store(false)
 	f.walLSN.Store(0)
 	part.lookup[tag] = f
-	f.lruEl = part.lru.PushFront(f)
+	part.lru.pushFrontLocked(f)
 	part.mu.Unlock()
 	p.nbMu.Unlock()
 	obsPfInstalled.Inc()

@@ -20,7 +20,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -87,11 +86,14 @@ type Frame struct {
 	part     *partition
 	tag      Tag
 	data     page.Page
-	pins     int           // guarded by part.mu
-	evicting bool          // guarded by part.mu; a write-back holds the only pin
-	lruEl    *list.Element // guarded by part.mu; non-nil iff unpinned and resident
-	dirty    atomic.Bool
-	latch    sync.RWMutex // content latch; see LockContent
+	pins     int  // guarded by part.mu
+	evicting bool // guarded by part.mu; a write-back holds the only pin
+	// inLRU is set iff the frame is unpinned and resident, and so on its
+	// partition's LRU list; lruPrev and lruNext are the list's links.
+	inLRU            bool   // guarded by part.mu
+	lruPrev, lruNext *Frame // guarded by part.mu
+	dirty            atomic.Bool
+	latch            sync.RWMutex // content latch; see LockContent
 
 	// WAL bookkeeping, meaningful only when the pool has a log attached.
 	// walDirty records that the page bytes changed since the last image of
@@ -180,7 +182,7 @@ func (f *Frame) Release() {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.lruEl = part.lru.PushFront(f)
+		part.lru.pushFrontLocked(f)
 	}
 }
 
@@ -189,7 +191,7 @@ func (f *Frame) Release() {
 type partition struct {
 	mu     sync.Mutex
 	lookup map[Tag]*Frame // guarded by mu
-	lru    *list.List     // guarded by mu; unpinned frames, front = most recently used
+	lru    lruList        // guarded by mu; unpinned frames, front = most recently used
 	hits   int64          // guarded by mu
 	misses int64          // guarded by mu
 
@@ -256,9 +258,8 @@ func (part *partition) tryPin(tag Tag) *Frame {
 
 // pinLocked pins a resident frame, removing it from the LRU list.
 func (part *partition) pinLocked(f *Frame) {
-	if f.pins == 0 && f.lruEl != nil {
-		part.lru.Remove(f.lruEl)
-		f.lruEl = nil
+	if f.pins == 0 && f.inLRU {
+		part.lru.removeLocked(f)
 	}
 	f.pins++
 }
@@ -346,7 +347,7 @@ func NewPool(nframes int, sw *storage.Switch, clock *vclock.Clock) *Pool {
 	}
 	p.wbCond = sync.NewCond(&p.wbMu)
 	for i := range p.parts {
-		p.parts[i] = &partition{lookup: make(map[Tag]*Frame), lru: list.New()}
+		p.parts[i] = &partition{lookup: make(map[Tag]*Frame)}
 	}
 	return p
 }
@@ -558,7 +559,6 @@ func (p *Pool) Get(tag Tag) (*Frame, error) {
 		f.part = part
 		f.pins = 1
 		f.evicting = false
-		f.lruEl = nil
 		f.dirty.Store(false)
 		f.walDirty.Store(false)
 		f.walLSN.Store(0)
@@ -594,7 +594,6 @@ func (p *Pool) NewBlock(sm storage.ID, rel storage.RelName) (*Frame, storage.Blo
 	f.part = part
 	f.pins = 1
 	f.evicting = false
-	f.lruEl = nil
 	f.dirty.Store(true)
 	f.walDirty.Store(false)
 	f.noteWALDirty()
@@ -680,7 +679,6 @@ func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.Bl
 		f.part = part
 		f.pins = 1
 		f.evicting = false
-		f.lruEl = nil
 		f.dirty.Store(true)
 		f.walDirty.Store(false)
 		f.noteWALDirty()
@@ -785,22 +783,20 @@ func (p *Pool) evictFrom(part *partition) (*Frame, error) {
 		preferClean = true
 	}
 	part.mu.Lock()
-	el := part.lru.Back()
-	if el == nil {
+	f := part.lru.back
+	if f == nil {
 		part.mu.Unlock()
 		return nil, nil
 	}
-	f := el.Value.(*Frame)
 	if preferClean && f.dirty.Load() {
-		for cand := el.Prev(); cand != nil; cand = cand.Prev() {
-			if cf := cand.Value.(*Frame); !cf.dirty.Load() {
-				el, f = cand, cf
+		for cand := f.lruPrev; cand != nil; cand = cand.lruPrev {
+			if !cand.dirty.Load() {
+				f = cand
 				break
 			}
 		}
 	}
-	part.lru.Remove(el)
-	f.lruEl = nil
+	part.lru.removeLocked(f)
 	if !f.dirty.Load() {
 		delete(part.lookup, f.tag)
 		part.mu.Unlock()
@@ -832,7 +828,7 @@ func (p *Pool) evictFrom(part *partition) (*Frame, error) {
 	}
 	// Redirtied, re-pinned, or the write failed: the frame stays resident.
 	if f.pins == 0 {
-		f.lruEl = part.lru.PushBack(f)
+		part.lru.pushBackLocked(f)
 	}
 	part.mu.Unlock()
 	return nil, err
@@ -1305,9 +1301,8 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 			if tag.SM != sm || tag.Rel != rel {
 				continue
 			}
-			if f.lruEl != nil {
-				part.lru.Remove(f.lruEl)
-				f.lruEl = nil
+			if f.inLRU {
+				part.lru.removeLocked(f)
 			}
 			delete(part.lookup, tag)
 			p.putFree(f)

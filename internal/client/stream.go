@@ -460,6 +460,7 @@ func (o *StreamObject) readRange(p []byte, op gateway.Op) (int, error) {
 		}
 	}
 	var got int64
+	var decoded []byte // reused from extent to extent
 	err = o.s.consumeStream(id, cs, func(f *gateway.Frame) error {
 		if raw {
 			extents, err := gateway.DecodeExtents(f.Payload)
@@ -469,7 +470,7 @@ func (o *StreamObject) readRange(p []byte, op gateway.Op) (int, error) {
 			for i := range extents {
 				e := &extents[i]
 				o.s.wireBytesIn.Add(int64(len(e.Encoded)))
-				decoded, err := compress.Decode(e.Encoded)
+				decoded, err = compress.DecodeInto(decoded[:0], e.Encoded)
 				if err != nil {
 					return fmt.Errorf("client: extent at %d: %w", e.LogStart, err)
 				}
@@ -540,6 +541,7 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 		}
 		return nil
 	}
+	var decoded []byte // reused from extent to extent
 	err = o.s.consumeStream(id, cs, func(f *gateway.Frame) error {
 		extents, err := gateway.DecodeExtents(f.Payload)
 		if err != nil {
@@ -548,7 +550,7 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 		for i := range extents {
 			e := &extents[i]
 			o.s.wireBytesIn.Add(int64(len(e.Encoded)))
-			decoded, err := compress.Decode(e.Encoded)
+			decoded, err = compress.DecodeInto(decoded[:0], e.Encoded)
 			if err != nil {
 				return fmt.Errorf("client: extent at %d: %w", e.LogStart, err)
 			}

@@ -128,18 +128,23 @@ func Encode(c Codec, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode reverses Encode.
-func Decode(data []byte) ([]byte, error) {
+// Decode reverses Encode into a fresh buffer.
+func Decode(data []byte) ([]byte, error) { return DecodeInto(nil, data) }
+
+// DecodeInto reverses Encode, appending the decoded bytes to dst: a caller
+// that reuses one buffer, or decodes into the spare capacity of its own,
+// allocates nothing.
+func DecodeInto(dst, data []byte) ([]byte, error) {
 	if len(data) < 1 {
 		return nil, ErrCorrupt
 	}
 	switch data[0] {
 	case methodRaw:
-		return append([]byte(nil), data[1:]...), nil
+		return append(dst, data[1:]...), nil
 	case methodFast:
-		return Fast{}.Decompress(nil, data[1:])
+		return Fast{}.Decompress(dst, data[1:])
 	case methodTight:
-		return Tight{}.Decompress(nil, data[1:])
+		return Tight{}.Decompress(dst, data[1:])
 	default:
 		return nil, fmt.Errorf("%w: method %d", ErrCorrupt, data[0])
 	}
@@ -298,6 +303,7 @@ func (Tight) Compress(dst, src []byte) []byte {
 
 // Decompress implements Codec.
 func (Tight) Decompress(dst, src []byte) ([]byte, error) {
+	base := len(dst) // matches may not reach back into what dst already held
 	i := 0
 	for i < len(src) {
 		tag := src[i]
@@ -317,7 +323,7 @@ func (Tight) Decompress(dst, src []byte) ([]byte, error) {
 		n := int(tag&0x7F) + tightMinMatch
 		off := int(binary.LittleEndian.Uint16(src[i:]))
 		i += 2
-		if off == 0 || off > len(dst) {
+		if off == 0 || off > len(dst)-base {
 			return nil, fmt.Errorf("%w: bad match offset %d", ErrCorrupt, off)
 		}
 		for j := 0; j < n; j++ {

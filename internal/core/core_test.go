@@ -20,7 +20,7 @@ import (
 )
 
 // newTestStore builds a store over mem+disk managers in a temp dir.
-func newTestStore(t *testing.T) *Store {
+func newTestStore(t testing.TB) *Store {
 	t.Helper()
 	dir := t.TempDir()
 	sw := storage.NewSwitch()

@@ -67,6 +67,7 @@ type fchunkObject struct {
 	codec compress.Codec
 	rel   *heap.Relation
 	idx   *btree.Tree
+	ix    btree.Cursor // every index lookup goes through it; see visit
 
 	tx   *txn.Txn
 	snap txn.Snapshot
@@ -84,13 +85,14 @@ type fchunkObject struct {
 	curHas   bool // a stored tuple exists for curSeq
 	curDirty bool
 
-	// pfNext is the sequential read-ahead frontier: the first heap block not
-	// yet covered by a posted prefetch window. Zero until a sequential run is
-	// detected (block 0 never needs read-ahead — it precedes any chunk).
-	pfNext storage.BlockNum
-
-	// peek receives a chunk tuple's header when only its TID is wanted.
-	peek [chunkHdr]byte
+	// Sequential read-ahead (see step): lastSeq is the chunk the read path
+	// last fetched from the heap, run how many lastSeq+1 steps in a row led
+	// to it, and pfNext the first heap block not yet covered by a posted
+	// prefetch window — zero until a run arms it (block 0 never needs
+	// read-ahead: it precedes any chunk).
+	lastSeq int64
+	run     int
+	pfNext  storage.BlockNum
 
 	closed bool
 }
@@ -152,74 +154,79 @@ func (s *Store) openFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, me
 	codec, _ := compress.Lookup(meta.Codec)
 	o := &fchunkObject{
 		store: s, ref: ref, meta: meta, codec: codec,
-		rel: rel, idx: idx,
+		rel: rel, idx: idx, ix: idx.Cursor(),
 		tx: tx, snap: snap,
-		curSeq: -1,
+		curSeq: -1, lastSeq: -1,
 	}
-	payload, tid, err := o.lookupVisible(metaSeq)
+	tid, err := o.visit(metaSeq, func(payload []byte) error {
+		o.size = int64(binary.LittleEndian.Uint64(payload[4:]))
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: object %d metadata: %w", ref.OID, err)
 	}
-	if payload == nil {
+	if !tid.Valid() {
 		return nil, fmt.Errorf("core: object %d has no metadata record", ref.OID)
 	}
-	o.size = int64(binary.LittleEndian.Uint64(payload[4:]))
 	o.sizeTID = tid
 	return o, nil
 }
 
 func (o *fchunkObject) chunkSize() int64 { return int64(o.meta.ChunkSize) }
 
-// fetch reads the tuple under the handle's snapshot. Live and historical
-// handles are the same code path: time travel is merely an older snapshot.
-func (o *fchunkObject) fetch(tid heap.TID) ([]byte, error) {
-	return o.rel.FetchSnap(o.snap, tid)
-}
-
-// lookupVisible finds the visible tuple indexed under key. Superseded
-// versions stay in the index (the no-overwrite philosophy) and are filtered
-// here by tuple visibility; entries whose heap slot vacuum recycled for a
-// different record are detected by tag mismatch and pruned.
-func (o *fchunkObject) lookupVisible(key uint64) ([]byte, heap.TID, error) {
-	return o.lookupVisibleWith(key, o.fetch)
-}
-
-// lookupVisibleTID is lookupVisible for a caller that will supersede or
-// delete chunk seq without reading it: the tuple's header is enough to tell
-// it from a recycled slot, so the payload is neither copied nor decoded.
-func (o *fchunkObject) lookupVisibleTID(seq int64) (heap.TID, error) {
-	_, tid, err := o.lookupVisibleWith(uint64(seq), func(tid heap.TID) ([]byte, error) {
-		n, err := o.rel.PeekSnap(o.snap, tid, o.peek[:])
-		return o.peek[:n], err
-	})
-	return tid, err
-}
-
-func (o *fchunkObject) lookupVisibleWith(key uint64, fetch func(heap.TID) ([]byte, error)) ([]byte, heap.TID, error) {
-	vals, err := o.idx.Lookup(key)
+// visit finds the version of key the handle's snapshot sees and, when use is
+// non-nil, runs use on its payload in place: in the buffer pool, under the
+// page's shared content latch, so whatever use copies out is the read's only
+// copy. use must not keep the slice. visit returns the version's TID, or
+// InvalidTID when no version is visible. Live and historical handles are the
+// same code path: time travel is merely an older snapshot.
+//
+// Superseded versions stay in the index (the no-overwrite philosophy) and
+// are filtered here by tuple visibility; entries whose heap slot vacuum
+// recycled for a different record are detected by tag mismatch and pruned.
+// The lookup goes through the handle's cursor, so reading chunk after chunk
+// descends the index once.
+func (o *fchunkObject) visit(key uint64, use func(payload []byte) error) (heap.TID, error) {
+	vals, err := o.ix.Lookup(key)
 	if err != nil {
-		return nil, heap.InvalidTID, err
+		return heap.InvalidTID, err
 	}
 	// Newest entries are most likely visible; scan from the end.
 	for i := len(vals) - 1; i >= 0; i-- {
 		tid := heap.DecodeTID(vals[i])
-		payload, err := fetch(tid)
-		if err == nil {
-			if !payloadMatches(key, payload) {
-				o.pruneStale(key, vals[i])
-				continue
+		matched := false
+		var useErr error
+		err := o.rel.ViewSnap(o.snap, tid, func(payload []byte) {
+			if matched = payloadMatches(key, payload); matched && use != nil {
+				useErr = use(payload)
 			}
-			return payload, tid, nil
-		}
-		if errors.Is(err, heap.ErrNoTuple) {
+		})
+		switch {
+		case err == nil && matched:
+			return tid, useErr
+		case err == nil || errors.Is(err, heap.ErrNoTuple):
 			o.pruneStale(key, vals[i])
-			continue
-		}
-		if !isNotVisible(err) {
-			return nil, heap.InvalidTID, err
+		case !errors.Is(err, heap.ErrNotVisible):
+			return heap.InvalidTID, err
 		}
 	}
-	return nil, heap.InvalidTID, nil
+	return heap.InvalidTID, nil
+}
+
+// decodeChunk appends the bytes of chunk seq, decoded from its stored
+// payload, to dst and checks their length against the payload header.
+func (o *fchunkObject) decodeChunk(seq int64, dst, payload []byte) ([]byte, error) {
+	rawLen := int(binary.LittleEndian.Uint32(payload[4:]))
+	out, err := compress.DecodeInto(dst, payload[chunkHdr:])
+	if err != nil {
+		return dst, fmt.Errorf("core: chunk %d of object %d: %w", seq, o.ref.OID, err)
+	}
+	if got := len(out) - len(dst); got != rawLen {
+		return dst, fmt.Errorf("core: chunk %d of object %d: length %d, header says %d", seq, o.ref.OID, got, rawLen)
+	}
+	// Output conversion: just-in-time uncompression, charged per byte.
+	compress.Charge(o.store.clock, o.store.cpu, o.codec, rawLen)
+	return out, nil
 }
 
 // pruneStale removes an index entry whose target tuple no longer exists
@@ -247,10 +254,6 @@ func (o *fchunkObject) pruneStale(key, val uint64) {
 		}
 		return !payloadMatches(key, payload), nil
 	}) // best effort; a concurrent pruner may win
-}
-
-func isNotVisible(err error) bool {
-	return errors.Is(err, heap.ErrNotVisible) || errors.Is(err, heap.ErrNoTuple)
 }
 
 // Ref implements Object.
@@ -285,11 +288,15 @@ func (o *fchunkObject) Seek(offset int64, whence int) (int64, error) {
 	if np < 0 {
 		return 0, ErrBadSeek
 	}
+	if np != o.pos {
+		o.run = 0 // a jump ends any sequential run
+	}
 	o.pos = np
 	return np, nil
 }
 
-// loadChunk makes seq the cached chunk, flushing any dirty predecessor.
+// loadChunk makes seq the cached chunk, flushing any dirty predecessor. The
+// chunk decodes into the cache's own buffer, reused from chunk to chunk.
 func (o *fchunkObject) loadChunk(seq int64) error {
 	if o.curSeq == seq {
 		return nil
@@ -297,33 +304,74 @@ func (o *fchunkObject) loadChunk(seq int64) error {
 	if err := o.flushChunk(); err != nil {
 		return err
 	}
-	payload, tid, err := o.lookupVisible(uint64(seq))
+	o.curSeq = -1 // the buffer is overwritten below; on error nothing is cached
+	data := o.curData[:0]
+	tid, err := o.visit(uint64(seq), func(payload []byte) (err error) {
+		data, err = o.decodeChunk(seq, data, payload)
+		return err
+	})
 	if err != nil {
 		return err
 	}
 	fchunkChunkLoads.Inc()
-	o.curSeq = seq
-	o.curDirty = false
-	if payload == nil {
-		o.curData = o.curData[:0]
-		o.curTID = heap.InvalidTID
-		o.curHas = false
-		return nil
-	}
-	rawLen := int(binary.LittleEndian.Uint32(payload[4:]))
-	decoded, err := compress.Decode(payload[chunkHdr:])
-	if err != nil {
-		return fmt.Errorf("core: chunk %d of object %d: %w", seq, o.ref.OID, err)
-	}
-	if len(decoded) != rawLen {
-		return fmt.Errorf("core: chunk %d of object %d: length %d, header says %d", seq, o.ref.OID, len(decoded), rawLen)
-	}
-	// Output conversion: just-in-time uncompression, charged per byte.
-	compress.Charge(o.store.clock, o.store.cpu, o.codec, rawLen)
-	o.curData = decoded
-	o.curTID = tid
-	o.curHas = true
+	o.curSeq, o.curData, o.curTID, o.curHas, o.curDirty = seq, data, tid, tid.Valid(), false
 	return nil
+}
+
+// readChunk copies the bytes of chunk seq from offset within into dst and
+// returns how many the chunk holds there; the rest of dst is a sparse tail
+// (trailing zeros are never materialised) for the caller to zero. When dst
+// spans the whole chunk the chunk decodes from the pinned page straight into
+// dst — the read's one copy — and the cache is left alone; any other span,
+// and a chunk holding the handle's own unflushed writes, goes through the
+// one-chunk cache.
+func (o *fchunkObject) readChunk(seq, within int64, dst []byte) (int, error) {
+	whole := within == 0 && (int64(len(dst)) == o.chunkSize() || o.pos+int64(len(dst)) == o.size)
+	if o.curSeq != seq && whole {
+		var out []byte
+		tid, err := o.visit(uint64(seq), func(payload []byte) (err error) {
+			out, err = o.decodeChunk(seq, dst[:0:len(dst)], payload)
+			return err
+		})
+		if err != nil {
+			return 0, err
+		}
+		fchunkChunkLoads.Inc()
+		o.step(seq, tid)
+		if len(out) > len(dst) {
+			// A stored chunk longer than its logical span decoded into a
+			// fresh buffer instead of dst: show the span's part of it.
+			return copy(dst, out), nil
+		}
+		return len(out), nil
+	}
+	if o.curSeq != seq {
+		if err := o.loadChunk(seq); err != nil {
+			return 0, err
+		}
+		o.step(seq, o.curTID)
+	}
+	if within >= int64(len(o.curData)) {
+		return 0, nil
+	}
+	return copy(dst, o.curData[within:]), nil
+}
+
+// step records that chunk seq was just fetched for a Read and, once reads
+// form a sequential run, keeps the prefetcher ahead of it. Two lastSeq+1
+// steps in a row arm the window: one is what a small read straddling a chunk
+// boundary looks like, and posting a window for it costs a random reader
+// device reads it never uses.
+func (o *fchunkObject) step(seq int64, tid heap.TID) {
+	if seq == o.lastSeq+1 {
+		o.run++
+	} else {
+		o.run = 0
+	}
+	o.lastSeq = seq
+	if o.run >= 2 && tid.Valid() {
+		o.readAhead(tid.Blk)
+	}
 }
 
 // supersedeChunk makes seq the cached chunk for a write that covers all of
@@ -336,7 +384,7 @@ func (o *fchunkObject) supersedeChunk(seq int64) error {
 	if err := o.flushChunk(); err != nil {
 		return err
 	}
-	tid, err := o.lookupVisibleTID(seq)
+	tid, err := o.visit(uint64(seq), nil)
 	if err != nil {
 		return err
 	}
@@ -348,18 +396,18 @@ func (o *fchunkObject) supersedeChunk(seq int64) error {
 	return nil
 }
 
-// readAhead keeps the scan prefetcher ahead of a sequential Read. Chunk
-// tuples are appended in block order, so the chunks after one just loaded
-// live at ascending heap blocks; the frontier (pfNext) advances a whole
-// window at a time, because fresh, non-overlapping windows let the
-// prefetcher issue one batched device read per window instead of chasing
-// the reader block by block with windows that are already mostly resident.
-// Only Read calls it: what a sequential Write is about to supersede sits in
-// recycled, scattered blocks, and reading ahead of it evicts the writer's
-// own pages for nothing.
-func (o *fchunkObject) readAhead() {
+// readAhead keeps the scan prefetcher ahead of a sequential Read that just
+// fetched a chunk from heap block blk. Chunk tuples are appended in block
+// order, so the chunks after it live at ascending heap blocks; the frontier
+// (pfNext) advances a whole window at a time, because fresh, non-overlapping
+// windows let the prefetcher issue one batched device read per window
+// instead of chasing the reader block by block with windows that are
+// already mostly resident. Only Read calls it: what a sequential Write is
+// about to supersede sits in recycled, scattered blocks, and reading ahead
+// of it evicts the writer's own pages for nothing.
+func (o *fchunkObject) readAhead(blk storage.BlockNum) {
 	const w = buffer.DefaultPrefetchWindow
-	next := o.curTID.Blk + 1
+	next := blk + 1
 	switch {
 	case o.pfNext == 0 || next > o.pfNext || next+2*w < o.pfNext:
 		// Frontier unset, overtaken, or far ahead of a scan that
@@ -447,27 +495,18 @@ func (o *fchunkObject) Read(p []byte) (int, error) {
 	for len(p) > 0 {
 		seq := o.pos / o.chunkSize()
 		within := o.pos % o.chunkSize()
-		prev := o.curSeq
-		if err := o.loadChunk(seq); err != nil {
-			fchunkMetrics.readBytes.Add(int64(total))
-			return total, err
-		}
-		if prev >= 0 && seq == prev+1 && o.curHas {
-			o.readAhead()
-		}
 		n := o.chunkSize() - within
 		if int64(len(p)) < n {
 			n = int64(len(p))
 		}
-		// The cached chunk may be shorter than the logical span (trailing
-		// zeros were never materialised); copy what exists, zero the rest.
-		var copied int
-		if within < int64(len(o.curData)) {
-			copied = copy(p[:n], o.curData[within:])
+		copied, err := o.readChunk(seq, within, p[:n])
+		if err != nil {
+			fchunkMetrics.readBytes.Add(int64(total))
+			return total, err
 		}
-		for i := copied; int64(i) < n; i++ {
-			p[i] = 0
-		}
+		// The chunk may be shorter than the logical span (trailing zeros
+		// were never materialised): zero the rest.
+		clear(p[copied:n])
 		// Per-chunk accounting: the sum of these must equal read_bytes (the
 		// per-call total below) — the conservation law the harnesses assert.
 		fchunkChunkReadBytes.Add(n)
@@ -569,7 +608,7 @@ func (o *fchunkObject) Truncate(n int64) error {
 		o.curData = o.curData[:0]
 	}
 	for seq := firstDead; seq <= lastOld; seq++ {
-		tid, err := o.lookupVisibleTID(seq)
+		tid, err := o.visit(uint64(seq), nil)
 		if err != nil {
 			return err
 		}

@@ -57,8 +57,9 @@ var vsegmentMetrics = lobMetrics{
 // double-counted or dropped chunk in the loop.
 var fchunkChunkReadBytes = obs.NewCounter("lob.fchunk.chunk_read_bytes")
 
-// fchunkChunkLoads counts chunk tuples fetched into the one-chunk cache
-// (i.e. read-path cache misses at chunk granularity).
+// fchunkChunkLoads counts chunk tuples the read path fetched from the heap,
+// into the one-chunk cache or straight into the caller's buffer (i.e.
+// read-path cache misses at chunk granularity).
 var fchunkChunkLoads = obs.NewCounter("lob.fchunk.chunk_loads")
 
 // lobMetricsFor returns the instrument set for a storage kind (nil for an

@@ -48,7 +48,7 @@ func TestPruneStaleRecycledSlot(t *testing.T) {
 		}
 		defer h.Close()
 		fo := h.(*fchunkObject)
-		_, tid, err := fo.lookupVisible(0)
+		tid, err := fo.visit(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,32 +81,26 @@ func (s *Store) readRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef,
 	}
 	cs := fo.chunkSize()
 	var out []RawExtent
+	// A chunk with no visible version is sparse (zeros) and yields nothing;
+	// each stored envelope is copied once, straight from its page.
 	for seq := off / cs; seq*cs < end; seq++ {
-		payload, _, err := fo.lookupVisible(uint64(seq))
+		chunkStart := seq * cs
+		_, err := fo.visit(uint64(seq), func(payload []byte) error {
+			rawLen := int64(binary.LittleEndian.Uint32(payload[4:]))
+			lo, hi := max(chunkStart, off), min(chunkStart+rawLen, end)
+			if lo < hi {
+				out = append(out, RawExtent{
+					LogStart: lo,
+					Skip:     int(lo - chunkStart),
+					Take:     int(hi - lo),
+					Encoded:  append([]byte(nil), payload[chunkHdr:]...),
+				})
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if payload == nil {
-			continue // sparse chunk: zeros
-		}
-		rawLen := int64(binary.LittleEndian.Uint32(payload[4:]))
-		chunkStart := seq * cs
-		lo, hi := chunkStart, chunkStart+rawLen
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
-		if lo >= hi {
-			continue
-		}
-		out = append(out, RawExtent{
-			LogStart: lo,
-			Skip:     int(lo - chunkStart),
-			Take:     int(hi - lo),
-			Encoded:  append([]byte(nil), payload[chunkHdr:]...),
-		})
 	}
 	return out, nil
 }

@@ -196,6 +196,10 @@ func segPayloadMatches(key uint64, payload []byte) bool {
 	return len(payload) == segRecSize && binary.LittleEndian.Uint64(payload) == key
 }
 
+func isNotVisible(err error) bool {
+	return errors.Is(err, heap.ErrNotVisible) || errors.Is(err, heap.ErrNoTuple)
+}
+
 func (o *vsegmentObject) lookupVisible(key uint64) ([]byte, heap.TID, error) {
 	vals, err := o.segIdx.Lookup(key)
 	if err != nil {

@@ -801,15 +801,24 @@ func (c *gwConn) streamOut(j streamJob, stream uint32) {
 // client zero-fills from the announced range — but its logical bytes
 // still count as served.
 func emitExtentPiece(g *Gateway, p *chunkPiece, emitFrame func([]byte, func()) error) error {
+	remain := 0 // wire bytes not yet packed: each frame is allocated once, at its final size
+	for i := range p.extents {
+		remain += extentWireLen(&p.extents[i])
+	}
 	var frames [][]byte
 	var payload []byte
 	for i := range p.extents {
 		e := &p.extents[i]
-		if len(payload) > 0 && len(payload)+extentWireLen(e) > MaxChunk {
+		n := extentWireLen(e)
+		if len(payload) > 0 && len(payload)+n > MaxChunk {
 			frames = append(frames, payload)
 			payload = nil
 		}
+		if payload == nil {
+			payload = make([]byte, 0, min(remain, MaxChunk))
+		}
 		payload = appendExtent(payload, e)
+		remain -= n
 	}
 	if len(payload) > 0 {
 		frames = append(frames, payload)

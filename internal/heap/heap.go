@@ -417,6 +417,7 @@ func (r *Relation) insert(t *txn.Txn, data []byte, prev TID) (TID, error) {
 	if len(data) > MaxTupleSize {
 		return InvalidTID, fmt.Errorf("%w: %d > %d", ErrTupleTooBig, len(data), MaxTupleSize)
 	}
+	t.MarkWriter()
 	item := VersionMeta{Xmin: t.ID(), Xmax: txn.InvalidXID, Prev: prev}.
 		AppendEncode(make([]byte, 0, TupleHeaderSize+len(data)))
 	item = append(item, data...)
@@ -540,6 +541,7 @@ func (r *Relation) Delete(t *txn.Txn, tid TID) error {
 			return fmt.Errorf("%w: %s by txn %d", ErrConcurrentDel, tid, xmax)
 		}
 	}
+	t.MarkWriter()
 	setTupleXmax(item, t.ID())
 	f.MarkDirty()
 	// Under the relation lock (shared) a vacuum cannot be between reading the
@@ -575,6 +577,7 @@ func (r *Relation) UpdateOwnInPlace(t *txn.Txn, tid TID, data []byte) (bool, err
 	if len(item) != TupleHeaderSize+len(data) {
 		return false, nil
 	}
+	t.MarkWriter()
 	copy(item[TupleHeaderSize:], data)
 	f.MarkDirty()
 	return true, nil
@@ -600,7 +603,10 @@ func (r *Relation) Fetch(t *txn.Txn, tid TID) ([]byte, error) {
 // in-progress writer's version must count as existing even though no
 // snapshot sees it yet.
 func (r *Relation) FetchAny(tid TID) ([]byte, error) {
-	return r.fetch(tid, func([]byte, *buffer.Frame) bool { return true })
+	var out []byte
+	err := r.view(tid, func([]byte, *buffer.Frame) bool { return true },
+		func(data []byte) { out = append([]byte(nil), data...) })
+	return out, err
 }
 
 // FetchAsOf returns the tuple payload at tid as it stood at timestamp ts.
@@ -612,35 +618,29 @@ func (r *Relation) FetchAsOf(ts txn.TS, tid TID) ([]byte, error) {
 // it. Live and historical snapshots take the same path: time travel is just
 // a fetch under an older snapshot.
 func (r *Relation) FetchSnap(snap txn.Snapshot, tid TID) ([]byte, error) {
-	return r.fetch(tid, func(item []byte, f *buffer.Frame) bool {
-		return r.visibleSnap(snap, item, f, false)
-	})
-}
-
-// PeekSnap is FetchSnap for a caller that needs to know which record a TID
-// holds, not the record: it copies the leading bytes of the payload into dst,
-// as many as fit, and returns how many. Nothing is allocated.
-func (r *Relation) PeekSnap(snap txn.Snapshot, tid TID, dst []byte) (int, error) {
-	n := 0
-	err := r.view(tid, func(item []byte, f *buffer.Frame) bool {
-		return r.visibleSnap(snap, item, f, false)
-	}, func(data []byte) { n = copy(dst, data) })
-	return n, err
-}
-
-// fetch is the lock-free read path: no relation lock at all, only the
-// frame's shared content latch, so readers synchronise with nothing but a
-// mutator of the very page they inspect. Visibility checks on this path
-// never write hint bits (only exclusive-latch holders may) and resolve
-// transaction outcomes through the manager's lock-free table.
-func (r *Relation) fetch(tid TID, vis func([]byte, *buffer.Frame) bool) ([]byte, error) {
 	var out []byte
-	err := r.view(tid, vis, func(data []byte) { out = append([]byte(nil), data...) })
+	err := r.ViewSnap(snap, tid, func(data []byte) { out = append([]byte(nil), data...) })
 	return out, err
 }
 
-// view runs use on the payload at tid, in place under the page's shared
-// content latch, if vis accepts the tuple; use must not keep the slice.
+// ViewSnap runs use on the payload at tid, in place in the buffer pool and
+// under the page's shared content latch, if the snapshot sees the tuple: the
+// read path's one copy is whatever use makes. use must not keep the slice,
+// and must not call back into this relation's page. Viewing a visible tuple
+// allocates nothing.
+func (r *Relation) ViewSnap(snap txn.Snapshot, tid TID, use func(data []byte)) error {
+	return r.view(tid, func(item []byte, f *buffer.Frame) bool {
+		return r.visibleSnap(snap, item, f, false)
+	}, use)
+}
+
+// view is the lock-free read path: no relation lock at all, only the
+// frame's shared content latch, so readers synchronise with nothing but a
+// mutator of the very page they inspect. Visibility checks on this path
+// never write hint bits (only exclusive-latch holders may) and resolve
+// transaction outcomes through the manager's lock-free table. It runs use on
+// the payload at tid, in place under the latch, if vis accepts the tuple;
+// use must not keep the slice.
 func (r *Relation) view(tid TID, vis func([]byte, *buffer.Frame) bool, use func(data []byte)) error {
 	obsFetches.Inc()
 	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})

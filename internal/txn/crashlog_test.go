@@ -12,9 +12,9 @@ import (
 func buildLog(t *testing.T) (*Manager, string, []byte) {
 	t.Helper()
 	m := NewManager()
-	t1 := m.Begin()
-	t2 := m.Begin()
-	t3 := m.Begin()
+	t1 := beginWriter(m)
+	t2 := beginWriter(m)
+	t3 := beginWriter(m)
 	if _, err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestXIDBoundPreventsReuseAfterCrash(t *testing.T) {
 	m := NewManager()
 	m.SetLogPath(path)
 
-	t1 := m.Begin()
+	t1 := beginWriter(m)
 	if _, err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestXIDBoundPreventsReuseAfterCrash(t *testing.T) {
 	// synced tuple headers, never in the durable log.
 	var lost []XID
 	for i := 0; i < 5; i++ {
-		lost = append(lost, m.Begin().ID())
+		lost = append(lost, beginWriter(m).ID())
 	}
 
 	rec, err := Load(path)
@@ -136,7 +136,7 @@ func TestSaveBoundsIssuedXIDsWithoutLogPath(t *testing.T) {
 	m := NewManager()
 	var last XID
 	for i := 0; i < 3; i++ {
-		tx := m.Begin()
+		tx := beginWriter(m)
 		last = tx.ID()
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -172,7 +172,7 @@ func TestLoadRejectsLegacyMagic(t *testing.T) {
 // commit itself stands.
 func TestCommitReturnsDurableHookError(t *testing.T) {
 	m := NewManager()
-	tx := m.Begin()
+	tx := beginWriter(m)
 	boom := errors.New("device on fire")
 	tx.OnCommitDurable(func() error { return boom })
 	ts, err := tx.Commit()
@@ -201,7 +201,7 @@ func TestConcurrentSavesDoNotRace(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < rounds; i++ {
-				tx := m.Begin()
+				tx := beginWriter(m)
 				if i%3 == 0 {
 					tx.Abort()
 				} else if _, err := tx.Commit(); err != nil {
@@ -226,7 +226,7 @@ func TestConcurrentSavesDoNotRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Begin().ID(); got < m.Begin().ID()-1-xidBatch {
+	if got := loaded.Begin().ID(); got < beginWriter(m).ID()-1-xidBatch {
 		t.Fatalf("recovered XID horizon %d far below live manager's", got)
 	}
 }

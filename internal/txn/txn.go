@@ -441,6 +441,19 @@ func (m *Manager) finish(x XID, st Status) TS {
 	return ts
 }
 
+// forget ends a transaction that never stamped a tuple. No tuple carries x,
+// so no visibility check can ever ask for its outcome: the slot goes back to
+// unknown instead of taking a commit-log entry, the timestamp counter stays
+// put, and the abort count — vacuum's cue that aborted debris may exist —
+// does not move.
+func (m *Manager) forget(x XID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.active, x)
+	delete(m.snapXmin, x)
+	m.table.setLocked(x, stUnknown)
+}
+
 // finishCommit makes x committed, appending its commit record (when a
 // durability log is attached) inside the same critical section that makes
 // the commit visible. That pairing is the WAL ordering contract: if T2's
@@ -534,6 +547,11 @@ type Txn struct {
 	sw   obs.Stopwatch // begin-to-finish duration; written at Begin only
 	done bool          // guarded by mu
 
+	// writer is set the first time the heap stamps a tuple with this XID
+	// (an insert, a delete stamp, an in-place update). A transaction that
+	// finishes without it leaves no trace in the commit log or the WAL.
+	writer atomic.Bool
+
 	mu        sync.Mutex
 	onCommit  []func()       // guarded by mu
 	onAbort   []func()       // guarded by mu
@@ -548,6 +566,11 @@ func (t *Txn) Snapshot() Snapshot { return t.snap }
 
 // Manager returns the owning manager.
 func (t *Txn) Manager() *Manager { return t.mgr }
+
+// MarkWriter records that the transaction's XID is about to be stamped into
+// a tuple; the heap calls it before every such stamp. Only a writer's
+// outcome is recorded at Commit or Abort.
+func (t *Txn) MarkWriter() { t.writer.Store(true) }
 
 // Done reports whether the transaction has committed or aborted.
 func (t *Txn) Done() bool {
@@ -588,6 +611,10 @@ func (t *Txn) OnCommitDurable(fn func() error) {
 // abort and returns the error. After the commit is visible, a non-nil error
 // reports a durability failure (group flush or OnCommitDurable hook): the
 // transaction is committed in memory but may not survive a crash.
+//
+// A transaction that never stamped a tuple (see MarkWriter) has nothing to
+// make visible or durable: it takes no commit-log entry, no timestamp, no
+// log record and no flush wait, and returns Now. Its hooks still run.
 func (t *Txn) Commit() (TS, error) {
 	t.mu.Lock()
 	if t.done {
@@ -601,35 +628,22 @@ func (t *Txn) Commit() (TS, error) {
 	t.onCommit, t.onAbort, t.onDurable = nil, nil, nil
 	t.mu.Unlock()
 	t.sw.Stop()
-	dlog := t.mgr.durabilityLog()
-	if dlog != nil {
-		// Log the work first, with no manager lock held: page images may be
-		// large and their append order does not matter, only that they all
-		// precede the commit record.
-		if err := dlog.LogWork(t.id); err != nil {
-			t.mgr.finish(t.id, Aborted)
+	var ts TS
+	var firstErr error
+	if t.writer.Load() {
+		var err error
+		if ts, firstErr, err = t.commitWrites(); err != nil {
 			obsAborts.Inc()
 			for _, fn := range abortHooks {
 				fn()
 			}
 			return InvalidTS, err
 		}
-	}
-	ts, lsn, err := t.mgr.finishCommit(t.id)
-	if err != nil {
-		obsAborts.Inc()
-		for _, fn := range abortHooks {
-			fn()
-		}
-		return InvalidTS, err
+	} else {
+		t.mgr.forget(t.id)
+		ts = t.mgr.Now()
 	}
 	obsCommits.Inc()
-	var firstErr error
-	if dlog != nil {
-		// The group-commit park: every committer that appended while one
-		// fsync was in flight is satisfied by the next single fsync.
-		firstErr = dlog.WaitDurable(lsn)
-	}
 	for _, fn := range durable {
 		if err := fn(); err != nil && firstErr == nil {
 			firstErr = err
@@ -641,7 +655,34 @@ func (t *Txn) Commit() (TS, error) {
 	return ts, firstErr
 }
 
-// Abort marks the transaction aborted; its effects become invisible.
+// commitWrites records a writer's commit. err reports a failure before the
+// commit became visible, after which the transaction is aborted instead;
+// durErr reports a failed group flush after it became visible.
+func (t *Txn) commitWrites() (ts TS, durErr, err error) {
+	dlog := t.mgr.durabilityLog()
+	if dlog != nil {
+		// Log the work first, with no manager lock held: page images may be
+		// large and their append order does not matter, only that they all
+		// precede the commit record.
+		if err := dlog.LogWork(t.id); err != nil {
+			t.mgr.finish(t.id, Aborted)
+			return InvalidTS, nil, err
+		}
+	}
+	ts, lsn, err := t.mgr.finishCommit(t.id)
+	if err != nil {
+		return InvalidTS, nil, err
+	}
+	if dlog != nil {
+		// The group-commit park: every committer that appended while one
+		// fsync was in flight is satisfied by the next single fsync.
+		durErr = dlog.WaitDurable(lsn)
+	}
+	return ts, durErr, nil
+}
+
+// Abort marks the transaction aborted; its effects become invisible. Like
+// Commit, it leaves no trace for a transaction that never stamped a tuple.
 func (t *Txn) Abort() error {
 	t.mu.Lock()
 	if t.done {
@@ -654,9 +695,13 @@ func (t *Txn) Abort() error {
 	t.mu.Unlock()
 	obsAborts.Inc()
 	t.sw.Stop()
-	t.mgr.finish(t.id, Aborted)
-	if dlog := t.mgr.durabilityLog(); dlog != nil {
-		dlog.LogAbort(t.id)
+	if t.writer.Load() {
+		t.mgr.finish(t.id, Aborted)
+		if dlog := t.mgr.durabilityLog(); dlog != nil {
+			dlog.LogAbort(t.id)
+		}
+	} else {
+		t.mgr.forget(t.id)
 	}
 	for _, fn := range hooks {
 		fn()

@@ -10,7 +10,7 @@ import (
 
 func TestBeginCommitStatus(t *testing.T) {
 	m := NewManager()
-	tx := m.Begin()
+	tx := beginWriter(m)
 	if got := m.Status(tx.ID()); got != InProgress {
 		t.Fatalf("status = %v", got)
 	}
@@ -32,7 +32,7 @@ func TestBeginCommitStatus(t *testing.T) {
 
 func TestAbort(t *testing.T) {
 	m := NewManager()
-	tx := m.Begin()
+	tx := beginWriter(m)
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCommitTimestampsMonotonic(t *testing.T) {
 	m := NewManager()
 	var last TS
 	for i := 0; i < 10; i++ {
-		tx := m.Begin()
+		tx := beginWriter(m)
 		ts, err := tx.Commit()
 		if err != nil {
 			t.Fatal(err)
@@ -68,10 +68,10 @@ func TestCommitTimestampsMonotonic(t *testing.T) {
 
 func TestSnapshotIsolation(t *testing.T) {
 	m := NewManager()
-	t1 := m.Begin() // will stay open
-	t2 := m.Begin()
+	t1 := beginWriter(m) // will stay open
+	t2 := beginWriter(m)
 	t2.Commit()
-	t3 := m.Begin() // starts after t2 committed, while t1 active
+	t3 := beginWriter(m) // starts after t2 committed, while t1 active
 
 	snap := t3.Snapshot()
 	if snap.Sees(t1.ID()) {
@@ -95,7 +95,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal("snapshot changed after concurrent commit")
 	}
 	// A future transaction is invisible.
-	t4 := m.Begin()
+	t4 := beginWriter(m)
 	if snap.Sees(t4.ID()) {
 		t.Fatal("snapshot sees a future txn")
 	}
@@ -111,7 +111,7 @@ func TestUnknownXIDAborted(t *testing.T) {
 func TestHooks(t *testing.T) {
 	m := NewManager()
 	var committed, aborted bool
-	tx := m.Begin()
+	tx := beginWriter(m)
 	tx.OnCommit(func() { committed = true })
 	tx.OnAbort(func() { aborted = true })
 	tx.Commit()
@@ -120,7 +120,7 @@ func TestHooks(t *testing.T) {
 	}
 
 	committed, aborted = false, false
-	tx2 := m.Begin()
+	tx2 := beginWriter(m)
 	tx2.OnCommit(func() { committed = true })
 	tx2.OnAbort(func() { aborted = true })
 	tx2.Abort()
@@ -131,11 +131,11 @@ func TestHooks(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewManager()
-	c1 := m.Begin()
+	c1 := beginWriter(m)
 	c1ts, _ := c1.Commit()
-	a1 := m.Begin()
+	a1 := beginWriter(m)
 	a1.Abort()
-	open := m.Begin() // in progress at save time
+	open := beginWriter(m) // in progress at save time
 
 	path := filepath.Join(t.TempDir(), "pg_log")
 	if err := m.Save(path); err != nil {
@@ -179,6 +179,7 @@ func TestRunInTxn(t *testing.T) {
 	m := NewManager()
 	var id XID
 	if err := RunInTxn(m, func(tx *Txn) error {
+		tx.MarkWriter()
 		id = tx.ID()
 		return nil
 	}); err != nil {
@@ -190,6 +191,7 @@ func TestRunInTxn(t *testing.T) {
 
 	sentinel := errors.New("boom")
 	if err := RunInTxn(m, func(tx *Txn) error {
+		tx.MarkWriter()
 		id = tx.ID()
 		return sentinel
 	}); !errors.Is(err, sentinel) {
@@ -202,6 +204,7 @@ func TestRunInTxn(t *testing.T) {
 	func() {
 		defer func() { recover() }()
 		RunInTxn(m, func(tx *Txn) error {
+			tx.MarkWriter()
 			id = tx.ID()
 			panic("kaboom")
 		})
@@ -224,20 +227,20 @@ func TestSnapshotAtIsHistorical(t *testing.T) {
 		t.Fatalf("AsOf = %d, want 7", s.AsOf)
 	}
 	m := NewManager()
-	if live := m.Begin().Snapshot(); live.Historical() {
+	if live := beginWriter(m).Snapshot(); live.Historical() {
 		t.Fatal("live snapshot reported historical")
 	}
 }
 
 func TestGlobalXminTracksOldestSnapshot(t *testing.T) {
 	m := NewManager()
-	old := m.Begin() // pins the horizon at its own XID
+	old := beginWriter(m) // pins the horizon at its own XID
 	if got := m.GlobalXmin(); got != old.ID() {
 		t.Fatalf("GlobalXmin = %d, want %d", got, old.ID())
 	}
 	// Later transactions carry old in their snapshot, so the horizon
 	// stays pinned even as they come and go.
-	mid := m.Begin()
+	mid := beginWriter(m)
 	if got := m.GlobalXmin(); got != old.ID() {
 		t.Fatalf("GlobalXmin with two live txns = %d, want %d", got, old.ID())
 	}
@@ -259,13 +262,13 @@ func TestGlobalXminTracksOldestSnapshot(t *testing.T) {
 
 func TestSnapshotXmin(t *testing.T) {
 	m := NewManager()
-	a := m.Begin()
-	b := m.Begin()
+	a := beginWriter(m)
+	b := beginWriter(m)
 	if got := b.Snapshot().Xmin(); got != a.ID() {
 		t.Fatalf("Xmin with a active = %d, want %d", got, a.ID())
 	}
 	a.Abort()
-	c := m.Begin()
+	c := beginWriter(m)
 	// b is still active, so c's horizon is b, not itself.
 	if got := c.Snapshot().Xmin(); got != b.ID() {
 		t.Fatalf("Xmin = %d, want %d", got, b.ID())
@@ -290,7 +293,7 @@ func TestApplyRecoveredCountersMonotonic(t *testing.T) {
 	if next != 500 || now != 90 {
 		t.Fatalf("counters after stale apply = (%d, %d)", next, now)
 	}
-	if tx := m.Begin(); tx.ID() != 500 {
+	if tx := beginWriter(m); tx.ID() != 500 {
 		t.Fatalf("first XID after recovery = %d, want 500", tx.ID())
 	}
 }
@@ -330,7 +333,7 @@ func TestLockFreeStatusUnderChurn(t *testing.T) {
 		}()
 	}
 	for i := 0; i < txns; i++ {
-		tx := m.Begin()
+		tx := beginWriter(m)
 		if i%3 == 0 {
 			tx.Abort()
 		} else {
