@@ -30,6 +30,15 @@ func waitBgError(t *testing.T, before obs.Snap) {
 	}
 }
 
+// assertDirtyCounted fails the test unless every buffer-pool partition's
+// dirty count matches its dirty frames. Call it only with the engine stopped.
+func assertDirtyCounted(t *testing.T, db *DB, when string) {
+	t.Helper()
+	if _, err := db.pool.Buf.CheckDirtyCounts(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
 // TestBackgroundWriteFaultSurfacesAtCheckpoint proves the async error
 // contract end to end under checkpoint-grained durability: the writer
 // goroutine hits an injected write fault, the device then heals, and the
@@ -83,6 +92,7 @@ func TestBackgroundWriteFaultSurfacesAtCheckpoint(t *testing.T) {
 	// in flight, so the sticky slot is settled — exactly one noted error, and
 	// no late round can re-note after the checkpoint below consumes it.
 	db.pool.Buf.StopEngine()
+	assertDirtyCounted(t, db, "after failed background writes")
 
 	// The device is healthy again, so a failure here can only be the sticky
 	// async error being surfaced.
@@ -93,6 +103,7 @@ func TestBackgroundWriteFaultSurfacesAtCheckpoint(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("retry checkpoint on healed device: %v", err)
 	}
+	assertDirtyCounted(t, db, "after retry checkpoint")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +195,7 @@ func TestBackgroundWriteFaultSurfacesAtCheckpointWAL(t *testing.T) {
 	// Settle the sticky slot: StopEngine waits out any round in flight, so
 	// the noted error is in place before the assertion reads it.
 	db.pool.Buf.StopEngine()
+	assertDirtyCounted(t, db, "after failed background writes")
 
 	// The async failure surfaces from the next checkpoint — never silently
 	// dropped. (Depending on where the fault landed, the log may now be
@@ -191,6 +203,7 @@ func TestBackgroundWriteFaultSurfacesAtCheckpointWAL(t *testing.T) {
 	if err := db.Checkpoint(); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("WAL checkpoint after async fault = %v, want ErrInjected", err)
 	}
+	assertDirtyCounted(t, db, "after failed checkpoint")
 
 	// A dead log means crash semantics: reopen rather than close cleanly.
 	// Recovery replays the durable log; v1 must be intact, tx2 invisible.

@@ -50,6 +50,21 @@
 #                                  reported: the benchmark's scan_hot op in
 #                                  miniature
 #
+#   6c. BenchmarkFastDecode        one-iteration smoke run of the
+#                                  run-at-a-time fast-codec decoder on a
+#                                  50 %-compressible 8,000-byte chunk
+#
+#   6d. BenchmarkBgWriterIdleRound one-iteration smoke run of a background
+#                                  writer round over a clean 24,576-page
+#                                  pool, allocations reported: an idle
+#                                  round must cost one atomic load per
+#                                  partition, not a walk of every frame
+#
+#   6e. compress fuzz smokes       FuzzFastRoundTrip, FuzzDecodeHostileInput
+#                                  and FuzzFastDecodeDifferential (the
+#                                  fast decoder against the byte-loop
+#                                  reference) at -fuzztime 200x
+#
 #   7. FuzzWALDecode smoke         a short native-fuzz run of the WAL record
 #                                  decoder over the checked-in corpus, so a
 #                                  framing regression fails fast
@@ -183,6 +198,17 @@ go test -run '^$' -bench BenchmarkScanPrefetch -benchtime=1x .
 
 echo "== BenchmarkFChunkRead smoke (-benchtime=1x)"
 go test -run '^$' -bench BenchmarkFChunkRead -benchtime=1x -benchmem ./internal/core
+
+echo "== BenchmarkFastDecode smoke (-benchtime=1x)"
+go test -run '^$' -bench '^BenchmarkFastDecode$' -benchtime=1x -benchmem ./internal/compress
+
+echo "== BenchmarkBgWriterIdleRound smoke (-benchtime=1x)"
+go test -run '^$' -bench '^BenchmarkBgWriterIdleRound$' -benchtime=1x -benchmem ./internal/buffer
+
+for target in FuzzFastRoundTrip FuzzDecodeHostileInput FuzzFastDecodeDifferential; do
+	echo "== $target smoke (-fuzztime=200x)"
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 200x ./internal/compress
+done
 
 echo "== FuzzWALDecode smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 200x ./internal/wal

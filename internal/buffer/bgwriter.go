@@ -34,6 +34,7 @@ var (
 	obsBgBatches  = obs.NewCounter("buffer.bgwriter.gather_batches")
 	obsBgErrors   = obs.NewCounter("buffer.bgwriter.errors")
 	obsBgWakeups  = obs.NewCounter("buffer.bgwriter.wakeups")
+	obsBgScanned  = obs.NewCounter("buffer.bg.frames_scanned")
 	obsEvictDirty = obs.NewCounter("buffer.evict.dirty_foreground")
 
 	obsPfPosted    = obs.NewCounter("buffer.prefetch.posted")
@@ -262,18 +263,31 @@ func (p *Pool) BgWriterRound(maxPages int) (int, error) {
 // partition's LRU list from the cold end. The frames are flagged evicting —
 // the same private-pin protocol as a foreground eviction write-back — so
 // DropRel waits them out instead of failing.
+//
+// A round costs O(dirty frames), not O(pool): a partition whose ndirty is 0
+// is passed by without its lock, and a walk stops once it has seen ndirty
+// dirty frames, so an idle round is one atomic load per partition. A stale
+// count only makes the writer skip or stop early; eviction and checkpoints
+// still write back whatever it missed.
 func (p *Pool) collectColdDirty(max int) []*Frame {
 	var frames []*Frame
+	scanned := 0
 	start := p.bgHand.Add(1)
 	for i := range p.parts {
 		if len(frames) >= max {
 			break
 		}
 		part := p.parts[(start+uint64(i))&p.partMask]
+		if part.ndirty.Load() <= 0 {
+			continue
+		}
 		part.mu.Lock()
-		for f := part.lru.back; f != nil && len(frames) < max; {
+		left := part.ndirty.Load()
+		for f := part.lru.back; f != nil && len(frames) < max && left > 0; {
 			prev := f.lruPrev // pinning takes f off the list
+			scanned++
 			if f.dirty.Load() {
+				left--
 				part.pinLocked(f)
 				f.evicting = true
 				frames = append(frames, f)
@@ -281,6 +295,9 @@ func (p *Pool) collectColdDirty(max int) []*Frame {
 			f = prev
 		}
 		part.mu.Unlock()
+	}
+	if scanned > 0 {
+		obsBgScanned.Add(int64(scanned))
 	}
 	return frames
 }
@@ -462,7 +479,7 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 	}
 	redirty := func() {
 		for _, f := range run {
-			f.dirty.Store(true)
+			f.setDirty(true)
 		}
 	}
 	imgs := make([][]byte, len(run))
@@ -544,6 +561,17 @@ func (p *Pool) DrainPrefetch() {
 // batched device read. Every failure path just drops the window — prefetch
 // is best-effort, and the foreground Get path has its own error handling.
 func (p *Pool) prefetchOne(req prefetchReq) {
+	start, end := req.blk, req.blk+storage.BlockNum(req.n)
+	// A hot pool usually holds the whole range already: settle that from the
+	// lookup tables before asking the device, whose Exists and NBlocks stat
+	// the file and allocate.
+	for start < end && p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: start}) {
+		obsPfSkipped.Inc()
+		start++
+	}
+	if start == end {
+		return
+	}
 	mgr, err := p.sw.Get(req.sm)
 	if err != nil {
 		return
@@ -555,13 +583,12 @@ func (p *Pool) prefetchOne(req prefetchReq) {
 	if err != nil {
 		return
 	}
-	end := req.blk + storage.BlockNum(req.n)
 	if end > phys {
 		// Blocks past the physical end live only as dirty frames, which are
 		// by definition resident already.
 		end = phys
 	}
-	for start := req.blk; start < end; {
+	for start < end {
 		if p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: start}) {
 			obsPfSkipped.Inc()
 			start++
@@ -695,7 +722,7 @@ func (p *Pool) installPrefetched(tag Tag, f *Frame) {
 	f.part = part
 	f.pins = 0
 	f.evicting = false
-	f.dirty.Store(false)
+	f.setDirty(false)
 	f.walDirty.Store(false)
 	f.walLSN.Store(0)
 	part.lookup[tag] = f

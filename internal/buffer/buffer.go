@@ -46,6 +46,8 @@ var (
 	obsWritebacks = obs.NewCounter("pool.writebacks")
 	obsLatchWaits = obs.NewCounter("pool.latch_waits")
 	obsReadLat    = obs.NewTimer("pool.miss_read_latency")
+	// obsDirtyFrames is the sum of every pool's partition ndirty counts.
+	obsDirtyFrames = obs.NewGauge("buffer.dirty_frames")
 )
 
 // Errors returned by the pool.
@@ -118,8 +120,50 @@ func (f *Frame) Tag() Tag { return f.tag }
 // MarkDirty records that the page has been modified and must be written back
 // before eviction.
 func (f *Frame) MarkDirty() {
-	f.dirty.Store(true)
+	f.setDirty(true)
 	f.noteWALDirty()
+}
+
+// setDirty is the only writer of f.dirty. It keeps the resident partition's
+// ndirty exact by adjusting it only on a real transition, which Swap makes
+// race-free between concurrent setters. The caller holds a pin or part.mu, or
+// owns the unreferenced frame it is installing (f.part already assigned).
+// Frames off every partition — the free list, a fresh allocation — are always
+// clean, so a frame's count never follows it from one partition to another.
+func (f *Frame) setDirty(d bool) {
+	if f.dirty.Swap(d) == d {
+		return
+	}
+	n := int64(1)
+	if !d {
+		n = -1
+	}
+	f.part.ndirty.Add(n)
+	obsDirtyFrames.Add(n)
+}
+
+// CheckDirtyCounts verifies that every partition's ndirty equals the number
+// of its resident frames with dirty set, and returns the pool-wide count.
+// The counts are exact only at quiesce — background engine stopped, no
+// caller dirtying or writing back a frame — so tests call it there.
+func (p *Pool) CheckDirtyCounts() (int64, error) {
+	var sum int64
+	for i, part := range p.parts {
+		part.mu.Lock()
+		var n int64
+		for _, f := range part.lookup {
+			if f.dirty.Load() {
+				n++
+			}
+		}
+		got := part.ndirty.Load()
+		part.mu.Unlock()
+		if got != n {
+			return 0, fmt.Errorf("buffer: partition %d counts %d dirty frames, but %d resident frames are dirty", i, got, n)
+		}
+		sum += n
+	}
+	return sum, nil
 }
 
 // noteWALDirty records that the page differs from its last logged image and,
@@ -194,6 +238,11 @@ type partition struct {
 	lru    lruList        // guarded by mu; unpinned frames, front = most recently used
 	hits   int64          // guarded by mu
 	misses int64          // guarded by mu
+
+	// ndirty counts this partition's resident frames with dirty set, pinned
+	// or not. Frame.setDirty maintains it, so the background writer can pass
+	// a clean partition by without taking mu.
+	ndirty atomic.Int64
 
 	// wdMu guards the WAL-dirty list. It is a leaf: MarkDirty takes it under
 	// a frame's content latch and the install paths under mu, and nothing —
@@ -559,7 +608,7 @@ func (p *Pool) Get(tag Tag) (*Frame, error) {
 		f.part = part
 		f.pins = 1
 		f.evicting = false
-		f.dirty.Store(false)
+		f.setDirty(false)
 		f.walDirty.Store(false)
 		f.walLSN.Store(0)
 		part.lookup[tag] = f
@@ -594,7 +643,7 @@ func (p *Pool) NewBlock(sm storage.ID, rel storage.RelName) (*Frame, storage.Blo
 	f.part = part
 	f.pins = 1
 	f.evicting = false
-	f.dirty.Store(true)
+	f.setDirty(true)
 	f.walDirty.Store(false)
 	f.noteWALDirty()
 	f.walLSN.Store(0)
@@ -679,7 +728,7 @@ func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.Bl
 		f.part = part
 		f.pins = 1
 		f.evicting = false
-		f.dirty.Store(true)
+		f.setDirty(true)
 		f.walDirty.Store(false)
 		f.noteWALDirty()
 		f.walLSN.Store(0)
@@ -924,13 +973,13 @@ func (p *Pool) writeBack(f *Frame) error {
 		}
 		if ceiling > 0 {
 			if err := p.wal.Flush(ceiling); err != nil {
-				f.dirty.Store(true)
+				f.setDirty(true)
 				return err
 			}
 		}
 	}
 	if err := mgr.WriteBlock(tag.Rel, tag.Blk, img); err != nil {
-		f.dirty.Store(true)
+		f.setDirty(true)
 		return err
 	}
 	obsWritebacks.Inc()
@@ -1038,11 +1087,11 @@ type holeFinder interface {
 func (p *Pool) snapshotForWrite(f *Frame, img []byte) error {
 	f.latch.RLock()
 	defer f.latch.RUnlock()
-	f.dirty.Store(false)
+	f.setDirty(false)
 	copy(img, f.data)
 	if p.wal != nil && f.walDirty.Load() {
 		if _, err := p.logImage(f, img, 0); err != nil { //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
-			f.dirty.Store(true)
+			f.setDirty(true)
 			return err
 		}
 	} else if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
@@ -1305,6 +1354,7 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 				part.lru.removeLocked(f)
 			}
 			delete(part.lookup, tag)
+			f.setDirty(false) // a discarded page leaves its count behind
 			p.putFree(f)
 		}
 	}

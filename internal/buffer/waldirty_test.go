@@ -203,6 +203,9 @@ func TestWALDirtyListSurvivesRandomOps(t *testing.T) {
 			}
 		}
 		assertWALDirtyReachable(t, pool, phase)
+		if _, err := pool.CheckDirtyCounts(); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
 	}
 	run("healthy log", true, 100)
 

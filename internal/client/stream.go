@@ -30,8 +30,13 @@ type Stream struct {
 	window int // negotiated
 
 	// wmu serialises frame writes onto the socket (a leaf: held only
-	// across conn.Write).
-	wmu sync.Mutex
+	// across encoding and conn.Write). It also fixes the order of the
+	// connection's control-message stream.
+	wmu  sync.Mutex
+	enc  *gateway.MsgEncoder // guarded by wmu
+	wbuf []byte              // guarded by wmu
+	// dec is owned by the reader (by DialStream before the reader starts).
+	dec *gateway.MsgDecoder
 
 	// mu guards the stream table and the terminal error.
 	mu      sync.Mutex
@@ -70,15 +75,12 @@ func DialStream(addr string) (*Stream, error) {
 	}
 	s := &Stream{
 		conn:       conn,
+		enc:        gateway.NewMsgEncoder(),
+		dec:        gateway.NewMsgDecoder(),
 		streams:    make(map[uint32]*clientStream),
 		readerDone: make(chan struct{}),
 	}
-	p, err := gateway.EncodeMsg(&gateway.Hello{Proto: gateway.Proto, Chunk: gateway.DefaultChunk, Window: gateway.DefaultWindow})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := gateway.WriteFrame(conn, &gateway.Frame{Kind: gateway.KindHello, Payload: p}); err != nil {
+	if err := s.writeMsg(gateway.KindHello, 0, &gateway.Hello{Proto: gateway.Proto, Chunk: gateway.DefaultChunk, Window: gateway.DefaultWindow}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
@@ -96,7 +98,7 @@ func DialStream(addr string) (*Stream, error) {
 		return nil, fmt.Errorf("client: expected hello, got %v", f.Kind)
 	}
 	var hello gateway.Hello
-	if err := gateway.DecodeMsg(f.Payload, &hello); err != nil {
+	if err := s.dec.Decode(f.Payload, &hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -169,7 +171,7 @@ func (s *Stream) readLoop() {
 		switch f.Kind {
 		case gateway.KindResp:
 			var r gateway.Resp
-			if err := gateway.DecodeMsg(f.Payload, &r); err != nil {
+			if err := s.dec.Decode(f.Payload, &r); err != nil {
 				s.fail(err)
 				return
 			}
@@ -241,18 +243,32 @@ func (s *Stream) writeFrame(f *gateway.Frame) error {
 	return err
 }
 
+// writeMsg encodes one control message and writes its frame. Encoding
+// happens under wmu, so the server decodes messages in the order they were
+// encoded. A message that was encoded but not framed would desynchronise
+// the server's decoder, so such a failure ends the connection.
+func (s *Stream) writeMsg(kind gateway.Kind, stream uint32, msg any) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	p, err := s.enc.Encode(msg)
+	if err == nil {
+		s.wbuf, err = gateway.AppendFrame(s.wbuf[:0], &gateway.Frame{Kind: kind, Stream: stream, Payload: p})
+	}
+	if err != nil {
+		s.conn.Close()
+		return err
+	}
+	_, err = s.conn.Write(s.wbuf)
+	return err
+}
+
 // sendReq opens a stream and sends its request.
 func (s *Stream) sendReq(req *gateway.Req) (uint32, *clientStream, error) {
 	id, cs, err := s.openStream()
 	if err != nil {
 		return 0, nil, err
 	}
-	p, err := gateway.EncodeMsg(req)
-	if err != nil {
-		s.closeStream(id)
-		return 0, nil, err
-	}
-	if err := s.writeFrame(&gateway.Frame{Kind: gateway.KindReq, Stream: id, Payload: p}); err != nil {
+	if err := s.writeMsg(gateway.KindReq, id, req); err != nil {
 		s.closeStream(id)
 		return 0, nil, fmt.Errorf("client: send: %w", err)
 	}

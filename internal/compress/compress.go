@@ -6,7 +6,10 @@
 // byte-exact reversible codecs with the same cost profile:
 //
 //   - Fast: a run-length coder for zero runs (cheap, shallow compression),
-//     charged at 8 instructions per byte.
+//     charged at 8 instructions per byte. Its decoder is run-at-a-time: it
+//     copies each literal run with one append and clears each zero run in
+//     one memclr rather than looping per byte, so the real cost stays well
+//     under the modelled one.
 //   - Tight: an LZ77-style coder with a 4 KB window (more work, deeper
 //     compression), charged at 20 instructions per byte.
 //
@@ -19,10 +22,12 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"postlob/internal/vclock"
@@ -191,28 +196,28 @@ func (Fast) Compress(dst, src []byte) []byte {
 	return dst
 }
 
-// Decompress implements Codec.
+// Decompress implements Codec. It works a run at a time: the vectorised
+// IndexByte finds the next escape, the literal run before it is one append,
+// and a zero run is one grow-and-clear (a memclr, no allocation beyond
+// growing dst).
 func (Fast) Decompress(dst, src []byte) ([]byte, error) {
-	i := 0
-	for i < len(src) {
-		b := src[i]
-		if b != fastEsc {
-			dst = append(dst, b)
-			i++
-			continue
+	for len(src) > 0 {
+		k := bytes.IndexByte(src, fastEsc)
+		if k < 0 {
+			return append(dst, src...), nil
 		}
-		if i+1 >= len(src) {
+		dst = append(dst, src[:k]...)
+		if k+1 >= len(src) {
 			return nil, fmt.Errorf("%w: truncated escape", ErrCorrupt)
 		}
-		n := src[i+1]
-		if n == 0 {
+		if n := int(src[k+1]); n == 0 {
 			dst = append(dst, fastEsc)
 		} else {
-			for j := byte(0); j < n; j++ {
-				dst = append(dst, 0)
-			}
+			m := len(dst)
+			dst = slices.Grow(dst, n)[:m+n]
+			clear(dst[m:])
 		}
-		i += 2
+		src = src[k+2:]
 	}
 	return dst, nil
 }

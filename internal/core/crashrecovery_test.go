@@ -451,6 +451,9 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 				t.Fatalf("op %d: background writer round: %v", i, err)
 			}
 			cs.store.Pool().Buf.DrainPrefetch()
+			if _, err := cs.store.Pool().Buf.CheckDirtyCounts(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
 		}
 		switch op.action {
 		case aBegin:
@@ -572,6 +575,9 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 				t.Fatalf("op %d vacuum round: %v", i, err)
 			}
 		}
+	}
+	if _, err := cs.store.Pool().Buf.CheckDirtyCounts(); err != nil {
+		t.Fatalf("at crash: %v", err)
 	}
 	cs.crash()
 	return objs, snaps, maxXID, maxTS

@@ -24,8 +24,10 @@ import (
 )
 
 // Proto is the streaming protocol version exchanged in Hello frames. The
-// v1 protocol (internal/wire) has no version field; v2 starts at 2.
-const Proto = 2
+// v1 protocol (internal/wire) has no version field; v2 started at 2. Version
+// 3 carries control messages as one gob stream per connection direction
+// instead of a self-contained gob payload per frame.
+const Proto = 3
 
 // Frame kinds.
 type Kind uint8
@@ -34,9 +36,9 @@ const (
 	// KindHello opens a connection: client proposes chunk/window limits,
 	// server answers with the negotiated (clamped) values.
 	KindHello Kind = 1
-	// KindReq carries one gob-encoded Req on a fresh stream.
+	// KindReq carries one Req on a fresh stream (see MsgEncoder).
 	KindReq Kind = 2
-	// KindResp completes a stream's request (gob-encoded Resp).
+	// KindResp completes a stream's request with one Resp.
 	KindResp Kind = 3
 	// KindData carries raw logical object bytes: server→client for
 	// server-decoded streaming reads, client→server for streaming writes.

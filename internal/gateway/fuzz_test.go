@@ -31,6 +31,11 @@ func FuzzChunkFrameDecode(f *testing.F) {
 	seed(&Frame{Kind: KindExtents, Stream: 4, Payload: ext})
 	seed(&Frame{Kind: KindErr, Stream: 5, Payload: []byte("boom")})
 	seed(&Frame{Kind: KindCredit, Stream: 6, Payload: creditPayload(2)})
+	// Control messages as a connection's first frames carry them: type
+	// definitions, then the value.
+	seed(&Frame{Kind: KindHello, Payload: firstMsg(f, &Hello{Proto: Proto, Chunk: DefaultChunk, Window: DefaultWindow})})
+	seed(&Frame{Kind: KindReq, Stream: 7, Payload: firstMsg(f, &Req{Op: OpRawRead, Handle: 1, Offset: 4096, N: 1 << 20})})
+	seed(&Frame{Kind: KindResp, Stream: 8, Payload: firstMsg(f, &Resp{Size: 1 << 20, N: 4096})})
 	f.Add([]byte("not a frame at all"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -59,13 +64,13 @@ func FuzzChunkFrameDecode(f *testing.F) {
 			decodeCredit(fr.Payload)
 		case KindHello:
 			var h Hello
-			decodeGob(fr.Payload, &h)
+			NewMsgDecoder().Decode(fr.Payload, &h)
 		case KindReq:
 			var r Req
-			decodeGob(fr.Payload, &r)
+			NewMsgDecoder().Decode(fr.Payload, &r)
 		case KindResp:
 			var r Resp
-			decodeGob(fr.Payload, &r)
+			NewMsgDecoder().Decode(fr.Payload, &r)
 		}
 	})
 }
@@ -102,4 +107,13 @@ func FuzzRangeParse(f *testing.F) {
 			t.Fatalf("range %q (size %d) → invalid [%d,%d)", h, size, off, end)
 		}
 	})
+}
+
+// firstMsg is v's payload as the first message of a fresh connection.
+func firstMsg(f *testing.F, v any) []byte {
+	p, err := NewMsgEncoder().Encode(v)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return p
 }

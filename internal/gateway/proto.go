@@ -66,18 +66,19 @@ func (o Op) String() string {
 	}
 }
 
-// Hello is the connection-opening negotiation, carried gob-encoded in a
-// KindHello frame. The server clamps the client's proposal to its own
-// configuration and answers with the values both sides then obey.
+// Hello is the connection-opening negotiation, the first message of each
+// direction's gob stream, in a KindHello frame. The server clamps the
+// client's proposal to its own configuration and answers with the values
+// both sides then obey.
 type Hello struct {
 	Proto  int
 	Chunk  int // chunk granularity in bytes
 	Window int // per-stream credit window in frames
 }
 
-// Req is one v2 request, gob-encoded in a KindReq frame. Which fields are
-// meaningful depends on Op; gob encodes the zero-valued rest at negligible
-// cost.
+// Req is one v2 request, a message of the client's gob stream in a KindReq
+// frame. Which fields are meaningful depends on Op; gob omits the
+// zero-valued rest.
 type Req struct {
 	Op     Op
 	Query  string        // OpExec
@@ -88,7 +89,8 @@ type Req struct {
 	N      int64
 }
 
-// Resp completes a request, gob-encoded in a KindResp frame.
+// Resp completes a request, a message of the server's gob stream in a
+// KindResp frame.
 type Resp struct {
 	Err string
 
@@ -106,30 +108,69 @@ type Resp struct {
 	TS txn.TS
 }
 
-// EncodeMsg gob-encodes a Hello/Req/Resp payload (shared with the client
-// package, which speaks the same frames).
-func EncodeMsg(v any) ([]byte, error) { return encodeGob(v) }
-
-// DecodeMsg decodes a gob payload produced by EncodeMsg.
-func DecodeMsg(p []byte, v any) error { return decodeGob(p, v) }
-
 // DecodeExtents parses a KindExtents payload into raw extents.
 func DecodeExtents(p []byte) ([]core.RawExtent, error) { return decodeExtents(p) }
 
 // CreditPayload encodes a flow-control grant of n frames.
 func CreditPayload(n uint32) []byte { return creditPayload(n) }
 
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("gateway: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+// --- control-message stream ----------------------------------------------------
+//
+// Hello, Req and Resp travel as one gob stream per connection direction, so
+// each side compiles a type's codec once per connection and sends its type
+// definition once, with the first message of that type. The price is order:
+// a MsgDecoder must see payloads in exactly the order its peer's MsgEncoder
+// produced them, so every Encode happens where wire order is decided (the
+// server's writer goroutine, the client's frame-write lock). A payload that
+// is encoded but never framed desynchronises the stream; the sender must then
+// drop the connection.
+
+// MsgEncoder encodes one connection direction's control messages. It is not
+// safe for concurrent use.
+type MsgEncoder struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
 }
 
-func decodeGob(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
+// NewMsgEncoder returns an encoder for a fresh connection.
+func NewMsgEncoder() *MsgEncoder {
+	e := &MsgEncoder{}
+	e.enc = gob.NewEncoder(&e.buf)
+	return e
+}
+
+// Encode returns v's payload, valid until the next Encode.
+func (e *MsgEncoder) Encode(v any) ([]byte, error) {
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("gateway: encode: %w", err)
+	}
+	return e.buf.Bytes(), nil
+}
+
+// MsgDecoder decodes one connection direction's control messages, one
+// frame payload per message. It is not safe for concurrent use.
+type MsgDecoder struct {
+	buf bytes.Buffer
+	dec *gob.Decoder
+}
+
+// NewMsgDecoder returns a decoder for a fresh connection.
+func NewMsgDecoder() *MsgDecoder {
+	d := &MsgDecoder{}
+	d.dec = gob.NewDecoder(&d.buf)
+	return d
+}
+
+// Decode parses the next message, which must fill payload p exactly.
+func (d *MsgDecoder) Decode(p []byte, v any) error {
+	d.buf.Reset()
+	d.buf.Write(p)
+	if err := d.dec.Decode(v); err != nil {
 		return fmt.Errorf("%w: %v", ErrFrame, err)
+	}
+	if n := d.buf.Len(); n != 0 {
+		return fmt.Errorf("%w: %d bytes trail the message", ErrFrame, n)
 	}
 	return nil
 }

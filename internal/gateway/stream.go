@@ -75,13 +75,19 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-// writeItem is one encoded frame queued for the connection's writer
-// goroutine, with an optional release hook run once the bytes have left
-// the server (or the connection has died) — chunk-buffer accounting and
-// bytes_out counting hang off it so both reflect delivery, not staging.
+// writeItem is one frame queued for the connection's writer goroutine:
+// either already encoded (buf), or a control message (msg) the writer frames
+// itself, because the connection's gob stream must be encoded in wire order.
+// The optional release hook runs once the bytes have left the server (or the
+// connection has died) — chunk-buffer accounting and bytes_out counting hang
+// off it so both reflect delivery, not staging.
 type writeItem struct {
 	buf     []byte
 	release func()
+
+	msg    any
+	kind   Kind
+	stream uint32
 }
 
 // streamState is the reader-side routing record for one active stream:
@@ -123,6 +129,9 @@ type gwConn struct {
 	out      chan writeItem
 	done     chan struct{}
 	killOnce sync.Once
+
+	enc *MsgEncoder // owned by the writer goroutine
+	dec *MsgDecoder // owned by the reader
 
 	reqCh chan *reqItem
 
@@ -181,15 +190,18 @@ func (c *gwConn) sendFrame(f *Frame, release func()) bool {
 	return c.send(b, release)
 }
 
-// respond completes a stream's request.
-func (c *gwConn) respond(stream uint32, r *Resp) {
-	p, err := encodeGob(r)
-	if err != nil {
-		c.kill(err.Error())
-		return
+// sendMsg queues a control message; the writer encodes it.
+func (c *gwConn) sendMsg(kind Kind, stream uint32, msg any) bool {
+	select {
+	case c.out <- writeItem{msg: msg, kind: kind, stream: stream}:
+		return true
+	case <-c.done:
+		return false
 	}
-	c.sendFrame(&Frame{Kind: KindResp, Stream: stream, Payload: p}, nil)
 }
+
+// respond completes a stream's request.
+func (c *gwConn) respond(stream uint32, r *Resp) { c.sendMsg(KindResp, stream, r) }
 
 // sendCredit grants the peer n more in-flight frames on a stream.
 func (c *gwConn) sendCredit(stream uint32, n uint32) {
@@ -230,17 +242,36 @@ func (c *gwConn) lookup(stream uint32) *streamState {
 	return c.streams[stream]
 }
 
-// writer drains the out queue onto the socket. After a write error it
-// keeps draining — running release hooks so accounting balances — until
-// the senders are done and out is closed.
+// writer drains the out queue onto the socket, encoding control messages
+// as it reaches them. After a write error it keeps draining — running
+// release hooks so accounting balances — until the senders are done and out
+// is closed.
 func (c *gwConn) writer() {
 	defer close(c.writerDone)
 	failed := false
+	var msgBuf []byte // reused: the write below is synchronous
 	for it := range c.out {
 		if !failed {
-			if _, err := c.conn.Write(it.buf); err != nil {
-				failed = true
-				c.kill("")
+			buf := it.buf
+			var err error
+			if it.msg != nil {
+				// An encoded message that never reaches the wire would leave
+				// the peer's decoder behind, so any failure here is fatal.
+				var p []byte
+				if p, err = c.enc.Encode(it.msg); err == nil {
+					msgBuf, err = AppendFrame(msgBuf[:0], &Frame{Kind: it.kind, Stream: it.stream, Payload: p})
+					buf = msgBuf
+				}
+				if err != nil {
+					failed = true
+					c.kill(err.Error())
+				}
+			}
+			if !failed {
+				if _, err := c.conn.Write(buf); err != nil {
+					failed = true
+					c.kill("")
+				}
 			}
 		}
 		if it.release != nil {
@@ -268,6 +299,8 @@ func (g *Gateway) handleStream(conn net.Conn) {
 		window:     g.opts.Window,
 		out:        make(chan writeItem, 16),
 		done:       make(chan struct{}),
+		enc:        NewMsgEncoder(),
+		dec:        NewMsgDecoder(),
 		reqCh:      make(chan *reqItem, maxPipeline),
 		streams:    make(map[uint32]*streamState),
 		dispDone:   make(chan struct{}),
@@ -322,7 +355,7 @@ func (c *gwConn) readLoop() {
 		return
 	}
 	var hello Hello
-	if err := decodeGob(f.Payload, &hello); err != nil {
+	if err := c.dec.Decode(f.Payload, &hello); err != nil {
 		c.kill(err.Error())
 		return
 	}
@@ -330,12 +363,7 @@ func (c *gwConn) readLoop() {
 		c.kill(err.Error())
 		return
 	}
-	p, err := encodeGob(&Hello{Proto: Proto, Chunk: c.chunk, Window: c.window})
-	if err != nil {
-		c.kill(err.Error())
-		return
-	}
-	if !c.sendFrame(&Frame{Kind: KindHello, Stream: 0, Payload: p}, nil) {
+	if !c.sendMsg(KindHello, 0, &Hello{Proto: Proto, Chunk: c.chunk, Window: c.window}) {
 		return
 	}
 
@@ -354,7 +382,7 @@ func (c *gwConn) readLoop() {
 				return
 			}
 			it := &reqItem{stream: f.Stream}
-			if err := decodeGob(f.Payload, &it.req); err != nil {
+			if err := c.dec.Decode(f.Payload, &it.req); err != nil {
 				c.kill(err.Error())
 				return
 			}

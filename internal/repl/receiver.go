@@ -347,14 +347,20 @@ func (r *Receiver) session(conn net.Conn) error {
 	}
 }
 
-// validStart accepts the two positions a contiguous stream can continue
-// from: exactly where the last frame ended, or the first record boundary of
-// the next segment (the sender skips segment headers, never records).
+// validStart accepts the positions a contiguous stream can continue from:
+// exactly where the last frame ended, or the next record boundary past a
+// segment header (the sender skips headers, never records). That boundary
+// is in expect's own segment when expect lies at or inside its header —
+// the previous segment was filled to its last byte — and otherwise the
+// first record of the next segment.
 func validStart(expect, start, segBytes uint64) bool {
 	if start == expect {
 		return true
 	}
 	seg := expect / segBytes
+	if first := seg*segBytes + wal.SegHeaderLen; expect < first && start == first {
+		return true
+	}
 	return start == (seg+1)*segBytes+wal.SegHeaderLen
 }
 

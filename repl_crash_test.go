@@ -103,19 +103,24 @@ func openReplCrashReplica(t *testing.T, dir string, seed int64, primary string) 
 // crashReplPrimary power-cuts the primary: unsynced device state is gone,
 // the replication listener closes (freeing the port for the reopen), and the
 // background engine's goroutines die with the "machine". The DB value is
-// abandoned, never Closed — a crash runs no shutdown path.
-func crashReplPrimary(pdb *DB, cm *storage.CrashManager) {
+// abandoned, never Closed — a crash runs no shutdown path. With the engine
+// stopped the pool is quiescent, so its dirty counts must be exact.
+func crashReplPrimary(t *testing.T, pdb *DB, cm *storage.CrashManager) {
+	t.Helper()
 	cm.Crash()
 	pdb.sender.Close()
 	pdb.pool.Buf.StopEngine()
+	assertDirtyCounted(t, pdb, "crashed primary")
 }
 
 // crashReplReplica power-cuts the replica: the receiver dies without
 // persisting progress (Kill, not Stop) and the device loses unsynced state.
-func crashReplReplica(rdb *DB, cm *storage.CrashManager) {
+func crashReplReplica(t *testing.T, rdb *DB, cm *storage.CrashManager) {
+	t.Helper()
 	rdb.recv.Kill()
 	cm.Crash()
 	rdb.pool.Buf.StopEngine()
+	assertDirtyCounted(t, rdb, "crashed replica")
 }
 
 // overwriteObject replaces an existing object's content in one committed
@@ -285,11 +290,11 @@ func replCrashSweepRun(t *testing.T, seed int64) {
 					oracle[ref] = junk
 				}
 			}
-			crashReplPrimary(pdb, pcm)
+			crashReplPrimary(t, pdb, pcm)
 			pdb, pcm = openReplCrashPrimary(t, pdir, seed+101*int64(round)+1, addr)
 		}
 		if victim != 0 {
-			crashReplReplica(rdb, rcm)
+			crashReplReplica(t, rdb, rcm)
 			rdb, rcm = openReplCrashReplica(t, rdir, (seed^0x5eed)+101*int64(round)+1, addr)
 		}
 		verifyReplOracle(t, pdb, rdb, oracle, fmt.Sprintf("round %d (victim %d)", round, victim))
