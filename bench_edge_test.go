@@ -1,13 +1,13 @@
 package postlob
 
-// TestEdgeThroughputReport measures what the v2 streaming edge buys over
-// the v1 whole-buffer protocol: aggregate read throughput and per-op
-// latency at 1, 8, and 64 concurrent clients, over a device with simulated
-// per-block read latency. v1 serves a read by collecting every extent of
-// the requested range into one response frame — a device-serial, O(object)
-// server allocation. v2 streams chunk-granular frames with depth-D
-// read-ahead under a credit window — device access overlaps the wire and
-// server memory stays O(chunk-window).
+// TestEdgeThroughputReport measures what depth-wise chunk read-ahead buys
+// the streaming edge: aggregate read throughput and per-op latency at 1, 8,
+// and 64 concurrent clients, over a device with simulated per-block read
+// latency. The baseline is a second gateway with Depth 1, which fetches one
+// chunk at a time, so each read pays the device latency serially across the
+// object. The measured gateway fetches edgeBenchDepth chunks ahead under
+// the same credit window, so device access overlaps the wire. Both keep
+// server memory O(chunk-window).
 //
 // The report only runs when BENCH=1 is set:
 //
@@ -15,7 +15,7 @@ package postlob
 //	BENCH=1 ./check.sh
 //
 // Results are written to BENCH_edge_throughput.json at the repo root. The
-// acceptance bars: streaming v2 must reach edgeBenchBar times the v1
+// acceptance bars: read-ahead must reach edgeBenchBar times the depth-1
 // throughput at 8 clients, and its p99 must stay within edgeBenchP99Bar
 // times its median there (no stall collapse under pipelining).
 
@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime"
 	"sort"
@@ -37,33 +36,33 @@ import (
 )
 
 const (
-	// edgeBenchBar gates v2-over-v1 throughput at 8 clients.
+	// edgeBenchBar gates read-ahead over depth-1 throughput at 8 clients.
 	edgeBenchBar = 2.0
-	// edgeBenchP99Bar gates v2 p99 over its own median at 8 clients.
+	// edgeBenchP99Bar gates read-ahead p99 over its own median at 8 clients.
 	edgeBenchP99Bar = 5.0
 	// edgeBenchObjBytes sizes each object (128 f-chunk blocks).
 	edgeBenchObjBytes = 1 << 20
 	// edgeBenchObjects is the seeded working set.
 	edgeBenchObjects = 48
 	// edgeBenchReadLat is the simulated per-block device read latency. It
-	// is what makes the two protocols differ: v1 pays it serially across
-	// the whole object, v2 overlaps it depth-wide.
+	// is what makes the two depths differ: depth 1 pays it serially across
+	// the whole object, read-ahead overlaps it depth-wide.
 	edgeBenchReadLat = 200 * time.Microsecond
 	// edgeBenchPoolPages keeps the pool far under the working set so reads
 	// actually hit the device, while leaving room for the transient pins of
 	// 64 clients x depth concurrent chunk fetches.
 	edgeBenchPoolPages = 1024
-	// edgeBenchDepth/Window/Chunk configure the v2 streaming core.
+	// edgeBenchDepth/Window/Chunk configure the measured streaming core.
 	edgeBenchDepth  = 4
 	edgeBenchWindow = 8
 	edgeBenchChunk  = 64 << 10
-	// edgeBenchPhase is the measured window per (protocol, clients) cell.
+	// edgeBenchPhase is the measured window per (edge, clients) cell.
 	edgeBenchPhase = 1500 * time.Millisecond
 )
 
-// edgeBenchCell is one measured (protocol, clients) combination.
+// edgeBenchCell is one measured (edge, clients) combination.
 type edgeBenchCell struct {
-	Protocol string  `json:"protocol"`
+	Edge     string  `json:"edge"`
 	Clients  int     `json:"clients"`
 	Ops      int64   `json:"ops"`
 	MBPerSec float64 `json:"mb_per_sec"`
@@ -71,7 +70,7 @@ type edgeBenchCell struct {
 	P99Ms    float64 `json:"p99_ms"`
 }
 
-// edgeBenchRun drives `clients` workers of one protocol for the measured
+// edgeBenchRun drives `clients` workers of one edge for the measured
 // window. op reads one whole object and returns its byte count.
 func edgeBenchRun(t *testing.T, clients int, mkWorker func(t *testing.T) func() (int64, error)) edgeBenchCell {
 	t.Helper()
@@ -153,10 +152,11 @@ func TestEdgeThroughputReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	// A cleanup, not a defer: the gateways and clients below close first.
+	t.Cleanup(func() { db.Close() })
 
 	// Seed the working set: incompressible f-chunk objects so wire bytes
-	// equal logical bytes on both protocols.
+	// equal logical bytes.
 	refs := make([]ObjectRef, edgeBenchObjects)
 	tx := db.Begin()
 	for i := range refs {
@@ -177,20 +177,17 @@ func TestEdgeThroughputReport(t *testing.T) {
 	}
 	ts := db.Now()
 
-	// Both protocol frontends over the same store and device.
-	v1l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// Two gateways over the same store and device, differing only in depth.
+	serve := func(depth int) string {
+		return serveStream(t, db, GatewayOptions{Chunk: edgeBenchChunk, Window: edgeBenchWindow, Depth: depth})
 	}
-	srv := db.Serve(v1l)
-	defer srv.Close()
-	gw := db.NewGateway(GatewayOptions{Chunk: edgeBenchChunk, Window: edgeBenchWindow, Depth: edgeBenchDepth})
-	defer gw.Close()
-	v2l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	edges := []struct {
+		name string
+		addr string
+	}{
+		{"depth-1", serve(1)},
+		{fmt.Sprintf("depth-%d", edgeBenchDepth), serve(edgeBenchDepth)},
 	}
-	go gw.ServeStream(v2l)
 
 	var idxMu sync.Mutex
 	nextIdx := 0
@@ -201,79 +198,54 @@ func TestEdgeThroughputReport(t *testing.T) {
 		return nextIdx
 	}
 
-	v1Worker := func(t *testing.T) func() (int64, error) {
-		c, err := client.Dial(v1l.Addr().String())
-		if err != nil {
-			t.Errorf("dial v1: %v", err)
-			return nil
-		}
-		t.Cleanup(func() { c.Close() })
-		buf := make([]byte, edgeBenchObjBytes)
-		idx := takeIdx() * 7
-		return func() (int64, error) {
-			obj, err := c.OpenAsOf(ts, refs[idx%len(refs)])
+	worker := func(addr string) func(t *testing.T) func() (int64, error) {
+		return func(t *testing.T) func() (int64, error) {
+			s, err := client.DialStream(addr)
 			if err != nil {
-				return 0, err
+				t.Errorf("dial: %v", err)
+				return nil
 			}
-			idx++
-			n, err := io.ReadFull(obj, buf)
-			obj.Close()
-			if err != nil {
-				return 0, err
+			t.Cleanup(func() { s.Close() })
+			idx := takeIdx() * 7
+			return func() (int64, error) {
+				h, err := s.OpenAsOf(ts, refs[idx%len(refs)])
+				if err != nil {
+					return 0, err
+				}
+				idx++
+				n, err := h.ReadTo(io.Discard, 0, -1)
+				h.Close()
+				if err != nil {
+					return 0, err
+				}
+				return n, nil
 			}
-			return int64(n), nil
-		}
-	}
-	v2Worker := func(t *testing.T) func() (int64, error) {
-		s, err := client.DialStream(v2l.Addr().String())
-		if err != nil {
-			t.Errorf("dial v2: %v", err)
-			return nil
-		}
-		t.Cleanup(func() { s.Close() })
-		idx := takeIdx() * 7
-		return func() (int64, error) {
-			h, err := s.OpenAsOf(ts, refs[idx%len(refs)])
-			if err != nil {
-				return 0, err
-			}
-			idx++
-			n, err := h.ReadTo(io.Discard, 0, -1)
-			h.Close()
-			if err != nil {
-				return 0, err
-			}
-			return n, nil
 		}
 	}
 
 	cells := make([]edgeBenchCell, 0, 6)
 	byKey := make(map[string]edgeBenchCell, 6)
 	for _, clients := range []int{1, 8, 64} {
-		for _, proto := range []struct {
-			name string
-			mk   func(t *testing.T) func() (int64, error)
-		}{{"v1-whole-buffer", v1Worker}, {"v2-streaming", v2Worker}} {
-			gw.ResetChunkBufferHWM()
-			cell := edgeBenchRun(t, clients, proto.mk)
-			cell.Protocol = proto.name
+		for _, e := range edges {
+			cell := edgeBenchRun(t, clients, worker(e.addr))
+			cell.Edge = e.name
 			cells = append(cells, cell)
-			byKey[fmt.Sprintf("%s/%d", proto.name, clients)] = cell
-			t.Logf("%s clients=%d: %.1f MB/s, %d ops, p50=%.1fms p99=%.1fms (v2 HWM %d)",
-				proto.name, clients, cell.MBPerSec, cell.Ops, cell.P50Ms, cell.P99Ms, gw.ChunkBufferHWM())
+			byKey[fmt.Sprintf("%s/%d", e.name, clients)] = cell
+			t.Logf("%s clients=%d: %.1f MB/s, %d ops, p50=%.1fms p99=%.1fms",
+				e.name, clients, cell.MBPerSec, cell.Ops, cell.P50Ms, cell.P99Ms)
 		}
 	}
 
-	v1at8 := byKey["v1-whole-buffer/8"]
-	v2at8 := byKey["v2-streaming/8"]
-	speedup := v2at8.MBPerSec / v1at8.MBPerSec
+	base8 := byKey[fmt.Sprintf("%s/8", edges[0].name)]
+	deep8 := byKey[fmt.Sprintf("%s/8", edges[1].name)]
+	speedup := deep8.MBPerSec / base8.MBPerSec
 	if speedup < edgeBenchBar {
-		t.Errorf("v2 streaming at 8 clients is %.2fx of v1 whole-buffer (%.1f vs %.1f MB/s), below the %.1fx bar",
-			speedup, v2at8.MBPerSec, v1at8.MBPerSec, edgeBenchBar)
+		t.Errorf("depth-%d streaming at 8 clients is %.2fx of depth-1 (%.1f vs %.1f MB/s), below the %.1fx bar",
+			edgeBenchDepth, speedup, deep8.MBPerSec, base8.MBPerSec, edgeBenchBar)
 	}
-	if v2at8.P50Ms > 0 && v2at8.P99Ms > edgeBenchP99Bar*v2at8.P50Ms {
-		t.Errorf("v2 p99 at 8 clients is %.1fms against a %.1fms median — over the %.1fx stall bar",
-			v2at8.P99Ms, v2at8.P50Ms, edgeBenchP99Bar)
+	if deep8.P50Ms > 0 && deep8.P99Ms > edgeBenchP99Bar*deep8.P50Ms {
+		t.Errorf("depth-%d p99 at 8 clients is %.1fms against a %.1fms median — over the %.1fx stall bar",
+			edgeBenchDepth, deep8.P99Ms, deep8.P50Ms, edgeBenchP99Bar)
 	}
 
 	report := struct {
@@ -283,10 +255,10 @@ func TestEdgeThroughputReport(t *testing.T) {
 		SpeedupBar  float64         `json:"speedup_bar"`
 		P99Bar      float64         `json:"p99_over_p50_bar"`
 		Cells       []edgeBenchCell `json:"cells"`
-		Speedup8    float64         `json:"v2_over_v1_at_8_clients"`
+		Speedup8    float64         `json:"depth_over_depth1_at_8_clients"`
 	}{
 		Benchmark:   "TestEdgeThroughputReport",
-		Description: "Aggregate full-object read throughput (one op = one 1 MiB incompressible f-chunk object over the network edge) for the v1 whole-buffer protocol vs the v2 chunk-streaming protocol at 1/8/64 concurrent clients. The device charges a simulated per-block read latency, so v1 pays it serially across each object while v2's depth-wise chunk read-ahead overlaps device and wire. The build fails if v2 is below speedup_bar times v1 at 8 clients, or if v2's p99 exceeds p99_over_p50_bar times its median there.",
+		Description: "Aggregate full-object read throughput (one op = one 1 MiB incompressible f-chunk object over the stream protocol) for a depth-1 gateway, which fetches one chunk at a time, vs a gateway with depth-wise chunk read-ahead, at 1/8/64 concurrent clients. The device charges a simulated per-block read latency, so depth 1 pays it serially across each object while read-ahead overlaps device and wire. The build fails if read-ahead is below speedup_bar times depth 1 at 8 clients, or if its p99 exceeds p99_over_p50_bar times its median there.",
 		Environment: map[string]any{
 			"cpu_count":    runtime.NumCPU(),
 			"gomaxprocs":   runtime.GOMAXPROCS(0),

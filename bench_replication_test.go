@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -67,8 +66,8 @@ func replBenchPayload(i int) []byte {
 	return b
 }
 
-// replBenchNode is one serving node: a database plus its client-facing
-// listener address.
+// replBenchNode is one serving node: a database plus its gateway's
+// stream listener address.
 type replBenchNode struct {
 	db   *DB
 	addr string
@@ -89,13 +88,7 @@ func openReplBenchNode(t *testing.T, opts Options) replBenchNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := db.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	return replBenchNode{db: db, addr: l.Addr().String()}
+	return replBenchNode{db: db, addr: serveStream(t, db, GatewayOptions{})}
 }
 
 // replBenchPhaseRun drives replBenchClients sessions against every node for
@@ -113,7 +106,7 @@ func replBenchPhaseRun(t *testing.T, nodes []replBenchNode, refs []ObjectRef, wr
 			started.Add(1)
 			go func(ni, ci int) {
 				defer wg.Done()
-				c, err := client.Dial(nodes[ni].addr)
+				c, err := client.DialStream(nodes[ni].addr)
 				if err != nil {
 					t.Errorf("dial node %d: %v", ni, err)
 					started.Done()

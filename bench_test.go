@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -275,17 +274,12 @@ func BenchmarkCompressTight(b *testing.B) {
 }
 
 // BenchmarkRemoteReadWireRatio measures §3's network claim end to end: a
-// client streams a 50 %-compressible object from an in-process server and
+// client streams a 50 %-compressible object from an in-process gateway and
 // the benchmark reports wire bytes per logical byte for the just-in-time
 // (client-decompress) path vs. the server-side-conversion path.
 func BenchmarkRemoteReadWireRatio(b *testing.B) {
 	db := newBenchDB(b)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := db.Serve(l)
-	defer srv.Close()
+	addr := serveStream(b, db, GatewayOptions{})
 
 	const logical = 1 << 20
 	var ref ObjectRef
@@ -302,7 +296,7 @@ func BenchmarkRemoteReadWireRatio(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	c, err := client.Dial(l.Addr().String())
+	c, err := client.DialStream(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,7 +313,6 @@ func BenchmarkRemoteReadWireRatio(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		h.Seek(0, 0)
 		before := c.WireBytesIn()
 		for {
 			if _, err := h.Read(buf); err == io.EOF {
@@ -330,7 +323,7 @@ func BenchmarkRemoteReadWireRatio(b *testing.B) {
 		}
 		jit := c.WireBytesIn() - before
 
-		h.Seek(0, 0)
+		h.Seek(0, io.SeekStart)
 		before = c.WireBytesIn()
 		for {
 			if _, err := h.ReadServerSide(buf); err == io.EOF {

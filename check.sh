@@ -60,7 +60,12 @@
 #                                  round must cost one atomic load per
 #                                  partition, not a walk of every frame
 #
-#   6e. compress fuzz smokes       FuzzFastRoundTrip, FuzzDecodeHostileInput
+#   6e. examples/remoteaccess      runs the remote-client example end to end:
+#                                  a loopback gateway, a stream client, a
+#                                  query and a compressed read decoded just
+#                                  in time on the client
+#
+#   6f. compress fuzz smokes       FuzzFastRoundTrip, FuzzDecodeHostileInput
 #                                  and FuzzFastDecodeDifferential (the
 #                                  fast decoder against the byte-loop
 #                                  reference) at -fuzztime 200x
@@ -133,11 +138,12 @@
 #                                  Rewrites BENCH_commit_latency.json and
 #                                  fails unless group commit wins at 8-way
 #
-#  11. (BENCH=1 only)              the edge throughput harness: streaming
-#                                  v2 vs whole-buffer v1 reads at 1/8/64
-#                                  clients. Rewrites
+#  11. (BENCH=1 only)              the edge throughput harness: depth-4
+#                                  chunk read-ahead vs a depth-1 gateway
+#                                  that fetches one chunk at a time, at
+#                                  1/8/64 clients. Rewrites
 #                                  BENCH_edge_throughput.json and fails
-#                                  unless streaming wins 2x at 8 clients
+#                                  unless read-ahead wins 2x at 8 clients
 #                                  with bounded p99
 #
 #  12. (BENCH=1 only)              the replication scale-out harness:
@@ -204,6 +210,9 @@ go test -run '^$' -bench '^BenchmarkFastDecode$' -benchtime=1x -benchmem ./inter
 
 echo "== BenchmarkBgWriterIdleRound smoke (-benchtime=1x)"
 go test -run '^$' -bench '^BenchmarkBgWriterIdleRound$' -benchtime=1x -benchmem ./internal/buffer
+
+echo "== examples/remoteaccess"
+go run ./examples/remoteaccess
 
 for target in FuzzFastRoundTrip FuzzDecodeHostileInput FuzzFastDecodeDifferential; do
 	echo "== $target smoke (-fuzztime=200x)"

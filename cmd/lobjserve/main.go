@@ -1,17 +1,16 @@
 // Lobjserve runs a database server: POSTQUEL and large-object access over
-// TCP, with just-in-time client-side decompression of large-object reads
-// (paper §3). Pair it with the internal/client library or the remoteaccess
-// example.
+// the gateway's chunked, pipelined stream protocol on -addr, with
+// just-in-time client-side decompression of large-object reads (paper §3).
+// Pair it with internal/client's DialStream or the remoteaccess example.
 //
-// Two optional edge listeners expose the streaming gateway: -stream speaks
-// the chunked, pipelined v2 wire protocol (internal/client DialStream), and
-// -http serves the S3-style object API over the Inversion file system —
+// An optional -http listener serves the S3-style object API over the
+// Inversion file system from the same gateway —
 //
 //	curl http://host:8080/bucket/key                  # GET whole object
 //	curl -r 100-199 http://host:8080/bucket/key       # Range read
 //	curl -T file http://host:8080/bucket/key          # PUT
 //
-// On a replica both edges come up read-only: GETs and snapshot stream
+// On a replica both listeners come up read-only: GETs and snapshot stream
 // reads are served from local pages, mutations refused.
 //
 // A second HTTP listener exposes observability: GET /metrics renders the
@@ -21,10 +20,10 @@
 // Usage:
 //
 //	lobjserve -db /path/to/dbdir [-addr 127.0.0.1:5439] [-metrics 127.0.0.1:5440]
-//	          [-stream 127.0.0.1:5441] [-http 127.0.0.1:8080]
+//	          [-http 127.0.0.1:8080]
 //
-// Pass -metrics "" to disable the observability listener; -stream and
-// -http default to off.
+// Pass -metrics "" to disable the observability listener; -http defaults
+// to off.
 package main
 
 import (
@@ -43,7 +42,7 @@ import (
 func main() {
 	var (
 		dbdir   = flag.String("db", "", "database directory (required)")
-		addr    = flag.String("addr", "127.0.0.1:5439", "listen address")
+		addr    = flag.String("addr", "127.0.0.1:5439", "listen address for the chunked pipelined stream protocol")
 		metrics = flag.String("metrics", "127.0.0.1:5440", "HTTP address for /metrics and /debug/pprof (empty disables)")
 		useWAL  = flag.Bool("wal", false, "open with write-ahead logging (group commit, redo recovery)")
 		bgw     = flag.Bool("bgwriter", true, "run the background I/O engine (writer + scan prefetch)")
@@ -51,7 +50,6 @@ func main() {
 		repto   = flag.String("replicate", "", "listen address for WAL-shipping replicas (implies -wal)")
 		repof   = flag.String("replica-of", "", "open as a read-only streaming replica of the primary at this address")
 		repname = flag.String("replica-name", "", "replica identity in the primary's slots (default: db dir name)")
-		stream  = flag.String("stream", "", "listen address for the chunked pipelined v2 wire protocol (empty disables)")
 		httpa   = flag.String("http", "", "listen address for the S3-style HTTP object API (empty disables)")
 	)
 	flag.Parse()
@@ -82,29 +80,19 @@ func main() {
 		log.Printf("lobjserve: read-only replica of %s", *repof)
 	}
 
+	gw := db.NewGateway(postlob.GatewayOptions{})
+	defer gw.Close()
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := db.Serve(l)
+	go func() {
+		if err := gw.ServeStream(l); err != nil {
+			log.Printf("lobjserve: stream listener: %v", err)
+		}
+	}()
 	log.Printf("lobjserve: serving %s on %s", *dbdir, l.Addr())
 
-	var gw *postlob.Gateway
-	if *stream != "" || *httpa != "" {
-		gw = db.NewGateway(postlob.GatewayOptions{})
-	}
-	if *stream != "" {
-		sl, err := net.Listen("tcp", *stream)
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			if err := gw.ServeStream(sl); err != nil {
-				log.Printf("lobjserve: stream listener: %v", err)
-			}
-		}()
-		log.Printf("lobjserve: v2 stream protocol on %s", sl.Addr())
-	}
 	if *httpa != "" {
 		hl, err := net.Listen("tcp", *httpa)
 		if err != nil {
@@ -142,8 +130,4 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	log.Print("lobjserve: shutting down")
-	if gw != nil {
-		gw.Close()
-	}
-	srv.Close()
 }

@@ -15,7 +15,7 @@ func openCrashDB(t *testing.T, dir string, seed int64) (*DB, *storage.CrashManag
 	t.Helper()
 	var cm *storage.CrashManager
 	db, err := Open(dir, Options{
-		ForceAtCommit:   true,
+		Durability:      DurabilityForce,
 		BufferPoolPages: 32,
 		WrapStorage: func(id storage.ID, mgr storage.Manager) storage.Manager {
 			if id != storage.Disk {

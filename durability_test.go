@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestForceAtCommitSurvivesCrash commits with ForceAtCommit and then
+// TestDurabilityForceSurvivesCrash commits under DurabilityForce and then
 // abandons the DB object without Close or Checkpoint — simulating a crash.
 // A fresh Open over the same directory must see the committed data.
-func TestForceAtCommitSurvivesCrash(t *testing.T) {
+func TestDurabilityForceSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{ForceAtCommit: true})
+	db, err := Open(dir, Options{Durability: DurabilityForce})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Remoteaccess demonstrates the client-server story of §3: a remote
-// application queries the database over TCP and reads a compressed large
-// object with just-in-time decompression on the client — the network
-// carries the stored (compressed) bytes, not the logical ones.
+// application queries the database over the gateway's stream protocol and
+// reads a compressed large object with just-in-time decompression on the
+// client — the network carries the stored (compressed) bytes, not the
+// logical ones.
 package main
 
 import (
@@ -34,8 +35,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := db.Serve(l)
-	defer srv.Close()
+	gw := db.NewGateway(postlob.GatewayOptions{})
+	defer gw.Close()
+	go gw.ServeStream(l)
 	fmt.Printf("server listening on %s\n", l.Addr())
 
 	// Load a compressed satellite image (§3's example workload).
@@ -60,7 +62,7 @@ func main() {
 	}
 
 	// Client side: query for the object, then stream it.
-	c, err := client.Dial(l.Addr().String())
+	c, err := client.DialStream(l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package nopanic defines an analyzer that keeps panic out of internal
 // library code. A server that panics on bad input is a denial of service;
-// library layers must return errors and let the boundary (cmd/, the wire
-// server) decide. Panics remain legal in exactly the places the codebase
+// library layers must return errors and let the boundary (cmd/, the
+// gateway) decide. Panics remain legal in exactly the places the codebase
 // documents them:
 //
 //   - functions whose name starts with Must/must (by construction, "panic

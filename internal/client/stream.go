@@ -1,10 +1,15 @@
-// This file is the v2 streaming client: the same application surface as
-// Client, but over the gateway's chunked pipelined protocol. Requests
-// multiplex over one connection — each call runs on its own stream, so
-// goroutines pipeline freely — and large-object reads decompress raw
-// extents as the chunk frames arrive instead of staging whole buffers
+// Package client is the remote application library: POSTQUEL over the
+// gateway's chunked pipelined stream protocol, plus file-oriented
+// large-object handles whose reads fetch stored compressed extents and
+// decompress locally — the just-in-time, client-side output conversion of
+// paper §3. For compressible data this moves ~30–50 % fewer bytes over the
+// network than server-side reads, which is "crucial to good performance in
+// wide-area networks".
+//
+// Requests multiplex over one connection — each call runs on its own
+// stream, so goroutines pipeline freely — and large-object reads decompress
+// raw extents as the chunk frames arrive instead of staging whole buffers
 // anywhere.
-
 package client
 
 import (
@@ -22,7 +27,7 @@ import (
 	"postlob/internal/txn"
 )
 
-// Stream is a v2 protocol connection. Methods are safe for concurrent
+// Stream is a connection to a gateway. Methods are safe for concurrent
 // use; concurrent calls pipeline on the wire.
 type Stream struct {
 	conn   net.Conn
@@ -67,12 +72,19 @@ func newClientStream() *clientStream {
 	}
 }
 
-// DialStream connects to a gateway's v2 listener and negotiates framing.
+// DialStream connects to a gateway's stream listener and negotiates
+// framing.
 func DialStream(addr string) (*Stream, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
+	return newStream(conn)
+}
+
+// newStream runs the Hello exchange on conn and starts the reader. It
+// closes conn on failure.
+func newStream(conn net.Conn) (*Stream, error) {
 	s := &Stream{
 		conn:       conn,
 		enc:        gateway.NewMsgEncoder(),
@@ -118,9 +130,9 @@ func (s *Stream) Close() error {
 	return err
 }
 
-// WireBytesIn reports encoded extent payload bytes received by raw
-// streaming reads — the compressed-transfer metric, mirroring
-// Client.WireBytesIn.
+// WireBytesIn reports large-object payload bytes received so far: encoded
+// extent bytes for raw reads, logical bytes for server-side reads — the
+// compressed-transfer metric.
 func (s *Stream) WireBytesIn() int64 { return s.wireBytesIn.Load() }
 
 // LOBBytesIn reports logical large-object bytes assembled by this
@@ -188,11 +200,16 @@ func (s *Stream) readLoop() {
 				return
 			}
 		case gateway.KindCredit:
-			if n, err := decodeStreamCredit(f.Payload); err == nil {
-				select {
-				case cs.creditCh <- n:
-				default:
-				}
+			// The same bound the server enforces: a grant outside
+			// (0, MaxWindow] is a protocol violation, not a window to honour.
+			n, err := gateway.DecodeCredit(f.Payload)
+			if err != nil {
+				s.fail(fmt.Errorf("client: torn frame: %w", err))
+				return
+			}
+			select {
+			case cs.creditCh <- n:
+			default:
 			}
 		case gateway.KindErr:
 			select {
@@ -201,13 +218,6 @@ func (s *Stream) readLoop() {
 			}
 		}
 	}
-}
-
-func decodeStreamCredit(p []byte) (uint32, error) {
-	if len(p) != 4 {
-		return 0, fmt.Errorf("client: bad credit payload")
-	}
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24, nil
 }
 
 // openStream allocates a stream id and installs its demux record.
@@ -326,6 +336,21 @@ func (s *Stream) Now() (txn.TS, error) {
 		return txn.InvalidTS, err
 	}
 	return r.TS, nil
+}
+
+// Result is a remote query result.
+type Result struct {
+	Columns   []string
+	Rows      [][]adt.Value
+	UsedIndex string
+}
+
+// First returns the first value of the first row.
+func (r *Result) First() (adt.Value, bool) {
+	if len(r.Rows) == 0 || len(r.Rows[0]) == 0 {
+		return adt.Null(), false
+	}
+	return r.Rows[0][0], true
 }
 
 // Exec runs one statement in the connection's transaction.

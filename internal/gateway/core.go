@@ -15,10 +15,6 @@ import (
 
 // Options configure a Gateway.
 type Options struct {
-	// ReadOnly refuses every mutating operation at the edge — begin, exec,
-	// write, PUT, DELETE — while snapshot reads pass through. Replicas
-	// serve through a read-only gateway.
-	ReadOnly bool
 	// Chunk is the streaming granularity in bytes (default DefaultChunk,
 	// capped at MaxChunk). It is the unit of framing, server-side
 	// buffering, and read-ahead.
@@ -64,7 +60,7 @@ type Gateway struct {
 }
 
 // New builds a gateway over a store. Queries run through a dedicated
-// engine sharing the store's catalog and registry, like the v1 server.
+// engine sharing the store's catalog and registry.
 func New(store *core.Store, opts Options) *Gateway {
 	if opts.Chunk <= 0 {
 		opts.Chunk = DefaultChunk
@@ -87,12 +83,12 @@ func New(store *core.Store, opts Options) *Gateway {
 		// operation supports.
 		opts.FS.Kind = adt.KindFChunk
 	}
-	g := &Gateway{store: store, engine: query.New(store), opts: opts, conns: make(map[net.Conn]bool)}
-	g.readOnly.Store(opts.ReadOnly)
-	return g
+	return &Gateway{store: store, engine: query.New(store), opts: opts, conns: make(map[net.Conn]bool)}
 }
 
-// SetReadOnly puts the gateway in replica mode at runtime.
+// SetReadOnly puts the gateway in replica mode: every mutating operation
+// — begin, exec, write, PUT, DELETE — is refused at the edge while
+// snapshot reads pass through.
 func (g *Gateway) SetReadOnly() { g.readOnly.Store(true) }
 
 // ChunkBufferHWM returns the high-water mark of the streaming core's

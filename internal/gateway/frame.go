@@ -1,8 +1,7 @@
 // Package gateway is the streaming multi-protocol front door: one
 // chunk-granular streaming core under two network frontends.
 //
-// The v2 wire protocol replaces internal/wire's whole-buffer gob
-// request/response with length-prefixed CRC-framed chunks carrying
+// The stream protocol carries length-prefixed CRC-framed chunks on
 // per-connection multiplexed streams: a client pipelines requests without
 // waiting for responses, large-object reads and writes move in
 // chunk-granular frames (the server touches O(chunk-window) memory per
@@ -23,10 +22,9 @@ import (
 	"io"
 )
 
-// Proto is the streaming protocol version exchanged in Hello frames. The
-// v1 protocol (internal/wire) has no version field; v2 started at 2. Version
-// 3 carries control messages as one gob stream per connection direction
-// instead of a self-contained gob payload per frame.
+// Proto is the streaming protocol version exchanged in Hello frames.
+// Version 3 carries control messages as one gob stream per connection
+// direction instead of a self-contained gob payload per frame.
 const Proto = 3
 
 // Frame kinds.
@@ -213,16 +211,6 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	return f, err
 }
 
-// writeFrame encodes and writes one frame to w.
-func WriteFrame(w io.Writer, f *Frame) error {
-	b, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // creditPayload encodes a credit grant.
 func creditPayload(n uint32) []byte {
 	var b [4]byte
@@ -230,8 +218,9 @@ func creditPayload(n uint32) []byte {
 	return b[:]
 }
 
-// decodeCredit parses a credit grant payload.
-func decodeCredit(p []byte) (uint32, error) {
+// DecodeCredit parses a flow-control grant. A malformed payload, or a
+// grant of zero or more than MaxWindow frames, is ErrFrame.
+func DecodeCredit(p []byte) (uint32, error) {
 	if len(p) != 4 {
 		return 0, fmt.Errorf("%w: credit payload %d bytes", ErrFrame, len(p))
 	}

@@ -127,12 +127,8 @@ func TestFrameStructuralChecks(t *testing.T) {
 }
 
 func TestReadWriteFrame(t *testing.T) {
-	var buf bytes.Buffer
 	want := &Frame{Kind: KindExtents, Stream: 11, Payload: []byte("over the wire")}
-	if err := WriteFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
+	got, err := ReadFrame(bytes.NewReader(mustEncode(t, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +188,13 @@ func TestExtentCodecMalformed(t *testing.T) {
 
 func TestCreditCodec(t *testing.T) {
 	for _, n := range []uint32{1, 2, MaxWindow} {
-		got, err := decodeCredit(creditPayload(n))
+		got, err := DecodeCredit(creditPayload(n))
 		if err != nil || got != n {
 			t.Fatalf("credit %d: got %d, %v", n, got, err)
 		}
 	}
 	for _, bad := range [][]byte{nil, {1}, {1, 2, 3, 4, 5}, creditPayload(0), creditPayload(MaxWindow + 1)} {
-		if _, err := decodeCredit(bad); err == nil {
+		if _, err := DecodeCredit(bad); err == nil {
 			t.Fatalf("credit payload %v accepted", bad)
 		}
 	}

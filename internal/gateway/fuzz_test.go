@@ -61,7 +61,7 @@ func FuzzChunkFrameDecode(f *testing.F) {
 		case KindExtents:
 			decodeExtents(fr.Payload)
 		case KindCredit:
-			decodeCredit(fr.Payload)
+			DecodeCredit(fr.Payload)
 		case KindHello:
 			var h Hello
 			NewMsgDecoder().Decode(fr.Payload, &h)

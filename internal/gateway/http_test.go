@@ -260,7 +260,9 @@ func TestHTTPReadOnlyReplica(t *testing.T) {
 		t.Fatalf("PUT = %d", resp.StatusCode)
 	}
 
-	replica := httpServer(t, gateway.New(store, gateway.Options{ReadOnly: true, FS: inversion.Options{SM: storage.Mem}}))
+	rg := gateway.New(store, gateway.Options{FS: inversion.Options{SM: storage.Mem}})
+	rg.SetReadOnly()
+	replica := httpServer(t, rg)
 	resp, body := httpDo(t, http.MethodGet, replica.URL+"/b/k", nil, nil)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
 		t.Fatalf("replica GET = %d, %d bytes", resp.StatusCode, len(body))
@@ -281,7 +283,9 @@ func TestHTTPReadOnlyReplica(t *testing.T) {
 // initialised the Inversion classes answers 503, not 500.
 func TestHTTPReadOnlyUnbootstrapped(t *testing.T) {
 	_, store, _ := startGateway(t, gateway.Options{})
-	replica := httpServer(t, gateway.New(store, gateway.Options{ReadOnly: true, FS: inversion.Options{SM: storage.Mem}}))
+	rg := gateway.New(store, gateway.Options{FS: inversion.Options{SM: storage.Mem}})
+	rg.SetReadOnly()
+	replica := httpServer(t, rg)
 	resp, _ := httpDo(t, http.MethodGet, replica.URL+"/b/k", nil, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("unbootstrapped replica GET = %d", resp.StatusCode)

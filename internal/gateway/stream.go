@@ -419,7 +419,7 @@ func (c *gwConn) readLoop() {
 				return
 			}
 		case KindCredit:
-			n, err := decodeCredit(f.Payload)
+			n, err := DecodeCredit(f.Payload)
 			if err != nil {
 				c.kill(err.Error())
 				return

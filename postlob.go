@@ -40,7 +40,6 @@ import (
 	"postlob/internal/obs"
 	"postlob/internal/query"
 	"postlob/internal/repl"
-	"postlob/internal/server"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/vclock"
@@ -163,12 +162,6 @@ type Options struct {
 	// (default 256). Only consulted under DurabilityWAL.
 	WALSegBlocks int
 
-	// ForceAtCommit is the pre-Durability spelling of DurabilityForce:
-	// every commit flushes dirty pages and persists the commit log before
-	// returning — the POSTGRES no-write-ahead-log discipline. It is
-	// honored when Durability is left at its zero value.
-	ForceAtCommit bool
-
 	// WrapStorage, when set, wraps each built-in storage manager as it is
 	// registered. The crash-simulation and fault-injection tests use it to
 	// interpose storage.CrashManager or storage.FaultManager under a real
@@ -193,7 +186,7 @@ type Options struct {
 	// streaming replica of the primary at that address: a receiver
 	// continuously replays the shipped log into the local pool, reads are
 	// served from local pages through time-travel snapshots, and writes
-	// are refused (Begin panics, the wire server rejects mutating ops).
+	// are refused (Begin panics, the gateway rejects mutating ops).
 	// Promote ends replication and makes the database writable.
 	ReplicaOf string
 	// ReplicaName identifies this replica in the primary's replication
@@ -289,9 +282,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	mgr.SetLogPath(logPath)
 
 	mode := opts.Durability
-	if mode == DurabilityCheckpoint && opts.ForceAtCommit {
-		mode = DurabilityForce
-	}
 	if opts.ReplicaOf != "" && opts.ReplicateTo != "" {
 		return nil, fmt.Errorf("postlob: a database cannot be both a replica and a replication primary")
 	}
@@ -515,26 +505,15 @@ func (db *DB) Inversion(opts FSOptions) (*FS, error) {
 	return fs, err
 }
 
-// Serve exposes the database to remote clients on l, accepting in a
-// background goroutine until the returned Server is closed (see
-// internal/client for the application library). Remote large-object reads
-// ship stored compressed extents and are decompressed client-side (§3's
-// just-in-time conversion).
-func (db *DB) Serve(l net.Listener) *server.Server {
-	srv := server.New(db.store)
-	if db.replica.Load() {
-		srv.SetReadOnly()
-	}
-	go srv.Serve(l)
-	return srv
-}
-
-// NewGateway builds the streaming network edge over this database: one
-// chunk-granular core behind two protocol frontends. Gateway.ServeStream
-// speaks the pipelined v2 wire protocol (internal/client's DialStream);
-// Gateway.HTTPHandler serves the S3-style object API over the Inversion
-// file system. On a replica the gateway comes up read-only — GETs and
-// snapshot stream reads are served locally, mutations refused at the edge.
+// NewGateway builds the network edge that exposes this database to remote
+// clients: one chunk-granular core behind two protocol frontends.
+// Gateway.ServeStream speaks the pipelined stream protocol
+// (internal/client's DialStream), where remote large-object reads ship
+// stored compressed extents and are decompressed client-side (§3's
+// just-in-time conversion); Gateway.HTTPHandler serves the S3-style object
+// API over the Inversion file system. On a replica the gateway comes up
+// read-only — GETs and snapshot stream reads are served locally, mutations
+// refused at the edge.
 func (db *DB) NewGateway(opts GatewayOptions) *Gateway {
 	gw := gateway.New(db.store, opts)
 	if db.replica.Load() {

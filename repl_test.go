@@ -60,6 +60,20 @@ func commitObject(t *testing.T, db *DB, data []byte) ObjectRef {
 	return ref
 }
 
+// serveStream serves a gateway over db on a loopback listener until the
+// test ends and returns the address clients dial.
+func serveStream(t testing.TB, db *DB, opts GatewayOptions) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := db.NewGateway(opts)
+	go gw.ServeStream(l)
+	t.Cleanup(func() { gw.Close() })
+	return l.Addr().String()
+}
+
 // readReplica reads an object on the replica through the snapshot path the
 // server edge uses — no transaction, no XID allocation.
 func readReplica(t *testing.T, rdb *DB, ref ObjectRef) []byte {
@@ -168,8 +182,8 @@ func TestReplicationLagConservation(t *testing.T) {
 }
 
 // TestReplicaReadOnly: the facade refuses local transactions (documented
-// panic) and the wire server refuses begin/exec/write while serving
-// snapshot reads.
+// panic) and the gateway refuses begin/exec/write while serving snapshot
+// reads.
 func TestReplicaReadOnly(t *testing.T) {
 	pdb, rdb, _ := replPair(t, Options{}, Options{})
 	defer rdb.Close()
@@ -188,13 +202,8 @@ func TestReplicaReadOnly(t *testing.T) {
 		rdb.Begin() //lobvet:ignore — Begin panics on a replica (asserted above); no transaction exists to complete
 	}()
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rdb.Serve(l)
-	defer srv.Close()
-	c, err := client.Dial(l.Addr().String())
+	addr := serveStream(t, rdb, GatewayOptions{})
+	c, err := client.DialStream(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +241,7 @@ func TestReplicaMonotonicReads(t *testing.T) {
 	ref := commitObject(t, pdb, []byte("v0"))
 	waitCaughtUp(t, pdb, rdb, 10*time.Second)
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rdb.Serve(l)
-	defer srv.Close()
+	addr := serveStream(t, rdb, GatewayOptions{})
 
 	var last TS
 	for round := 0; round < 6; round++ {
@@ -246,7 +250,7 @@ func TestReplicaMonotonicReads(t *testing.T) {
 
 		// A fresh connection each round models the same client reconnecting
 		// to its pinned replica.
-		c, err := client.Dial(l.Addr().String())
+		c, err := client.DialStream(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
