@@ -79,7 +79,7 @@ type Function struct {
 	Decl *ast.FuncDecl // nil for literals
 	Lit  *ast.FuncLit  // nil for declarations
 	Obj  *types.Func   // nil for literals
-	Name string        // display name, e.g. "buffer.Pool.writeBack"
+	Name string        // display name, e.g. "buffer.Pool.writeRun"
 	Sum  Summary
 
 	body      *ast.BlockStmt
@@ -102,7 +102,7 @@ func (f *Function) Pos() token.Pos {
 
 // Edge is one lock-acquisition edge: To was blockingly acquired while From
 // was held, at Pos inside Fn (possibly through a callee; Path renders the
-// witness chain, e.g. "buffer.Pool.dropRelOnce → buffer.Pool.writeBack").
+// witness chain, e.g. "buffer.Pool.dropRelOnce → buffer.Pool.writeBackBatch").
 type Edge struct {
 	From, To LockClass
 	Pos      token.Pos

@@ -11,13 +11,7 @@ func flushes(p *buffer.Pool) error {
 	if err := p.FlushAll(); err != nil { // want `buffer\.Pool\.FlushAll called from a`
 		return err
 	}
-	if err := p.FlushRel(); err != nil { // want `buffer\.Pool\.FlushRel called from a`
-		return err
-	}
-	if err := p.FlushAllIncremental(64); err != nil { // want `buffer\.Pool\.FlushAllIncremental called from a`
-		return err
-	}
-	return p.SyncAll() // SyncAll is not a flush; no diagnostic
+	return p.FlushRel() // want `buffer\.Pool\.FlushRel called from a`
 }
 
 func redo(p *buffer.Pool) error {

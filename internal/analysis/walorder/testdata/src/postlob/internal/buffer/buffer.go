@@ -7,10 +7,6 @@ type Pool struct{}
 
 func (p *Pool) FlushAll() error { return nil }
 
-func (p *Pool) FlushAllIncremental(slicePages int) error { return nil }
-
 func (p *Pool) FlushRel() error { return nil }
-
-func (p *Pool) SyncAll() error { return nil }
 
 func (p *Pool) ApplyRedoImage(rel string, blk int, img []byte) error { return nil }

@@ -1,9 +1,8 @@
 // Package walorder defines an analyzer that enforces the write-ahead-log
 // ordering discipline at its two brittle seams.
 //
-// Rule 1: buffer.Pool.FlushRel, FlushAll, and FlushAllIncremental write
-// dirty pages to their home locations, so every call site must sit below
-// the WAL flush ceiling — the
+// Rule 1: buffer.Pool.FlushRel and FlushAll write dirty pages to their home
+// locations, so every call site must sit below the WAL flush ceiling — the
 // machinery that makes a page's newest log record durable before the page
 // itself. Only the packages that implement that machinery may call them:
 // postlob/internal/buffer, postlob/internal/txn, postlob/internal/core, and
@@ -105,7 +104,7 @@ func checkFile(pass *analysis.Pass, file *ast.File) {
 		}
 		switch fn.Pkg().Path() {
 		case bufferPath:
-			if (fn.Name() == "FlushAll" || fn.Name() == "FlushAllIncremental" || fn.Name() == "FlushRel") && !flushPkgs[pass.Pkg.Path()] {
+			if (fn.Name() == "FlushAll" || fn.Name() == "FlushRel") && !flushPkgs[pass.Pkg.Path()] {
 				pass.Reportf(call.Pos(),
 					"buffer.Pool.%s called from %s; page flushes must go through buffer, txn, or core so the WAL flush ceiling is honored",
 					fn.Name(), pass.Pkg.Path())

@@ -12,8 +12,6 @@
 package buffer
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,9 +51,6 @@ const (
 	DefaultBgBatchPages = 64
 	// DefaultPrefetchWindow caps blocks per posted prefetch window.
 	DefaultPrefetchWindow = 16
-	// DefaultCheckpointSlicePages bounds how many pages an incremental
-	// checkpoint writes back between scheduler yields.
-	DefaultCheckpointSlicePages = 64
 
 	// prefetchQueueLen bounds pending prefetch windows; posts beyond it are
 	// dropped (prefetch is advisory).
@@ -343,15 +338,27 @@ func sortFramesByTag(frames []*Frame) {
 // Runs against the same relation still serialise on its extension lock.
 const bgWriteConcurrency = 16
 
-// writeBackBatch writes the pinned frames' pages, sorted by tag, honoring
-// the same WAL contract as writeBack but amortised across the batch: one
-// LogDirtyPages captures the unlogged dirty set, one Flush makes the whole
-// round's ceiling durable before any home-location write, and contiguous
-// blocks of a relation go out as single gather writes (independent runs
-// concurrently, see bgWriteConcurrency — serial under a Manual engine or
-// none, keeping deterministic harnesses deterministic). The caller releases
-// the pins. On error the affected frames are re-marked dirty and the count
-// of pages already written is returned.
+// writeBackBatch is the only way a page leaves the pool: writer rounds,
+// foreground eviction of a dirty victim, DropRel and FlushRel all hand it
+// their pinned frames, sorted by tag; the caller releases the pins.
+//
+// Under a WAL, a frame about to be written may hold an image no commit has
+// logged, and that image is about to become device-visible. One page's
+// image is not enough: the page may reference sibling dirty pages (a B-tree
+// node naming a heap block, a segment record naming a byte-store block)
+// dirtied by the same operations and still unlogged, and replaying the one
+// image without the others would resurrect a mutually inconsistent page set.
+// So one LogDirtyPages logs the entire unlogged dirty set — a mini fuzzy
+// checkpoint — and one Flush makes the log durable through the end of that
+// batch and every frame's own newest image (the flush ceiling) before any
+// home-location write. Pages re-dirtied after the batch get their own image
+// in writeRun.
+//
+// Contiguous blocks of a relation go out as single gather writes
+// (independent runs concurrently, see bgWriteConcurrency — serial under a
+// Manual engine or none, keeping deterministic harnesses deterministic). On
+// error the affected frames are re-marked dirty and the count of pages
+// already written is returned.
 func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 	if p.wal != nil {
 		needBatch := false
@@ -444,16 +451,19 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 }
 
 // writeRun writes one contiguous same-relation run of pinned frames as a
-// single gather write. Images are snapshotted into pooled buffers under each
-// frame's shared content latch (clearing dirty/walDirty exactly like
-// writeBack); a frame re-dirtied after the round's batch pre-log gets its own
+// single gather write; it is the only code that clears a dirty bit on the
+// way to the device. The extension lock serialises no-holes device growth.
+// Images are snapshotted into pooled buffers under each frame's shared
+// content latch, so a concurrent exclusive-latch mutator cannot tear a
+// written page; a frame re-dirtied after the batch pre-log gets its own
 // image appended and a narrower flush before the device write, preserving
 // the flush-ceiling rule per frame.
 func (p *Pool) writeRun(run []*Frame) (int, error) {
 	tag0 := run[0].tag
-	// Drain-gate sign-in, as in writeBack: the dirty bits cleared below must
-	// not let a concurrent checkpoint sync the relation (and durably advance
-	// the redo point) before these pages' device writes land.
+	// Drain-gate sign-in before the dirty bits are cleared below: a
+	// concurrent FlushRel must not sync the relation (and a checkpoint
+	// durably advance the redo point) while these pages are neither
+	// pinDirty-visible nor on the device yet.
 	p.wbBegin(relKey{tag0.SM, tag0.Rel})
 	defer p.wbEnd(relKey{tag0.SM, tag0.Rel})
 	mgr, err := p.sw.Get(tag0.SM)
@@ -468,9 +478,10 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 		return 0, err
 	}
 	if phys < tag0.Blk {
-		// No-holes invariant, as in writeBack: materialise the gap with
-		// zeros; each such block still has its own dirty frame whose later
-		// write-back replaces them.
+		// The device cannot have holes: materialise the gap with zeros. Each
+		// such block still has a dirty in-pool frame (a clean frame implies
+		// the device already holds its block) whose later write-back
+		// replaces them.
 		for blk := phys; blk < tag0.Blk; blk++ {
 			if err := mgr.WriteBlock(tag0.Rel, blk, zeroPage[:]); err != nil {
 				return 0, err
@@ -730,83 +741,4 @@ func (p *Pool) installPrefetched(tag Tag, f *Frame) {
 	part.mu.Unlock()
 	p.nbMu.Unlock()
 	obsPfInstalled.Inc()
-}
-
-// FlushAllIncremental is the incremental form of FlushAll+SyncAll — the data
-// half of a checkpoint, spread into slices. Relations are walked in sorted
-// order (the crash sweep's determinism contract); each relation's dirty
-// pages are written back in ascending block order through the batched
-// write-back path (gather writes over contiguous runs, one WAL
-// flush-ceiling per slice) at most slicePages at a time, with the scheduler
-// yielded between slices so foreground work interleaves; the relation is
-// synced as soon as its own pages are down, instead of one giant SyncAll
-// stall after everything. slicePages <= 0 means
-// DefaultCheckpointSlicePages.
-func (p *Pool) FlushAllIncremental(slicePages int) error {
-	if slicePages <= 0 {
-		slicePages = DefaultCheckpointSlicePages
-	}
-	p.nbMu.Lock()
-	keys := make([]relKey, 0, len(p.nblocks))
-	for key := range p.nblocks {
-		keys = append(keys, key)
-	}
-	p.nbMu.Unlock()
-	sortRelKeys(keys)
-	for _, key := range keys {
-		frames := p.pinDirty(key.sm, key.rel)
-		sort.Slice(frames, func(i, j int) bool { return frames[i].tag.Blk < frames[j].tag.Blk })
-		var first error
-		for len(frames) > 0 {
-			n := slicePages
-			if n > len(frames) {
-				n = len(frames)
-			}
-			slice := frames[:n]
-			frames = frames[n:]
-			if first == nil {
-				// A frame may have gone clean since it was pinned (a writer
-				// round got there first); writeBackBatch would rewrite it
-				// harmlessly, but skipping keeps device traffic honest. live
-				// must NOT alias slice — the release loop below still needs
-				// slice's original entries.
-				live := make([]*Frame, 0, len(slice))
-				for _, f := range slice {
-					if f.dirty.Load() {
-						live = append(live, f)
-					}
-				}
-				if len(live) > 0 {
-					if _, err := p.writeBackBatch(live); err != nil {
-						first = err
-					}
-				}
-			}
-			for _, f := range slice {
-				f.Release()
-			}
-			if len(frames) > 0 {
-				runtime.Gosched()
-			}
-		}
-		if first != nil {
-			return first
-		}
-		mgr, err := p.sw.Get(key.sm)
-		if err != nil {
-			return err
-		}
-		if !mgr.Exists(key.rel) {
-			continue
-		}
-		// Drain in-flight write-backs before the per-relation sync, exactly
-		// as SyncAll does: a page mid-write-back is invisible to pinDirty
-		// but not yet on the device, and the checkpoint record this flush
-		// precedes will skip its logged image on replay.
-		p.wbWaitRel(key)
-		if err := mgr.Sync(key.rel); err != nil {
-			return fmt.Errorf("buffer: sync %s: %w", key.rel, err)
-		}
-	}
-	return nil
 }

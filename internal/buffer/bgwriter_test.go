@@ -386,8 +386,11 @@ func TestEngineAsyncStartStop(t *testing.T) {
 	p.StopEngine()
 }
 
-func TestFlushAllIncrementalEquivalentToCheckpointData(t *testing.T) {
-	p, mem := newTestPool(t, 32)
+func TestFlushAllWritesEverySliceOfEveryRelation(t *testing.T) {
+	// More than two slices of one relation and more than one of another, so
+	// the flush crosses slice boundaries inside each relation.
+	nRel, nOther := 2*checkpointSlicePages+3, checkpointSlicePages+5
+	p, mem := newTestPool(t, nRel+nOther)
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
@@ -395,24 +398,26 @@ func TestFlushAllIncrementalEquivalentToCheckpointData(t *testing.T) {
 	if err := mem.Create(other); err != nil {
 		t.Fatal(err)
 	}
-	dirtyBlocks(t, p, storage.Mem, rel, 10)
-	dirtyBlocks(t, p, storage.Mem, other, 7)
-	// Tiny slices force several yield boundaries.
-	if err := p.FlushAllIncremental(3); err != nil {
+	dirtyBlocks(t, p, storage.Mem, rel, nRel)
+	dirtyBlocks(t, p, storage.Mem, other, nOther)
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := countDirty(p); got != 0 {
-		t.Fatalf("dirty after incremental checkpoint = %d, want 0", got)
+		t.Fatalf("dirty after FlushAll = %d, want 0", got)
 	}
 	buf := make([]byte, page.Size)
-	for i := 0; i < 10; i++ {
-		if err := mem.ReadBlock(rel, storage.BlockNum(i), buf); err != nil {
-			t.Fatalf("device missing %s block %d after incremental flush: %v", rel, i, err)
-		}
-	}
-	for i := 0; i < 7; i++ {
-		if err := mem.ReadBlock(other, storage.BlockNum(i), buf); err != nil {
-			t.Fatalf("device missing %s block %d after incremental flush: %v", other, i, err)
+	for _, r := range []struct {
+		name storage.RelName
+		n    int
+	}{{rel, nRel}, {other, nOther}} {
+		for i := 0; i < r.n; i++ {
+			if err := mem.ReadBlock(r.name, storage.BlockNum(i), buf); err != nil {
+				t.Fatalf("device missing %s block %d after FlushAll: %v", r.name, i, err)
+			}
+			if buf[0] != byte('A'+i%26) {
+				t.Fatalf("device %s block %d = %q, want %q", r.name, i, buf[0], byte('A'+i%26))
+			}
 		}
 	}
 }

@@ -22,6 +22,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -864,7 +865,7 @@ func (p *Pool) evictFrom(part *partition) (*Frame, error) {
 	obsEvictDirty.Inc()
 	p.kickBgWriter()
 
-	err := p.writeBack(f)
+	_, err := p.writeBackBatch([]*Frame{f})
 
 	part.mu.Lock()
 	f.pins--
@@ -896,94 +897,6 @@ func (p *Pool) extLock(sm storage.ID, rel storage.RelName) *sync.Mutex {
 		p.ext[key] = mu
 	}
 	return mu
-}
-
-// writeBack flushes one frame's page. The caller must guarantee residence
-// (a pin, or every partition lock held). The extension lock serialises
-// no-holes device growth; the content latch is held shared across the
-// device write so a concurrent exclusive-latch mutator cannot tear the
-// written page.
-func (p *Pool) writeBack(f *Frame) error {
-	tag := f.tag
-	// Sign into the drain gate before the dirty bit is cleared below: a
-	// concurrent checkpoint must not sync this relation (and advance its
-	// redo point) while this page is neither pinDirty-visible nor on the
-	// device yet.
-	p.wbBegin(relKey{tag.SM, tag.Rel})
-	defer p.wbEnd(relKey{tag.SM, tag.Rel})
-	// If this page was never logged since it was dirtied, its image is about
-	// to become device-visible — and under a WAL the device write is preceded
-	// by a durable log append, so the image survives a crash. A single page's
-	// image is not enough: the page may reference sibling dirty pages (a
-	// B-tree node naming a heap block, a segment record naming a byte-store
-	// block) that were dirtied by the same operations and are still unlogged.
-	// Replaying the one image without the others would resurrect a mutually
-	// inconsistent page set. Log the entire unlogged dirty set in one batch —
-	// a mini fuzzy checkpoint — so the durable log always describes a
-	// consistent state. Pages re-dirtied after the batch are caught by the
-	// single-image fallback below.
-	var batchEnd wal.LSN
-	if p.wal != nil && f.walDirty.Load() {
-		end, err := p.LogDirtyPages(0)
-		if err != nil {
-			return err
-		}
-		batchEnd = end
-	}
-	mgr, err := p.sw.Get(tag.SM)
-	if err != nil {
-		return err
-	}
-	ext := p.extLock(tag.SM, tag.Rel)
-	ext.Lock()
-	defer ext.Unlock()
-	phys, err := mgr.NBlocks(tag.Rel)
-	if err != nil {
-		return err
-	}
-	if phys < tag.Blk {
-		// The device cannot have holes: materialise missing blocks below
-		// ours as zero pages. Any such block still has a dirty in-pool frame
-		// (a clean frame implies the device already holds its block), and
-		// that frame's own write-back later replaces the zeros.
-		for blk := phys; blk < tag.Blk; blk++ {
-			if err := mgr.WriteBlock(tag.Rel, blk, zeroPage[:]); err != nil {
-				return err
-			}
-		}
-	}
-	buf := getPageBuf()
-	defer pageBufs.Put(buf)
-	img := buf[:]
-	if err := p.snapshotForWrite(f, img); err != nil {
-		return err
-	}
-	if p.wal != nil {
-		// The flush ceiling: the newest logged image of this page must be
-		// durable before the page replaces its home-location bytes, or a
-		// crash after the home write could leave a state the log cannot redo.
-		// The ceiling covers the whole pre-logged batch, not just this page's
-		// own image: sibling images later in the batch must be durable too,
-		// or a crash leaves a home-location page referencing siblings whose
-		// logged images were lost — the mutually inconsistent set the batch
-		// exists to prevent.
-		ceiling := wal.LSN(f.walLSN.Load())
-		if batchEnd > ceiling {
-			ceiling = batchEnd
-		}
-		if ceiling > 0 {
-			if err := p.wal.Flush(ceiling); err != nil {
-				f.setDirty(true)
-				return err
-			}
-		}
-	}
-	if err := mgr.WriteBlock(tag.Rel, tag.Blk, img); err != nil {
-		f.setDirty(true)
-		return err
-	}
-	obsWritebacks.Inc()
-	return nil
 }
 
 // LogDirtyPages appends a physical image of every page modified since its
@@ -1169,24 +1082,64 @@ func (p *Pool) checksummer(sm storage.ID, rel storage.RelName) Checksummer {
 	return cs
 }
 
-// FlushRel writes back every dirty page of the relation. Pinned frames are
-// flushed too (they stay resident); each page's content latch excludes
-// concurrent mutation for the duration of its device write.
+// checkpointSlicePages bounds how many pages FlushRel writes back between
+// scheduler yields.
+const checkpointSlicePages = 64
+
+// FlushRel makes the relation durable: it writes back every dirty page, then
+// syncs the relation. Pinned frames are flushed too (they stay resident).
+// Pages go out in ascending block order through writeBackBatch — gather
+// writes over contiguous runs, one WAL flush ceiling per slice — at most
+// checkpointSlicePages at a time, with the scheduler yielded between slices
+// so foreground work interleaves. Before the sync, write-backs already in
+// flight are drained: a page whose dirty bit a writer round cleared before
+// pinDirty looked is invisible here but not yet on the device, and the sync
+// must cover it. A relation no longer on its device is not synced.
 func (p *Pool) FlushRel(sm storage.ID, rel storage.RelName) error {
 	frames := p.pinDirty(sm, rel)
-	// Ascending block order keeps device writes mostly sequential and the
-	// no-holes extension logic trivial.
 	sort.Slice(frames, func(i, j int) bool { return frames[i].tag.Blk < frames[j].tag.Blk })
 	var first error
-	for _, f := range frames {
-		if first == nil && f.dirty.Load() {
-			if err := p.writeBack(f); err != nil {
+	for len(frames) > 0 {
+		slice := frames[:min(checkpointSlicePages, len(frames))]
+		frames = frames[len(slice):]
+		// A frame a writer round cleaned since it was pinned is released
+		// unwritten, as is every frame once a write has failed; the rest are
+		// compacted to the slice's front.
+		live := slice[:0]
+		for _, f := range slice {
+			if first == nil && f.dirty.Load() {
+				live = append(live, f)
+			} else {
+				f.Release()
+			}
+		}
+		if len(live) > 0 {
+			if _, err := p.writeBackBatch(live); err != nil {
 				first = err
 			}
 		}
-		f.Release()
+		for _, f := range live {
+			f.Release()
+		}
+		if len(frames) > 0 {
+			runtime.Gosched()
+		}
 	}
-	return first
+	if first != nil {
+		return first
+	}
+	mgr, err := p.sw.Get(sm)
+	if err != nil {
+		return err
+	}
+	if !mgr.Exists(rel) {
+		return nil
+	}
+	p.wbWaitRel(relKey{sm, rel})
+	if err := mgr.Sync(rel); err != nil {
+		return fmt.Errorf("buffer: sync %s: %w", rel, err)
+	}
+	return nil
 }
 
 // pinDirty pins every dirty resident frame of the relation.
@@ -1205,24 +1158,24 @@ func (p *Pool) pinDirty(sm storage.ID, rel storage.RelName) []*Frame {
 	return frames
 }
 
-// FlushAll writes back every dirty page in the pool. Relations are flushed
-// in sorted order so a given workload issues the same device-write sequence
-// every run — the crash-simulation harness depends on that to make a seeded
-// crash land on the same operation each time.
+// FlushAll is the data half of every checkpoint: it runs FlushRel over every
+// relation the pool has extended or read. A sticky background write-back
+// error is returned first, and the flush does not run: the error surfaces
+// once, where the checkpoint can report it, and the frames it left dirty are
+// written by the next checkpoint. Relations are flushed in sorted order so a
+// given workload issues the same device-operation sequence every run — the
+// crash-simulation harness depends on that to make a seeded crash land on
+// the same operation each time.
 func (p *Pool) FlushAll() error {
-	seen := make(map[relKey]bool)
-	var keys []relKey
-	for _, part := range p.parts {
-		part.mu.Lock()
-		for tag := range part.lookup {
-			key := relKey{tag.SM, tag.Rel}
-			if !seen[key] {
-				seen[key] = true
-				keys = append(keys, key)
-			}
-		}
-		part.mu.Unlock()
+	if err := p.TakeBackgroundError(); err != nil {
+		return fmt.Errorf("buffer: background write-back: %w", err)
 	}
+	p.nbMu.Lock()
+	keys := make([]relKey, 0, len(p.nblocks))
+	for key := range p.nblocks {
+		keys = append(keys, key)
+	}
+	p.nbMu.Unlock()
 	sortRelKeys(keys)
 	for _, key := range keys {
 		if err := p.FlushRel(key.sm, key.rel); err != nil {
@@ -1239,38 +1192,6 @@ func sortRelKeys(keys []relKey) {
 		}
 		return keys[i].rel < keys[j].rel
 	})
-}
-
-// SyncAll forces every relation the pool has ever extended or read to
-// stable storage, in sorted order. FlushAll followed by SyncAll is the data
-// half of a checkpoint: FlushAll moves dirty pages into the storage
-// managers' (possibly volatile) write caches, SyncAll makes them durable.
-// Relations dropped since they were last buffered are skipped.
-func (p *Pool) SyncAll() error {
-	p.nbMu.Lock()
-	keys := make([]relKey, 0, len(p.nblocks))
-	for key := range p.nblocks {
-		keys = append(keys, key)
-	}
-	p.nbMu.Unlock()
-	sortRelKeys(keys)
-	for _, key := range keys {
-		mgr, err := p.sw.Get(key.sm)
-		if err != nil {
-			return err
-		}
-		if !mgr.Exists(key.rel) {
-			continue
-		}
-		// Drain in-flight write-backs first: a page mid-write-back is
-		// already invisible to dirty scans but not yet on the device, and
-		// this sync must cover it.
-		p.wbWaitRel(key)
-		if err := mgr.Sync(key.rel); err != nil {
-			return fmt.Errorf("buffer: sync %s: %w", key.rel, err)
-		}
-	}
-	return nil
 }
 
 // DropRel invalidates every buffered page of a relation. With discard, dirty
@@ -1316,11 +1237,12 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 	}
 	if !discard {
 		// Write-backs must run with no partition lock held: under a WAL,
-		// writeBack pre-logs the unlogged dirty set (LogDirtyPages), which
-		// itself takes every partition lock — calling it from here would
-		// self-deadlock. Pin the relation's dirty frames, drop every lock,
-		// flush them, and retry the drop; by then they are clean (the caller
-		// must not mutate a relation it is dropping) or the flush has failed.
+		// writeBackBatch pre-logs the unlogged dirty set (LogDirtyPages),
+		// which itself takes every partition lock — calling it from here
+		// would self-deadlock. Pin the relation's dirty frames, drop every
+		// lock, write them back in tag order, and retry the drop; by then
+		// they are clean (the caller must not mutate a relation it is
+		// dropping) or the write has failed.
 		var dirty []*Frame
 		for _, part := range p.parts {
 			for tag, f := range part.lookup {
@@ -1332,15 +1254,13 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 		}
 		if len(dirty) > 0 {
 			unlock()
-			var firstErr error
+			sortFramesByTag(dirty)
+			_, err := p.writeBackBatch(dirty)
 			for _, f := range dirty {
-				if firstErr == nil {
-					firstErr = p.writeBack(f)
-				}
 				f.Release()
 			}
-			if firstErr != nil {
-				return false, firstErr
+			if err != nil {
+				return false, err
 			}
 			return true, nil
 		}

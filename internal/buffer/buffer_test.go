@@ -227,6 +227,53 @@ func TestDropRelDiscard(t *testing.T) {
 	}
 }
 
+// writeCallMgr records every block-write call the pool makes, with its
+// relation, first block and block count.
+type writeCallMgr struct {
+	storage.Manager
+	calls []string
+}
+
+func (m *writeCallMgr) WriteBlock(rel storage.RelName, blk storage.BlockNum, buf []byte) error {
+	m.calls = append(m.calls, fmt.Sprintf("WriteBlock(%s, %d)", rel, blk))
+	return m.Manager.WriteBlock(rel, blk, buf)
+}
+
+func (m *writeCallMgr) WriteBlocks(rel storage.RelName, blk storage.BlockNum, bufs [][]byte) error {
+	m.calls = append(m.calls, fmt.Sprintf("WriteBlocks(%s, %d, %d bufs)", rel, blk, len(bufs)))
+	return m.Manager.WriteBlocks(rel, blk, bufs)
+}
+
+// Flushing and non-discarding drops write a relation's dirty pages in block
+// order, gathered: eight contiguous dirty pages are one device write.
+func TestFlushAndDropGatherContiguousPages(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flush func(p *Pool) error
+	}{
+		{"FlushRel", func(p *Pool) error { return p.FlushRel(storage.Mem, rel) }},
+		{"DropRel", func(p *Pool) error { return p.DropRel(storage.Mem, rel, false) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wm := &writeCallMgr{Manager: storage.NewMemManager(storage.DeviceModel{}, nil)}
+			sw := storage.NewSwitch()
+			sw.Register(storage.Mem, wm)
+			p := NewPool(16, sw, nil)
+			if err := wm.Create(rel); err != nil {
+				t.Fatal(err)
+			}
+			dirtyBlocks(t, p, storage.Mem, rel, 8)
+			if err := tc.flush(p); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("WriteBlocks(%s, 0, 8 bufs)", rel)
+			if len(wm.calls) != 1 || wm.calls[0] != want {
+				t.Fatalf("device writes = %v, want [%s]", wm.calls, want)
+			}
+		})
+	}
+}
+
 func TestReleaseUnpinnedPanics(t *testing.T) {
 	p, mem := newTestPool(t, 2)
 	if err := mem.Create(rel); err != nil {

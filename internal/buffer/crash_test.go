@@ -11,15 +11,34 @@ import (
 
 // newCrashPool builds a tiny pool whose Mem-slot manager is a volatile
 // write cache over a durable MemManager, the stack the crash-recovery
-// harness uses. The durable medium is returned so tests can inspect (and
-// re-wrap) what survives a crash.
+// harness uses, with a Manual background engine for writeBackAll. The
+// durable medium is returned so tests can inspect (and re-wrap) what
+// survives a crash.
 func newCrashPool(t *testing.T, frames int, cfg storage.CrashConfig) (*Pool, *storage.CrashManager, *storage.MemManager) {
 	t.Helper()
 	durable := storage.NewMemManager(storage.DeviceModel{}, nil)
 	cm := storage.NewCrashManager(durable, cfg)
 	sw := storage.NewSwitch()
 	sw.Register(storage.Mem, cm)
-	return NewPool(frames, sw, nil), cm, durable
+	p := NewPool(frames, sw, nil)
+	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	t.Cleanup(p.StopEngine)
+	return p, cm, durable
+}
+
+// writeBackAll moves every dirty page into the volatile cache and syncs
+// nothing, the way production gets pages there: background writer rounds.
+func writeBackAll(t *testing.T, p *Pool) {
+	t.Helper()
+	for {
+		n, err := p.BgWriterRound(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return
+		}
+	}
 }
 
 // rewrapPool is "reboot": a fresh pool and cache over the same durable
@@ -76,17 +95,15 @@ func readItem(t *testing.T, p *Pool, blk storage.BlockNum) []byte {
 	return append([]byte(nil), item...)
 }
 
-// FlushRel alone moves pages only into the volatile cache: a crash before
+// Write-back alone moves pages only into the volatile cache: a crash before
 // Sync must erase every trace of them, relation included.
-func TestFlushRelAloneIsNotDurable(t *testing.T) {
+func TestWriteBackAloneIsNotDurable(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 1})
 	p.SetChecksummer(storage.Mem, rel, slottedCS{})
 	writeRelPages(t, p, 8, 0xA0)
-	if err := p.FlushRel(storage.Mem, rel); err != nil {
-		t.Fatal(err)
-	}
+	writeBackAll(t, p)
 	if durable.Exists(rel) {
-		t.Fatal("FlushRel reached the durable medium without a Sync")
+		t.Fatal("write-back reached the durable medium without a Sync")
 	}
 	cm.Crash()
 	if durable.Exists(rel) {
@@ -94,16 +111,13 @@ func TestFlushRelAloneIsNotDurable(t *testing.T) {
 	}
 }
 
-// FlushRel then Sync then crash: the full committed image must be readable
-// through a fresh pool, byte for byte.
+// FlushRel (write-back then Sync) then crash: the full committed image must
+// be readable through a fresh pool, byte for byte.
 func TestFlushSyncCrashRecoversImage(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 2})
 	p.SetChecksummer(storage.Mem, rel, slottedCS{})
 	writeRelPages(t, p, 8, 0xB0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	cm.Crash()
@@ -127,9 +141,6 @@ func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Overwrite every page in place (the uncommitted mutation)...
 	for i := 0; i < 6; i++ {
@@ -146,10 +157,8 @@ func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 		f.MarkDirty()
 		f.Release()
 	}
-	// ...flush it into the volatile cache, then crash before Sync.
-	if err := p.FlushRel(storage.Mem, rel); err != nil {
-		t.Fatal(err)
-	}
+	// ...write it back into the volatile cache, then crash before Sync.
+	writeBackAll(t, p)
 	cm.Crash()
 
 	p2 := rewrapPool(t, 4, durable)
@@ -172,9 +181,6 @@ func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 6; i++ {
 		f, err := p.Get(Tag{SM: storage.Mem, Rel: rel, Blk: storage.BlockNum(i)})
 		if err != nil {
@@ -189,12 +195,10 @@ func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 		f.MarkDirty()
 		f.Release()
 	}
-	if err := p.FlushRel(storage.Mem, rel); err != nil {
-		t.Fatal(err)
-	}
+	writeBackAll(t, p)
 	cm.CrashAfter(3) // die on the fourth flushed block inside Sync
-	if err := p.SyncAll(); !errors.Is(err, storage.ErrCrashed) {
-		t.Fatalf("SyncAll error = %v, want ErrCrashed", err)
+	if err := p.FlushRel(storage.Mem, rel); !errors.Is(err, storage.ErrCrashed) {
+		t.Fatalf("FlushRel error = %v, want ErrCrashed", err)
 	}
 
 	p2 := rewrapPool(t, 4, durable)
@@ -225,11 +229,8 @@ func TestTornBlockDetectedByChecksum(t *testing.T) {
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite block 1, flush into the cache, and crash so the in-flight
-	// block tears on the durable medium.
+	// Overwrite block 1, write it back into the cache, and crash so the
+	// in-flight block tears on the durable medium.
 	f, err := p.Get(Tag{SM: storage.Mem, Rel: rel, Blk: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +243,7 @@ func TestTornBlockDetectedByChecksum(t *testing.T) {
 	f.UnlockContent()
 	f.MarkDirty()
 	f.Release()
-	if err := p.FlushRel(storage.Mem, rel); err != nil {
-		t.Fatal(err)
-	}
+	writeBackAll(t, p)
 	cm.Crash()
 	torn := cm.Torn()
 	if torn == nil {

@@ -92,7 +92,7 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 			case op < 13:
 				// A checkpoint may race another worker's drop and unlink; only
 				// the counts matter here, not whether this flush got through.
-				pool.FlushAllIncremental(4)
+				pool.FlushAll()
 			case op < 14: // drop and recreate, keeping or discarding dirty pages
 				discard := !healthy || rng.Intn(2) == 0
 				err := pool.DropRel(storage.Mem, rel, discard)
@@ -152,7 +152,7 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 	pool.TakeBackgroundError()
 
 	// Quiesce: a full checkpoint leaves nothing dirty and nothing counted.
-	if err := pool.FlushAllIncremental(0); err != nil {
+	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	checkGauge("after checkpoint")

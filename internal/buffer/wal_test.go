@@ -247,7 +247,7 @@ func homeAndLogEvents(events []string) []string {
 }
 
 // TestDropRelFlushesDirtyUnderWAL is a deadlock regression test: dropping a
-// relation with dirty pages used to call writeBack — and through it
+// relation with dirty pages used to write them back — and through that
 // LogDirtyPages, which takes every partition lock — while dropRelOnce
 // already held every partition lock, hanging forever. The drop must finish,
 // leave the relation's bytes on the device, and have logged its images.

@@ -496,15 +496,8 @@ func (s *Store) EvictFromPool(ref adt.ObjectRef) error {
 }
 
 func (s *Store) flushRels(sm storage.ID, rels ...storage.RelName) error {
-	mgr, err := s.pool.Buf.Switch().Get(sm)
-	if err != nil {
-		return err
-	}
 	for _, rel := range rels {
 		if err := s.pool.Buf.FlushRel(sm, rel); err != nil {
-			return err
-		}
-		if err := mgr.Sync(rel); err != nil {
 			return err
 		}
 	}

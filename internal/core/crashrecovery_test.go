@@ -142,12 +142,10 @@ func (cs *crashStack) begin() *txn.Txn {
 	return tx
 }
 
+// checkpoint is the production force-at-commit checkpoint: the facade's
+// data half, then the commit log.
 func (cs *crashStack) checkpoint() error {
-	buf := cs.store.Pool().Buf
-	if err := buf.FlushAll(); err != nil {
-		return err
-	}
-	if err := buf.SyncAll(); err != nil {
+	if err := cs.store.CheckpointData(); err != nil {
 		return err
 	}
 	return cs.mgr.Save(cs.logPath)

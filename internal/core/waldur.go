@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"postlob/internal/buffer"
 	"postlob/internal/heap"
 	"postlob/internal/page"
 	"postlob/internal/storage"
@@ -78,14 +77,9 @@ func (d *WALDurability) WaitDurable(lsn uint64) error {
 // commit log via saveLog, and finally append the checkpoint record — which
 // truncates every log segment wholly below the redo point. Ordering is the
 // recovery contract: the commit log on disk must cover every commit record
-// the truncation discards.
+// the truncation discards. A sticky background write-back error fails the
+// checkpoint from FlushAll, before any record is appended.
 func (d *WALDurability) Checkpoint(saveLog func() error) error {
-	// An async write-back failure must not vanish: surface it here and fail
-	// the checkpoint. The failed frames are still dirty (writeRun re-dirties
-	// on error), so a later checkpoint retries them.
-	if err := d.pool.Buf.TakeBackgroundError(); err != nil {
-		return fmt.Errorf("core: background write-back: %w", err)
-	}
 	redo := d.log.RedoPoint()
 	lsn, err := d.pool.Buf.LogDirtyPages(0)
 	if err != nil {
@@ -96,7 +90,7 @@ func (d *WALDurability) Checkpoint(saveLog func() error) error {
 			return err
 		}
 	}
-	if err := d.pool.Buf.FlushAllIncremental(buffer.DefaultCheckpointSlicePages); err != nil {
+	if err := d.pool.Buf.FlushAll(); err != nil {
 		return err
 	}
 	if saveLog != nil {
@@ -123,14 +117,8 @@ func (d *WALDurability) Checkpoint(saveLog func() error) error {
 // of a force-at-commit or checkpoint-grained checkpoint. It lives here (not
 // in the facade) because FlushAll call sites must sit in a package that can
 // see the WAL flush ceiling, the invariant the walorder analyzer enforces.
-// The walk is incremental — bounded slices of the dirty set with yields in
-// between — so a big checkpoint does not monopolise partition latches, and
-// any sticky background write-back error is surfaced here rather than lost.
 func (s *Store) CheckpointData() error {
-	if err := s.pool.Buf.TakeBackgroundError(); err != nil {
-		return fmt.Errorf("core: background write-back: %w", err)
-	}
-	return s.pool.Buf.FlushAllIncremental(buffer.DefaultCheckpointSlicePages)
+	return s.pool.Buf.FlushAll()
 }
 
 // RecoverWAL replays the durable log into the storage switch and the

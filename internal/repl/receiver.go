@@ -161,7 +161,8 @@ func (r *Receiver) Kill() {
 // Checkpoint makes the replica's applied state durable: flush and sync every
 // pooled page, persist the commit log, then (and only then) advance the
 // on-disk resume position. A crash between any two steps re-replays from the
-// old position — pure idempotent redo.
+// old position — pure idempotent redo. A replica-side background write-back
+// error fails the checkpoint here, once, like a primary's.
 func (r *Receiver) Checkpoint() error {
 	r.chkMu.Lock()
 	defer r.chkMu.Unlock()
@@ -170,9 +171,6 @@ func (r *Receiver) Checkpoint() error {
 		return nil
 	}
 	if err := r.cfg.Pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := r.cfg.Pool.SyncAll(); err != nil {
 		return err
 	}
 	if err := r.cfg.Mgr.Save(filepath.Join(r.cfg.Dir, "pg_log")); err != nil {

@@ -1,11 +1,60 @@
 package repl
 
 import (
+	"errors"
 	"testing"
 
+	"postlob/internal/buffer"
+	"postlob/internal/page"
 	"postlob/internal/storage"
+	"postlob/internal/txn"
 	"postlob/internal/wal"
 )
+
+// A replica-side background write-back failure is reported by the replica's
+// own next checkpoint, once — not left in the pool for a promoted primary's
+// first checkpoint to trip over — and the checkpoint after it lands the page.
+func TestCheckpointSurfacesBackgroundWriteError(t *testing.T) {
+	sw := storage.NewSwitch()
+	fault := storage.NewFaultManager(storage.NewMemManager(storage.DeviceModel{}, nil))
+	sw.Register(storage.Mem, fault)
+	pool := buffer.NewPool(16, sw, nil)
+	pool.StartEngine(buffer.EngineConfig{BackgroundWriter: true, Manual: true})
+	defer pool.StopEngine()
+	r := &Receiver{cfg: ReceiverConfig{Dir: t.TempDir(), Pool: pool, Mgr: txn.NewManager()}}
+
+	img := make([]byte, page.Size)
+	img[0] = 0x5A
+	if err := pool.ApplyRedoImage(storage.Mem, "rel", 0, img); err != nil {
+		t.Fatal(err)
+	}
+	fault.FailWrites(true)
+	if _, err := pool.BgWriterRound(0); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("writer round on a failing device = %v, want ErrInjected", err)
+	}
+	fault.Heal()
+
+	r.applied.Store(1)
+	if err := r.Checkpoint(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("checkpoint after a failed write-back = %v, want ErrInjected", err)
+	}
+	if r.Durable() != 0 {
+		t.Fatalf("failed checkpoint advanced the resume position to %d", r.Durable())
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatalf("second checkpoint on a healed device: %v", err)
+	}
+	if r.Durable() != 1 {
+		t.Fatalf("resume position = %d after a clean checkpoint, want 1", r.Durable())
+	}
+	got := make([]byte, page.Size)
+	if err := fault.ReadBlock("rel", 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0x5A {
+		t.Fatalf("device byte %#x after checkpoint, want 0x5a", got[0])
+	}
+}
 
 // The replica crash sweep (seed 1001, under CPU load) once left a replica
 // whose applied position was exactly a segment boundary: a record had
