@@ -70,6 +70,13 @@
 #                                  fast decoder against the byte-loop
 #                                  reference) at -fuzztime 200x
 #
+#   6g. BenchmarkStreamReadTo      one-iteration smoke run of a whole-object
+#                                  raw read over a loopback gateway, the
+#                                  benchmark's edge_stream op in miniature,
+#                                  with its allocations reported: extents go
+#                                  from the pinned page into pooled frames,
+#                                  and the client reads into pooled buffers
+#
 #   7. FuzzWALDecode smoke         a short native-fuzz run of the WAL record
 #                                  decoder over the checked-in corpus, so a
 #                                  framing regression fails fast
@@ -90,6 +97,12 @@
 #
 #   7c3. FuzzRangeParse            same treatment for the HTTP gateway's
 #                                  Range-header parser
+#
+#   7c4. FuzzReadFrameInto         same treatment for frame reads through
+#                                  one reused buffer, checked against
+#                                  DecodeFrame on a fresh copy: a stale byte
+#                                  from an earlier, larger frame must never
+#                                  show through
 #
 #   7d. (REPL=1 only)              the widened replication gate: the
 #                                  replica-vs-oracle crash sweep at 100
@@ -219,6 +232,9 @@ for target in FuzzFastRoundTrip FuzzDecodeHostileInput FuzzFastDecodeDifferentia
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 200x ./internal/compress
 done
 
+echo "== BenchmarkStreamReadTo smoke (-benchtime=1x)"
+go test -run '^$' -bench '^BenchmarkStreamReadTo$' -benchtime=1x -benchmem ./internal/gateway
+
 echo "== FuzzWALDecode smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 200x ./internal/wal
 
@@ -233,6 +249,9 @@ go test -run '^$' -fuzz '^FuzzChunkFrameDecode$' -fuzztime 200x ./internal/gatew
 
 echo "== FuzzRangeParse smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzRangeParse$' -fuzztime 200x ./internal/gateway
+
+echo "== FuzzReadFrameInto smoke (-fuzztime=200x)"
+go test -run '^$' -fuzz '^FuzzReadFrameInto$' -fuzztime 200x ./internal/gateway
 
 if [ "${REPL:-}" = "1" ]; then
 	echo "== widened replication crash sweep (REPL=1, 100 seeds, -race)"

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"postlob/internal/client"
 	"postlob/internal/compress"
+	"postlob/internal/storage"
 )
 
 // edgeRig is a primary and a WAL-shipped read replica, each fronted by
@@ -332,5 +334,202 @@ type countingWriter struct{ n int64 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestStreamBuffersReturnOnEveryExit ends a raw streaming read every way
+// but cleanly — the client killed mid-stream, a credit-starved stream
+// whose client then goes away, a storage read fault mid-pump — and a
+// streaming write whose connection dies before the server applies it, and
+// checks after each that every pooled frame buffer and every accounted
+// chunk byte came back: gateway.stream.frame_bufs counts only the read
+// buffer of each open connection, and gateway.chunk.buffered returns to 0.
+func TestStreamBuffersReturnOnEveryExit(t *testing.T) {
+	var fault *storage.FaultManager
+	db, err := Open(t.TempDir(), Options{
+		// Far smaller than the object, so the pump's fetches reach the device.
+		BufferPoolPages: 64,
+		WrapStorage: func(id storage.ID, mgr storage.Manager) storage.Manager {
+			if id != storage.Disk {
+				return mgr
+			}
+			fault = storage.NewFaultManager(mgr)
+			return fault
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() }) // after the gateway's cleanup
+	data := compress.GenFrame(90, 2<<20, 0)
+	ref := commitObject(t, db, data)
+	const chunk, window = 16 << 10, 4
+	small := commitObject(t, db, compress.GenFrame(91, window*chunk, 0))
+	addr := serveStream(t, db, GatewayOptions{Chunk: chunk, Window: window, Depth: 4})
+
+	settled := func(exit string, conns int64) {
+		t.Helper()
+		// The server tears a stream down on its own goroutines, after the
+		// client has seen the end.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			s := ObsSnapshot()
+			bufs, held := s.Gauge("gateway.stream.frame_bufs"), s.Gauge("gateway.chunk.buffered")
+			if bufs == conns && held == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d frame buffers out (want %d, one per open connection), %d chunk bytes accounted", exit, bufs, conns, held)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	settled("before any stream", 0)
+	// waitShipped waits until the pump has shipped a window of frames since
+	// chunks_out read sent.
+	waitShipped := func(sent int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for ObsSnapshot().Counter("gateway.stream.chunks_out")-sent < window {
+			if time.Now().After(deadline) {
+				t.Fatal("the pump never filled its window")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The client goes away mid-stream, while frames and credits flow.
+	s := mustDial(t, addr)
+	h, err := s.OpenAsOf(db.Now(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ReadTo(&hookWriter{at: 64 << 10, hook: func() { s.Close() }}, 0, -1); err == nil {
+		t.Fatal("ReadTo outlived its connection")
+	}
+	settled("connection killed mid-stream", 0)
+
+	// The consumer stalls on its first frame and grants no credit, so the
+	// pump ships its window and parks with its read-ahead fetched; then the
+	// client goes away.
+	s = mustDial(t, addr)
+	if h, err = s.OpenAsOf(db.Now(), ref); err != nil {
+		t.Fatal(err)
+	}
+	sent := ObsSnapshot().Counter("gateway.stream.chunks_out")
+	unblock := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.ReadTo(&hookWriter{at: 1, hook: func() { <-unblock }}, 0, -1)
+		done <- err
+	}()
+	waitShipped(sent)
+	s.Close()
+	close(unblock)
+	if err := <-done; err == nil {
+		t.Fatal("ReadTo outlived its connection")
+	}
+	settled("credit-starved stream closed", 0)
+
+	// A transactional read runs inside the connection's dispatcher; starved
+	// of credit for its FIN, it holds the dispatcher while a write's data
+	// frames queue up behind it. Then the connection dies: the write is
+	// never served, and teardown must reclaim its frames.
+	s = mustDial(t, addr)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	hr, err := s.Open(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, err := s.Open(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent = ObsSnapshot().Counter("gateway.stream.chunks_out")
+	unblock = make(chan struct{})
+	readDone, writeDone := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := hr.ReadTo(&hookWriter{at: 1, hook: func() { <-unblock }}, 0, -1)
+		readDone <- err
+	}()
+	waitShipped(sent)
+	settled("transactional read parked", 1)
+	go func() {
+		_, err := hw.Write(make([]byte, (window+1)*chunk))
+		writeDone <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for ObsSnapshot().Gauge("gateway.stream.frame_bufs") < 1+window {
+		if time.Now().After(deadline) {
+			t.Fatal("the write's data frames never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	close(unblock)
+	if err := <-readDone; err == nil {
+		t.Fatal("ReadTo outlived its connection")
+	}
+	if err := <-writeDone; err == nil {
+		t.Fatal("Write outlived its connection")
+	}
+	settled("write cut off by its connection", 0)
+
+	// A storage read fault stops the pump mid-stream: the stream fails, the
+	// connection lives on and serves the next read and write in full.
+	s = mustDial(t, addr)
+	defer s.Close()
+	if h, err = s.OpenAsOf(db.Now(), ref); err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.ReadTo(&hookWriter{at: 64 << 10, hook: func() { fault.FailReads(true) }}, 0, -1)
+	fault.Heal()
+	if err == nil || !strings.Contains(err.Error(), storage.ErrInjected.Error()) {
+		t.Fatalf("ReadTo over a failing device = %v, want the injected fault", err)
+	}
+	settled("storage read fault mid-pump", 1)
+	var sink bytes.Buffer
+	if n, err := h.ReadTo(&sink, 0, -1); err != nil || !bytes.Equal(sink.Bytes(), data) {
+		t.Fatalf("ReadTo after the fault healed = %d, %v (bytes equal: %v)", n, err, bytes.Equal(sink.Bytes(), data))
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A clean write returns everything too.
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if hw, err = s.Open(small); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hw.Write(make([]byte, 3*window*chunk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := hw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	settled("clean read and write after the fault", 1)
+	s.Close()
+	settled("connection closed after the fault", 0)
+}
+
+// hookWriter discards what it is given and runs hook once, when it has
+// seen at least at bytes.
+type hookWriter struct {
+	n, at int64
+	hook  func()
+}
+
+func (w *hookWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	if w.hook != nil && w.n >= w.at {
+		w.hook()
+		w.hook = nil
+	}
 	return len(p), nil
 }

@@ -23,6 +23,7 @@ import (
 
 	"postlob/internal/adt"
 	"postlob/internal/compress"
+	"postlob/internal/core"
 	"postlob/internal/gateway"
 	"postlob/internal/txn"
 )
@@ -58,15 +59,33 @@ type Stream struct {
 // clientStream is the demux record for one in-flight request.
 type clientStream struct {
 	respCh   chan *gateway.Resp
-	frameCh  chan *gateway.Frame
+	frameCh  chan streamFrame
 	creditCh chan uint32
 	errCh    chan error
 }
 
-func newClientStream() *clientStream {
+// streamFrame is one received data or extent frame. Its payload lives in
+// buf, a pooled frame buffer that consumeStream returns once the frame is
+// handled.
+type streamFrame struct {
+	gateway.Frame
+	buf *[]byte
+}
+
+// frameBufs recycles the buffers frames are read into: from the reader to
+// the consumer and back.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// creditOne is the payload of every credit the client grants.
+var creditOne = gateway.CreditPayload(1)
+
+// newClientStream makes a stream's demux record. frameCh holds a whole
+// credit window: the server may have no more frames in flight, and each
+// frame leaves frameCh before its credit is granted back.
+func newClientStream(window int) *clientStream {
 	return &clientStream{
 		respCh:   make(chan *gateway.Resp, 1),
-		frameCh:  make(chan *gateway.Frame, gateway.MaxWindow+4),
+		frameCh:  make(chan streamFrame, window),
 		creditCh: make(chan uint32, gateway.MaxWindow+4),
 		errCh:    make(chan error, 2),
 	}
@@ -156,11 +175,16 @@ func (s *Stream) fail(err error) {
 	s.mu.Unlock()
 }
 
-// readLoop demultiplexes incoming frames to their streams.
+// readLoop demultiplexes incoming frames to their streams. Frames are read
+// into one pooled buffer, reused from frame to frame; a data or extent
+// frame takes that buffer with it to its stream, and the reader takes a
+// fresh one.
 func (s *Stream) readLoop() {
 	defer close(s.readerDone)
+	buf := frameBufs.Get().(*[]byte)
 	for {
-		f, err := gateway.ReadFrame(s.conn)
+		f, b, err := gateway.ReadFrameInto(s.conn, *buf)
+		*buf = b
 		if err != nil {
 			if errors.Is(err, gateway.ErrFrame) {
 				err = fmt.Errorf("client: torn frame: %w", err)
@@ -193,7 +217,8 @@ func (s *Stream) readLoop() {
 			}
 		case gateway.KindData, gateway.KindExtents:
 			select {
-			case cs.frameCh <- f:
+			case cs.frameCh <- streamFrame{Frame: f, buf: buf}:
+				buf = frameBufs.Get().(*[]byte)
 			default:
 				// The server overran the window we granted.
 				s.fail(fmt.Errorf("client: stream %d overran its window", f.Stream))
@@ -228,7 +253,7 @@ func (s *Stream) openStream() (uint32, *clientStream, error) {
 		return 0, nil, s.err
 	}
 	id := s.nextStream.Add(1)
-	cs := newClientStream()
+	cs := newClientStream(s.window)
 	s.streams[id] = cs
 	return id, cs, nil
 }
@@ -239,17 +264,17 @@ func (s *Stream) closeStream(id uint32) {
 	s.mu.Unlock()
 }
 
-// writeFrame serialises one frame onto the socket. Encoding happens before
-// the lock; wmu is held only for the net.Conn write, never across another
-// Stream method.
+// writeFrame serialises one frame onto the socket, encoding it into the
+// connection's reused write buffer. wmu is held only across the encoding
+// and the net.Conn write, never across another Stream method.
 func (s *Stream) writeFrame(f *gateway.Frame) error {
-	b, err := gateway.EncodeFrame(f)
-	if err != nil {
-		return err
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	_, err = s.conn.Write(b)
+	var err error
+	if s.wbuf, err = gateway.AppendFrame(s.wbuf[:0], f); err != nil {
+		return err
+	}
+	_, err = s.conn.Write(s.wbuf)
 	return err
 }
 
@@ -437,21 +462,25 @@ func (o *StreamObject) Seek(offset int64, whence int) (int64, error) {
 
 // consumeStream iterates a streaming read's frames, granting a credit back
 // per frame so the server's window keeps moving. handle is called for each
-// non-empty frame; iteration ends at the FIN frame.
-func (s *Stream) consumeStream(id uint32, cs *clientStream, handle func(f *gateway.Frame) error) error {
+// non-empty frame's payload, which is valid only during the call;
+// iteration ends at the FIN frame.
+func (s *Stream) consumeStream(id uint32, cs *clientStream, handle func(payload []byte) error) error {
 	for {
 		select {
 		case f := <-cs.frameCh:
 			fin := f.Flags&gateway.FlagFIN != 0
+			var err error
 			if len(f.Payload) > 0 {
-				if err := handle(f); err != nil {
-					return err
-				}
+				err = handle(f.Payload)
+			}
+			frameBufs.Put(f.buf)
+			if err != nil {
+				return err
 			}
 			if fin {
 				return nil
 			}
-			if err := s.writeFrame(&gateway.Frame{Kind: gateway.KindCredit, Stream: id, Payload: gateway.CreditPayload(1)}); err != nil {
+			if err := s.writeFrame(&gateway.Frame{Kind: gateway.KindCredit, Stream: id, Payload: creditOne}); err != nil {
 				return fmt.Errorf("client: credit: %w", err)
 			}
 		case err := <-cs.errCh:
@@ -496,41 +525,27 @@ func (o *StreamObject) readRange(p []byte, op gateway.Op) (int, error) {
 	raw := op == gateway.OpRawRead
 	if raw {
 		// Zero-fill once; extents decode into place as they arrive.
-		for i := int64(0); i < served; i++ {
-			p[i] = 0
-		}
+		clear(p[:served])
 	}
+	sc := scratchPool.Get().(*decodeScratch)
+	defer scratchPool.Put(sc)
 	var got int64
-	var decoded []byte // reused from extent to extent
-	err = o.s.consumeStream(id, cs, func(f *gateway.Frame) error {
+	err = o.s.consumeStream(id, cs, func(payload []byte) error {
 		if raw {
-			extents, err := gateway.DecodeExtents(f.Payload)
-			if err != nil {
-				return err
-			}
-			for i := range extents {
-				e := &extents[i]
-				o.s.wireBytesIn.Add(int64(len(e.Encoded)))
-				decoded, err = compress.DecodeInto(decoded[:0], e.Encoded)
-				if err != nil {
-					return fmt.Errorf("client: extent at %d: %w", e.LogStart, err)
+			return sc.decode(o.s, payload, func(logStart int64, b []byte) error {
+				at := logStart - base
+				if at < 0 || at+int64(len(b)) > served {
+					return fmt.Errorf("client: extent at %d outside served range", logStart)
 				}
-				if e.Skip+e.Take > len(decoded) {
-					return fmt.Errorf("client: extent at %d out of bounds", e.LogStart)
-				}
-				at := e.LogStart - base
-				if at < 0 || at+int64(e.Take) > served {
-					return fmt.Errorf("client: extent at %d outside served range", e.LogStart)
-				}
-				copy(p[at:], decoded[e.Skip:e.Skip+e.Take])
-			}
-			return nil
+				copy(p[at:], b)
+				return nil
+			})
 		}
-		if got+int64(len(f.Payload)) > served {
+		if got+int64(len(payload)) > served {
 			return fmt.Errorf("client: server overran announced range")
 		}
-		copy(p[got:], f.Payload)
-		got += int64(len(f.Payload))
+		copy(p[got:], payload)
+		got += int64(len(payload))
 		return nil
 	})
 	if err != nil {
@@ -567,14 +582,10 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 	served := r.N
 	base := off
 	var cursor int64 // logical bytes flushed to w
-	zeros := make([]byte, 32<<10)
 	writeZeros := func(upTo int64) error {
 		for cursor < upTo {
-			nz := upTo - cursor
-			if nz > int64(len(zeros)) {
-				nz = int64(len(zeros))
-			}
-			wn, err := w.Write(zeros[:nz])
+			nz := min(upTo-cursor, int64(len(zeroBlock)))
+			wn, err := w.Write(zeroBlock[:nz])
 			cursor += int64(wn)
 			if err != nil {
 				return err
@@ -582,36 +593,21 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 		}
 		return nil
 	}
-	var decoded []byte // reused from extent to extent
-	err = o.s.consumeStream(id, cs, func(f *gateway.Frame) error {
-		extents, err := gateway.DecodeExtents(f.Payload)
-		if err != nil {
-			return err
-		}
-		for i := range extents {
-			e := &extents[i]
-			o.s.wireBytesIn.Add(int64(len(e.Encoded)))
-			decoded, err = compress.DecodeInto(decoded[:0], e.Encoded)
-			if err != nil {
-				return fmt.Errorf("client: extent at %d: %w", e.LogStart, err)
-			}
-			if e.Skip+e.Take > len(decoded) {
-				return fmt.Errorf("client: extent at %d out of bounds", e.LogStart)
-			}
-			at := e.LogStart - base
-			if at < cursor || at+int64(e.Take) > served {
-				return fmt.Errorf("client: extent at %d out of stream order", e.LogStart)
+	sc := scratchPool.Get().(*decodeScratch)
+	defer scratchPool.Put(sc)
+	err = o.s.consumeStream(id, cs, func(payload []byte) error {
+		return sc.decode(o.s, payload, func(logStart int64, b []byte) error {
+			at := logStart - base
+			if at < cursor || at+int64(len(b)) > served {
+				return fmt.Errorf("client: extent at %d out of stream order", logStart)
 			}
 			if err := writeZeros(at); err != nil {
 				return err
 			}
-			wn, werr := w.Write(decoded[e.Skip : e.Skip+e.Take])
+			wn, werr := w.Write(b)
 			cursor += int64(wn)
-			if werr != nil {
-				return werr
-			}
-		}
-		return nil
+			return werr
+		})
 	})
 	if err != nil {
 		return cursor, err
@@ -621,6 +617,47 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 	}
 	o.s.lobBytesIn.Add(served)
 	return cursor, nil
+}
+
+// zeroBlock is what ReadTo writes for sparse gaps. Writers must not modify
+// the slices they are given (the io.Writer contract), so one read-only
+// block serves every read.
+var zeroBlock [32 << 10]byte
+
+// decodeScratch is one raw read's decode state, pooled across reads: the
+// current frame's parsed extents and the current extent's decoded bytes.
+type decodeScratch struct {
+	extents []core.RawExtent
+	decoded []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// decode decompresses each extent of one extent frame — just in time, at
+// the client — and calls put with the extent's first logical byte and its
+// decoded bytes, which are valid only during the call.
+func (sc *decodeScratch) decode(s *Stream, payload []byte, put func(logStart int64, b []byte) error) error {
+	extents, err := gateway.DecodeExtents(sc.extents[:0], payload)
+	if err != nil {
+		return err
+	}
+	sc.extents = extents
+	for i := range extents {
+		e := &extents[i]
+		s.wireBytesIn.Add(int64(len(e.Encoded)))
+		decoded, err := compress.DecodeInto(sc.decoded[:0], e.Encoded)
+		if err != nil {
+			return fmt.Errorf("client: extent at %d: %w", e.LogStart, err)
+		}
+		sc.decoded = decoded
+		if e.Skip+e.Take > len(decoded) {
+			return fmt.Errorf("client: extent at %d out of bounds", e.LogStart)
+		}
+		if err := put(e.LogStart, decoded[e.Skip:e.Skip+e.Take]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readToServerSide is ReadTo over server-decoded data frames.
@@ -634,8 +671,8 @@ func (o *StreamObject) readToServerSide(w io.Writer, off, n int64) (int64, error
 		return 0, err
 	}
 	var total int64
-	err = o.s.consumeStream(id, cs, func(f *gateway.Frame) error {
-		wn, werr := w.Write(f.Payload)
+	err = o.s.consumeStream(id, cs, func(payload []byte) error {
+		wn, werr := w.Write(payload)
 		total += int64(wn)
 		o.s.wireBytesIn.Add(int64(wn))
 		return werr

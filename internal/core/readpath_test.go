@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -208,32 +209,52 @@ func TestFChunkReadPrunesRecycledSlots(t *testing.T) {
 	}
 }
 
-// TestFChunkReadRawMatchesRead: the stored extents ReadRaw ships, decoded
-// over zeros, are byte-identical to Read for every codec, over whole,
-// partial, sparse and end-of-object spans.
+// TestFChunkReadRawMatchesRead: the stored extents VisitRaw and
+// VisitRawAsOf show, decoded over zeros, are byte-identical to Read for
+// every codec and for v-segment objects, over whole, partial, sparse and
+// end-of-object spans; they arrive in ascending logical order; and an
+// error from the visitor stops the visit and comes back unchanged.
 func TestFChunkReadRawMatchesRead(t *testing.T) {
-	for _, codec := range []string{"", "fast", "tight"} {
-		t.Run("codec="+codec, func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kind  adt.StorageKind
+		codec string
+	}{
+		{"codec=", adt.KindFChunk, ""},
+		{"codec=fast", adt.KindFChunk, "fast"},
+		{"codec=tight", adt.KindFChunk, "tight"},
+		{"vsegment", adt.KindVSegment, "fast"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			s := newTestStore(t)
 			cs := s.chunkSize
 			tx := s.mgr().Begin()
-			ref, obj, err := s.Create(tx, CreateOptions{Kind: adt.KindFChunk, Codec: codec})
+			ref, obj, err := s.Create(tx, CreateOptions{Kind: tc.kind, Codec: tc.codec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := obj.Write(compress.GenFrame(7, 2*cs, 0.5)); err != nil {
-				t.Fatal(err)
+			write := func(off int, data []byte) {
+				t.Helper()
+				if _, err := obj.Seek(int64(off), io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				// Frame-sized writes leave a v-segment object many segments.
+				for len(data) > 0 {
+					n, err := obj.Write(data[:min(len(data), 4096)])
+					if err != nil {
+						t.Fatal(err)
+					}
+					data = data[n:]
+				}
 			}
-			if _, err := obj.Seek(int64(4*cs), io.SeekStart); err != nil { // chunks 2, 3 sparse
-				t.Fatal(err)
-			}
-			if _, err := obj.Write(compress.GenFrame(8, cs+cs/2, 0.5)); err != nil {
-				t.Fatal(err)
-			}
+			write(0, compress.GenFrame(7, 2*cs, 0.5))
+			write(4*cs, compress.GenFrame(8, cs+cs/2, 0.5)) // chunks 2, 3 sparse
+			write(cs/2, compress.GenFrame(9, 3000, 0.5))    // trims v-segment records
 			if err := obj.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tx.Commit(); err != nil {
+			ts, err := tx.Commit()
+			if err != nil {
 				t.Fatal(err)
 			}
 			size := int64(5*cs + cs/2)
@@ -244,23 +265,47 @@ func TestFChunkReadRawMatchesRead(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer robj.Close()
-			for _, sp := range [][2]int64{{0, size}, {100, int64(cs)}, {int64(cs) - 1, 2}, {int64(2*cs) + 5, int64(2 * cs)}, {size - 9, 9}} {
-				want := readAt(t, robj, sp[0], int(sp[1]))
-				extents, err := s.ReadRaw(rtx, ref, sp[0], sp[1])
+			assemble := func(off, n int64, visit func(off, n int64, fn func(*RawExtent) error) error) []byte {
+				t.Helper()
+				got := make([]byte, n)
+				next := off
+				err := visit(off, n, func(e *RawExtent) error {
+					if e.LogStart < next {
+						return fmt.Errorf("extent at %d arrived after %d", e.LogStart, next)
+					}
+					next = e.LogStart + int64(e.Take)
+					decoded, err := compress.Decode(e.Encoded)
+					if err != nil {
+						return err
+					}
+					copy(got[e.LogStart-off:], decoded[e.Skip:e.Skip+e.Take])
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := make([]byte, sp[1])
-				for _, e := range extents {
-					decoded, err := compress.Decode(e.Encoded)
-					if err != nil {
-						t.Fatal(err)
-					}
-					copy(got[e.LogStart-sp[0]:], decoded[e.Skip:e.Skip+e.Take])
+				return got
+			}
+			live := func(off, n int64, fn func(*RawExtent) error) error { return s.VisitRaw(rtx, ref, off, n, fn) }
+			asOf := func(off, n int64, fn func(*RawExtent) error) error { return s.VisitRawAsOf(ts, ref, off, n, fn) }
+			for _, sp := range [][2]int64{{0, size}, {100, int64(cs)}, {int64(cs) - 1, 2}, {int64(2*cs) + 5, int64(2 * cs)}, {size - 9, 9}} {
+				want := readAt(t, robj, sp[0], int(sp[1]))
+				if got := assemble(sp[0], sp[1], live); !bytes.Equal(got, want) {
+					t.Fatalf("VisitRaw %d+%d differs from Read", sp[0], sp[1])
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("ReadRaw %d+%d differs from Read", sp[0], sp[1])
+				if got := assemble(sp[0], sp[1], asOf); !bytes.Equal(got, want) {
+					t.Fatalf("VisitRawAsOf %d+%d differs from Read", sp[0], sp[1])
 				}
+			}
+
+			stop := errors.New("stop")
+			calls := 0
+			err = s.VisitRaw(rtx, ref, 0, size, func(*RawExtent) error {
+				calls++
+				return stop
+			})
+			if !errors.Is(err, stop) || calls != 1 {
+				t.Fatalf("visitor error: got %v after %d calls, want it back after 1", err, calls)
 			}
 		})
 	}

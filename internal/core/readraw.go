@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"postlob/internal/adt"
 	"postlob/internal/catalog"
@@ -15,7 +16,7 @@ import (
 // as shipped to remote clients. §3's network argument: "whenever possible,
 // only compressed large objects should be shipped over the network — the
 // system should support just-in-time uncompression"; the original ADT
-// proposal could only convert on the server. ReadRaw returns the stored
+// proposal could only convert on the server. VisitRaw hands out the stored
 // envelopes untouched so the client does the output conversion itself,
 // paying decompression CPU at the edge and transfer cost only for the
 // compressed bytes.
@@ -31,124 +32,109 @@ type RawExtent struct {
 	Encoded []byte
 }
 
-// ReadRaw returns the stored extents covering [off, off+n) of a chunked
-// large object, without decompressing them. Logical bytes not covered by
-// any extent (sparse regions) read as zeros; the caller assembles the range
-// by decoding each extent into place over a zero buffer.
-func (s *Store) ReadRaw(tx *txn.Txn, ref adt.ObjectRef, off, n int64) ([]RawExtent, error) {
-	return s.readRaw(tx, liveSnap(tx), ref, off, n)
+// VisitRaw calls fn, in ascending logical order, on each stored extent
+// covering [off, off+n) of a chunked large object, without decompressing
+// it. Logical bytes not covered by any extent (sparse regions) read as
+// zeros; the caller assembles the range by decoding each extent into place
+// over zeros.
+//
+// The extent, and the Encoded bytes it names, are valid only during the
+// call: for f-chunk objects Encoded aliases the pinned heap page, read
+// under its shared content latch (the heap.ViewSnap contract). fn copies
+// out whatever it keeps, must not block, and must not call back into the
+// store. An error from fn stops the visit and is returned.
+func (s *Store) VisitRaw(tx *txn.Txn, ref adt.ObjectRef, off, n int64, fn func(*RawExtent) error) error {
+	return s.visitRaw(tx, liveSnap(tx), ref, off, n, fn)
 }
 
-// ReadRawAsOf is ReadRaw against a historical snapshot: no transaction, no
-// XID allocation. Replicas serve remote raw reads through this path — an
+// VisitRawAsOf is VisitRaw against a historical snapshot: no transaction,
+// no XID allocation. Replicas serve remote raw reads through this path — an
 // as-of handle has no transaction to hang visibility on.
-func (s *Store) ReadRawAsOf(ts txn.TS, ref adt.ObjectRef, off, n int64) ([]RawExtent, error) {
-	return s.readRaw(nil, txn.SnapshotAt(ts), ref, off, n)
+func (s *Store) VisitRawAsOf(ts txn.TS, ref adt.ObjectRef, off, n int64, fn func(*RawExtent) error) error {
+	return s.visitRaw(nil, txn.SnapshotAt(ts), ref, off, n, fn)
 }
 
-func (s *Store) readRaw(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, off, n int64) ([]RawExtent, error) {
+func (s *Store) visitRaw(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, off, n int64, fn func(*RawExtent) error) error {
 	if off < 0 || n < 0 {
-		return nil, ErrBadSeek
+		return ErrBadSeek
 	}
 	meta, err := s.cat.Object(catalog.OID(ref.OID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch meta.Kind {
 	case adt.KindFChunk:
-		return s.readRawFChunk(tx, snap, ref, meta, off, n)
+		return s.visitRawFChunk(tx, snap, ref, meta, off, n, fn)
 	case adt.KindVSegment:
-		return s.readRawVSegment(tx, snap, ref, meta, off, n)
+		return s.visitRawVSegment(tx, snap, ref, meta, off, n, fn)
 	default:
-		return nil, fmt.Errorf("core: ReadRaw unsupported for %v objects", meta.Kind)
+		return fmt.Errorf("core: raw reads unsupported for %v objects", meta.Kind)
 	}
 }
 
-func (s *Store) readRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64) ([]RawExtent, error) {
+func (s *Store) visitRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64, fn func(*RawExtent) error) error {
 	obj, err := s.openFChunk(tx, snap, ref, meta)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fo := obj.(*fchunkObject)
 	defer fo.Close()
 
-	end := off + n
-	if end > fo.size {
-		end = fo.size
-	}
+	end := min(off+n, fo.size)
 	if off >= end {
-		return nil, nil
+		return nil
 	}
 	cs := fo.chunkSize()
-	var out []RawExtent
+	var e RawExtent
 	// A chunk with no visible version is sparse (zeros) and yields nothing;
-	// each stored envelope is copied once, straight from its page.
+	// every other chunk's envelope is shown to fn in place on its page.
 	for seq := off / cs; seq*cs < end; seq++ {
 		chunkStart := seq * cs
 		_, err := fo.visit(uint64(seq), func(payload []byte) error {
 			rawLen := int64(binary.LittleEndian.Uint32(payload[4:]))
 			lo, hi := max(chunkStart, off), min(chunkStart+rawLen, end)
-			if lo < hi {
-				out = append(out, RawExtent{
-					LogStart: lo,
-					Skip:     int(lo - chunkStart),
-					Take:     int(hi - lo),
-					Encoded:  append([]byte(nil), payload[chunkHdr:]...),
-				})
+			if lo >= hi {
+				return nil
 			}
-			return nil
+			e = RawExtent{LogStart: lo, Skip: int(lo - chunkStart), Take: int(hi - lo), Encoded: payload[chunkHdr:]}
+			return fn(&e)
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-func (s *Store) readRawVSegment(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64) ([]RawExtent, error) {
+func (s *Store) visitRawVSegment(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64, fn func(*RawExtent) error) error {
 	obj, err := s.openVSegment(tx, snap, ref, meta)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vo := obj.(*vsegmentObject)
 	defer vo.Close()
 
-	end := off + n
-	if end > vo.size {
-		end = vo.size
-	}
+	end := min(off+n, vo.size)
 	if off >= end {
-		return nil, nil
+		return nil
 	}
-	var out []RawExtent
-	err = vo.visibleSegments(coverLow(off), end-1, func(rec segRecord, tid heap.TID) (bool, error) {
-		lo, hi := rec.logStart, rec.end()
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
+	// Segments live in the object's byte store, not on one page: each is
+	// read into one buffer, reused from segment to segment.
+	var stored []byte
+	var e RawExtent
+	return vo.visibleSegments(coverLow(off), end-1, func(rec segRecord, tid heap.TID) (bool, error) {
+		lo, hi := max(rec.logStart, off), min(rec.end(), end)
 		if lo >= hi {
 			return true, nil
 		}
-		stored := make([]byte, rec.storeLen)
+		stored = slices.Grow(stored[:0], int(rec.storeLen))[:rec.storeLen]
 		if _, err := vo.bytes.Seek(rec.storePtr, io.SeekStart); err != nil {
 			return false, err
 		}
 		if _, err := io.ReadFull(vo.bytes, stored); err != nil {
 			return false, err
 		}
-		out = append(out, RawExtent{
-			LogStart: lo,
-			Skip:     int(rec.skip) + int(lo-rec.logStart),
-			Take:     int(hi - lo),
-			Encoded:  stored,
-		})
-		return true, nil
+		e = RawExtent{LogStart: lo, Skip: int(rec.skip) + int(lo-rec.logStart), Take: int(hi - lo), Encoded: stored}
+		return true, fn(&e)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

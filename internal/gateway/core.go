@@ -127,72 +127,104 @@ func (g *Gateway) chunkRelease(n int) {
 
 // --- the streaming read pump --------------------------------------------------
 
-// chunkPiece is one fetched chunk: its logical range and either raw
-// extents (raw reads) or decoded logical bytes (data reads). accounted is
-// the chunk-buffer footprint charged at fetch time; the consumer releases
-// it once the piece has left the server (written to the wire).
+// chunkPiece is one fetched chunk: its logical range and the frame buffers
+// that will carry it, payloads built in place — the chunk's stored extents
+// packed up to MaxChunk a frame (raw reads; none for a sparse chunk), or
+// its decoded bytes in one frame (data reads). accounted is the
+// chunk-buffer footprint charged at fetch time; the consumer releases it
+// once the piece has left the server (written to the wire).
 type chunkPiece struct {
 	off       int64
 	n         int64
-	extents   []core.RawExtent
-	data      []byte
+	frames    []*frameBuf // not yet handed to the writer
 	accounted int
 }
 
-// release returns the piece's accounted buffer bytes.
+// release returns the piece's unshipped frame buffers to the pool and its
+// accounted buffer bytes.
 func (p *chunkPiece) release(g *Gateway) {
+	for _, fb := range p.frames {
+		fb.free()
+	}
+	p.frames = nil
 	if p.accounted > 0 {
 		g.chunkRelease(p.accounted)
 		p.accounted = 0
 	}
 }
 
-// rawFetch reads [off, off+n) as stored extents via fn and charges the
-// chunk accounting for what came back.
-func (g *Gateway) rawFetch(fn readRawFn, off, n int64) (*chunkPiece, error) {
-	extents, err := fn(off, n)
+// rawFetch reads [off, off+n) as stored extents and charges the chunk
+// accounting for them. Each extent is appended, as visit shows it on its
+// pinned page, straight into a frame buffer: the envelope's one copy on
+// its way to the socket.
+func (g *Gateway) rawFetch(visit visitRawFn, off, n int64) (*chunkPiece, error) {
+	p := &chunkPiece{off: off, n: n}
+	var fb *frameBuf
+	err := visit(off, n, func(e *core.RawExtent) error {
+		w := extentWireLen(e)
+		if fb == nil || (len(fb.b) > HdrLen && len(fb.b)-HdrLen+w > MaxChunk) {
+			fb = newFrameBuf(min(int(n), MaxChunk))
+			p.frames = append(p.frames, fb)
+		}
+		fb.b = appendExtent(fb.b, e)
+		p.accounted += w
+		return nil
+	})
+	g.chunkAcquire(p.accounted)
 	if err != nil {
+		p.release(g)
 		return nil, err
 	}
-	acc := 0
-	for i := range extents {
-		acc += extentWireLen(&extents[i])
-	}
-	g.chunkAcquire(acc)
-	return &chunkPiece{off: off, n: n, extents: extents, accounted: acc}, nil
+	return p, nil
 }
 
-// dataFetch reads [off, off+n) as decoded logical bytes: raw extents
-// fetched and decompressed server-side into a zero-filled chunk buffer —
-// the shared core of OpRead streaming and HTTP GET bodies.
-func (g *Gateway) dataFetch(fn readRawFn, off, n int64) (*chunkPiece, error) {
-	extents, err := fn(off, n)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	for i := range extents {
-		e := &extents[i]
-		decoded, err := compress.Decode(e.Encoded)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: extent at %d: %w", e.LogStart, err)
-		}
-		if e.Skip+e.Take > len(decoded) {
-			return nil, fmt.Errorf("gateway: extent at %d out of bounds", e.LogStart)
-		}
+// dataFetch reads [off, off+n) as decoded logical bytes in one frame
+// buffer — the shared core of OpRead streaming and HTTP GET bodies. An
+// envelope the range holds whole decodes from its pinned page straight
+// into place; sparse gaps are zeros.
+func (g *Gateway) dataFetch(visit visitRawFn, off, n int64) (*chunkPiece, error) {
+	fb := newFrameBuf(int(n))
+	fb.b = fb.b[:HdrLen+int(n)]
+	buf := fb.b[HdrLen:]
+	clear(buf)
+	var scratch []byte // envelopes the range cuts decode here first
+	err := visit(off, n, func(e *core.RawExtent) error {
 		at := e.LogStart - off
 		if at < 0 || at+int64(e.Take) > n {
-			return nil, fmt.Errorf("gateway: extent at %d outside chunk [%d,%d)", e.LogStart, off, off+n)
+			return fmt.Errorf("gateway: extent at %d outside chunk [%d,%d)", e.LogStart, off, off+n)
 		}
-		copy(buf[at:], decoded[e.Skip:e.Skip+e.Take])
+		span := buf[at : at+int64(e.Take) : at+int64(e.Take)]
+		dst := span[:0]
+		if e.Skip > 0 {
+			dst = scratch[:0]
+		}
+		decoded, err := compress.DecodeInto(dst, e.Encoded)
+		if err != nil {
+			return fmt.Errorf("gateway: extent at %d: %w", e.LogStart, err)
+		}
+		if e.Skip+e.Take > len(decoded) {
+			return fmt.Errorf("gateway: extent at %d out of bounds", e.LogStart)
+		}
+		if e.Skip > 0 || len(decoded) > e.Take {
+			// Cut at the front, or at the range's end — where the decoder
+			// outgrew span and moved to a fresh buffer: copy the part shown.
+			copy(span, decoded[e.Skip:])
+			scratch = decoded
+		}
+		return nil
+	})
+	if err != nil {
+		fb.free()
+		return nil, err
 	}
-	g.chunkAcquire(len(buf))
-	return &chunkPiece{off: off, n: n, data: buf, accounted: len(buf)}, nil
+	g.chunkAcquire(int(n))
+	return &chunkPiece{off: off, n: n, frames: []*frameBuf{fb}, accounted: int(n)}, nil
 }
 
-// readRawFn reads stored extents for one chunk range. The two bindings are
-// transactional (store.ReadRaw) and snapshot (store.ReadRawAsOf) reads.
-type readRawFn func(off, n int64) ([]core.RawExtent, error)
+// visitRawFn visits the stored extents of one chunk range. The two
+// bindings are transactional (store.VisitRaw) and snapshot
+// (store.VisitRawAsOf) reads.
+type visitRawFn func(off, n int64, fn func(*core.RawExtent) error) error
 
 // pumpChunks streams [off, end) in chunk-granular pieces, fetching up to
 // depth chunks concurrently ahead of the consumer and emitting strictly in

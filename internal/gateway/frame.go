@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Proto is the streaming protocol version exchanged in Hello frames.
@@ -132,20 +134,28 @@ var ErrFrame = fmt.Errorf("gateway: bad frame")
 // AppendFrame appends f's wire encoding to dst and returns the extended
 // slice. Payloads over MaxPayload are an encoding error.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return dst, fmt.Errorf("gateway: %v frame payload %d bytes exceeds limit %d", f.Kind, len(f.Payload), MaxPayload)
-	}
 	start := len(dst)
-	var hdr [HdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(f.Payload)))
-	hdr[8] = uint8(f.Kind)
-	hdr[9] = f.Flags
-	binary.LittleEndian.PutUint32(hdr[12:], f.Stream)
-	dst = append(dst, hdr[:]...)
+	dst = append(dst, make([]byte, HdrLen)...)
 	dst = append(dst, f.Payload...)
-	crc := crc32.ChecksumIEEE(dst[start+8:])
-	binary.LittleEndian.PutUint32(dst[start+4:], crc)
+	if err := sealFrame(dst[start:], f.Kind, f.Flags, f.Stream); err != nil {
+		return dst[:start], err
+	}
 	return dst, nil
+}
+
+// sealFrame writes the header of the frame in b, whose payload already
+// follows HdrLen bytes reserved for it, so a frame whose payload was built
+// in place ships without another copy.
+func sealFrame(b []byte, k Kind, flags uint8, stream uint32) error {
+	n := len(b) - HdrLen
+	if n > MaxPayload {
+		return fmt.Errorf("gateway: %v frame payload %d bytes exceeds limit %d", k, n, MaxPayload)
+	}
+	binary.LittleEndian.PutUint32(b[0:], uint32(n))
+	b[8], b[9], b[10], b[11] = uint8(k), flags, 0, 0
+	binary.LittleEndian.PutUint32(b[12:], stream)
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:]))
+	return nil
 }
 
 // EncodeFrame returns f's wire encoding.
@@ -161,28 +171,38 @@ func validKind(k Kind) bool { return k >= KindHello && k <= KindCredit }
 // truncated, or bit-flipped input fails the CRC or the structural checks —
 // it never yields a frame that silently misparses.
 func DecodeFrame(data []byte) (*Frame, int, error) {
+	f, n, err := decodeFrame(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &f, n, nil
+}
+
+// decodeFrame is DecodeFrame returning the frame by value, so the hot read
+// loops decode without allocating.
+func decodeFrame(data []byte) (Frame, int, error) {
 	if len(data) < HdrLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes hold no header", ErrFrame, len(data))
+		return Frame{}, 0, fmt.Errorf("%w: %d bytes hold no header", ErrFrame, len(data))
 	}
 	n := binary.LittleEndian.Uint32(data)
 	if n > MaxPayload {
-		return nil, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, MaxPayload)
+		return Frame{}, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, MaxPayload)
 	}
 	total := HdrLen + int(n)
 	if len(data) < total {
-		return nil, 0, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrFrame, len(data)-HdrLen, n)
+		return Frame{}, 0, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrFrame, len(data)-HdrLen, n)
 	}
 	if binary.LittleEndian.Uint32(data[4:]) != crc32.ChecksumIEEE(data[8:total]) {
-		return nil, 0, fmt.Errorf("%w: frame fails its CRC", ErrFrame)
+		return Frame{}, 0, fmt.Errorf("%w: frame fails its CRC", ErrFrame)
 	}
 	k := Kind(data[8])
 	if !validKind(k) {
-		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrFrame, data[8])
+		return Frame{}, 0, fmt.Errorf("%w: unknown kind %d", ErrFrame, data[8])
 	}
 	if data[10] != 0 || data[11] != 0 {
-		return nil, 0, fmt.Errorf("%w: reserved header bytes set", ErrFrame)
+		return Frame{}, 0, fmt.Errorf("%w: reserved header bytes set", ErrFrame)
 	}
-	return &Frame{
+	return Frame{
 		Kind:    k,
 		Flags:   data[9],
 		Stream:  binary.LittleEndian.Uint32(data[12:]),
@@ -190,25 +210,75 @@ func DecodeFrame(data []byte) (*Frame, int, error) {
 	}, total, nil
 }
 
-// readFrame reads one frame from r. The payload is freshly allocated per
-// frame (callers may retain it). Envelope violations are ErrFrame;
-// transport errors pass through.
+// ReadFrame reads one frame from r into a fresh buffer (callers may retain
+// the payload). Envelope violations are ErrFrame; transport errors pass
+// through.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [HdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f, _, err := ReadFrameInto(r, nil)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	return &f, nil
+}
+
+// ReadFrameInto reads one frame from r into buf, reusing its capacity and
+// growing it only when the frame does not fit, and returns the frame and
+// the buffer to pass to the next call. The frame's payload aliases that
+// buffer, so it is valid only until the buffer is reused. Envelope
+// violations are ErrFrame, refused before the payload is read; transport
+// errors pass through.
+func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
+	// Reslicing within capacity, not appending zeros: the reads below
+	// overwrite every byte.
+	buf = slices.Grow(buf[:0], HdrLen)[:HdrLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, err
+	}
+	n := binary.LittleEndian.Uint32(buf)
 	if n > MaxPayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, MaxPayload)
+		return Frame{}, buf, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, MaxPayload)
 	}
-	buf := make([]byte, HdrLen+int(n))
-	copy(buf, hdr[:])
+	buf = slices.Grow(buf, int(n))[:HdrLen+int(n)]
 	if _, err := io.ReadFull(r, buf[HdrLen:]); err != nil {
-		return nil, err
+		return Frame{}, buf, err
 	}
-	f, _, err := DecodeFrame(buf)
-	return f, err
+	f, _, err := decodeFrame(buf)
+	return f, buf, err
+}
+
+// --- pooled frame buffers ----------------------------------------------------
+//
+// Every frame the server sends, and every data frame it receives, lives in
+// a frameBuf: HdrLen bytes reserved for the header, then the payload, built
+// in place. A buffer moves from the pool to whoever fills it (the chunk
+// pump, a control sender, the connection reader), then to the writer, whose
+// release returns it to the pool once the bytes are on the socket (or the
+// connection is dead) — or, for a received write-data frame, to the write
+// loop, which returns it once the bytes are applied. The
+// gateway.stream.frame_bufs gauge counts buffers out of the pool, so a leak
+// on any exit path shows.
+
+// frameBuf is one pooled frame buffer.
+type frameBuf struct{ b []byte }
+
+var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// newFrameBuf takes a buffer from the pool with the header reserved and
+// room for at least size payload bytes.
+func newFrameBuf(size int) *frameBuf {
+	fb := frameBufs.Get().(*frameBuf)
+	if cap(fb.b) < HdrLen+size {
+		fb.b = make([]byte, HdrLen, HdrLen+size)
+	}
+	fb.b = fb.b[:HdrLen]
+	obsFrameBufs.Inc()
+	return fb
+}
+
+// free returns fb to the pool; the caller must not touch it again.
+func (fb *frameBuf) free() {
+	obsFrameBufs.Dec()
+	frameBufs.Put(fb)
 }
 
 // creditPayload encodes a credit grant.

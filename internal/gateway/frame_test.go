@@ -19,6 +19,9 @@ func mustEncode(t *testing.T, f *Frame) []byte {
 	return b
 }
 
+// decodeExtents is DecodeExtents into a fresh slice.
+func decodeExtents(p []byte) ([]core.RawExtent, error) { return DecodeExtents(nil, p) }
+
 // reCRC recomputes a mutated frame's CRC so structural checks past the
 // envelope can be exercised in isolation.
 func reCRC(data []byte) {

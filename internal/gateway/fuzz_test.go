@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"postlob/internal/core"
@@ -116,4 +117,50 @@ func firstMsg(f *testing.F, v any) []byte {
 		f.Fatal(err)
 	}
 	return p
+}
+
+// FuzzReadFrameInto reads a fuzzed byte stream frame by frame through one
+// reused buffer and holds every result to DecodeFrame on a fresh copy of
+// the bytes it consumed: the same frame, or the same refusal. A stale byte
+// left in the buffer by an earlier, larger frame can never show through.
+func FuzzReadFrameInto(f *testing.F) {
+	enc := func(fr *Frame) []byte {
+		b, err := EncodeFrame(fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	big := enc(&Frame{Kind: KindExtents, Stream: 3, Payload: bytes.Repeat([]byte{0xEE}, 300)})
+	small := enc(&Frame{Kind: KindData, Flags: FlagFIN, Stream: 3, Payload: []byte("tail")})
+	credit := enc(&Frame{Kind: KindCredit, Stream: 3, Payload: creditPayload(1)})
+	f.Add(bytes.Join([][]byte{big, small, credit, small}, nil))
+	f.Add(bytes.Join([][]byte{big, small[:len(small)-2]}, nil))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var buf []byte
+		for {
+			at := len(data) - r.Len()
+			got, b, err := ReadFrameInto(r, buf)
+			buf = b
+			consumed := data[at : len(data)-r.Len()]
+			if err != nil && !errors.Is(err, ErrFrame) {
+				return // the stream ended mid-frame
+			}
+			want, n, werr := DecodeFrame(append([]byte(nil), consumed...))
+			if err != nil {
+				if werr == nil {
+					t.Fatalf("ReadFrameInto refused %x (%v); DecodeFrame accepts it", consumed, err)
+				}
+				return
+			}
+			if werr != nil || n != len(consumed) {
+				t.Fatalf("ReadFrameInto read %d bytes as a frame; DecodeFrame: %d bytes, %v", len(consumed), n, werr)
+			}
+			if got.Kind != want.Kind || got.Flags != want.Flags || got.Stream != want.Stream || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("ReadFrameInto frame %+v differs from DecodeFrame's %+v", got, *want)
+			}
+		}
+	})
 }

@@ -275,14 +275,14 @@ func (g *Gateway) httpGet(w http.ResponseWriter, r *http.Request, path string, w
 func (g *Gateway) streamBody(w http.ResponseWriter, f *inversion.File, ts txn.TS, off, end int64) {
 	ref := f.Ref()
 	if g.kindHasRaw(ref) {
-		var fn readRawFn = func(o, n int64) ([]core.RawExtent, error) {
-			return g.store.ReadRawAsOf(ts, ref, o, n)
+		visit := func(o, n int64, fn func(*core.RawExtent) error) error {
+			return g.store.VisitRawAsOf(ts, ref, o, n, fn)
 		}
 		err := g.pumpChunks(g.opts.Chunk, off, end,
-			func(o, n int64) (*chunkPiece, error) { return g.dataFetch(fn, o, n) },
+			func(o, n int64) (*chunkPiece, error) { return g.dataFetch(visit, o, n) },
 			func(p *chunkPiece, last bool) error {
 				defer p.release(g)
-				n, werr := w.Write(p.data)
+				n, werr := w.Write(p.frames[0].b[HdrLen:])
 				obsHTTPBytesOut.Add(int64(n))
 				return werr
 			})

@@ -16,13 +16,17 @@ import "postlob/internal/obs"
 //     chunk-buffer footprint across both protocols; buffered_hwm is its
 //     high-water mark. Streaming a 64 MB object must leave the HWM at
 //     O(depth × chunk) per connection, never O(object).
+//   - gateway.stream.frame_bufs counts pooled frame buffers out of the
+//     pool, for both protocols. It returns to 0 whenever no connection is
+//     open and no HTTP body is streaming: a buffer that never comes back
+//     shows here.
 var (
-	obsStreamConns    = obs.NewGauge("gateway.stream.connections")
-	obsStreamReqs     = obs.NewCounter("gateway.stream.requests")
-	obsStreamUnknown  = obs.NewCounter("gateway.stream.unknown_op")
-	obsStreamErrors   = obs.NewCounter("gateway.stream.frame_errors")
-	obsStreamBytesOut = obs.NewCounter("gateway.stream.bytes_out")
-	obsStreamBytesIn  = obs.NewCounter("gateway.stream.bytes_in")
+	obsStreamConns     = obs.NewGauge("gateway.stream.connections")
+	obsStreamReqs      = obs.NewCounter("gateway.stream.requests")
+	obsStreamUnknown   = obs.NewCounter("gateway.stream.unknown_op")
+	obsStreamErrors    = obs.NewCounter("gateway.stream.frame_errors")
+	obsStreamBytesOut  = obs.NewCounter("gateway.stream.bytes_out")
+	obsStreamBytesIn   = obs.NewCounter("gateway.stream.bytes_in")
 	obsStreamChunksOut = obs.NewCounter("gateway.stream.chunks_out")
 	obsStreamChunksIn  = obs.NewCounter("gateway.stream.chunks_in")
 
@@ -54,6 +58,7 @@ var (
 
 	obsChunkBuffered = obs.NewGauge("gateway.chunk.buffered")
 	obsChunkHWM      = obs.NewGauge("gateway.chunk.buffered_hwm")
+	obsFrameBufs     = obs.NewGauge("gateway.stream.frame_bufs")
 )
 
 // rpcTimer maps an op to its latency timer (nil for an unknown op). A

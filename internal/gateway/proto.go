@@ -108,9 +108,6 @@ type Resp struct {
 	TS txn.TS
 }
 
-// DecodeExtents parses a KindExtents payload into raw extents.
-func DecodeExtents(p []byte) ([]core.RawExtent, error) { return decodeExtents(p) }
-
 // CreditPayload encodes a flow-control grant of n frames.
 func CreditPayload(n uint32) []byte { return creditPayload(n) }
 
@@ -183,7 +180,7 @@ func (d *MsgDecoder) Decode(p []byte, v any) error {
 //	logStart u64 | skip u32 | take u32 | encLen u32 | enc bytes
 //
 // repeated to the end of the payload. The frame CRC already covers
-// integrity; decodeExtents only bounds-checks structure.
+// integrity; DecodeExtents only bounds-checks structure.
 
 const extentHdr = 8 + 4 + 4 + 4
 
@@ -201,10 +198,11 @@ func appendExtent(dst []byte, e *core.RawExtent) []byte {
 // extentWireLen is the encoded size of e.
 func extentWireLen(e *core.RawExtent) int { return extentHdr + len(e.Encoded) }
 
-// decodeExtents parses a KindExtents payload. Malformed input errors; it
+// DecodeExtents parses a KindExtents payload, appending its extents to dst
+// (pass the previous result back, truncated, to decode without
+// allocating). Each extent's Encoded aliases p. Malformed input errors; it
 // never panics or over-reads.
-func decodeExtents(p []byte) ([]core.RawExtent, error) {
-	var out []core.RawExtent
+func DecodeExtents(dst []core.RawExtent, p []byte) ([]core.RawExtent, error) {
 	for len(p) > 0 {
 		if len(p) < extentHdr {
 			return nil, fmt.Errorf("%w: extent header truncated (%d bytes)", ErrFrame, len(p))
@@ -220,7 +218,7 @@ func decodeExtents(p []byte) ([]core.RawExtent, error) {
 		if uint64(encLen) > uint64(len(p)) {
 			return nil, fmt.Errorf("%w: extent body %d bytes, %d remain", ErrFrame, encLen, len(p))
 		}
-		out = append(out, core.RawExtent{
+		dst = append(dst, core.RawExtent{
 			LogStart: int64(logStart),
 			Skip:     int(skip),
 			Take:     int(take),
@@ -228,5 +226,5 @@ func decodeExtents(p []byte) ([]core.RawExtent, error) {
 		})
 		p = p[encLen:]
 	}
-	return out, nil
+	return dst, nil
 }

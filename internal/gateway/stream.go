@@ -76,18 +76,29 @@ func (g *Gateway) Close() error {
 }
 
 // writeItem is one frame queued for the connection's writer goroutine:
-// either already encoded (buf), or a control message (msg) the writer frames
-// itself, because the connection's gob stream must be encoded in wire order.
-// The optional release hook runs once the bytes have left the server (or the
-// connection has died) — chunk-buffer accounting and bytes_out counting hang
+// either a sealed frame in a pooled buffer (fb), or a control message (msg)
+// the writer frames itself, because the connection's gob stream must be
+// encoded in wire order. Once the bytes have left the server (or the
+// connection has died) the buffer returns to the pool and the optional
+// release hook runs — chunk-buffer accounting and bytes_out counting hang
 // off it so both reflect delivery, not staging.
 type writeItem struct {
-	buf     []byte
+	fb      *frameBuf
 	release func()
 
 	msg    any
 	kind   Kind
 	stream uint32
+}
+
+// done retires a written or dropped item.
+func (it *writeItem) done() {
+	if it.fb != nil {
+		it.fb.free()
+	}
+	if it.release != nil {
+		it.release()
+	}
 }
 
 // streamState is the reader-side routing record for one active stream:
@@ -97,7 +108,14 @@ type writeItem struct {
 // active.
 type streamState struct {
 	creditCh chan uint32
-	dataCh   chan *Frame
+	dataCh   chan dataFrame
+}
+
+// dataFrame is one received write-data frame. Its payload lives in fb,
+// which whoever takes the frame off dataCh returns to the pool.
+type dataFrame struct {
+	Frame
+	fb *frameBuf
 }
 
 // reqItem is one decoded request queued for the dispatcher.
@@ -162,32 +180,31 @@ func (c *gwConn) kill(reason string) {
 	})
 }
 
-// send queues an encoded frame for the writer. It never blocks past
-// connection death; on a dead connection the release hook still runs so
-// accounting balances.
-func (c *gwConn) send(buf []byte, release func()) bool {
+// send seals the payload built in fb as a frame and queues it for the
+// writer. It never blocks past connection death. On a dead connection, or
+// a payload over MaxPayload (which kills it), the buffer still returns to
+// the pool and the release hook still runs, so accounting balances.
+func (c *gwConn) send(fb *frameBuf, kind Kind, flags uint8, stream uint32, release func()) bool {
+	it := writeItem{fb: fb, release: release}
+	if err := sealFrame(fb.b, kind, flags, stream); err != nil {
+		it.done()
+		c.kill(err.Error())
+		return false
+	}
 	select {
-	case c.out <- writeItem{buf: buf, release: release}:
+	case c.out <- it:
 		return true
 	case <-c.done:
-		if release != nil {
-			release()
-		}
+		it.done()
 		return false
 	}
 }
 
-// sendFrame encodes and queues one frame.
-func (c *gwConn) sendFrame(f *Frame, release func()) bool {
-	b, err := EncodeFrame(f)
-	if err != nil {
-		if release != nil {
-			release()
-		}
-		c.kill(err.Error())
-		return false
-	}
-	return c.send(b, release)
+// sendFrame queues one frame whose payload is copied into a pooled buffer.
+func (c *gwConn) sendFrame(kind Kind, flags uint8, stream uint32, payload []byte) bool {
+	fb := newFrameBuf(len(payload))
+	fb.b = append(fb.b, payload...)
+	return c.send(fb, kind, flags, stream, nil)
 }
 
 // sendMsg queues a control message; the writer encodes it.
@@ -205,7 +222,7 @@ func (c *gwConn) respond(stream uint32, r *Resp) { c.sendMsg(KindResp, stream, r
 
 // sendCredit grants the peer n more in-flight frames on a stream.
 func (c *gwConn) sendCredit(stream uint32, n uint32) {
-	c.sendFrame(&Frame{Kind: KindCredit, Stream: stream, Payload: creditPayload(n)}, nil)
+	c.sendFrame(KindCredit, 0, stream, creditPayload(n))
 }
 
 // sendStreamErr aborts one stream with an error, leaving the connection
@@ -215,7 +232,7 @@ func (c *gwConn) sendStreamErr(stream uint32, err error) {
 	if len(msg) > 1024 {
 		msg = msg[:1024]
 	}
-	c.sendFrame(&Frame{Kind: KindErr, Stream: stream, Payload: []byte(msg)}, nil)
+	c.sendFrame(KindErr, 0, stream, []byte(msg))
 }
 
 // register installs a stream's routing record; a duplicate id is a
@@ -243,18 +260,20 @@ func (c *gwConn) lookup(stream uint32) *streamState {
 }
 
 // writer drains the out queue onto the socket, encoding control messages
-// as it reaches them. After a write error it keeps draining — running
-// release hooks so accounting balances — until the senders are done and out
-// is closed.
+// as it reaches them. After a write error it keeps draining — returning
+// buffers and running release hooks so accounting balances — until the
+// senders are done and out is closed.
 func (c *gwConn) writer() {
 	defer close(c.writerDone)
 	failed := false
 	var msgBuf []byte // reused: the write below is synchronous
 	for it := range c.out {
 		if !failed {
-			buf := it.buf
+			var buf []byte
 			var err error
-			if it.msg != nil {
+			if it.msg == nil {
+				buf = it.fb.b
+			} else {
 				// An encoded message that never reaches the wire would leave
 				// the peer's decoder behind, so any failure here is fatal.
 				var p []byte
@@ -274,9 +293,7 @@ func (c *gwConn) writer() {
 				}
 			}
 		}
-		if it.release != nil {
-			it.release()
-		}
+		it.done()
 	}
 }
 
@@ -314,13 +331,32 @@ func (g *Gateway) handleStream(conn net.Conn) {
 	c.readLoop()
 
 	// Teardown: connection is dead. Stop the dispatcher, wait out the
-	// as-of streams, then retire the writer (every sender is gone by the
-	// time out closes).
+	// as-of streams, reclaim unconsumed write data, then retire the writer
+	// (every sender is gone by the time out closes).
 	c.kill("")
 	<-c.dispDone
 	c.streamWG.Wait()
+	c.drainWrites()
 	close(c.out)
 	<-c.writerDone
+}
+
+// drainWrites returns the write-data frames the reader routed to streams
+// the dispatcher never finished — the connection died first — to the pool
+// and the chunk accounting. The reader and the dispatcher have exited, so
+// nothing sends on or receives from these channels any more.
+func (c *gwConn) drainWrites() {
+	c.mu.Lock()
+	streams := c.streams
+	c.streams = map[uint32]*streamState{}
+	c.mu.Unlock()
+	for _, st := range streams {
+		for len(st.dataCh) > 0 {
+			d := <-st.dataCh
+			c.g.chunkRelease(len(d.Payload))
+			d.fb.free()
+		}
+	}
 }
 
 // negotiate clamps the client's Hello proposal to the server's limits.
@@ -344,10 +380,15 @@ func (c *gwConn) negotiate(h *Hello) error {
 }
 
 // readLoop is the connection's reader: Hello first, then frame routing
-// until the peer hangs up or violates the protocol.
+// until the peer hangs up or violates the protocol. Every frame is read
+// into one pooled buffer, reused from frame to frame; a write-data frame
+// takes that buffer with it to its stream, and the reader takes a fresh one.
 func (c *gwConn) readLoop() {
-	f, err := ReadFrame(c.conn)
-	if err != nil {
+	fb := newFrameBuf(0)
+	defer func() { fb.free() }()
+	var f Frame
+	var err error
+	if f, fb.b, err = ReadFrameInto(c.conn, fb.b); err != nil {
 		return
 	}
 	if f.Kind != KindHello || f.Stream != 0 {
@@ -368,8 +409,7 @@ func (c *gwConn) readLoop() {
 	}
 
 	for {
-		f, err := ReadFrame(c.conn)
-		if err != nil {
+		if f, fb.b, err = ReadFrameInto(c.conn, fb.b); err != nil {
 			if errors.Is(err, ErrFrame) {
 				c.kill(err.Error())
 			}
@@ -390,7 +430,7 @@ func (c *gwConn) readLoop() {
 				// Register the data route before the request is queued:
 				// the client pipelines its data frames right behind the
 				// request, ahead of the dispatcher picking it up.
-				st := &streamState{dataCh: make(chan *Frame, c.window+2)}
+				st := &streamState{dataCh: make(chan dataFrame, c.window+2)}
 				if !c.register(f.Stream, st) {
 					c.kill(fmt.Sprintf("duplicate stream %d", f.Stream))
 					return
@@ -412,7 +452,8 @@ func (c *gwConn) readLoop() {
 			// O(chunk-window) high-water mark covers the write path too.
 			c.g.chunkAcquire(len(f.Payload))
 			select {
-			case st.dataCh <- f:
+			case st.dataCh <- dataFrame{Frame: f, fb: fb}:
+				fb = newFrameBuf(0)
 			default:
 				c.g.chunkRelease(len(f.Payload))
 				c.kill(fmt.Sprintf("stream %d overran its %d-frame window", f.Stream, c.window))
@@ -731,15 +772,15 @@ func (sess *session) serveRead(it *reqItem, sw obs.Stopwatch) bool {
 	return false
 }
 
-// bindJob resolves the extent reader for a streaming job.
-func (g *Gateway) bindJob(j *streamJob) readRawFn {
+// bindJob resolves the extent visitor for a streaming job.
+func (g *Gateway) bindJob(j *streamJob) visitRawFn {
 	if j.asOf != txn.InvalidTS {
-		return func(off, n int64) ([]core.RawExtent, error) {
-			return g.store.ReadRawAsOf(j.asOf, j.ref, off, n)
+		return func(off, n int64, fn func(*core.RawExtent) error) error {
+			return g.store.VisitRawAsOf(j.asOf, j.ref, off, n, fn)
 		}
 	}
-	return func(off, n int64) ([]core.RawExtent, error) {
-		return g.store.ReadRaw(j.tx, j.ref, off, n)
+	return func(off, n int64, fn func(*core.RawExtent) error) error {
+		return g.store.VisitRaw(j.tx, j.ref, off, n, fn)
 	}
 }
 
@@ -774,41 +815,34 @@ func (c *gwConn) streamOut(j streamJob, stream uint32) {
 		credits--
 		return true
 	}
-	// emitFrame ships one payload under the window; release runs after
+	// emitFrame ships one frame buffer under the window; release runs after
 	// the bytes hit the socket.
-	emitFrame := func(payload []byte, release func()) error {
+	emitFrame := func(fb *frameBuf, release func()) error {
 		if !takeCredit() {
+			fb.free()
 			if release != nil {
 				release()
 			}
 			return errConnDone
 		}
 		obsStreamChunksOut.Inc()
-		if !c.sendFrame(&Frame{Kind: kind, Stream: stream, Payload: payload}, release) {
+		if !c.send(fb, kind, 0, stream, release) {
 			return errConnDone
 		}
 		return nil
 	}
 
 	var err error
-	fn := g.bindJob(&j)
-	switch {
-	case j.raw:
+	if j.canRaw {
+		visit := g.bindJob(&j)
+		fetch := g.dataFetch
+		if j.raw {
+			fetch = g.rawFetch
+		}
 		err = g.pumpChunks(c.chunk, j.off, j.end,
-			func(o, n int64) (*chunkPiece, error) { return g.rawFetch(fn, o, n) },
-			func(p *chunkPiece, last bool) error { return emitExtentPiece(g, p, emitFrame) })
-	case j.canRaw:
-		err = g.pumpChunks(c.chunk, j.off, j.end,
-			func(o, n int64) (*chunkPiece, error) { return g.dataFetch(fn, o, n) },
-			func(p *chunkPiece, last bool) error {
-				n := p.n
-				rel := func() {
-					p.release(g)
-					obsStreamBytesOut.Add(n)
-				}
-				return emitFrame(p.data, rel)
-			})
-	default:
+			func(o, n int64) (*chunkPiece, error) { return fetch(visit, o, n) },
+			func(p *chunkPiece, last bool) error { return emitPiece(g, p, emitFrame) })
+	} else {
 		err = c.seqStream(&j, emitFrame)
 	}
 	if err != nil {
@@ -821,55 +855,34 @@ func (c *gwConn) streamOut(j streamJob, stream uint32) {
 		return
 	}
 	obsStreamChunksOut.Inc()
-	c.sendFrame(&Frame{Kind: kind, Flags: FlagFIN, Stream: stream}, nil)
+	c.sendFrame(kind, FlagFIN, stream, nil)
 }
 
-// emitExtentPiece ships one raw chunk's extents, packing whole extents
-// into frames up to MaxChunk. A fully sparse chunk ships nothing — the
-// client zero-fills from the announced range — but its logical bytes
-// still count as served.
-func emitExtentPiece(g *Gateway, p *chunkPiece, emitFrame func([]byte, func()) error) error {
-	remain := 0 // wire bytes not yet packed: each frame is allocated once, at its final size
-	for i := range p.extents {
-		remain += extentWireLen(&p.extents[i])
-	}
-	var frames [][]byte
-	var payload []byte
-	for i := range p.extents {
-		e := &p.extents[i]
-		n := extentWireLen(e)
-		if len(payload) > 0 && len(payload)+n > MaxChunk {
-			frames = append(frames, payload)
-			payload = nil
-		}
-		if payload == nil {
-			payload = make([]byte, 0, min(remain, MaxChunk))
-		}
-		payload = appendExtent(payload, e)
-		remain -= n
-	}
-	if len(payload) > 0 {
-		frames = append(frames, payload)
-	}
-	n := p.n
-	if len(frames) == 0 {
+// emitPiece ships one fetched chunk's frames in order; the last one's
+// release returns the piece's accounting and counts its logical bytes as
+// served. A fully sparse raw chunk ships nothing — the client zero-fills
+// from the announced range — but its logical bytes still count as served.
+// On error the frames not yet shipped stay with the piece for the pump to
+// release.
+func emitPiece(g *Gateway, p *chunkPiece, emitFrame func(*frameBuf, func()) error) error {
+	served := func() {
 		p.release(g)
-		obsStreamBytesOut.Add(n)
+		obsStreamBytesOut.Add(p.n)
+	}
+	if len(p.frames) == 0 {
+		served()
 		return nil
 	}
-	for i, fp := range frames {
+	// Once the last frame is queued the piece belongs to the writer, whose
+	// release may run at once: the loop must not look at it again.
+	frames := p.frames
+	for i, fb := range frames {
+		p.frames = frames[i+1:]
 		var rel func()
 		if i == len(frames)-1 {
-			rel = func() {
-				p.release(g)
-				obsStreamBytesOut.Add(n)
-			}
+			rel = served
 		}
-		if err := emitFrame(fp, rel); err != nil {
-			if rel == nil {
-				// The tail frame carrying the release never shipped.
-				p.release(g)
-			}
+		if err := emitFrame(fb, rel); err != nil {
 			return err
 		}
 	}
@@ -877,9 +890,9 @@ func emitExtentPiece(g *Gateway, p *chunkPiece, emitFrame func([]byte, func()) e
 }
 
 // seqStream is the fallback for object kinds with no raw form (u-files,
-// p-files): a private handle, sequential chunk reads, same framing and
-// accounting as the pump.
-func (c *gwConn) seqStream(j *streamJob, emitFrame func([]byte, func()) error) error {
+// p-files): a private handle, sequential chunk reads into frame buffers,
+// same framing and accounting as the pump.
+func (c *gwConn) seqStream(j *streamJob, emitFrame func(*frameBuf, func()) error) error {
 	g := c.g
 	var obj core.Object
 	var err error
@@ -897,27 +910,28 @@ func (c *gwConn) seqStream(j *streamJob, emitFrame func([]byte, func()) error) e
 	}
 	remain := j.end - j.off
 	for remain > 0 {
-		want := int64(c.chunk)
-		if want > remain {
-			want = remain
-		}
-		buf := make([]byte, want)
+		want := min(int64(c.chunk), remain)
+		fb := newFrameBuf(int(want))
+		fb.b = fb.b[:HdrLen+int(want)]
 		g.chunkAcquire(int(want))
-		rn, err := io.ReadFull(obj, buf)
+		rn, err := io.ReadFull(obj, fb.b[HdrLen:])
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			fb.free()
 			g.chunkRelease(int(want))
 			return err
 		}
 		if rn == 0 {
+			fb.free()
 			g.chunkRelease(int(want))
 			break
 		}
+		fb.b = fb.b[:HdrLen+rn]
 		nn := int64(rn)
 		rel := func() {
 			g.chunkRelease(int(want))
 			obsStreamBytesOut.Add(nn)
 		}
-		if err := emitFrame(buf[:rn], rel); err != nil {
+		if err := emitFrame(fb, rel); err != nil {
 			return err
 		}
 		remain -= nn
@@ -940,7 +954,6 @@ func (sess *session) serveWrite(it *reqItem) {
 		c.kill(fmt.Sprintf("write stream %d not registered", it.stream))
 		return
 	}
-	defer c.unregister(it.stream)
 
 	var failMsg string
 	var obj core.Object
@@ -963,7 +976,7 @@ func (sess *session) serveWrite(it *reqItem) {
 	for {
 		select {
 		case <-c.done:
-			return
+			return // the stream stays registered: teardown drains its frames
 		case f := <-st.dataCh:
 			if len(f.Payload) > 0 && failMsg == "" {
 				wn, err := obj.Write(f.Payload)
@@ -976,7 +989,9 @@ func (sess *session) serveWrite(it *reqItem) {
 				}
 			}
 			sess.g.chunkRelease(len(f.Payload))
+			f.fb.free()
 			if f.Flags&FlagFIN != 0 {
+				c.unregister(it.stream)
 				if failMsg != "" {
 					c.respond(it.stream, &Resp{Err: failMsg})
 				} else {

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +28,7 @@ import (
 )
 
 // startGateway brings up a v2 stream listener over a fresh in-memory store.
-func startGateway(t *testing.T, opts gateway.Options) (string, *core.Store, *gateway.Gateway) {
+func startGateway(t testing.TB, opts gateway.Options) (string, *core.Store, *gateway.Gateway) {
 	t.Helper()
 	dir := t.TempDir()
 	sw := storage.NewSwitch()
@@ -47,7 +49,7 @@ func startGateway(t *testing.T, opts gateway.Options) (string, *core.Store, *gat
 	return l.Addr().String(), store, g
 }
 
-func dialStream(t *testing.T, addr string) *client.Stream {
+func dialStream(t testing.TB, addr string) *client.Stream {
 	t.Helper()
 	s, err := client.DialStream(addr)
 	if err != nil {
@@ -58,7 +60,7 @@ func dialStream(t *testing.T, addr string) *client.Stream {
 }
 
 // loadObject creates and commits a large object directly in the store.
-func loadObject(t *testing.T, store *core.Store, kind adt.StorageKind, codec string, payload []byte) adt.ObjectRef {
+func loadObject(t testing.TB, store *core.Store, kind adt.StorageKind, codec string, payload []byte) adt.ObjectRef {
 	t.Helper()
 	tx := store.Pool().Mgr.Begin()
 	ref, obj, err := store.Create(tx, core.CreateOptions{Kind: kind, Codec: codec})
@@ -909,5 +911,77 @@ func TestServerErrorsAndTxnDiscipline(t *testing.T) {
 	}
 	if err := s.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// streamReads sets up what TestStreamReadAllocs and BenchmarkStreamReadTo
+// measure — a loopback gateway and client, and one 1 MiB fast-codec object
+// — and returns one whole-object snapshot read through ReadTo, the
+// benchmark's edge_stream op.
+func streamReads(t testing.TB) (payload []byte, read func(w io.Writer)) {
+	addr, store, _ := startGateway(t, gateway.Options{})
+	payload = compress.GenFrame(70, 1<<20, 0.5)
+	ref := loadObject(t, store, adt.KindFChunk, "fast", payload)
+	ts := store.Pool().Mgr.Now()
+	s := dialStream(t, addr)
+	return payload, func(w io.Writer) {
+		h, err := s.OpenAsOf(ts, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := h.ReadTo(w, 0, -1); err != nil || n != int64(len(payload)) {
+			t.Fatalf("ReadTo = %d, %v", n, err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStreamReadAllocs pins what a raw streaming read allocates, server and
+// client together. Each stored envelope is copied once, from its pinned
+// page into a pooled frame buffer, and the client reads frames into pooled
+// buffers and decodes into reused scratch, so what is left is per-request
+// bookkeeping: at most 0.05 bytes allocated per byte streamed.
+func TestStreamReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of what it is given under the race detector")
+	}
+	payload, read := streamReads(t)
+	// No collection from here on: it would empty the pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var sink bytes.Buffer
+	read(&sink)
+	if !bytes.Equal(sink.Bytes(), payload) {
+		t.Fatal("stream mismatch")
+	}
+	// The pools fill over the first few reads: how many buffers a read
+	// holds at once depends on how far the pump runs ahead of the client.
+	for i := 0; i < 4; i++ {
+		read(io.Discard)
+	}
+	const reads = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read(io.Discard)
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(reads*len(payload))
+	t.Logf("%.4f B allocated per byte streamed (%d reads of %d bytes)", perByte, reads, len(payload))
+	if perByte > 0.05 {
+		t.Errorf("raw streaming read allocates %.3f B per byte streamed, want <= 0.05", perByte)
+	}
+}
+
+// BenchmarkStreamReadTo is the edge_stream op in miniature: a whole-object
+// snapshot read of a 1 MiB fast-codec object over a loopback gateway.
+func BenchmarkStreamReadTo(b *testing.B) {
+	payload, read := streamReads(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(io.Discard)
 	}
 }
