@@ -85,15 +85,22 @@
 #                                  version header (xmin/xmax stamps, hint
 #                                  bits, version-chain back link)
 #
-#   7c. FuzzReplFrameDecode        same treatment for the replication wire
-#                                  envelope (CRC-framed gob frames), so a
-#                                  torn or bit-flipped frame always fails
-#                                  loudly instead of being applied
+#   7c. FuzzDecode                 same treatment for the one CRC envelope
+#                                  (internal/crcframe) that frames WAL
+#                                  records, stream-protocol frames and
+#                                  replication frames alike, seeded with one
+#                                  of each: a torn or bit-flipped frame always
+#                                  fails loudly instead of being applied
 #
-#   7c2. FuzzChunkFrameDecode      same treatment for the v2 edge protocol's
-#                                  chunk frame decoder (length/CRC/kind
-#                                  checks): torn or bit-flipped frames must
-#                                  error, never misparse
+#   7c1. FuzzReplFrameDecode       same treatment for the replication bodies
+#                                  behind that envelope (gob control
+#                                  messages, fixed binary data bodies)
+#
+#   7c2. FuzzChunkFrameDecode      same treatment for the stream protocol's
+#                                  chunk frame decoder (the envelope, then the
+#                                  kind/flags/reserved/stream header): torn or
+#                                  bit-flipped frames must error, never
+#                                  misparse
 #
 #   7c3. FuzzRangeParse            same treatment for the HTTP gateway's
 #                                  Range-header parser
@@ -240,6 +247,9 @@ go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 200x ./internal/wal
 
 echo "== FuzzVersionMetaDecode smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzVersionMetaDecode$' -fuzztime 200x ./internal/heap
+
+echo "== FuzzDecode smoke (-fuzztime=200x)"
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 200x ./internal/crcframe
 
 echo "== FuzzReplFrameDecode smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzReplFrameDecode$' -fuzztime 200x ./internal/repl

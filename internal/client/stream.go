@@ -24,6 +24,7 @@ import (
 	"postlob/internal/adt"
 	"postlob/internal/compress"
 	"postlob/internal/core"
+	"postlob/internal/crcframe"
 	"postlob/internal/gateway"
 	"postlob/internal/txn"
 )
@@ -39,10 +40,10 @@ type Stream struct {
 	// across encoding and conn.Write). It also fixes the order of the
 	// connection's control-message stream.
 	wmu  sync.Mutex
-	enc  *gateway.MsgEncoder // guarded by wmu
-	wbuf []byte              // guarded by wmu
+	enc  *crcframe.MsgEncoder // guarded by wmu
+	wbuf []byte               // guarded by wmu
 	// dec is owned by the reader (by DialStream before the reader starts).
-	dec *gateway.MsgDecoder
+	dec *crcframe.MsgDecoder
 
 	// mu guards the stream table and the terminal error.
 	mu      sync.Mutex
@@ -106,8 +107,8 @@ func DialStream(addr string) (*Stream, error) {
 func newStream(conn net.Conn) (*Stream, error) {
 	s := &Stream{
 		conn:       conn,
-		enc:        gateway.NewMsgEncoder(),
-		dec:        gateway.NewMsgDecoder(),
+		enc:        crcframe.NewMsgEncoder(),
+		dec:        crcframe.NewMsgDecoder(),
 		streams:    make(map[uint32]*clientStream),
 		readerDone: make(chan struct{}),
 	}
@@ -115,7 +116,7 @@ func newStream(conn net.Conn) (*Stream, error) {
 		conn.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
-	f, err := gateway.ReadFrame(conn)
+	f, _, err := gateway.ReadFrameInto(conn, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)

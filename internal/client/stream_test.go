@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"postlob/internal/crcframe"
 	"postlob/internal/gateway"
 )
 
@@ -17,7 +18,7 @@ import (
 func fakeGateway(conn net.Conn, grant []byte) <-chan error {
 	errc := make(chan error, 1)
 	send := func(f *gateway.Frame) error {
-		b, err := gateway.EncodeFrame(f)
+		b, err := gateway.AppendFrame(nil, f)
 		if err == nil {
 			_, err = conn.Write(b)
 		}
@@ -25,8 +26,8 @@ func fakeGateway(conn net.Conn, grant []byte) <-chan error {
 	}
 	go func() {
 		defer close(errc)
-		dec, enc := gateway.NewMsgDecoder(), gateway.NewMsgEncoder()
-		f, err := gateway.ReadFrame(conn)
+		dec, enc := crcframe.NewMsgDecoder(), crcframe.NewMsgEncoder()
+		f, _, err := gateway.ReadFrameInto(conn, nil)
 		if err != nil {
 			errc <- err
 			return
@@ -45,12 +46,12 @@ func fakeGateway(conn net.Conn, grant []byte) <-chan error {
 			errc <- err
 			return
 		}
-		req, err := gateway.ReadFrame(conn) // the OpWrite request
+		req, _, err := gateway.ReadFrameInto(conn, nil) // the OpWrite request
 		if err != nil {
 			errc <- err
 			return
 		}
-		if _, err := gateway.ReadFrame(conn); err != nil { // first data frame
+		if _, _, err := gateway.ReadFrameInto(conn, nil); err != nil { // first data frame
 			errc <- err
 			return
 		}

@@ -18,16 +18,18 @@ package gateway
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"slices"
 	"sync"
+
+	"postlob/internal/crcframe"
 )
 
 // Proto is the streaming protocol version exchanged in Hello frames.
-// Version 3 carries control messages as one gob stream per connection
-// direction instead of a self-contained gob payload per frame.
-const Proto = 3
+// Version 3 carried control messages as one gob stream per connection
+// direction instead of a self-contained gob payload per frame. Version 4
+// frames in the shared crcframe envelope, whose length field counts the
+// whole body, stream header included.
+const Proto = 4
 
 // Frame kinds.
 type Kind uint8
@@ -36,7 +38,7 @@ const (
 	// KindHello opens a connection: client proposes chunk/window limits,
 	// server answers with the negotiated (clamped) values.
 	KindHello Kind = 1
-	// KindReq carries one Req on a fresh stream (see MsgEncoder).
+	// KindReq carries one Req on a fresh stream (see crcframe.MsgEncoder).
 	KindReq Kind = 2
 	// KindResp completes a stream's request with one Resp.
 	KindResp Kind = 3
@@ -85,8 +87,9 @@ const (
 
 // Framing limits and defaults.
 const (
-	// HdrLen is the fixed frame header size.
-	HdrLen = 16
+	// HdrLen is the fixed frame header size: the crcframe envelope header,
+	// then the kind, flags, reserved bytes and stream id that open its body.
+	HdrLen = crcframe.HdrLen + 8
 	// MaxPayload bounds one frame's payload before any allocation: the
 	// largest chunk (1 MiB) plus slack for extent encoding overhead and
 	// incompressible codec expansion.
@@ -102,14 +105,20 @@ const (
 	DefaultWindow = 8
 	// MaxWindow bounds the negotiable window.
 	MaxWindow = 64
+
+	// streamHdr is the part of HdrLen inside the envelope body, and maxBody
+	// bounds that body: the stream header and the largest payload.
+	streamHdr = HdrLen - crcframe.HdrLen
+	maxBody   = streamHdr + MaxPayload
 )
 
 // Frame is one decoded protocol frame.
 //
-// The wire layout is a 16-byte header followed by the payload:
+// The wire layout is one crcframe envelope whose body opens with an 8-byte
+// stream header, 16 bytes in all before the payload:
 //
-//	0:4   payload length (uint32 LE)
-//	4:8   CRC-32 (IEEE) over bytes [8, 16+len) (uint32 LE)
+//	0:4   body length, 8 + payload length (uint32 LE)
+//	4:8   CRC-32 (IEEE) over the body, bytes [8, end) (uint32 LE)
 //	8     kind (uint8)
 //	9     flags (uint8)
 //	10:12 reserved, must be zero
@@ -129,7 +138,7 @@ type Frame struct {
 // ErrFrame reports a frame that failed envelope or structural validation.
 // The receiver treats it as a torn connection: drop and resynchronise via
 // a fresh dial.
-var ErrFrame = fmt.Errorf("gateway: bad frame")
+var ErrFrame = crcframe.ErrFrame
 
 // AppendFrame appends f's wire encoding to dst and returns the extended
 // slice. Payloads over MaxPayload are an encoding error.
@@ -151,74 +160,45 @@ func sealFrame(b []byte, k Kind, flags uint8, stream uint32) error {
 	if n > MaxPayload {
 		return fmt.Errorf("gateway: %v frame payload %d bytes exceeds limit %d", k, n, MaxPayload)
 	}
-	binary.LittleEndian.PutUint32(b[0:], uint32(n))
 	b[8], b[9], b[10], b[11] = uint8(k), flags, 0, 0
 	binary.LittleEndian.PutUint32(b[12:], stream)
-	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:]))
+	crcframe.Seal(b)
 	return nil
 }
-
-// EncodeFrame returns f's wire encoding.
-func EncodeFrame(f *Frame) ([]byte, error) {
-	return AppendFrame(make([]byte, 0, HdrLen+len(f.Payload)), f)
-}
-
-// validKind reports whether k is a defined frame kind.
-func validKind(k Kind) bool { return k >= KindHello && k <= KindCredit }
 
 // DecodeFrame parses one frame from the front of data, returning the frame
 // and the bytes consumed. The returned payload aliases data. Torn,
 // truncated, or bit-flipped input fails the CRC or the structural checks —
 // it never yields a frame that silently misparses.
 func DecodeFrame(data []byte) (*Frame, int, error) {
-	f, n, err := decodeFrame(data)
+	body, n, err := crcframe.Decode(data, maxBody)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := parseBody(body)
 	if err != nil {
 		return nil, 0, err
 	}
 	return &f, n, nil
 }
 
-// decodeFrame is DecodeFrame returning the frame by value, so the hot read
-// loops decode without allocating.
-func decodeFrame(data []byte) (Frame, int, error) {
-	if len(data) < HdrLen {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes hold no header", ErrFrame, len(data))
+// parseBody checks the stream header that opens a CRC-verified body.
+func parseBody(body []byte) (Frame, error) {
+	if len(body) < streamHdr {
+		return Frame{}, fmt.Errorf("%w: %d-byte body holds no stream header", ErrFrame, len(body))
 	}
-	n := binary.LittleEndian.Uint32(data)
-	if n > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, MaxPayload)
+	if k := Kind(body[0]); k < KindHello || k > KindCredit {
+		return Frame{}, fmt.Errorf("%w: unknown kind %d", ErrFrame, body[0])
 	}
-	total := HdrLen + int(n)
-	if len(data) < total {
-		return Frame{}, 0, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrFrame, len(data)-HdrLen, n)
-	}
-	if binary.LittleEndian.Uint32(data[4:]) != crc32.ChecksumIEEE(data[8:total]) {
-		return Frame{}, 0, fmt.Errorf("%w: frame fails its CRC", ErrFrame)
-	}
-	k := Kind(data[8])
-	if !validKind(k) {
-		return Frame{}, 0, fmt.Errorf("%w: unknown kind %d", ErrFrame, data[8])
-	}
-	if data[10] != 0 || data[11] != 0 {
-		return Frame{}, 0, fmt.Errorf("%w: reserved header bytes set", ErrFrame)
+	if body[2] != 0 || body[3] != 0 {
+		return Frame{}, fmt.Errorf("%w: reserved header bytes set", ErrFrame)
 	}
 	return Frame{
-		Kind:    k,
-		Flags:   data[9],
-		Stream:  binary.LittleEndian.Uint32(data[12:]),
-		Payload: data[HdrLen:total],
-	}, total, nil
-}
-
-// ReadFrame reads one frame from r into a fresh buffer (callers may retain
-// the payload). Envelope violations are ErrFrame; transport errors pass
-// through.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	f, _, err := ReadFrameInto(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
+		Kind:    Kind(body[0]),
+		Flags:   body[1],
+		Stream:  binary.LittleEndian.Uint32(body[4:]),
+		Payload: body[streamHdr:],
+	}, nil
 }
 
 // ReadFrameInto reads one frame from r into buf, reusing its capacity and
@@ -228,21 +208,11 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 // violations are ErrFrame, refused before the payload is read; transport
 // errors pass through.
 func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
-	// Reslicing within capacity, not appending zeros: the reads below
-	// overwrite every byte.
-	buf = slices.Grow(buf[:0], HdrLen)[:HdrLen]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := crcframe.ReadInto(r, buf, maxBody)
+	if err != nil {
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > MaxPayload {
-		return Frame{}, buf, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, MaxPayload)
-	}
-	buf = slices.Grow(buf, int(n))[:HdrLen+int(n)]
-	if _, err := io.ReadFull(r, buf[HdrLen:]); err != nil {
-		return Frame{}, buf, err
-	}
-	f, _, err := decodeFrame(buf)
+	f, err := parseBody(buf[crcframe.HdrLen:])
 	return f, buf, err
 }
 
@@ -281,8 +251,8 @@ func (fb *frameBuf) free() {
 	frameBufs.Put(fb)
 }
 
-// creditPayload encodes a credit grant.
-func creditPayload(n uint32) []byte {
+// CreditPayload encodes a flow-control grant of n frames.
+func CreditPayload(n uint32) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], n)
 	return b[:]

@@ -3,16 +3,16 @@ package gateway
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"strings"
 	"testing"
 
 	"postlob/internal/core"
+	"postlob/internal/crcframe"
 )
 
 func mustEncode(t *testing.T, f *Frame) []byte {
 	t.Helper()
-	b, err := EncodeFrame(f)
+	b, err := AppendFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,9 @@ func mustEncode(t *testing.T, f *Frame) []byte {
 // decodeExtents is DecodeExtents into a fresh slice.
 func decodeExtents(p []byte) ([]core.RawExtent, error) { return DecodeExtents(nil, p) }
 
-// reCRC recomputes a mutated frame's CRC so structural checks past the
-// envelope can be exercised in isolation.
-func reCRC(data []byte) {
-	binary.LittleEndian.PutUint32(data[4:], crc32.ChecksumIEEE(data[8:]))
-}
+// reCRC reseals a mutated frame so structural checks past the envelope can
+// be exercised in isolation.
+func reCRC(data []byte) { crcframe.Seal(data) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []*Frame{
@@ -37,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: KindData, Stream: 9, Payload: bytes.Repeat([]byte{0xAB}, MaxPayload)},
 		{Kind: KindExtents, Stream: 2, Payload: []byte("extents")},
 		{Kind: KindErr, Stream: 5, Payload: []byte("boom")},
-		{Kind: KindCredit, Stream: 4, Payload: creditPayload(3)},
+		{Kind: KindCredit, Stream: 4, Payload: CreditPayload(3)},
 	}
 	for _, f := range frames {
 		enc := mustEncode(t, f)
@@ -98,17 +96,18 @@ func TestFrameTruncation(t *testing.T) {
 }
 
 func TestFramePayloadLimit(t *testing.T) {
-	if _, err := EncodeFrame(&Frame{Kind: KindData, Payload: make([]byte, MaxPayload+1)}); err == nil {
+	if _, err := AppendFrame(nil, &Frame{Kind: KindData, Payload: make([]byte, MaxPayload+1)}); err == nil {
 		t.Fatal("oversize payload encoded")
 	}
 	// A length field past the limit must be refused before any allocation.
+	// The length counts the 8-byte stream header as well as the payload.
 	var hdr [HdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(MaxPayload+1))
-	if _, _, err := DecodeFrame(hdr[:]); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	binary.LittleEndian.PutUint32(hdr[:], uint32(maxBody+1))
+	if _, _, err := DecodeFrame(hdr[:]); err == nil || !strings.Contains(err.Error(), "body length") {
 		t.Fatalf("oversize length: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("ReadFrame oversize length: %v", err)
+	if _, _, err := ReadFrameInto(bytes.NewReader(hdr[:]), nil); err == nil || !strings.Contains(err.Error(), "body length") {
+		t.Fatalf("ReadFrameInto oversize length: %v", err)
 	}
 }
 
@@ -131,16 +130,16 @@ func TestFrameStructuralChecks(t *testing.T) {
 
 func TestReadWriteFrame(t *testing.T) {
 	want := &Frame{Kind: KindExtents, Stream: 11, Payload: []byte("over the wire")}
-	got, err := ReadFrame(bytes.NewReader(mustEncode(t, want)))
+	got, _, err := ReadFrameInto(bytes.NewReader(mustEncode(t, want)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Kind != want.Kind || got.Stream != want.Stream || !bytes.Equal(got.Payload, want.Payload) {
-		t.Fatal("ReadFrame round-trip mismatch")
+		t.Fatal("ReadFrameInto round-trip mismatch")
 	}
 	// A stream that ends mid-frame reports a transport error, not a parse.
 	enc := mustEncode(t, want)
-	if _, err := ReadFrame(bytes.NewReader(enc[:len(enc)-3])); err == nil {
+	if _, _, err := ReadFrameInto(bytes.NewReader(enc[:len(enc)-3]), nil); err == nil {
 		t.Fatal("torn stream decoded")
 	}
 }
@@ -191,12 +190,12 @@ func TestExtentCodecMalformed(t *testing.T) {
 
 func TestCreditCodec(t *testing.T) {
 	for _, n := range []uint32{1, 2, MaxWindow} {
-		got, err := DecodeCredit(creditPayload(n))
+		got, err := DecodeCredit(CreditPayload(n))
 		if err != nil || got != n {
 			t.Fatalf("credit %d: got %d, %v", n, got, err)
 		}
 	}
-	for _, bad := range [][]byte{nil, {1}, {1, 2, 3, 4, 5}, creditPayload(0), creditPayload(MaxWindow + 1)} {
+	for _, bad := range [][]byte{nil, {1}, {1, 2, 3, 4, 5}, CreditPayload(0), CreditPayload(MaxWindow + 1)} {
 		if _, err := DecodeCredit(bad); err == nil {
 			t.Fatalf("credit payload %v accepted", bad)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"postlob/internal/core"
+	"postlob/internal/crcframe"
 )
 
 // FuzzChunkFrameDecode is the satellite contract on the v2 envelope: for
@@ -15,7 +16,7 @@ import (
 // decoders never panic on what the envelope admits.
 func FuzzChunkFrameDecode(f *testing.F) {
 	seed := func(fr *Frame) {
-		if b, err := EncodeFrame(fr); err == nil {
+		if b, err := AppendFrame(nil, fr); err == nil {
 			f.Add(b)
 			// A flipped-CRC and a truncated variant of every valid seed.
 			mut := append([]byte{}, b...)
@@ -31,7 +32,7 @@ func FuzzChunkFrameDecode(f *testing.F) {
 	ext := appendExtent(nil, &core.RawExtent{LogStart: 64, Skip: 1, Take: 3, Encoded: []byte("zzzzz")})
 	seed(&Frame{Kind: KindExtents, Stream: 4, Payload: ext})
 	seed(&Frame{Kind: KindErr, Stream: 5, Payload: []byte("boom")})
-	seed(&Frame{Kind: KindCredit, Stream: 6, Payload: creditPayload(2)})
+	seed(&Frame{Kind: KindCredit, Stream: 6, Payload: CreditPayload(2)})
 	// Control messages as a connection's first frames carry them: type
 	// definitions, then the value.
 	seed(&Frame{Kind: KindHello, Payload: firstMsg(f, &Hello{Proto: Proto, Chunk: DefaultChunk, Window: DefaultWindow})})
@@ -50,7 +51,7 @@ func FuzzChunkFrameDecode(f *testing.F) {
 		if n < HdrLen || n > len(data) {
 			t.Fatalf("consumed %d of %d", n, len(data))
 		}
-		enc, eerr := EncodeFrame(fr)
+		enc, eerr := AppendFrame(nil, fr)
 		if eerr != nil {
 			t.Fatalf("decoded frame does not re-encode: %v", eerr)
 		}
@@ -65,13 +66,13 @@ func FuzzChunkFrameDecode(f *testing.F) {
 			DecodeCredit(fr.Payload)
 		case KindHello:
 			var h Hello
-			NewMsgDecoder().Decode(fr.Payload, &h)
+			crcframe.NewMsgDecoder().Decode(fr.Payload, &h)
 		case KindReq:
 			var r Req
-			NewMsgDecoder().Decode(fr.Payload, &r)
+			crcframe.NewMsgDecoder().Decode(fr.Payload, &r)
 		case KindResp:
 			var r Resp
-			NewMsgDecoder().Decode(fr.Payload, &r)
+			crcframe.NewMsgDecoder().Decode(fr.Payload, &r)
 		}
 	})
 }
@@ -112,7 +113,7 @@ func FuzzRangeParse(f *testing.F) {
 
 // firstMsg is v's payload as the first message of a fresh connection.
 func firstMsg(f *testing.F, v any) []byte {
-	p, err := NewMsgEncoder().Encode(v)
+	p, err := crcframe.NewMsgEncoder().Encode(v)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func firstMsg(f *testing.F, v any) []byte {
 // left in the buffer by an earlier, larger frame can never show through.
 func FuzzReadFrameInto(f *testing.F) {
 	enc := func(fr *Frame) []byte {
-		b, err := EncodeFrame(fr)
+		b, err := AppendFrame(nil, fr)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func FuzzReadFrameInto(f *testing.F) {
 	}
 	big := enc(&Frame{Kind: KindExtents, Stream: 3, Payload: bytes.Repeat([]byte{0xEE}, 300)})
 	small := enc(&Frame{Kind: KindData, Flags: FlagFIN, Stream: 3, Payload: []byte("tail")})
-	credit := enc(&Frame{Kind: KindCredit, Stream: 3, Payload: creditPayload(1)})
+	credit := enc(&Frame{Kind: KindCredit, Stream: 3, Payload: CreditPayload(1)})
 	f.Add(bytes.Join([][]byte{big, small, credit, small}, nil))
 	f.Add(bytes.Join([][]byte{big, small[:len(small)-2]}, nil))
 	f.Add([]byte{})

@@ -1,9 +1,7 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"postlob/internal/adt"
@@ -67,9 +65,9 @@ func (o Op) String() string {
 }
 
 // Hello is the connection-opening negotiation, the first message of each
-// direction's gob stream, in a KindHello frame. The server clamps the
-// client's proposal to its own configuration and answers with the values
-// both sides then obey.
+// direction's gob stream (crcframe.MsgEncoder), in a KindHello frame. The
+// server clamps the client's proposal to its own configuration and answers
+// with the values both sides then obey.
 type Hello struct {
 	Proto  int
 	Chunk  int // chunk granularity in bytes
@@ -106,70 +104,6 @@ type Resp struct {
 
 	// OpBegin / OpCommit / OpNow.
 	TS txn.TS
-}
-
-// CreditPayload encodes a flow-control grant of n frames.
-func CreditPayload(n uint32) []byte { return creditPayload(n) }
-
-// --- control-message stream ----------------------------------------------------
-//
-// Hello, Req and Resp travel as one gob stream per connection direction, so
-// each side compiles a type's codec once per connection and sends its type
-// definition once, with the first message of that type. The price is order:
-// a MsgDecoder must see payloads in exactly the order its peer's MsgEncoder
-// produced them, so every Encode happens where wire order is decided (the
-// server's writer goroutine, the client's frame-write lock). A payload that
-// is encoded but never framed desynchronises the stream; the sender must then
-// drop the connection.
-
-// MsgEncoder encodes one connection direction's control messages. It is not
-// safe for concurrent use.
-type MsgEncoder struct {
-	buf bytes.Buffer
-	enc *gob.Encoder
-}
-
-// NewMsgEncoder returns an encoder for a fresh connection.
-func NewMsgEncoder() *MsgEncoder {
-	e := &MsgEncoder{}
-	e.enc = gob.NewEncoder(&e.buf)
-	return e
-}
-
-// Encode returns v's payload, valid until the next Encode.
-func (e *MsgEncoder) Encode(v any) ([]byte, error) {
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("gateway: encode: %w", err)
-	}
-	return e.buf.Bytes(), nil
-}
-
-// MsgDecoder decodes one connection direction's control messages, one
-// frame payload per message. It is not safe for concurrent use.
-type MsgDecoder struct {
-	buf bytes.Buffer
-	dec *gob.Decoder
-}
-
-// NewMsgDecoder returns a decoder for a fresh connection.
-func NewMsgDecoder() *MsgDecoder {
-	d := &MsgDecoder{}
-	d.dec = gob.NewDecoder(&d.buf)
-	return d
-}
-
-// Decode parses the next message, which must fill payload p exactly.
-func (d *MsgDecoder) Decode(p []byte, v any) error {
-	d.buf.Reset()
-	d.buf.Write(p)
-	if err := d.dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrFrame, err)
-	}
-	if n := d.buf.Len(); n != 0 {
-		return fmt.Errorf("%w: %d bytes trail the message", ErrFrame, n)
-	}
-	return nil
 }
 
 // --- extent codec ------------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"postlob/internal/adt"
 	"postlob/internal/catalog"
 	"postlob/internal/core"
+	"postlob/internal/crcframe"
 	"postlob/internal/obs"
 	"postlob/internal/query"
 	"postlob/internal/repl"
@@ -148,8 +149,8 @@ type gwConn struct {
 	done     chan struct{}
 	killOnce sync.Once
 
-	enc *MsgEncoder // owned by the writer goroutine
-	dec *MsgDecoder // owned by the reader
+	enc *crcframe.MsgEncoder // owned by the writer goroutine
+	dec *crcframe.MsgDecoder // owned by the reader
 
 	reqCh chan *reqItem
 
@@ -171,7 +172,7 @@ func (c *gwConn) kill(reason string) {
 	c.killOnce.Do(func() {
 		if reason != "" {
 			obsStreamErrors.Inc()
-			if b, err := EncodeFrame(&Frame{Kind: KindErr, Stream: 0, Payload: []byte(reason)}); err == nil {
+			if b, err := AppendFrame(nil, &Frame{Kind: KindErr, Stream: 0, Payload: []byte(reason)}); err == nil {
 				c.conn.Write(b)
 			}
 		}
@@ -222,7 +223,7 @@ func (c *gwConn) respond(stream uint32, r *Resp) { c.sendMsg(KindResp, stream, r
 
 // sendCredit grants the peer n more in-flight frames on a stream.
 func (c *gwConn) sendCredit(stream uint32, n uint32) {
-	c.sendFrame(KindCredit, 0, stream, creditPayload(n))
+	c.sendFrame(KindCredit, 0, stream, CreditPayload(n))
 }
 
 // sendStreamErr aborts one stream with an error, leaving the connection
@@ -316,8 +317,8 @@ func (g *Gateway) handleStream(conn net.Conn) {
 		window:     g.opts.Window,
 		out:        make(chan writeItem, 16),
 		done:       make(chan struct{}),
-		enc:        NewMsgEncoder(),
-		dec:        NewMsgDecoder(),
+		enc:        crcframe.NewMsgEncoder(),
+		dec:        crcframe.NewMsgDecoder(),
 		reqCh:      make(chan *reqItem, maxPipeline),
 		streams:    make(map[uint32]*streamState),
 		dispDone:   make(chan struct{}),

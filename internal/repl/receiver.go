@@ -14,6 +14,8 @@ import (
 
 	"postlob/internal/buffer"
 	"postlob/internal/catalog"
+	"postlob/internal/crcframe"
+	"postlob/internal/page"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/wal"
@@ -52,8 +54,6 @@ type ReceiverConfig struct {
 	// checkpoints (default 4 MiB). Tests use small values to exercise the
 	// resume path.
 	CheckpointEvery uint64
-	// Dial overrides the connection factory (tests inject failures).
-	Dial func() (net.Conn, error)
 }
 
 // Receiver is the replica side: it maintains a connection to the primary,
@@ -87,12 +87,6 @@ type Receiver struct {
 func StartReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = defaultCheckpointEvery
-	}
-	if cfg.Dial == nil {
-		addr := cfg.Primary
-		cfg.Dial = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}
 	}
 	r := &Receiver{
 		cfg:     cfg,
@@ -201,7 +195,7 @@ func (r *Receiver) run() {
 	defer r.wg.Done()
 	backoff := 10 * time.Millisecond
 	for !r.stopped() {
-		conn, err := r.cfg.Dial()
+		conn, err := net.DialTimeout("tcp", r.cfg.Primary, 5*time.Second)
 		if err == nil {
 			r.mu.Lock()
 			if r.stopped() {
@@ -241,8 +235,8 @@ func (r *Receiver) run() {
 // Any error (transport, framing, protocol) abandons the connection; the
 // durable position makes the retry safe.
 func (r *Receiver) session(conn net.Conn) error {
-	err := writeFrame(conn, &Frame{
-		Kind:       KindHello,
+	w := newWire(conn)
+	err := w.sendMsg(KindHello, &Hello{
 		Proto:      Proto,
 		Name:       r.cfg.Name,
 		Durable:    r.durable.Load(),
@@ -251,16 +245,12 @@ func (r *Receiver) session(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	ack, err := readFrame(conn)
-	if err != nil {
+	var ack HelloAck
+	if err := w.recvMsg(KindHelloAck, &ack); err != nil {
 		return err
 	}
-	if ack.Kind != KindHelloAck {
-		obsFrameErr.Inc()
-		return fmt.Errorf("repl: handshake got %v frame", ack.Kind)
-	}
-	if ack.ErrMsg != "" {
-		return fmt.Errorf("repl: primary refused: %s", ack.ErrMsg)
+	if ack.Err != "" {
+		return fmt.Errorf("repl: primary refused: %s", ack.Err)
 	}
 	if ack.Proto != Proto {
 		return fmt.Errorf("repl: primary speaks protocol %d, want %d", ack.Proto, Proto)
@@ -273,7 +263,7 @@ func (r *Receiver) session(conn net.Conn) error {
 	var expect uint64
 	switch ack.Mode {
 	case "base":
-		if err := r.applyBase(conn); err != nil {
+		if err := r.applyBase(w); err != nil {
 			return err
 		}
 		r.applied.Store(ack.Base)
@@ -289,7 +279,7 @@ func (r *Receiver) session(conn net.Conn) error {
 		return fmt.Errorf("repl: unknown handshake mode %q", ack.Mode)
 	}
 
-	if err := writeFrame(conn, &Frame{Kind: KindStatus, Durable: r.durable.Load(), Applied: r.applied.Load()}); err != nil {
+	if err := w.sendMsg(KindStatus, &Status{Durable: r.durable.Load(), Applied: r.applied.Load()}); err != nil {
 		return err
 	}
 	if r.applied.Load() >= ack.End {
@@ -298,49 +288,45 @@ func (r *Receiver) session(conn net.Conn) error {
 
 	var sinceCheckpoint uint64
 	for {
-		f, err := readFrame(conn)
+		k, d, err := w.recvData()
 		if err != nil {
-			if errors.Is(err, ErrFrame) {
-				obsFrameErr.Inc()
-			}
 			return err
 		}
-		switch f.Kind {
+		switch k {
 		case KindCatalog:
-			if err := r.cfg.Cat.ImportState(f.Catalog); err != nil {
+			if err := r.cfg.Cat.ImportState(d.bytes); err != nil {
 				return err
 			}
 		case KindRecords:
-			start := f.Start
+			start := d.at
 			if !validStart(expect, start, segBytes) {
 				obsFrameErr.Inc()
 				return fmt.Errorf("repl: records frame at %d, expected %d", start, expect)
 			}
 			sw := obsApplyBatch.Start()
-			err := wal.ScanRecords(wal.LSN(start), f.Recs, r.applyRecord)
+			err := wal.ScanRecords(wal.LSN(start), d.bytes, r.applyRecord)
 			sw.Stop()
 			if err != nil {
 				obsFrameErr.Inc()
 				return err
 			}
-			expect = start + uint64(len(f.Recs))
+			expect = start + uint64(len(d.bytes))
 			r.applied.Store(expect)
-			sinceCheckpoint += uint64(len(f.Recs))
+			sinceCheckpoint += uint64(len(d.bytes))
 			if sinceCheckpoint >= r.cfg.CheckpointEvery {
 				if err := r.Checkpoint(); err != nil {
 					return err
 				}
 				sinceCheckpoint = 0
 			}
-			if err := writeFrame(conn, &Frame{Kind: KindStatus, Durable: r.durable.Load(), Applied: expect}); err != nil {
+			if err := w.sendMsg(KindStatus, &Status{Durable: r.durable.Load(), Applied: expect}); err != nil {
 				return err
 			}
 			if expect >= ack.End {
 				r.markReady()
 			}
 		default:
-			obsFrameErr.Inc()
-			return fmt.Errorf("repl: unexpected %v frame mid-stream", f.Kind)
+			return countFrameErr(fmt.Errorf("%w: unexpected %v frame mid-stream", crcframe.ErrFrame, k))
 		}
 	}
 }
@@ -367,7 +353,7 @@ func validStart(expect, start, segBytes uint64) bool {
 // vanished on the primary must not leave longer stale storage behind for
 // heap scans to trip over — then installs transaction state, page images,
 // and finally the primary's catalog.
-func (r *Receiver) applyBase(conn net.Conn) error {
+func (r *Receiver) applyBase(w *wire) error {
 	if err := r.wipe(); err != nil {
 		return err
 	}
@@ -378,41 +364,37 @@ func (r *Receiver) applyBase(conn net.Conn) error {
 	// longer leftover can never survive past the blocks being re-shipped.
 	seen := make(map[RelRef]bool)
 	for {
-		f, err := readFrame(conn)
+		k, d, err := w.recvData()
 		if err != nil {
-			if errors.Is(err, ErrFrame) {
-				obsFrameErr.Inc()
-			}
 			return err
 		}
-		switch f.Kind {
+		switch k {
 		case KindTxnState:
-			if err := r.cfg.Mgr.ApplyState(f.Txn); err != nil {
+			if err := r.cfg.Mgr.ApplyState(d.bytes); err != nil {
 				return err
 			}
 		case KindBaseBlocks:
-			ref := RelRef{SM: storage.ID(f.SM), Rel: storage.RelName(f.Rel)}
-			if !seen[ref] {
-				seen[ref] = true
-				if err := r.dropRel(ref.SM, ref.Rel); err != nil {
+			if !seen[d.rel] {
+				seen[d.rel] = true
+				if err := r.dropRel(d.rel.SM, d.rel.Rel); err != nil {
 					return err
 				}
 			}
-			for i, img := range f.Pages {
-				err := r.cfg.Pool.ApplyRedoImage(storage.ID(f.SM), storage.RelName(f.Rel), f.Blk+storage.BlockNum(i), img)
-				if err != nil {
+			blk := storage.BlockNum(d.at)
+			for img := d.bytes; len(img) > 0; img = img[page.Size:] {
+				if err := r.cfg.Pool.ApplyRedoImage(d.rel.SM, d.rel.Rel, blk, img[:page.Size]); err != nil {
 					return err
 				}
+				blk++
 			}
 		case KindCatalog:
-			if err := r.cfg.Cat.ImportState(f.Catalog); err != nil {
+			if err := r.cfg.Cat.ImportState(d.bytes); err != nil {
 				return err
 			}
 		case KindBaseDone:
 			return nil
 		default:
-			obsFrameErr.Inc()
-			return fmt.Errorf("repl: unexpected %v frame in base backup", f.Kind)
+			return countFrameErr(fmt.Errorf("%w: unexpected %v frame in base backup", crcframe.ErrFrame, k))
 		}
 	}
 }

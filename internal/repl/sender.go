@@ -9,7 +9,6 @@ import (
 
 	"postlob/internal/buffer"
 	"postlob/internal/catalog"
-	"postlob/internal/page"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/wal"
@@ -50,7 +49,7 @@ func NewSender(log *wal.Log, pool *buffer.Pool, mgr *txn.Manager, cat *catalog.C
 }
 
 // Serve accepts replica connections on l until Close. It returns after the
-// listener fails or is closed.
+// listener fails or is closed, and Close waits for it to return.
 func (s *Sender) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -58,7 +57,9 @@ func (s *Sender) Serve(l net.Listener) error {
 		return errors.New("repl: sender closed")
 	}
 	s.listener = l
+	s.wg.Add(1)
 	s.mu.Unlock()
+	defer s.wg.Done()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -79,8 +80,8 @@ func (s *Sender) Serve(l net.Listener) error {
 		s.conns[conn] = true
 		s.slotSeq++
 		seq := s.slotSeq
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn, seq)
@@ -89,7 +90,7 @@ func (s *Sender) Serve(l net.Listener) error {
 }
 
 // Close stops accepting, tears down replica connections, and waits for
-// their handlers (and slot releases) to finish.
+// Serve, the connection handlers and their slot releases to finish.
 func (s *Sender) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -119,14 +120,14 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 		conn.Close()
 	}()
 
-	hello, err := readFrame(conn)
-	if err != nil || hello.Kind != KindHello {
-		obsFrameErr.Inc()
+	w := newWire(conn)
+	var hello Hello
+	if err := w.recvMsg(KindHello, &hello); err != nil {
 		return
 	}
 	if hello.Proto != Proto {
-		writeFrame(conn, &Frame{Kind: KindHelloAck, Proto: Proto,
-			ErrMsg: fmt.Sprintf("protocol %d, want %d", hello.Proto, Proto)})
+		w.sendMsg(KindHelloAck, &HelloAck{Proto: Proto,
+			Err: fmt.Sprintf("protocol %d, want %d", hello.Proto, Proto)})
 		return
 	}
 	name := hello.Name
@@ -142,7 +143,7 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 	// position checkpoint truncation has dropped — takes a base backup from
 	// the current end of log.
 	var from wal.LSN
-	ack := &Frame{Kind: KindHelloAck, Proto: Proto, SegBytes: s.log.SegBytes()}
+	ack := &HelloAck{Proto: Proto, SegBytes: s.log.SegBytes()}
 	if hello.Durable > 0 && s.log.TryAcquireSlot(slot, wal.LSN(hello.Durable)) {
 		from = wal.LSN(hello.Durable)
 		ack.Mode = "stream"
@@ -151,8 +152,8 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 			// A replica ahead of our durable horizon replicated a future we
 			// lost (or belongs to another primary); it must resync.
 			s.log.ReleaseSlot(slot)
-			writeFrame(conn, &Frame{Kind: KindHelloAck, Proto: Proto,
-				ErrMsg: fmt.Sprintf("replica durable %d ahead of primary durable %d", hello.Durable, durable)})
+			w.sendMsg(KindHelloAck, &HelloAck{Proto: Proto,
+				Err: fmt.Sprintf("replica durable %d ahead of primary durable %d", hello.Durable, durable)})
 			return
 		}
 		ack.End = uint64(durable)
@@ -164,14 +165,14 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 	}
 	defer s.log.ReleaseSlot(slot)
 
-	if err := writeFrame(conn, ack); err != nil {
+	if err := w.sendMsg(KindHelloAck, ack); err != nil {
 		return
 	}
 
 	lastCatVersion := hello.CatVersion
 	if ack.Mode == "base" {
 		obsBase.Inc()
-		ver, err := s.sendBase(conn, from)
+		ver, err := s.sendBase(w, from)
 		if err != nil {
 			return
 		}
@@ -180,17 +181,14 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 
 	// Status frames flow back on the same connection: they advance the slot
 	// (so checkpoints can truncate behind the replica) and feed the lag
-	// metrics. done closes when the replica hangs up.
+	// metrics. done closes when the replica hangs up; the handler closes the
+	// connection and waits for it, so no reader outlives Close.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
-			st, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			if st.Kind != KindStatus {
-				obsFrameErr.Inc()
+			var st Status
+			if err := w.recvMsg(KindStatus, &st); err != nil {
 				return
 			}
 			s.log.AdvanceSlot(slot, wal.LSN(st.Durable))
@@ -203,6 +201,10 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 				obsLagHist.Observe(time.Duration(lag))
 			}
 		}
+	}()
+	defer func() {
+		conn.Close()
+		<-done
 	}()
 
 	notify := make(chan struct{}, 1)
@@ -221,21 +223,16 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 		// guaranteed to cover every commit in the chunk, and it is shipped
 		// first so the replica never applies a commit its catalog predates.
 		if v := s.cat.Version(); v > lastCatVersion {
-			data, ver, err := s.cat.Export()
-			if err != nil {
+			if lastCatVersion, err = s.sendCatalog(w); err != nil {
 				return
 			}
-			if err := writeFrame(conn, &Frame{Kind: KindCatalog, Catalog: data, Version: ver}); err != nil {
-				return
-			}
-			lastCatVersion = ver
 		}
 		if chunk != nil {
 			start := from
 			if ss := s.log.SegmentStart(from); start < ss {
 				start = ss
 			}
-			if err := writeFrame(conn, &Frame{Kind: KindRecords, Start: uint64(start), Recs: chunk}); err != nil {
+			if err := w.sendBlob(KindRecords, uint64(start), chunk); err != nil {
 				return
 			}
 			obsShipped.Add(int64(len(chunk)))
@@ -267,78 +264,76 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 // image below base (newer is fine — streaming from base re-applies
 // idempotently); and the catalog goes last so it covers every relation and
 // object the pages materialise. Returns the catalog version shipped.
-func (s *Sender) sendBase(conn net.Conn, base wal.LSN) (uint64, error) {
-	if err := writeFrame(conn, &Frame{Kind: KindTxnState, Txn: s.mgr.EncodeState()}); err != nil {
+func (s *Sender) sendBase(w *wire, base wal.LSN) (uint64, error) {
+	if err := w.sendBlob(KindTxnState, 0, s.mgr.EncodeState()); err != nil {
 		return 0, err
 	}
 	for _, rel := range CatalogRels(s.cat) {
-		if err := s.sendRel(conn, rel.SM, rel.Rel); err != nil {
+		if err := s.sendRel(w, rel); err != nil {
 			return 0, err
 		}
 	}
-	data, ver, err := s.cat.Export()
-	if err != nil {
-		return 0, err
+	ver, err := s.sendCatalog(w)
+	if err == nil {
+		err = w.sendBlob(KindBaseDone, uint64(base), nil)
 	}
-	if err := writeFrame(conn, &Frame{Kind: KindCatalog, Catalog: data, Version: ver}); err != nil {
-		return 0, err
-	}
-	if err := writeFrame(conn, &Frame{Kind: KindBaseDone, Base: uint64(base)}); err != nil {
-		return 0, err
-	}
-	return ver, nil
+	return ver, err
 }
 
-// sendRel ships every block of one relation in basePagesPerFrame runs. A
-// relation that vanished since the catalog snapshot (a racing drop) is
-// skipped: the unlink record that dropped it is above base and will be
-// replayed by the stream.
-func (s *Sender) sendRel(conn net.Conn, sm storage.ID, rel storage.RelName) error {
-	mgr, err := s.pool.Switch().Get(sm)
+// sendCatalog ships a snapshot of the catalog and returns its version.
+func (s *Sender) sendCatalog(w *wire) (uint64, error) {
+	data, ver, err := s.cat.Export()
+	if err == nil {
+		err = w.sendBlob(KindCatalog, ver, data)
+	}
+	return ver, err
+}
+
+// sendRel ships every block of one relation in basePagesPerFrame runs, each
+// page copied from the pool straight into the frame. A relation that
+// vanished since the catalog snapshot (a racing drop) is skipped: the
+// unlink record that dropped it is above base and will be replayed by the
+// stream.
+func (s *Sender) sendRel(w *wire, rel RelRef) error {
+	mgr, err := s.pool.Switch().Get(rel.SM)
 	if err != nil {
 		return nil // storage manager not registered here (e.g. no WORM)
 	}
-	if !mgr.Exists(rel) {
+	if !mgr.Exists(rel.Rel) {
 		return nil
 	}
-	n, err := s.pool.NBlocks(sm, rel)
+	n, err := s.pool.NBlocks(rel.SM, rel.Rel)
 	if err != nil {
 		return nil
 	}
 	for start := storage.BlockNum(0); start < n; start += basePagesPerFrame {
-		run := n - start
-		if run > basePagesPerFrame {
-			run = basePagesPerFrame
-		}
-		frame := &Frame{Kind: KindBaseBlocks, SM: uint8(sm), Rel: string(rel), Blk: uint32(start)}
-		for b := start; b < start+run; b++ {
-			img, err := s.copyPage(buffer.Tag{SM: sm, Rel: rel, Blk: b})
-			if err != nil {
+		run := min(n-start, basePagesPerFrame)
+		b := appendBaseHdr(w.start(KindBaseBlocks), rel, uint32(start), int(run))
+		for blk := start; blk < start+run; blk++ {
+			if b, err = s.appendPage(b, buffer.Tag{SM: rel.SM, Rel: rel.Rel, Blk: blk}); err != nil {
 				// A concurrent drop mid-relation: stop shipping it; the
 				// stream's unlink record supersedes whatever we sent.
 				return nil
 			}
-			frame.Pages = append(frame.Pages, img)
 		}
-		if err := writeFrame(conn, frame); err != nil {
+		if err := w.flush(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// copyPage pins one block and returns a stable copy of its bytes.
-func (s *Sender) copyPage(tag buffer.Tag) ([]byte, error) {
+// appendPage pins one block and appends a stable copy of its bytes to dst.
+func (s *Sender) appendPage(dst []byte, tag buffer.Tag) ([]byte, error) {
 	f, err := s.pool.Get(tag)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer f.Release()
-	img := make([]byte, page.Size)
 	f.RLockContent()
-	copy(img, f.Page())
+	dst = append(dst, f.Page()...)
 	f.RUnlockContent()
-	return img, nil
+	return dst, nil
 }
 
 // RelRef names one page-backed relation a base backup must ship.

@@ -1,30 +1,33 @@
 package repl
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"postlob/internal/crcframe"
 	"postlob/internal/page"
+	"postlob/internal/storage"
 )
 
-// The replication wire protocol is a single message shape — Frame — carried
-// in a CRC envelope: a fixed 8-byte header (payload length u32, CRC-32 IEEE
-// over the payload u32, both little-endian) followed by the gob-encoded
-// frame. gob alone detects some malformed streams but carries no checksum;
-// the envelope makes torn and bit-flipped frames fail loudly at the CRC
-// before any field is interpreted, which is the property FuzzReplFrameDecode
-// locks in. Each frame is a self-contained gob stream (type definitions are
-// resent per frame), so a receiver can resynchronise per envelope and the
-// decoder state cannot be poisoned by a corrupt predecessor.
+// The replication wire protocol: every message is one crcframe envelope
+// whose body opens with its kind byte. Hello, HelloAck and Status are
+// control messages on their connection direction's gob stream
+// (crcframe.MsgEncoder); the data messages have fixed binary bodies after
+// the kind byte, little-endian:
+//
+//	records, catalog, txn state, base done: at u64 | n u32 | data[n]
+//	base blocks: sm u8 | blk u32 | pages u16 | relLen u16 | rel | pages × page.Size
+//
+// at is the records' start LSN, the catalog version, zero for txn state and
+// the base LSN for base done; only base done carries no data. parseData
+// checks every length against the body before anything is applied.
 
 // Proto is the protocol version sent in Hello/HelloAck. A mismatch refuses
 // the connection — physical replication ships raw WAL record encodings, so
 // both sides must agree on that format exactly.
-const Proto = 1
+const Proto = 2
 
 // Kind discriminates replication frames.
 type Kind uint8
@@ -35,7 +38,7 @@ const (
 	KindHello Kind = 1
 	// KindHelloAck answers: stream from your LSN, or take a base backup.
 	KindHelloAck Kind = 2
-	// KindRecords carries CRC-framed WAL records starting at Start.
+	// KindRecords carries CRC-framed WAL records starting at an LSN.
 	KindRecords Kind = 3
 	// KindCatalog carries a versioned catalog export. Always shipped before
 	// any records frame whose commits it covers.
@@ -44,7 +47,7 @@ const (
 	// the first unit of a base backup.
 	KindTxnState Kind = 5
 	// KindBaseBlocks carries a run of full page images of one relation,
-	// Pages[i] being block Blk+i.
+	// page i being block blk+i.
 	KindBaseBlocks Kind = 6
 	// KindBaseDone ends a base backup; streaming starts at the base LSN.
 	KindBaseDone Kind = 7
@@ -53,191 +56,207 @@ const (
 	KindStatus Kind = 8
 )
 
+var kindNames = [...]string{KindHello: "hello", KindHelloAck: "hello-ack", KindRecords: "records",
+	KindCatalog: "catalog", KindTxnState: "txn-state", KindBaseBlocks: "base-blocks",
+	KindBaseDone: "base-done", KindStatus: "status"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindHello:
-		return "hello"
-	case KindHelloAck:
-		return "hello-ack"
-	case KindRecords:
-		return "records"
-	case KindCatalog:
-		return "catalog"
-	case KindTxnState:
-		return "txn-state"
-	case KindBaseBlocks:
-		return "base-blocks"
-	case KindBaseDone:
-		return "base-done"
-	case KindStatus:
-		return "status"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Frame is one replication protocol message. Which fields are meaningful
-// depends on Kind; gob encodes the zero-valued rest at negligible cost.
-type Frame struct {
-	Kind Kind
-
-	// Hello: replica identity and resume position.
+// Hello is the replica's opening message: its identity and resume position.
+type Hello struct {
 	Proto      int
 	Name       string
 	Durable    uint64 // replica's persisted applied LSN
 	CatVersion uint64 // replica's catalog version
+}
 
-	// HelloAck: connection disposition.
+// HelloAck is the primary's answer: how the connection proceeds.
+type HelloAck struct {
+	Proto    int
 	Mode     string // "stream" or "base"
 	Base     uint64 // base-backup LSN — streaming starts here
 	End      uint64 // primary durable LSN at connect: the ready gate
 	SegBytes uint64 // WAL segment size, for position normalisation
-	ErrMsg   string // non-empty refuses the connection
+	Err      string // non-empty refuses the connection
+}
 
-	// Records.
-	Start uint64 // LSN of Recs[0]
-	Recs  []byte // concatenated CRC-framed WAL records
-
-	// Catalog.
-	Catalog []byte
-	Version uint64
-
-	// TxnState.
-	Txn []byte
-
-	// BaseBlocks.
-	SM    uint8
-	Rel   string
-	Blk   uint32
-	Pages [][]byte
-
-	// Status (also reuses Durable above for the persisted LSN).
+// Status reports the replica's progress.
+type Status struct {
+	Durable uint64 // persisted applied LSN
 	Applied uint64
 }
 
 const (
-	frameHdrLen = 8
-	// maxFramePayload bounds a frame before allocation. The largest
-	// legitimate frames are base-block runs and records chunks, both well
-	// under one WAL segment plus framing; 64 MiB leaves generous slack.
-	maxFramePayload = 64 << 20
+	// maxBody bounds a frame body before allocation. The largest legitimate
+	// frames are base-block runs and records chunks, both well under one
+	// WAL segment plus framing; 64 MiB leaves generous slack.
+	maxBody = 64 << 20
 	// maxBasePages bounds one base-blocks run.
 	maxBasePages = 4096
 	maxRelLen    = 1 << 12
+	// blobHdr and baseHdr are the fixed parts of the data bodies, after
+	// the kind byte.
+	blobHdr = 8 + 4
+	baseHdr = 1 + 4 + 2 + 2
 )
 
-// ErrFrame reports a frame that failed envelope or structural validation.
-// The receiver treats it as a torn connection: drop, reconnect, resync.
-var ErrFrame = fmt.Errorf("repl: bad frame")
+// dataMsg is a decoded data message. Which fields are set depends on the kind.
+type dataMsg struct {
+	at    uint64 // see the body layouts above; base blocks: the first block
+	bytes []byte // base blocks: the page images back to back
+	rel   RelRef // base blocks
+}
 
-// validate applies structural bounds after a successful decode, so a frame
-// that passes its CRC but carries nonsense (a forged or buggy peer) is still
-// rejected before any of it is applied.
-func (f *Frame) validate() error {
-	switch f.Kind {
-	case KindHello, KindHelloAck, KindBaseDone, KindStatus:
-	case KindRecords:
-		if len(f.Recs) == 0 {
-			return fmt.Errorf("%w: empty records frame", ErrFrame)
+// appendBlob appends a records, catalog, txn-state or base-done body, after
+// the kind byte.
+func appendBlob(dst []byte, at uint64, b []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, at)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
+	return append(dst, b...)
+}
+
+// appendBaseHdr appends a base-blocks body's header, after the kind byte;
+// the page images follow it.
+func appendBaseHdr(dst []byte, rel RelRef, blk uint32, pages int) []byte {
+	dst = append(dst, byte(rel.SM))
+	dst = binary.LittleEndian.AppendUint32(dst, blk)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(pages))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rel.Rel)))
+	return append(dst, rel.Rel...)
+}
+
+// parseData checks and decodes the body p (after the kind byte) of a data
+// message of kind k. The result aliases p. Anything malformed is
+// crcframe.ErrFrame.
+func parseData(k Kind, p []byte) (dataMsg, error) {
+	switch k {
+	case KindRecords, KindCatalog, KindTxnState, KindBaseDone:
+		if len(p) < blobHdr {
+			return dataMsg{}, fmt.Errorf("%w: %v body of %d bytes", crcframe.ErrFrame, k, len(p))
 		}
-	case KindCatalog:
-		if len(f.Catalog) == 0 {
-			return fmt.Errorf("%w: empty catalog frame", ErrFrame)
+		d := dataMsg{at: binary.LittleEndian.Uint64(p), bytes: p[blobHdr:]}
+		if n := binary.LittleEndian.Uint32(p[8:]); uint64(n) != uint64(len(d.bytes)) {
+			return dataMsg{}, fmt.Errorf("%w: %v body declares %d bytes, carries %d", crcframe.ErrFrame, k, n, len(d.bytes))
 		}
-	case KindTxnState:
-		if len(f.Txn) == 0 {
-			return fmt.Errorf("%w: empty txn-state frame", ErrFrame)
+		if (len(d.bytes) == 0) != (k == KindBaseDone) {
+			return dataMsg{}, fmt.Errorf("%w: %v frame with %d data bytes", crcframe.ErrFrame, k, len(d.bytes))
 		}
+		return d, nil
 	case KindBaseBlocks:
-		if len(f.Rel) == 0 || len(f.Rel) > maxRelLen {
-			return fmt.Errorf("%w: base-blocks relation name %d bytes", ErrFrame, len(f.Rel))
+		if len(p) < baseHdr {
+			return dataMsg{}, fmt.Errorf("%w: base-blocks body of %d bytes", crcframe.ErrFrame, len(p))
 		}
-		if len(f.Pages) == 0 || len(f.Pages) > maxBasePages {
-			return fmt.Errorf("%w: base-blocks run of %d pages", ErrFrame, len(f.Pages))
+		pages := int(binary.LittleEndian.Uint16(p[5:]))
+		relLen := int(binary.LittleEndian.Uint16(p[7:]))
+		if relLen == 0 || relLen > maxRelLen {
+			return dataMsg{}, fmt.Errorf("%w: base-blocks relation name %d bytes", crcframe.ErrFrame, relLen)
 		}
-		for i, p := range f.Pages {
-			if len(p) != page.Size {
-				return fmt.Errorf("%w: base page %d is %d bytes, want %d", ErrFrame, i, len(p), page.Size)
-			}
+		if pages == 0 || pages > maxBasePages {
+			return dataMsg{}, fmt.Errorf("%w: base-blocks run of %d pages", crcframe.ErrFrame, pages)
 		}
+		if len(p) != baseHdr+relLen+pages*page.Size {
+			return dataMsg{}, fmt.Errorf("%w: base-blocks body of %d bytes for %d pages", crcframe.ErrFrame, len(p), pages)
+		}
+		return dataMsg{
+			at:    uint64(binary.LittleEndian.Uint32(p[1:])),
+			bytes: p[baseHdr+relLen:],
+			rel:   RelRef{SM: storage.ID(p[0]), Rel: storage.RelName(p[baseHdr : baseHdr+relLen])},
+		}, nil
 	default:
-		return fmt.Errorf("%w: unknown kind %d", ErrFrame, uint8(f.Kind))
+		return dataMsg{}, fmt.Errorf("%w: unexpected %v frame", crcframe.ErrFrame, k)
 	}
-	return nil
 }
 
-// EncodeFrame wraps f in the CRC envelope and returns the wire bytes.
-func EncodeFrame(f *Frame) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, frameHdrLen)) // header, patched below
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("repl: encode %v frame: %w", f.Kind, err)
-	}
-	b := buf.Bytes()
-	payload := b[frameHdrLen:]
-	if len(payload) > maxFramePayload {
-		return nil, fmt.Errorf("repl: %v frame payload %d bytes exceeds limit", f.Kind, len(payload))
-	}
-	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(payload))
-	return b, nil
+// wire frames one replication connection. Each direction has one goroutine
+// at a time: the write fields belong to the sender of frames, the read
+// fields to their receiver.
+type wire struct {
+	rw io.ReadWriter
+
+	enc  *crcframe.MsgEncoder
+	wbuf []byte
+
+	dec  *crcframe.MsgDecoder
+	rbuf []byte
 }
 
-// DecodeFrame parses one enveloped frame from the front of data, returning
-// the frame and the bytes consumed. Torn, truncated, or bit-flipped input
-// fails the CRC (or the structural validation behind it) — it never yields a
-// frame that silently misapplies.
-func DecodeFrame(data []byte) (*Frame, int, error) {
-	if len(data) < frameHdrLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes hold no envelope header", ErrFrame, len(data))
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if n == 0 || n > maxFramePayload {
-		return nil, 0, fmt.Errorf("%w: payload length %d", ErrFrame, n)
-	}
-	if uint64(frameHdrLen)+uint64(n) > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrFrame, len(data)-frameHdrLen, n)
-	}
-	payload := data[frameHdrLen : frameHdrLen+n]
-	if binary.LittleEndian.Uint32(data[4:]) != crc32.ChecksumIEEE(payload) {
-		return nil, 0, fmt.Errorf("%w: payload fails its CRC", ErrFrame)
-	}
-	f := new(Frame)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrFrame, err)
-	}
-	if err := f.validate(); err != nil {
-		return nil, 0, err
-	}
-	return f, frameHdrLen + int(n), nil
+func newWire(rw io.ReadWriter) *wire {
+	return &wire{rw: rw, enc: crcframe.NewMsgEncoder(), dec: crcframe.NewMsgDecoder()}
 }
 
-// writeFrame sends one enveloped frame on w.
-func writeFrame(w io.Writer, f *Frame) error {
-	b, err := EncodeFrame(f)
-	if err != nil {
-		return err
+// start begins a frame of kind k in the reused write buffer; the caller
+// appends the body and passes the result to flush.
+func (w *wire) start(k Kind) []byte {
+	return append(append(w.wbuf[:0], make([]byte, crcframe.HdrLen)...), byte(k))
+}
+
+// flush seals the frame built in b and writes it.
+func (w *wire) flush(b []byte) error {
+	w.wbuf = b
+	if n := len(b) - crcframe.HdrLen; n > maxBody {
+		return fmt.Errorf("repl: %v frame body %d bytes exceeds limit", Kind(b[crcframe.HdrLen]), n)
 	}
-	_, err = w.Write(b)
+	crcframe.Seal(b)
+	_, err := w.rw.Write(b)
 	return err
 }
 
-// readFrame reads one enveloped frame from r. An envelope violation is
-// returned as ErrFrame; transport errors pass through.
-func readFrame(r io.Reader) (*Frame, error) {
-	hdr := make([]byte, frameHdrLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+// sendMsg writes a control message of kind k.
+func (w *wire) sendMsg(k Kind, v any) error {
+	p, err := w.enc.Encode(v)
+	if err != nil {
+		return err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n == 0 || n > maxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrFrame, n)
+	return w.flush(append(w.start(k), p...))
+}
+
+// sendBlob writes a records, catalog, txn-state or base-done frame.
+func (w *wire) sendBlob(k Kind, at uint64, b []byte) error {
+	return w.flush(appendBlob(w.start(k), at, b))
+}
+
+// next reads one frame into the reused read buffer and returns its kind and
+// the body after the kind byte, valid until the next call.
+func (w *wire) next() (Kind, []byte, error) {
+	var err error
+	if w.rbuf, err = crcframe.ReadInto(w.rw, w.rbuf, maxBody); err != nil {
+		return 0, nil, countFrameErr(err)
 	}
-	buf := make([]byte, frameHdrLen+int(n))
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[frameHdrLen:]); err != nil {
-		return nil, err
+	return Kind(w.rbuf[crcframe.HdrLen]), w.rbuf[crcframe.HdrLen+1:], nil
+}
+
+// recvMsg reads the next frame, which must be the control message kind k,
+// into v.
+func (w *wire) recvMsg(k Kind, v any) error {
+	got, p, err := w.next()
+	switch {
+	case err != nil:
+		return err
+	case got != k:
+		return countFrameErr(fmt.Errorf("%w: got %v frame, want %v", crcframe.ErrFrame, got, k))
 	}
-	f, _, err := DecodeFrame(buf)
-	return f, err
+	return countFrameErr(w.dec.Decode(p, v))
+}
+
+// recvData reads the next frame, which must be a data message.
+func (w *wire) recvData() (Kind, dataMsg, error) {
+	k, p, err := w.next()
+	if err != nil {
+		return 0, dataMsg{}, err
+	}
+	d, err := parseData(k, p)
+	return k, d, countFrameErr(err)
+}
+
+// countFrameErr counts a malformed frame, which ends its connection.
+func countFrameErr(err error) error {
+	if errors.Is(err, crcframe.ErrFrame) {
+		obsFrameErr.Inc()
+	}
+	return err
 }

@@ -3,8 +3,8 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"postlob/internal/crcframe"
 	"postlob/internal/page"
 	"postlob/internal/storage"
 )
@@ -86,16 +86,20 @@ type Record struct {
 	Oldest  uint32
 }
 
-// Record wire format: an 8-byte header — body length u32, CRC-32 (IEEE) u32
-// over the body — followed by the body: one type byte and the type-specific
+// Record wire format: one crcframe envelope — body length u32, CRC-32 (IEEE)
+// u32 over the body — around the body: one type byte and the type-specific
 // payload. A zero length terminates the segment (fresh segment bytes are
 // zero, so the scanner needs no explicit end marker). All integers are
 // little-endian.
-const recHdrLen = 8
+const recHdrLen = crcframe.HdrLen
 
 // maxRelLen bounds encoded relation names; longer names indicate corruption
 // long before they indicate real relations.
 const maxRelLen = 1 << 12
+
+// maxRecBody bounds a record body: a plain page image under the longest
+// relation name is the largest record the encoder writes.
+const maxRecBody = 1 + 11 + maxRelLen + page.Size
 
 // recordLen validates r's type-specific fields and returns its encoded
 // length, header included, so a caller can reserve room (or rotate the
@@ -180,9 +184,7 @@ func appendRecord(dst []byte, r *Record) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Rel)))
 		dst = append(dst, r.Rel...)
 	}
-	body := dst[start+recHdrLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
+	crcframe.Seal(dst[start:])
 	return dst, nil
 }
 
@@ -272,4 +274,30 @@ func decodeBody(body []byte) (*Record, error) {
 		return nil, fmt.Errorf("wal: unknown record type %d", uint8(r.Type))
 	}
 	return r, nil
+}
+
+// scan decodes the records framed back to back in b from offset off, b[0]
+// being at LSN base, and calls fn for each with LSN/End assigned. It stops
+// where b ends or its zero padding starts and returns that offset, or the
+// offset of a record that does not decode, with the error. An fn error
+// aborts the scan and is returned as is; scan never panics, whatever the
+// bytes.
+func scan(b []byte, off int, base LSN, fn func(*Record) error) (int, error) {
+	for len(b)-off >= recHdrLen && binary.LittleEndian.Uint32(b[off:]) != 0 {
+		body, n, err := crcframe.Decode(b[off:], maxRecBody)
+		var r *Record
+		if err == nil {
+			r, err = decodeBody(body)
+		}
+		if err != nil {
+			return off, fmt.Errorf("record at offset %d: %v", off, err)
+		}
+		r.LSN = base + LSN(off)
+		r.End = r.LSN + LSN(n)
+		if err := fn(r); err != nil {
+			return off, err
+		}
+		off += n
+	}
+	return off, nil
 }

@@ -22,10 +22,8 @@ package wal
 
 import (
 	"fmt"
-	"hash/crc32"
-	"sort"
 
-	"encoding/binary"
+	"postlob/internal/crcframe"
 )
 
 // ErrGone reports a ReadDurable position that checkpoint truncation has
@@ -86,18 +84,6 @@ func (l *Log) ReleaseSlot(name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.slots, name)
-}
-
-// Slots returns a snapshot of the registered replication slots, sorted by
-// name — diagnostics and the holdback regression tests.
-func (l *Log) Slots() map[string]LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]LSN, len(l.slots))
-	for n, at := range l.slots {
-		out[n] = at
-	}
-	return out
 }
 
 // slotHoldbackLocked returns the truncation bound: the minimum LSN any
@@ -188,56 +174,37 @@ func (l *Log) ReadDurable(from LSN) (chunk []byte, next LSN, err error) {
 			return nil, from, nil
 		}
 		chunk = append([]byte(nil), l.img[off:durableOff]...)
+		next = LSN(seg*l.segBytes + durableOff)
 		l.mu.Unlock()
-		if err := checkChunkStart(chunk); err != nil {
-			return nil, from, fmt.Errorf("%w: chunk at %d: %v", ErrCorrupt, from, err)
+	} else {
+		l.mu.Unlock()
+		// A closed (pre-tail) segment: fully durable on the device — rotation
+		// waits for the flusher to finish a segment before starting its
+		// successor. Read it back and slice from the requested offset to the
+		// end of its records. The registered slot guarantees the segment is
+		// not truncated while we read it.
+		img, _, err := l.readSegment(seg)
+		if err != nil {
+			return nil, from, err
 		}
-		return chunk, LSN(seg*l.segBytes + durableOff), nil
+		end, err := l.scanSegment(seg, img, func(*Record) error { return nil })
+		if err != nil {
+			return nil, from, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, seg, err)
+		}
+		next = LSN((seg+1)*l.segBytes + segHdrLen)
+		off := uint64(from) - seg*l.segBytes
+		if off >= end {
+			return nil, next, nil
+		}
+		chunk = img[off:end]
 	}
-	l.mu.Unlock()
-
-	// A closed (pre-tail) segment: fully durable on the device — rotation
-	// waits for the flusher to finish a segment before starting its
-	// successor. Read it back and slice from the requested offset to the
-	// end of its records. The registered slot guarantees the segment is not
-	// truncated while we read it.
-	img, _, err := l.readSegment(seg)
-	if err != nil {
-		return nil, from, err
-	}
-	end, scanErr := l.scanSegment(seg, img, func(*Record) error { return nil })
-	if scanErr != nil {
-		return nil, from, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, seg, scanErr)
-	}
-	next = LSN((seg+1)*l.segBytes + segHdrLen)
-	off := uint64(from) - seg*l.segBytes
-	if off >= end {
-		return nil, next, nil
-	}
-	chunk = img[off:end]
-	if err := checkChunkStart(chunk); err != nil {
+	// The chunk must begin with a framed record whose CRC matches: a replica
+	// that reported a mid-record LSN (corruption, or a foreign control file)
+	// fails here loudly instead of being shipped garbage.
+	if _, _, err := crcframe.Decode(chunk, maxRecBody); err != nil {
 		return nil, from, fmt.Errorf("%w: chunk at %d: %v", ErrCorrupt, from, err)
 	}
 	return chunk, next, nil
-}
-
-// checkChunkStart verifies that a chunk begins on a plausible record
-// boundary — a framed record whose CRC matches. A replica that reported a
-// mid-record LSN (corruption, or a foreign control file) fails here loudly
-// instead of shipping garbage.
-func checkChunkStart(chunk []byte) error {
-	if len(chunk) < recHdrLen {
-		return fmt.Errorf("chunk of %d bytes holds no record header", len(chunk))
-	}
-	bodyLen := uint64(binary.LittleEndian.Uint32(chunk))
-	if bodyLen == 0 || recHdrLen+bodyLen > uint64(len(chunk)) {
-		return fmt.Errorf("chunk does not start on a record boundary")
-	}
-	body := chunk[recHdrLen : recHdrLen+bodyLen]
-	if binary.LittleEndian.Uint32(chunk[4:]) != crc32.ChecksumIEEE(body) {
-		return fmt.Errorf("first record fails its CRC")
-	}
-	return nil
 }
 
 // ScanRecords parses a chunk of concatenated framed records as produced by
@@ -247,42 +214,20 @@ func checkChunkStart(chunk []byte) error {
 // invoked for bytes after the corruption. Trailing zero bytes (segment
 // padding) terminate the scan cleanly.
 func ScanRecords(start LSN, chunk []byte, fn func(*Record) error) error {
-	off := uint64(0)
-	for {
-		if off == uint64(len(chunk)) {
-			return nil
-		}
-		if off+recHdrLen > uint64(len(chunk)) {
-			return fmt.Errorf("%w: trailing %d bytes are no record header", ErrCorrupt, uint64(len(chunk))-off)
-		}
-		bodyLen := uint64(binary.LittleEndian.Uint32(chunk[off:]))
-		if bodyLen == 0 {
-			// Zero padding: valid only if all remaining bytes are zero.
-			for _, b := range chunk[off:] {
-				if b != 0 {
-					return fmt.Errorf("%w: nonzero bytes after padding at offset %d", ErrCorrupt, off)
-				}
-			}
-			return nil
-		}
-		if off+recHdrLen+bodyLen > uint64(len(chunk)) {
-			return fmt.Errorf("%w: record at offset %d overruns the chunk", ErrCorrupt, off)
-		}
-		body := chunk[off+recHdrLen : off+recHdrLen+bodyLen]
-		if binary.LittleEndian.Uint32(chunk[off+4:]) != crc32.ChecksumIEEE(body) {
-			return fmt.Errorf("%w: record at offset %d fails its CRC", ErrCorrupt, off)
-		}
-		r, err := decodeBody(body)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		r.LSN = start + LSN(off)
-		r.End = start + LSN(off+recHdrLen+bodyLen)
-		if err := fn(r); err != nil {
-			return err
-		}
-		off += recHdrLen + bodyLen
+	var fnErr error
+	end, err := scan(chunk, 0, start, func(r *Record) error { fnErr = fn(r); return fnErr })
+	if fnErr != nil {
+		return fnErr
 	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	for _, b := range chunk[end:] {
+		if b != 0 {
+			return fmt.Errorf("%w: nonzero bytes after the last record at offset %d", ErrCorrupt, end)
+		}
+	}
+	return nil
 }
 
 // SegmentStart returns the first record boundary of the segment containing
@@ -296,16 +241,3 @@ func (l *Log) SegmentStart(lsn LSN) LSN {
 // replica so both sides normalise stream positions across segment-header
 // gaps with the same arithmetic.
 func (l *Log) SegBytes() uint64 { return l.segBytes }
-
-// SlotNames returns the registered slot names sorted, for stable test
-// output.
-func (l *Log) SlotNames() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.slots))
-	for n := range l.slots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -445,33 +445,8 @@ func (l *Log) scanSegment(seg uint64, img []byte, fn func(*Record) error) (uint6
 	if got := binary.LittleEndian.Uint64(img[8:]); got != seg {
 		return segHdrLen, fmt.Errorf("segment header names segment %d", got)
 	}
-	off := uint64(segHdrLen)
-	for {
-		if off+recHdrLen > uint64(len(img)) {
-			return off, nil // segment full; the writer rotated here
-		}
-		bodyLen := uint64(binary.LittleEndian.Uint32(img[off:]))
-		if bodyLen == 0 {
-			return off, nil // zero padding: end of this segment's records
-		}
-		if off+recHdrLen+bodyLen > uint64(len(img)) {
-			return off, fmt.Errorf("record at offset %d overruns the segment", off)
-		}
-		body := img[off+recHdrLen : off+recHdrLen+bodyLen]
-		if binary.LittleEndian.Uint32(img[off+4:]) != crc32.ChecksumIEEE(body) {
-			return off, fmt.Errorf("record at offset %d fails its CRC", off)
-		}
-		r, err := decodeBody(body)
-		if err != nil {
-			return off, err
-		}
-		r.LSN = LSN(seg*l.segBytes + off)
-		r.End = LSN(seg*l.segBytes + off + recHdrLen + bodyLen)
-		if err := fn(r); err != nil {
-			return off, err
-		}
-		off += recHdrLen + bodyLen
-	}
+	end, err := scan(img, segHdrLen, LSN(seg*l.segBytes), fn)
+	return uint64(end), err
 }
 
 // startSegmentLocked begins a fresh, empty tail segment in memory. The relation
