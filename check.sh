@@ -26,6 +26,15 @@
 #
 #                                    CRASH=200 ./check.sh
 #
+#   4a. lifecycle race sweep      the daemon helper's own tests and the
+#                                  tests that start and stop a live loop or
+#                                  accept loop (TestEngineAsyncStartStop,
+#                                  TestVacuumDaemonBackground,
+#                                  TestGatewayCloseRefusesLateAccept), 20
+#                                  times each under the race detector, so a
+#                                  start/stop race cannot hide behind one
+#                                  lucky schedule
+#
 #   4b. benchmark module           benchmark/ is a Go module of its own (it
 #                                  imports postlob/internal/... through a
 #                                  replace directive), so steps 1-4 never
@@ -220,6 +229,12 @@ else
 	echo "== go test -race ./..."
 	BENCH= go test -race ./...
 fi
+
+echo "== lifecycle race sweep (-race -count=20)"
+go test -race -count=20 ./internal/daemon
+go test -race -count=20 \
+	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept)$' \
+	./internal/buffer ./internal/core ./internal/gateway
 
 echo "== benchmark module (go vet + go test in benchmark/)"
 (cd benchmark && go vet ./... && go test ./...)

@@ -104,30 +104,29 @@ var Hierarchy = []Level{
 		{Name: "buffer.Pool.bgErrMu"},
 		{Name: "buffer.Pool.wbMu"},
 	}},
-	{Doc: "replication session state: the sender's connection table and the " +
-		"receiver's current-connection slot are touched bare — never while " +
-		"holding, and never while acquiring, any pool or WAL class", Classes: []Class{
-		{Name: "repl.Sender.mu"},
+	{Doc: "replication session state: the receiver's current-connection " +
+		"slot is touched bare — never while holding, and never while " +
+		"acquiring, any pool or WAL class", Classes: []Class{
 		{Name: "repl.Receiver.mu"},
 	}},
-	{Doc: "network-edge session state: the gateway's listener/connection " +
-		"table, a v2 connection's per-stream routing map, and the v2 client's " +
-		"stream table are leaves held only for table access; the client's " +
-		"write lock serialises socket writes of pre-encoded frames and never " +
-		"nests another class", Classes: []Class{
-		{Name: "gateway.Gateway.smu"},
+	{Doc: "network-edge session state: the accept-loop helper's listener/" +
+		"connection table (the replication sender's and the gateway's), a v2 " +
+		"connection's per-stream routing map, and the v2 client's stream " +
+		"table are leaves held only for table access; the client's write lock " +
+		"serialises socket writes of pre-encoded frames and never nests " +
+		"another class", Classes: []Class{
+		{Name: "daemon.Server.mu"},
 		{Name: "gateway.gwConn.mu"},
 		{Name: "client.Stream.mu"},
 		{Name: "client.Stream.wmu"},
 	}},
-	{Doc: "heap insert-placement hints, the stamped-block bitmap and vacuum " +
-		"daemon state, all leaves: placeMu is taken under the relation lock " +
-		"(and by Delete under the frame latch it stamped through) but never " +
-		"held across a pool call or a latch acquisition; the vacuum daemon " +
-		"locks guard lifecycle state and are never held across a vacuum round " +
-		"or a goroutine join", Classes: []Class{
+	{Doc: "heap insert-placement hints, the stamped-block bitmap and the " +
+		"facade's vacuum-daemon slot, all leaves: placeMu is taken under the " +
+		"relation lock (and by Delete under the frame latch it stamped " +
+		"through) but never held across a pool call or a latch acquisition; " +
+		"vacMu guards which daemon is running and is never held across a " +
+		"vacuum pass or the daemon's Stop", Classes: []Class{
 		{Name: "heap.Relation.placeMu"},
-		{Name: "core.Vacuum.mu"},
 		{Name: "postlob.DB.vacMu"},
 	}},
 	{Doc: "storage manager handles, the innermost layer", Classes: []Class{

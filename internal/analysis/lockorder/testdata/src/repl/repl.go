@@ -1,7 +1,7 @@
 // Fixture for the lockorder analyzer: a stub of the real repl package
 // under its package name, so the class names (repl.Receiver.chkMu level 0,
-// repl.Receiver.mu and repl.Sender.mu in the replication-session level 14)
-// land in the declared hierarchy.
+// repl.Receiver.mu in the replication-session level 14) land in the
+// declared hierarchy.
 package repl
 
 import "sync"
@@ -9,10 +9,6 @@ import "sync"
 type Receiver struct {
 	chkMu sync.Mutex
 	mu    sync.Mutex
-}
-
-type Sender struct {
-	mu sync.Mutex
 }
 
 // OkCheckpointOrder takes the outermost checkpoint lock before the session
@@ -34,7 +30,7 @@ func (r *Receiver) BadCheckpointUnderSession() {
 }
 
 // OkSessionLeaf touches session state bare, holding nothing else.
-func (s *Sender) OkSessionLeaf() {
-	s.mu.Lock()
-	s.mu.Unlock()
+func (r *Receiver) OkSessionLeaf() {
+	r.mu.Lock()
+	r.mu.Unlock()
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"postlob/internal/daemon"
 	"postlob/internal/obs"
 	"postlob/internal/page"
 	"postlob/internal/storage"
@@ -43,14 +44,15 @@ var (
 	obsPfErrors    = obs.NewCounter("buffer.prefetch.errors")
 )
 
-// Engine tuning defaults.
+// Engine tuning.
 const (
-	// DefaultBgInterval is the background writer's clock tick.
-	DefaultBgInterval = 2 * time.Millisecond
-	// DefaultBgBatchPages caps pages written back per writer round.
-	DefaultBgBatchPages = 64
-	// DefaultPrefetchWindow caps blocks per posted prefetch window.
-	DefaultPrefetchWindow = 16
+	// bgInterval is the background writer's clock tick.
+	bgInterval = 2 * time.Millisecond
+	// bgBatchPages caps pages written back per writer round.
+	bgBatchPages = 64
+	// PrefetchWindow caps blocks per posted prefetch window; scans post
+	// windows of exactly this many blocks.
+	PrefetchWindow = 16
 
 	// prefetchQueueLen bounds pending prefetch windows; posts beyond it are
 	// dropped (prefetch is advisory).
@@ -59,31 +61,20 @@ const (
 
 // EngineConfig configures the pool's background I/O engine.
 type EngineConfig struct {
-	// BackgroundWriter enables the dirty-frame writer.
-	BackgroundWriter bool
-	// Interval is the writer's clock tick; 0 means DefaultBgInterval.
-	Interval time.Duration
-	// BatchPages caps pages per writer round; 0 means DefaultBgBatchPages.
-	BatchPages int
-	// Prefetch enables the read-ahead path.
-	Prefetch bool
-	// PrefetchWindow caps blocks per posted window; 0 means
-	// DefaultPrefetchWindow.
-	PrefetchWindow int
 	// Manual spawns no goroutines: the harness drives BgWriterRound and
 	// DrainPrefetch itself, keeping a seeded workload's device-operation
 	// sequence deterministic while still exercising the engine code paths.
 	Manual bool
 }
 
-// engine is the running instance behind a Pool's StartEngine call.
+// engine is the running instance behind a Pool's StartEngine call: the
+// writer runs on its tick and on eviction's kicks, the prefetcher on the
+// kick that follows each posted window.
 type engine struct {
-	p    *Pool
-	cfg  EngineConfig
-	wake chan struct{}    // demand nudges from the foreground path, capacity 1
-	pf   chan prefetchReq // pending prefetch windows
-	stop chan struct{}
-	wg   sync.WaitGroup
+	manual     bool
+	writer     *daemon.Loop
+	prefetcher *daemon.Loop
+	pf         chan prefetchReq // pending prefetch windows
 }
 
 type prefetchReq struct {
@@ -98,97 +89,48 @@ type prefetchReq struct {
 // first round) and before the pool handles foreground load. Panics if an
 // engine is already attached — lifecycle is owned by whoever opened the pool.
 func (p *Pool) StartEngine(cfg EngineConfig) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultBgInterval
+	// Errors are noted in the pool's write-back error slot by the round
+	// (surfaced at the next checkpoint) and the frames stay dirty, so the
+	// loop simply goes around and retries on its next tick.
+	write := func() error {
+		_, _ = p.BgWriterRound(bgBatchPages)
+		return nil
 	}
-	if cfg.BatchPages <= 0 {
-		cfg.BatchPages = DefaultBgBatchPages
+	drain := func() error {
+		p.DrainPrefetch()
+		return nil
 	}
-	if cfg.PrefetchWindow <= 0 {
-		cfg.PrefetchWindow = DefaultPrefetchWindow
-	}
-	e := &engine{
-		p:    p,
-		cfg:  cfg,
-		wake: make(chan struct{}, 1),
-		pf:   make(chan prefetchReq, prefetchQueueLen),
-		stop: make(chan struct{}),
+	e := &engine{manual: cfg.Manual, pf: make(chan prefetchReq, prefetchQueueLen)}
+	if cfg.Manual {
+		e.writer, e.prefetcher = daemon.Manual(write), daemon.Manual(drain)
+	} else {
+		e.writer, e.prefetcher = daemon.Start(write, bgInterval), daemon.Start(drain, 0)
 	}
 	if !p.eng.CompareAndSwap(nil, e) {
+		e.writer.Stop()
+		e.prefetcher.Stop()
 		panic("buffer: engine already started")
-	}
-	if cfg.Manual {
-		return
-	}
-	if cfg.BackgroundWriter {
-		e.wg.Add(1)
-		go e.writerLoop()
-	}
-	if cfg.Prefetch {
-		e.wg.Add(1)
-		go e.prefetchLoop()
 	}
 }
 
 // StopEngine detaches the engine and waits for its goroutines to exit. Dirty
 // pages the writer had not reached stay dirty — the closing checkpoint
-// flushes them — and a sticky background error, if any, remains readable via
+// flushes them — and a write-back error, if any, remains readable via
 // TakeBackgroundError. Safe to call with no engine attached.
 func (p *Pool) StopEngine() {
 	e := p.eng.Swap(nil)
 	if e == nil {
 		return
 	}
-	close(e.stop)
-	e.wg.Wait()
+	e.writer.Stop()
+	e.prefetcher.Stop()
 }
 
-// writerLoop drains cold dirty frames on a clock tick and on demand nudges
-// from the foreground eviction path. The select parks with no latch held —
-// blocking here is the entire point of having a background writer.
-func (e *engine) writerLoop() {
-	defer e.wg.Done()
-	t := time.NewTicker(e.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-t.C:
-		case <-e.wake:
-		}
-		// Errors are already noted sticky by the round (surfaced at the next
-		// checkpoint) and the frames stay dirty, so the loop simply goes
-		// around and retries on its next tick.
-		_, _ = e.p.BgWriterRound(e.cfg.BatchPages)
-	}
-}
-
-// prefetchLoop services posted read-ahead windows.
-func (e *engine) prefetchLoop() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case req := <-e.pf:
-			e.p.prefetchOne(req)
-		}
-	}
-}
-
-// kickBgWriter nudges the writer from the foreground path. Non-blocking: the
-// wake channel holds at most one pending nudge. Callers must not hold a
-// partition latch.
+// kickBgWriter nudges the writer from the foreground path. Non-blocking: at
+// most one nudge is ever pending. Callers must not hold a partition latch.
 func (p *Pool) kickBgWriter() {
-	e := p.eng.Load()
-	if e == nil || e.cfg.Manual || !e.cfg.BackgroundWriter {
-		return
-	}
-	select {
-	case e.wake <- struct{}{}:
+	if e := p.eng.Load(); e != nil && e.writer.Kick() {
 		obsBgWakeups.Inc()
-	default:
 	}
 }
 
@@ -219,12 +161,12 @@ func (p *Pool) TakeBackgroundError() error {
 // maxPages of the coldest dirty unpinned frames, write them back (batch
 // pre-logging and one WAL flush cover the whole round, gather writes cover
 // contiguous runs), and leave them clean at the cold end of their LRU lists
-// where evict() finds them for free. maxPages <= 0 means
-// DefaultBgBatchPages. Returns the pages written; an error is also noted
+// where evict() finds them for free. maxPages <= 0 means the writer's own
+// batch of 64. Returns the pages written; an error is also noted
 // sticky for TakeBackgroundError, and failed frames stay dirty for retry.
 func (p *Pool) BgWriterRound(maxPages int) (int, error) {
 	if maxPages <= 0 {
-		maxPages = DefaultBgBatchPages
+		maxPages = bgBatchPages
 	}
 	// Never pin more than half the pool. The round holds its pins for the
 	// whole batch write; uncapped, a round over a small pool can pin every
@@ -401,7 +343,7 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 		i = j
 	}
 	conc := 1
-	if e := p.eng.Load(); e != nil && !e.cfg.Manual && len(runs) > 1 {
+	if e := p.eng.Load(); e != nil && !e.manual && len(runs) > 1 {
 		conc = bgWriteConcurrency
 		if conc > len(runs) {
 			conc = len(runs)
@@ -530,28 +472,27 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 }
 
 // Prefetch posts a read-ahead window of up to n blocks starting at blk.
-// Advisory and non-blocking: with no engine (or prefetch disabled) it is a
-// no-op, and a full queue drops the request. Safe to call from scan loops
-// holding access-method locks — it never touches pool state.
+// Advisory and non-blocking: with no engine it is a no-op, and a full queue
+// drops the request. Safe to call from scan loops holding access-method
+// locks — it never touches pool state. The window is queued before the
+// prefetcher is kicked, so a round that the kick buys always sees it.
 func (p *Pool) Prefetch(sm storage.ID, rel storage.RelName, blk storage.BlockNum, n int) {
 	e := p.eng.Load()
-	if e == nil || !e.cfg.Prefetch || n <= 0 {
+	if e == nil || n <= 0 {
 		return
 	}
-	if n > e.cfg.PrefetchWindow {
-		n = e.cfg.PrefetchWindow
-	}
+	n = min(n, PrefetchWindow)
 	select {
 	case e.pf <- prefetchReq{sm: sm, rel: rel, blk: blk, n: n}:
 		obsPfPosted.Inc()
+		e.prefetcher.Kick()
 	default:
 		obsPfDropped.Inc()
 	}
 }
 
-// DrainPrefetch services every queued prefetch window synchronously — the
-// manual-mode counterpart of the prefetcher goroutine, used by deterministic
-// harnesses.
+// DrainPrefetch services every queued prefetch window synchronously: the
+// prefetcher's round, and the manual-mode step deterministic harnesses call.
 func (p *Pool) DrainPrefetch() {
 	e := p.eng.Load()
 	if e == nil {

@@ -51,7 +51,7 @@ func TestBgWriterRoundCleansColdDirty(t *testing.T) {
 	// 16 pages: a round pins at most half the pool, and this test wants the
 	// whole 6-frame dirty set cleaned in one round.
 	p, mem := newTestPool(t, 16)
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestBgWriterKeepsForegroundEvictionsClean(t *testing.T) {
 	// 8 pages: each 3-frame burst fits under the round's half-pool pin cap,
 	// so one round per burst keeps every eviction victim clean.
 	p, mem := newTestPool(t, 8)
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestBgWriterRoundCapsPinsAtHalfPool(t *testing.T) {
 	// small pool an uncapped round would pin every frame and starve
 	// foreground allocation ("all frames pinned") until the batch lands.
 	p, mem := newTestPool(t, 4)
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestBgWriterErrorSurfacesAndFramesStayDirty(t *testing.T) {
 	fault := storage.NewFaultManager(storage.NewMemManager(storage.DeviceModel{}, nil))
 	sw.Register(storage.Mem, fault)
 	p := NewPool(8, sw, nil)
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := fault.Create(rel); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestBgWriterErrorSurfacesAndFramesStayDirty(t *testing.T) {
 
 func TestBgWriterHonorsWALCeiling(t *testing.T) {
 	pool, _, om := newWALPool(t, 8)
-	pool.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	pool.StartEngine(EngineConfig{Manual: true})
 	defer pool.StopEngine()
 	const drel = storage.RelName("t")
 	dirtyBlock(t, pool, drel, 'x')
@@ -209,7 +209,7 @@ func TestBgWriterHonorsWALCeiling(t *testing.T) {
 
 func TestPrefetchInstallsAndTurnsReadsIntoHits(t *testing.T) {
 	p, mem := newTestPool(t, 16)
-	p.StartEngine(EngineConfig{Prefetch: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestPrefetchInstallsAndTurnsReadsIntoHits(t *testing.T) {
 
 func TestPrefetchContentMatchesDevice(t *testing.T) {
 	p, mem := newTestPool(t, 16)
-	p.StartEngine(EngineConfig{Prefetch: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestPrefetchContentMatchesDevice(t *testing.T) {
 
 func TestPrefetchNeverForcesWriteback(t *testing.T) {
 	p, mem := newTestPool(t, 4)
-	p.StartEngine(EngineConfig{Prefetch: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	const other = storage.RelName("other")
 	if err := mem.Create(rel); err != nil {
@@ -332,7 +332,7 @@ func TestPrefetchNeverForcesWriteback(t *testing.T) {
 
 func TestPrefetchDiscardsWindowForDroppedRelation(t *testing.T) {
 	p, mem := newTestPool(t, 8)
-	p.StartEngine(EngineConfig{Prefetch: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -363,11 +363,7 @@ func TestEngineAsyncStartStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := obsBgPages.Load()
-	p.StartEngine(EngineConfig{
-		BackgroundWriter: true,
-		Prefetch:         true,
-		Interval:         time.Millisecond,
-	})
+	p.StartEngine(EngineConfig{})
 	dirtyBlocks(t, p, storage.Mem, rel, 6)
 	deadline := time.Now().Add(5 * time.Second)
 	for countDirty(p) > 0 && time.Now().Before(deadline) {
@@ -382,7 +378,7 @@ func TestEngineAsyncStartStop(t *testing.T) {
 	}
 	// Stop is idempotent and a second engine can be attached.
 	p.StopEngine()
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	p.StopEngine()
 }
 

@@ -795,7 +795,7 @@ func (p *Pool) putFree(f *Frame) {
 // writing its page back first when dirty. The scan starts at a rotating
 // partition so replacement pressure spreads across stripes.
 func (p *Pool) evict() (*Frame, error) {
-	if e := p.eng.Load(); e != nil && e.cfg.BackgroundWriter {
+	if p.eng.Load() != nil {
 		// Pool-wide clean-first pass: with a background writer attached, a
 		// foreground dirty write-back is only acceptable when no partition
 		// holds any clean unpinned frame at all. Misses install clean pages
@@ -838,10 +838,7 @@ func (p *Pool) evict() (*Frame, error) {
 // eviction is exactly the engine's bargain. Without an engine the historical
 // strict-LRU choice stands.
 func (p *Pool) evictFrom(part *partition) (*Frame, error) {
-	preferClean := false
-	if e := p.eng.Load(); e != nil && e.cfg.BackgroundWriter {
-		preferClean = true
-	}
+	preferClean := p.eng.Load() != nil
 	part.mu.Lock()
 	f := part.lru.back
 	if f == nil {

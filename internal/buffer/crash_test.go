@@ -21,7 +21,7 @@ func newCrashPool(t *testing.T, frames int, cfg storage.CrashConfig) (*Pool, *st
 	sw := storage.NewSwitch()
 	sw.Register(storage.Mem, cm)
 	p := NewPool(frames, sw, nil)
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	t.Cleanup(p.StopEngine)
 	return p, cm, durable
 }

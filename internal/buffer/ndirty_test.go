@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"postlob/internal/storage"
 )
@@ -86,6 +85,9 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 					f.UnlockContent()
 				}
 				f.Release()
+				// A live writer races this worker on every dirtying op; a
+				// manual engine ignores the kick.
+				pool.kickBgWriter()
 			case op < 12:
 				pool.BgWriterRound(8)
 				pool.TakeBackgroundError()
@@ -141,9 +143,9 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 	}
 
 	// One seeded worker under a Manual engine is a replayable interleaving;
-	// then concurrent workers race a live writer goroutine on a fast tick.
-	manual := EngineConfig{BackgroundWriter: true, Manual: true}
-	live := EngineConfig{BackgroundWriter: true, Interval: 50 * time.Microsecond}
+	// then concurrent workers race a live writer goroutine they keep kicking.
+	manual := EngineConfig{Manual: true}
+	live := EngineConfig{}
 	run("sequential", manual, 1, true, 1)
 	run("concurrent", live, 4, true, 100)
 	dev.FailWrites(true)
@@ -165,7 +167,7 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 // atomic load per partition, however large the pool.
 func TestBgWriterIdleRoundScansNothing(t *testing.T) {
 	p, mem := newTestPool(t, 64)
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
@@ -219,7 +221,7 @@ func BenchmarkBgWriterIdleRound(b *testing.B) {
 		part.lookup[tag] = f
 		part.lru.pushFrontLocked(f)
 	}
-	p.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	p.StartEngine(EngineConfig{Manual: true})
 	defer p.StopEngine()
 	b.ReportAllocs()
 	b.ResetTimer()

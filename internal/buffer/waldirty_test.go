@@ -79,7 +79,7 @@ func poisonLog(t *testing.T, log *wal.Log, dev *storage.FaultManager) {
 
 func TestWALDirtyListSurvivesRandomOps(t *testing.T) {
 	pool, log, dev := newFaultyWALPool(t, 48)
-	pool.StartEngine(EngineConfig{BackgroundWriter: true, Manual: true})
+	pool.StartEngine(EngineConfig{Manual: true})
 	defer pool.StopEngine()
 	mgr, err := pool.Switch().Get(storage.Mem)
 	if err != nil {

@@ -126,7 +126,7 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 	// The background I/O engine runs in manual mode: no goroutines, so the
 	// sweep stays bit-for-bit reproducible from CRASHSEED — the workload loop
 	// drives writer rounds and prefetch drains at script-derived boundaries.
-	pool.Buf.StartEngine(buffer.EngineConfig{BackgroundWriter: true, Prefetch: true, Manual: true})
+	pool.Buf.StartEngine(buffer.EngineConfig{Manual: true})
 	return cs
 }
 
@@ -408,9 +408,6 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 		maxXID  txn.XID
 		maxTS   txn.TS
 	)
-	// Manual online vacuum, driven by aVacuum ops: history is kept, so the
-	// recorded time-travel snapshots must survive every round.
-	vac := cs.store.StartVacuum(VacuumOptions{Manual: true})
 	handle := func(i int) Object {
 		if h := handles[i]; h != nil {
 			return h
@@ -569,7 +566,9 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 		case aAsOf:
 			verifySnapshot(t, cs, objs, snaps[op.snapIx], false, "live")
 		case aVacuum:
-			if _, err := vac.Round(); err != nil {
+			// History is kept, so the recorded time-travel snapshots must
+			// survive every pass.
+			if _, err := cs.store.Vacuum(true); err != nil {
 				t.Fatalf("op %d vacuum round: %v", i, err)
 			}
 		}

@@ -412,7 +412,7 @@ func (o *fchunkObject) step(seq int64, tid heap.TID) {
 // about to supersede sits in recycled, scattered blocks, and reading ahead
 // of it evicts the writer's own pages for nothing.
 func (o *fchunkObject) readAhead(blk storage.BlockNum) {
-	const w = buffer.DefaultPrefetchWindow
+	const w = buffer.PrefetchWindow
 	next := blk + 1
 	switch {
 	case o.pfNext == 0 || next > o.pfNext || next+2*w < o.pfNext:

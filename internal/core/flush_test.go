@@ -76,7 +76,7 @@ func TestFlushWaitsForInFlightWriteBack(t *testing.T) {
 	sw := storage.NewSwitch()
 	sw.Register(storage.Mem, pm)
 	pool := &heap.Pool{Buf: buffer.NewPool(64, sw, nil), Mgr: txn.NewManager()}
-	pool.Buf.StartEngine(buffer.EngineConfig{BackgroundWriter: true, Manual: true})
+	pool.Buf.StartEngine(buffer.EngineConfig{Manual: true})
 	defer pool.Buf.StopEngine()
 	s := NewStore(pool, catalog.NewMemory(), adt.NewRegistry(), Config{
 		FilesDir:  filepath.Join(dir, "pfiles"),

@@ -23,7 +23,7 @@ import (
 // read, and a sequential Read still reads ahead.
 func TestFChunkOverwriteNeitherLoadsNorPrefetches(t *testing.T) {
 	s := newTestStore(t)
-	s.pool.Buf.StartEngine(buffer.EngineConfig{Prefetch: true, Manual: true})
+	s.pool.Buf.StartEngine(buffer.EngineConfig{Manual: true})
 	defer s.pool.Buf.StopEngine()
 	const chunks = 12
 	chunk := int(DefaultChunkSize)
@@ -198,8 +198,6 @@ func BenchmarkFChunkOverwrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			data := compress.GenFrame(2, op, 0.5)
-			v := s.StartVacuum(VacuumOptions{Manual: true, ReclaimHistory: true})
-			defer v.Stop()
 			b.SetBytes(op)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -222,7 +220,7 @@ func BenchmarkFChunkOverwrite(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i%64 == 63 {
-					if _, err := v.Round(); err != nil {
+					if _, err := s.Vacuum(false); err != nil {
 						b.Fatal(err)
 					}
 					if err := d.Checkpoint(nil); err != nil {

@@ -65,9 +65,7 @@ func TestPruneStaleRecycledSlot(t *testing.T) {
 	// Supersede gen1, then reclaim it: its slot goes dead while the stale
 	// index entry (0, gen1TID) stays behind.
 	writeAll(t, s, ref, gen2)
-	v := s.StartVacuum(VacuumOptions{Manual: true, ReclaimHistory: true})
-	defer v.Stop()
-	if n, err := v.Round(); err != nil {
+	if n, err := s.Vacuum(false); err != nil {
 		t.Fatal(err)
 	} else if n == 0 {
 		t.Fatal("vacuum reclaimed nothing; gen1 should be dead")
@@ -150,9 +148,6 @@ func TestPruneStaleSlotRecycledForOtherChunk(t *testing.T) {
 			// record is not superseded again.
 			put(ref, k1, 0x12)
 			put(ref, 0, 0x11)
-			v := s.StartVacuum(VacuumOptions{Manual: true, ReclaimHistory: true})
-			defer v.Stop()
-
 			var (
 				rtx   *txn.Txn
 				h     Object
@@ -176,7 +171,7 @@ func TestPruneStaleSlotRecycledForOtherChunk(t *testing.T) {
 			}
 			round := func() {
 				t.Helper()
-				if _, err := v.Round(); err != nil {
+				if _, err := s.Vacuum(false); err != nil {
 					t.Fatal(err)
 				}
 			}

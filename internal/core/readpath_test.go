@@ -168,9 +168,7 @@ func TestFChunkReadPrunesRecycledSlots(t *testing.T) {
 	const chunks = 6
 	ref := createFChunk(t, s, "", bytes.Repeat([]byte{1}, chunks*cs))
 	writeAll(t, s, ref, bytes.Repeat([]byte{2}, chunks*cs))
-	v := s.StartVacuum(VacuumOptions{Manual: true, ReclaimHistory: true})
-	defer v.Stop()
-	if n, err := v.Round(); err != nil || n < chunks {
+	if n, err := s.Vacuum(false); err != nil || n < chunks {
 		t.Fatalf("vacuum reclaimed %d versions (%v), want the %d of generation 1", n, err, chunks)
 	}
 	// Generation 3 refills generation 1's blocks, last freed first, so the

@@ -1,20 +1,15 @@
 package core
 
-// Online vacuum daemon: the background counterpart of the facade's manual
-// Vacuum call. Each round computes the global xmin horizon once from the
-// transaction manager, then walks every class relation and every
-// large-object relation in the catalog, reclaiming versions no live or
-// future snapshot can see (aborted debris always; superseded committed
-// versions only when history is not being kept). Modeled on the buffer
-// pool's background I/O engine: optional, restartable, and with a Manual
-// mode that spawns no goroutines so deterministic harnesses (the seeded
-// crash sweep) drive Round() themselves.
+// Vacuum: one pass over the catalog reclaiming versions no live or future
+// snapshot can see (aborted debris always; superseded committed versions
+// only when history is not being kept), run by hand through Store.Vacuum
+// or on a daemon.Loop by the online vacuum daemon.
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"postlob/internal/daemon"
 	"postlob/internal/heap"
 	"postlob/internal/obs"
 	"postlob/internal/storage"
@@ -23,7 +18,7 @@ import (
 // Vacuum metrics, registered once at package init as obsregister requires.
 // vacuum.reclaimed counts into heap's versions.reclaimed too (VacuumBelow
 // increments that one), so vacuum.reclaimed <= versions.reclaimed always —
-// the difference is whatever manual Relation.Vacuum calls reclaimed.
+// the difference is whatever direct Relation.Vacuum calls reclaimed.
 var (
 	obsVacRounds    = obs.NewCounter("vacuum.rounds")
 	obsVacReclaimed = obs.NewCounter("vacuum.reclaimed")
@@ -50,79 +45,18 @@ type VacuumOptions struct {
 	// versions below the snapshot horizon are reclaimed too, not just
 	// aborted debris. This is the POSTGRES vacuum-cleaner trade.
 	ReclaimHistory bool
-	// Manual spawns no goroutine: the harness calls Round itself, keeping a
-	// seeded workload's operation sequence deterministic while still
-	// exercising the reclamation code paths.
-	Manual bool
 }
 
-// Vacuum is a running vacuum daemon, returned by Store.StartVacuum.
-type Vacuum struct {
-	s    *Store
-	opts VacuumOptions
-	stop chan struct{}
-	wake chan struct{} // capacity 1: at most one pending nudge from the heap
-	wg   sync.WaitGroup
-
-	mu      sync.Mutex // guards lastErr and stopped; never held across a Round
-	lastErr error
-	stopped bool
-}
-
-// StartVacuum starts an online vacuum daemon over the store's catalog.
-// Call after recovery, once the catalog is loaded. The caller owns the
-// lifecycle: Stop it before closing the store.
-func (s *Store) StartVacuum(opts VacuumOptions) *Vacuum {
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultVacuumInterval
-	}
-	v := &Vacuum{s: s, opts: opts, stop: make(chan struct{}), wake: make(chan struct{}, 1)}
-	if !opts.Manual {
-		if opts.ReclaimHistory {
-			s.pool.WatchStamps(vacuumWakeStamps, v.wake)
-		}
-		v.wg.Add(1)
-		go v.loop()
-	}
-	return v
-}
-
-// loop runs rounds on a clock tick, and sooner when the heap reports enough
-// newly stamped versions, until Stop. Errors are noted sticky for
-// Stop to surface; the frames involved are untouched (VacuumBelow leaves a
-// relation consistent on error), so the loop just retries next tick.
-func (v *Vacuum) loop() {
-	defer v.wg.Done()
-	t := time.NewTicker(v.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-v.stop:
-			return
-		case <-t.C:
-		case <-v.wake:
-		}
-		if _, err := v.Round(); err != nil {
-			v.mu.Lock()
-			if v.lastErr == nil {
-				v.lastErr = err
-			}
-			v.mu.Unlock()
-		}
-	}
-}
-
-// Round performs one vacuum pass synchronously and returns the number of
-// versions reclaimed. The horizon is read once, up front: every relation in
-// the pass is vacuumed against the same cutoff, so a snapshot opened
-// mid-round (necessarily above the captured horizon) can never lose a
-// version the round decided to keep. Relations that vanish mid-walk (a
-// concurrent drop or unlink) are skipped, not errors.
-func (v *Vacuum) Round() (int, error) {
-	s := v.s
+// Vacuum reclaims space in every class and large-object relation and
+// returns the number of versions removed. The horizon is read once, up
+// front: every relation in the pass is vacuumed against the same cutoff,
+// so a snapshot opened mid-pass (necessarily above the captured horizon)
+// can never lose a version the pass decided to keep. Relations that vanish
+// mid-walk (a concurrent drop or unlink) are skipped, not errors; the
+// first other error is returned after the walk finishes.
+func (s *Store) Vacuum(keepHistory bool) (int, error) {
 	horizon := s.pool.Mgr.GlobalXmin()
 	obsVacHorizon.Set(int64(horizon))
-	keepHistory := !v.opts.ReclaimHistory
 	total := 0
 	var firstErr error
 	vac := func(sm storage.ID, rel storage.RelName) {
@@ -154,25 +88,41 @@ func (v *Vacuum) Round() (int, error) {
 	return total, firstErr
 }
 
-// Stop halts the daemon, waits for its goroutine to exit, and returns the
-// first error any background round hit (rounds driven manually report their
-// errors directly). Safe to call more than once.
-func (v *Vacuum) Stop() error {
-	v.mu.Lock()
-	if v.stopped {
-		err := v.lastErr
-		v.mu.Unlock()
-		return err
+// VacuumDaemon is a running online vacuum daemon, returned by
+// Store.StartVacuum.
+type VacuumDaemon struct {
+	s       *Store
+	loop    *daemon.Loop
+	watches bool // registered for the heap's stamp nudges
+}
+
+// StartVacuum starts an online vacuum daemon over the store's catalog: a
+// Store.Vacuum pass on every tick, and sooner when the heap reports enough
+// newly stamped versions. A failed pass leaves every relation consistent,
+// so the daemon just retries on its next wake-up. Call after recovery, once
+// the catalog is loaded. The caller owns the lifecycle: Stop it before
+// closing the store.
+func (s *Store) StartVacuum(opts VacuumOptions) *VacuumDaemon {
+	if opts.Interval <= 0 {
+		opts.Interval = DefaultVacuumInterval
 	}
-	v.stopped = true
-	v.mu.Unlock()
-	if !v.opts.Manual && v.opts.ReclaimHistory {
+	keepHistory := !opts.ReclaimHistory
+	v := &VacuumDaemon{s: s, watches: opts.ReclaimHistory}
+	v.loop = daemon.Start(func() error {
+		_, err := s.Vacuum(keepHistory)
+		return err
+	}, opts.Interval)
+	if v.watches {
+		s.pool.WatchStamps(vacuumWakeStamps, func() { v.loop.Kick() })
+	}
+	return v
+}
+
+// Stop halts the daemon, waits out a pass in flight, and returns the first
+// error any background pass hit. Safe to call repeatedly and concurrently.
+func (v *VacuumDaemon) Stop() error {
+	if v.watches {
 		v.s.pool.WatchStamps(0, nil)
 	}
-	close(v.stop)
-	v.wg.Wait()
-	v.mu.Lock()
-	err := v.lastErr
-	v.mu.Unlock()
-	return err
+	return v.loop.Stop()
 }

@@ -76,12 +76,9 @@ func TestVacuumPinnedByOldSnapshot(t *testing.T) {
 	writeAll(t, s, ref, bytes.Repeat([]byte{0xBB}, 3*s.chunkSize))
 	writeAll(t, s, ref, bytes.Repeat([]byte{0xCC}, 3*s.chunkSize))
 
-	v := s.StartVacuum(VacuumOptions{Manual: true, ReclaimHistory: true})
-	defer v.Stop()
-
 	// Every superseded version was deleted after pin's snapshot, so the
 	// horizon is below all of them: nothing may be reclaimed.
-	n, err := v.Round()
+	n, err := s.Vacuum(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +92,7 @@ func TestVacuumPinnedByOldSnapshot(t *testing.T) {
 
 	// Release the pin; the horizon advances past the dead versions.
 	pin.Abort()
-	n, err = v.Round()
+	n, err = s.Vacuum(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +134,10 @@ func TestVacuumReclaimedSpaceReused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v := s.StartVacuum(VacuumOptions{Manual: true, ReclaimHistory: true})
-	defer v.Stop()
-
 	// Warm up: one overwrite + vacuum establishes the steady-state size
 	// (the first overwrite may extend before vacuum has freed anything).
 	writeAll(t, s, ref, bytes.Repeat([]byte{2}, 4*s.chunkSize))
-	if _, err := v.Round(); err != nil {
+	if _, err := s.Vacuum(false); err != nil {
 		t.Fatal(err)
 	}
 	steady, err := rel.NBlocks()
@@ -154,7 +148,7 @@ func TestVacuumReclaimedSpaceReused(t *testing.T) {
 	before := obs.Snapshot()
 	for i := 0; i < 8; i++ {
 		writeAll(t, s, ref, bytes.Repeat([]byte{byte(3 + i)}, 4*s.chunkSize))
-		if _, err := v.Round(); err != nil {
+		if _, err := s.Vacuum(false); err != nil {
 			t.Fatal(err)
 		}
 	}

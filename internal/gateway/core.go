@@ -2,13 +2,13 @@ package gateway
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 
 	"postlob/internal/adt"
 	"postlob/internal/compress"
 	"postlob/internal/core"
+	"postlob/internal/daemon"
 	"postlob/internal/inversion"
 	"postlob/internal/query"
 )
@@ -46,13 +46,8 @@ type Gateway struct {
 	fsMu sync.Mutex
 	fs   *inversion.FS // guarded by fsMu until set, then read-only
 
-	// smu guards the stream listener/connection table (never held across
-	// I/O or any store call).
-	smu      sync.Mutex
-	listener net.Listener      // guarded by smu
-	closed   bool              // guarded by smu
-	conns    map[net.Conn]bool // guarded by smu
-	wg       sync.WaitGroup
+	// srv owns the stream listener and its connections.
+	srv daemon.Server
 
 	readOnly atomic.Bool
 	chunkHWM atomic.Int64
@@ -83,7 +78,7 @@ func New(store *core.Store, opts Options) *Gateway {
 		// operation supports.
 		opts.FS.Kind = adt.KindFChunk
 	}
-	return &Gateway{store: store, engine: query.New(store), opts: opts, conns: make(map[net.Conn]bool)}
+	return &Gateway{store: store, engine: query.New(store), opts: opts}
 }
 
 // SetReadOnly puts the gateway in replica mode: every mutating operation

@@ -28,53 +28,12 @@ const maxPipeline = 64
 var errConnDone = errors.New("gateway: connection closed")
 
 // ServeStream accepts v2 protocol connections on l until Close. It returns
-// after the listener fails or is closed.
-func (g *Gateway) ServeStream(l net.Listener) error {
-	g.smu.Lock()
-	if g.closed {
-		g.smu.Unlock()
-		return errors.New("gateway: closed")
-	}
-	g.listener = l
-	g.smu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			g.smu.Lock()
-			closed := g.closed
-			g.smu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		g.smu.Lock()
-		g.conns[conn] = true
-		g.smu.Unlock()
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.handleStream(conn)
-		}()
-	}
-}
+// after the listener fails or is closed, and Close waits for it to return.
+func (g *Gateway) ServeStream(l net.Listener) error { return g.srv.Serve(l, g.handleStream) }
 
-// Close stops accepting stream connections and tears down live ones.
-func (g *Gateway) Close() error {
-	g.smu.Lock()
-	g.closed = true
-	l := g.listener
-	for conn := range g.conns {
-		conn.Close()
-	}
-	g.smu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	g.wg.Wait()
-	return err
-}
+// Close stops accepting stream connections, tears down live ones, and waits
+// for ServeStream and every connection handler to return.
+func (g *Gateway) Close() error { return g.srv.Close() }
 
 // writeItem is one frame queued for the connection's writer goroutine:
 // either a sealed frame in a pooled buffer (fb), or a control message (msg)
@@ -302,13 +261,7 @@ func (c *gwConn) writer() {
 // loop, with the dispatcher and writer alongside.
 func (g *Gateway) handleStream(conn net.Conn) {
 	obsStreamConns.Inc()
-	defer func() {
-		obsStreamConns.Dec()
-		g.smu.Lock()
-		delete(g.conns, conn)
-		g.smu.Unlock()
-		conn.Close()
-	}()
+	defer obsStreamConns.Dec()
 
 	c := &gwConn{
 		g:          g,

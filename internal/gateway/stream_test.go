@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -989,5 +990,68 @@ func BenchmarkStreamReadTo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		read(io.Discard)
+	}
+}
+
+// lateListener hands back one connection only after Close has been called
+// on it: the Accept that returns just as the gateway's Close has swept its
+// live connections.
+type lateListener struct {
+	conn      net.Conn
+	accepting chan struct{} // closed when the first Accept parks
+	closed    chan struct{}
+	once      sync.Once
+	handed    atomic.Bool
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	if l.handed.CompareAndSwap(false, true) {
+		close(l.accepting)
+		<-l.closed
+		return l.conn, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return l.conn.LocalAddr() }
+
+// TestGatewayCloseRefusesLateAccept: a connection Accept returns while
+// Close runs must not be served past Close. Close returns with the
+// connection closed and ServeStream returned.
+func TestGatewayCloseRefusesLateAccept(t *testing.T) {
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, storage.NewMemManager(storage.DeviceModel{}, nil))
+	pool := &heap.Pool{Buf: buffer.NewPool(64, sw, nil), Mgr: txn.NewManager()}
+	store := core.NewStore(pool, catalog.NewMemory(), adt.NewRegistry(), core.Config{
+		FilesDir:  filepath.Join(t.TempDir(), "pfiles"),
+		DefaultSM: storage.Mem,
+	})
+	g := gateway.New(store, gateway.Options{})
+	server, client := net.Pipe()
+	defer client.Close()
+	ln := &lateListener{conn: server, accepting: make(chan struct{}), closed: make(chan struct{})}
+	served := make(chan error, 1)
+	go func() { served <- g.ServeStream(ln) }()
+	<-ln.accepting
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection accepted during Close still open after it: read %v", err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ServeStream: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeStream still running after Close")
 	}
 }

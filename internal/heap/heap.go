@@ -96,28 +96,26 @@ type Pool struct {
 
 type stampWatch struct {
 	every uint64
-	ch    chan<- struct{}
+	kick  func()
 }
 
-// WatchStamps asks for a non-blocking send on ch each time another every
-// versions have been stamped deleted anywhere in the pool: the cue for a
-// vacuum daemon that enough has changed to be worth a round before its next
-// clock tick, however fast or slow the writers are. A nil ch cancels.
-func (p *Pool) WatchStamps(every uint64, ch chan<- struct{}) {
-	if ch == nil {
+// WatchStamps asks for a call of kick each time another every versions have
+// been stamped deleted anywhere in the pool: the cue for a vacuum daemon
+// that enough has changed to be worth a round before its next clock tick,
+// however fast or slow the writers are. kick runs on the stamping
+// goroutine, so it must not block. A nil kick cancels.
+func (p *Pool) WatchStamps(every uint64, kick func()) {
+	if kick == nil {
 		p.stampWatch.Store(nil)
 		return
 	}
-	p.stampWatch.Store(&stampWatch{every: every, ch: ch})
+	p.stampWatch.Store(&stampWatch{every: every, kick: kick})
 }
 
 func (p *Pool) noteStamp() {
 	n := p.stamps.Add(1)
 	if w := p.stampWatch.Load(); w != nil && n%w.every == 0 {
-		select {
-		case w.ch <- struct{}{}:
-		default:
-		}
+		w.kick()
 	}
 }
 
@@ -723,7 +721,7 @@ func (r *Relation) scan(vis func([]byte, *buffer.Frame) bool, fn func(TID, []byt
 	// window posted to the pool's prefetcher (a no-op without an engine) so
 	// the next Get finds its block resident. Windows overlap on purpose —
 	// resident blocks are skipped — and the post itself never blocks.
-	const readAhead = buffer.DefaultPrefetchWindow
+	const readAhead = buffer.PrefetchWindow
 	for blk := storage.BlockNum(0); blk < n; blk++ {
 		if blk%(readAhead/2) == 0 && blk+1 < n {
 			r.pool.Buf.Prefetch(r.sm, r.name, blk+1, readAhead)

@@ -19,7 +19,7 @@ func TestCheckpointSurfacesBackgroundWriteError(t *testing.T) {
 	fault := storage.NewFaultManager(storage.NewMemManager(storage.DeviceModel{}, nil))
 	sw.Register(storage.Mem, fault)
 	pool := buffer.NewPool(16, sw, nil)
-	pool.StartEngine(buffer.EngineConfig{BackgroundWriter: true, Manual: true})
+	pool.StartEngine(buffer.EngineConfig{Manual: true})
 	defer pool.StopEngine()
 	r := &Receiver{cfg: ReceiverConfig{Dir: t.TempDir(), Pool: pool, Mgr: txn.NewManager()}}
 

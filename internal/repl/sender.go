@@ -1,14 +1,14 @@
 package repl
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"postlob/internal/buffer"
 	"postlob/internal/catalog"
+	"postlob/internal/daemon"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/wal"
@@ -27,98 +27,31 @@ type Sender struct {
 	mgr  *txn.Manager
 	cat  *catalog.Catalog
 
-	mu       sync.Mutex
-	listener net.Listener      // guarded by mu
-	closed   bool              // guarded by mu
-	conns    map[net.Conn]bool // guarded by mu
-	slotSeq  int               // guarded by mu
-	wg       sync.WaitGroup
+	srv     daemon.Server
+	slotSeq atomic.Int64
 }
 
 // NewSender builds a sender over the primary's WAL, pool, transaction
 // manager, and catalog — the four things a base backup and a stream are made
 // of. Call Serve with a listener to start accepting replicas.
 func NewSender(log *wal.Log, pool *buffer.Pool, mgr *txn.Manager, cat *catalog.Catalog) *Sender {
-	return &Sender{
-		log:   log,
-		pool:  pool,
-		mgr:   mgr,
-		cat:   cat,
-		conns: make(map[net.Conn]bool),
-	}
+	return &Sender{log: log, pool: pool, mgr: mgr, cat: cat}
 }
 
 // Serve accepts replica connections on l until Close. It returns after the
 // listener fails or is closed, and Close waits for it to return.
-func (s *Sender) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("repl: sender closed")
-	}
-	s.listener = l
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = true
-		s.slotSeq++
-		seq := s.slotSeq
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn, seq)
-		}()
-	}
-}
+func (s *Sender) Serve(l net.Listener) error { return s.srv.Serve(l, s.handle) }
 
 // Close stops accepting, tears down replica connections, and waits for
 // Serve, the connection handlers and their slot releases to finish.
-func (s *Sender) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	l := s.listener
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Sender) Close() error { return s.srv.Close() }
 
 // handle runs one replica connection: handshake, optional base backup, then
 // the streaming loop. Any error tears the connection down; the replica
 // reconnects and the handshake re-decides stream-vs-base.
-func (s *Sender) handle(conn net.Conn, seq int) {
+func (s *Sender) handle(conn net.Conn) {
 	obsConnected.Inc()
-	defer func() {
-		obsConnected.Dec()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
+	defer obsConnected.Dec()
 
 	w := newWire(conn)
 	var hello Hello
@@ -136,7 +69,7 @@ func (s *Sender) handle(conn net.Conn, seq int) {
 	}
 	// Slots are per-connection (two replicas sharing a name must not share
 	// a slot), and released on disconnect — dead replicas never pin the log.
-	slot := fmt.Sprintf("repl-%d-%s", seq, name)
+	slot := fmt.Sprintf("repl-%d-%s", s.slotSeq.Add(1), name)
 
 	// A replica that reports a durable position the log still retains
 	// resumes streaming from it; anything else — fresh replica, or one whose

@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"postlob/internal/daemon"
 	"postlob/internal/obs"
 	"postlob/internal/page"
 	"postlob/internal/storage"
@@ -155,7 +156,6 @@ type Log struct {
 	hasCkpt    bool      // guarded by mu; a checkpoint record exists in the live log
 	scanEnd    LSN       // guarded by mu; durable tail found by Open's scan (Replay's bound)
 	ioErr      error     // guarded by mu; sticky flush failure
-	closing    bool      // guarded by mu; a Close call owns the shutdown
 	closed     bool      // guarded by mu
 	waiting    []*waiter // guarded by mu
 
@@ -172,12 +172,13 @@ type Log struct {
 	ioRel storage.RelName // guarded by ioMu; cached segRel(ioSeg), "" before the first write
 
 	// flushBuf is the flusher's own copy of the unflushed tail, reused from
-	// one flushOnce to the next. Only the flusher goroutine touches it.
+	// one flushOnce to the next. Only the flusher's rounds and Close's
+	// final drain, which runs after the flusher has stopped, touch it.
 	flushBuf []byte
 
-	kick        chan struct{}
-	stop        chan struct{}
-	flusherDone chan struct{}
+	// flusher is the group-commit loop: kick-only, one flushOnce per round.
+	flusher   *daemon.Loop
+	closeOnce sync.Once
 }
 
 func (l *Log) segRel(seg uint64) storage.RelName {
@@ -204,19 +205,22 @@ func Open(mgr storage.Manager, cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("wal: SegBlocks %d below minimum 2", cfg.SegBlocks)
 	}
 	l := &Log{
-		mgr:         mgr,
-		prefix:      cfg.Prefix,
-		segBlocks:   cfg.SegBlocks,
-		segBytes:    uint64(cfg.SegBlocks) * page.Size,
-		kick:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		flusherDone: make(chan struct{}),
+		mgr:       mgr,
+		prefix:    cfg.Prefix,
+		segBlocks: cfg.SegBlocks,
+		segBytes:  uint64(cfg.SegBlocks) * page.Size,
 	}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.recoverStateLocked(cfgExplicit); err != nil {
 		return nil, err
 	}
-	go l.flusher()
+	// The flusher snapshots the unflushed tail each round, writes and syncs
+	// it with no append lock held, then wakes every waiter the new durable
+	// LSN satisfies.
+	l.flusher = daemon.Start(func() error {
+		l.flushOnce()
+		return nil
+	}, 0)
 	return l, nil
 }
 
@@ -733,28 +737,9 @@ func (l *Log) FlushLazy(lsn LSN) {
 	_ = lsn
 }
 
-func (l *Log) kickLocked() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-}
-
-// flusher is the dedicated group-commit goroutine: each cycle snapshots the
-// unflushed tail, writes and syncs it with no append lock held, then wakes
-// every waiter the new durable LSN satisfies.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	for {
-		select {
-		case <-l.kick:
-			l.flushOnce()
-		case <-l.stop:
-			l.flushOnce() // final drain
-			return
-		}
-	}
-}
+// kickLocked wakes the flusher. The kick neither blocks nor locks, so it is
+// safe under mu; flush failures report through ioErr, not the loop.
+func (l *Log) kickLocked() { l.flusher.Kick() }
 
 // flushOnce pushes everything appended so far to the device. The tail bytes
 // are copied under mu (appends may fill img concurrently) and the last
@@ -913,30 +898,22 @@ func (l *Log) CheckpointWithMeta(redo LSN, meta CheckpointMeta) (LSN, error) {
 	return lsn, nil
 }
 
-// Close drains the flusher and shuts the log down. Parked Flush calls whose
-// LSN the final drain did not cover return ErrClosed. Close is safe to call
-// concurrently and repeatedly: the first caller owns the shutdown (the
-// closing flag is set under mu, so stop is closed exactly once) and every
-// other caller waits for it to finish and returns the same sticky error.
+// Close stops the flusher, drains what is left itself, and shuts the log
+// down. Parked Flush calls whose LSN the final drain did not cover return
+// ErrClosed. Close is safe to call concurrently and repeatedly: every caller
+// waits for the one shutdown to finish and returns the same sticky error.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closing {
-		l.mu.Unlock()
-		<-l.flusherDone
+	l.flusher.Stop()
+	l.closeOnce.Do(func() {
+		l.flushOnce() // final drain
 		l.mu.Lock()
-		err := l.ioErr
+		l.closed = true
+		l.notifyLocked() // durable watchers re-check and see the close
+		l.cond.Broadcast()
 		l.mu.Unlock()
-		return err
-	}
-	l.closing = true
-	l.mu.Unlock()
-	close(l.stop)
-	<-l.flusherDone
+	})
 	l.mu.Lock()
-	l.closed = true
 	err := l.ioErr
-	l.notifyLocked() // durable watchers re-check and see the close
-	l.cond.Broadcast()
 	l.mu.Unlock()
 	return err
 }

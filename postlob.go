@@ -205,9 +205,6 @@ type Options struct {
 	// do-the-I/O-in-the-caller discipline; deterministic harnesses (crash
 	// sweeps) want that, everything else wants the engine.
 	BackgroundWriter *bool
-	// PrefetchWindow caps the sequential read-ahead window in pages
-	// (default 16). Consulted only while the engine is running.
-	PrefetchWindow int
 }
 
 // DB is an open database.
@@ -225,7 +222,7 @@ type DB struct {
 	waldur *core.WALDurability
 
 	vacMu sync.Mutex // guards vac across StartVacuum/StopVacuum/Close
-	vac   *core.Vacuum
+	vac   *core.VacuumDaemon
 
 	replica atomic.Bool // read-only streaming replica (until Promote)
 	recv    *repl.Receiver
@@ -366,11 +363,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	// The engine starts after AttachWAL so its write-backs honor the flush
 	// ceiling from the first round, and before any workload runs.
 	if opts.BackgroundWriter == nil || *opts.BackgroundWriter {
-		pool.Buf.StartEngine(buffer.EngineConfig{
-			BackgroundWriter: true,
-			Prefetch:         true,
-			PrefetchWindow:   opts.PrefetchWindow,
-		})
+		pool.Buf.StartEngine(buffer.EngineConfig{})
 	}
 	// Reload persisted large type definitions into the registry.
 	for _, def := range cat.LargeTypes() {
@@ -591,35 +584,10 @@ func (db *DB) Stats() Stats {
 // Vacuum reclaims space in every class and large-object relation: debris
 // from aborted transactions always goes; with keepHistory false, superseded
 // committed versions go too — surrendering time travel for space, the
-// trade POSTGRES's vacuum cleaner offered. Returns tuples removed.
+// trade POSTGRES's vacuum cleaner offered. Returns tuples removed. The
+// online vacuum daemon runs this same pass.
 func (db *DB) Vacuum(keepHistory bool) (int, error) {
-	total := 0
-	vac := func(sm storage.ID, rel storage.RelName) error {
-		if rel == "" {
-			return nil
-		}
-		r, err := heap.Open(db.pool, sm, rel)
-		if err != nil {
-			return err
-		}
-		n, err := r.Vacuum(keepHistory)
-		total += n
-		return err
-	}
-	for _, cls := range db.cat.Classes() {
-		if err := vac(cls.SM, cls.Rel); err != nil {
-			return total, err
-		}
-	}
-	for _, meta := range db.cat.Objects(false) {
-		if err := vac(meta.SM, meta.DataRel); err != nil {
-			return total, err
-		}
-		if err := vac(meta.SM, meta.SegRel); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return db.store.Vacuum(keepHistory)
 }
 
 // StartVacuum starts the online vacuum daemon at runtime. Returns an error
@@ -645,14 +613,6 @@ func (db *DB) StopVacuum() error {
 		return nil
 	}
 	return v.Stop()
-}
-
-// VacuumDaemon returns the running vacuum daemon, or nil. Manual-mode tests
-// use it to drive rounds deterministically.
-func (db *DB) VacuumDaemon() *core.Vacuum {
-	db.vacMu.Lock()
-	defer db.vacMu.Unlock()
-	return db.vac
 }
 
 // Checkpoint flushes all dirty pages, syncs every relation the pool has
