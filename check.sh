@@ -33,7 +33,13 @@
 #                                  TestGatewayCloseRefusesLateAccept), 20
 #                                  times each under the race detector, so a
 #                                  start/stop race cannot hide behind one
-#                                  lucky schedule
+#                                  lucky schedule; with them the writer's
+#                                  cold-window and gap-write tests and the
+#                                  two randomized dirty-bookkeeping oracles
+#                                  (TestWALDirtyListSurvivesRandomOps,
+#                                  TestDirtyCountSurvivesRandomOps), which
+#                                  race live writer rounds against evictions,
+#                                  drops and checkpoints
 #
 #   4b. benchmark module           benchmark/ is a Go module of its own (it
 #                                  imports postlob/internal/... through a
@@ -63,7 +69,8 @@
 #                                  write path under WAL durability (chunks
 #                                  encoded into the handle's reused buffer,
 #                                  tuples built on the page) with its
-#                                  allocations reported: the benchmark's
+#                                  allocations and page write-backs per op
+#                                  (writebacks/op) reported: the benchmark's
 #                                  replace_wal op in miniature
 #
 #   6c. BenchmarkFastDecode        one-iteration smoke run of the
@@ -235,6 +242,9 @@ go test -race -count=20 ./internal/daemon
 go test -race -count=20 \
 	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept)$' \
 	./internal/buffer ./internal/core ./internal/gateway
+go test -race -count=20 \
+	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps)$' \
+	./internal/buffer
 
 echo "== benchmark module (go vet + go test in benchmark/)"
 (cd benchmark && go vet ./... && go test ./...)

@@ -34,6 +34,7 @@ var (
 	obsBgErrors   = obs.NewCounter("buffer.bgwriter.errors")
 	obsBgWakeups  = obs.NewCounter("buffer.bgwriter.wakeups")
 	obsBgScanned  = obs.NewCounter("buffer.bg.frames_scanned")
+	obsZeroFill   = obs.NewCounter("buffer.zero_fill_blocks")
 	obsEvictDirty = obs.NewCounter("buffer.evict.dirty_foreground")
 
 	obsPfPosted    = obs.NewCounter("buffer.prefetch.posted")
@@ -50,6 +51,9 @@ const (
 	bgInterval = 2 * time.Millisecond
 	// bgBatchPages caps pages written back per writer round.
 	bgBatchPages = 64
+	// bgColdShare sets a writer round's window: the coldest 1/bgColdShare
+	// of each partition's LRU list, rounded up (see collectColdDirty).
+	bgColdShare = 4
 	// PrefetchWindow caps blocks per posted prefetch window; scans post
 	// windows of exactly this many blocks.
 	PrefetchWindow = 16
@@ -158,7 +162,8 @@ func (p *Pool) TakeBackgroundError() error {
 }
 
 // BgWriterRound performs one writer round synchronously: collect up to
-// maxPages of the coldest dirty unpinned frames, write them back (batch
+// maxPages dirty unpinned frames from the cold ends of the LRU lists (see
+// collectColdDirty for how far from the ends), write them back (batch
 // pre-logging and one WAL flush cover the whole round, gather writes cover
 // contiguous runs), and leave them clean at the cold end of their LRU lists
 // where evict() finds them for free. maxPages <= 0 means the writer's own
@@ -196,16 +201,25 @@ func (p *Pool) BgWriterRound(maxPages int) (int, error) {
 	return written, err
 }
 
-// collectColdDirty pins up to max dirty unpinned frames, scanning each
-// partition's LRU list from the cold end. The frames are flagged evicting —
-// the same private-pin protocol as a foreground eviction write-back — so
-// DropRel waits them out instead of failing.
+// collectColdDirty pins up to max dirty unpinned frames from the cold end of
+// each partition's LRU list: only from its coldest quarter, rounded up
+// (bgColdShare). The frames are flagged evicting — the same private-pin
+// protocol as a foreground eviction write-back — so DropRel waits them out
+// instead of failing.
+//
+// The window is what makes a write-back a page's last one before eviction.
+// A frame in the warm part of its list is likely to be dirtied again — the
+// no-overwrite store modifies a chunk page three times, at insert, at the
+// xmax stamp and at vacuum's reclaim — and writing it each time would send
+// it to the device up to three times where one write at the next checkpoint
+// or on its way out of the pool does. Eviction reaches the cold quarter
+// first, so that is the only part a writer round needs clean.
 //
 // A round costs O(dirty frames), not O(pool): a partition whose ndirty is 0
-// is passed by without its lock, and a walk stops once it has seen ndirty
-// dirty frames, so an idle round is one atomic load per partition. A stale
-// count only makes the writer skip or stop early; eviction and checkpoints
-// still write back whatever it missed.
+// is passed by without its lock, and a walk stops at the end of the window
+// or once it has seen ndirty dirty frames, so an idle round is one atomic
+// load per partition. A stale count only makes the writer skip or stop
+// early; eviction and checkpoints still write back whatever it missed.
 func (p *Pool) collectColdDirty(max int) []*Frame {
 	var frames []*Frame
 	scanned := 0
@@ -220,7 +234,8 @@ func (p *Pool) collectColdDirty(max int) []*Frame {
 		}
 		part.mu.Lock()
 		left := part.ndirty.Load()
-		for f := part.lru.back; f != nil && len(frames) < max && left > 0; {
+		window := (part.lru.n + bgColdShare - 1) / bgColdShare
+		for f := part.lru.back; f != nil && window > 0 && len(frames) < max && left > 0; window-- {
 			prev := f.lruPrev // pinning takes f off the list
 			scanned++
 			if f.dirty.Load() {
@@ -239,10 +254,11 @@ func (p *Pool) collectColdDirty(max int) []*Frame {
 	return frames
 }
 
-// releaseToCold drops a round's private pin and, when the frame is otherwise
-// unpinned, parks it at the cold end of the LRU list: a freshly cleaned
-// frame is exactly what the next eviction should pick. Panics if the frame
-// holds no pins — the caller must own the pin collectColdDirty took.
+// releaseToCold drops a write-back's private pin and, when the frame is
+// otherwise unpinned, parks it at the cold end of the LRU list: a freshly
+// cleaned frame is exactly what the next eviction should pick. Panics if the
+// frame holds no pins — the caller must own the pin collectColdDirty or
+// pinGap took.
 func (p *Pool) releaseToCold(f *Frame) {
 	part := f.part
 	part.mu.Lock()
@@ -400,6 +416,16 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 // written page; a frame re-dirtied after the batch pre-log gets its own
 // image appended and a narrower flush before the device write, preserving
 // the flush-ceiling rule per frame.
+//
+// The device cannot have holes, so a run that starts past the device's end
+// also writes the gap below it, in the same gather write. Every gap block
+// still has a frame in the pool (a block reaches the device only through
+// here), so the gap goes out as those frames' real pages: a page written as
+// zeros would be written again with its real bytes later. A gap frame is
+// taken only when it is unpinned (pinGap), its shared latch is free at once
+// (TryRLock, held for the copy) and, under a WAL, it needs no image of its
+// own; any other gap block is written as a zero page
+// (buffer.zero_fill_blocks) and its frame's own write-back replaces it.
 func (p *Pool) writeRun(run []*Frame) (int, error) {
 	tag0 := run[0].tag
 	// Drain-gate sign-in before the dirty bits are cleared below: a
@@ -414,37 +440,72 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 	}
 	ext := p.extLock(tag0.SM, tag0.Rel)
 	ext.Lock()
-	defer ext.Unlock()
 	phys, err := mgr.NBlocks(tag0.Rel)
+	gapLo := phys
+	var gap []*Frame
+	if err == nil && phys < tag0.Blk {
+		// Partition latches rank above the extension lock: pin the gap's
+		// frames with it dropped, then read the device's length again. It
+		// can only have grown, toward tag0.Blk.
+		ext.Unlock()
+		gap = p.pinGap(tag0, gapLo)
+		defer p.releaseGap(gap)
+		ext.Lock()
+		phys, err = mgr.NBlocks(tag0.Rel)
+	}
+	defer ext.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if phys < tag0.Blk {
-		// The device cannot have holes: materialise the gap with zeros. Each
-		// such block still has a dirty in-pool frame (a clean frame implies
-		// the device already holds its block) whose later write-back
-		// replaces them.
-		for blk := phys; blk < tag0.Blk; blk++ {
-			if err := mgr.WriteBlock(tag0.Rel, blk, zeroPage[:]); err != nil {
-				return 0, err
-			}
-		}
-	}
+	lo := min(phys, tag0.Blk)
+	imgs := make([][]byte, int(tag0.Blk-lo)+len(run))
+	var taken []*Frame // gap frames whose pages this write carries
 	redirty := func() {
 		for _, f := range run {
 			f.setDirty(true)
 		}
+		for _, f := range taken {
+			f.setDirty(true)
+		}
 	}
-	imgs := make([][]byte, len(run))
 	defer func() {
 		for _, img := range imgs {
-			if img != nil {
+			if img != nil && &img[0] != &zeroPage[0] { // zeroPage is shared
 				pageBufs.Put((*[page.Size]byte)(img))
 			}
 		}
 	}()
 	var ceiling wal.LSN
-	for k, f := range run {
+	for blk := lo; blk < tag0.Blk; blk++ {
+		k := int(blk - lo)
+		imgs[k] = zeroPage[:]
+		var f *Frame
+		if blk >= gapLo {
+			f = gap[blk-gapLo]
+		}
+		if f == nil || !f.latch.TryRLock() {
+			obsZeroFill.Inc()
+			continue
+		}
+		if p.wal != nil && f.walDirty.Load() {
+			f.latch.RUnlock()
+			obsZeroFill.Inc()
+			continue
+		}
+		imgs[k] = getPageBuf()[:]
+		err := p.snapshotLatched(f, imgs[k])
+		f.latch.RUnlock()
+		if err != nil {
+			redirty()
+			return 0, err
+		}
+		taken = append(taken, f)
+		if l := wal.LSN(f.walLSN.Load()); l > ceiling {
+			ceiling = l
+		}
+	}
+	for i, f := range run {
+		k := int(tag0.Blk-lo) + i
 		imgs[k] = getPageBuf()[:]
 		if err := p.snapshotForWrite(f, imgs[k]); err != nil {
 			redirty()
@@ -460,15 +521,48 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 			return 0, err
 		}
 	}
-	if err := mgr.WriteBlocks(tag0.Rel, tag0.Blk, imgs); err != nil {
+	if err := mgr.WriteBlocks(tag0.Rel, lo, imgs); err != nil {
 		redirty()
 		return 0, err
 	}
-	obsWritebacks.Add(int64(len(run)))
-	if len(run) > 1 {
+	written := len(run) + len(taken)
+	obsWritebacks.Add(int64(written))
+	if len(imgs) > 1 {
 		obsBgBatches.Inc()
 	}
-	return len(run), nil
+	return written, nil
+}
+
+// pinGap pins the resident, unpinned frames of the blocks from lo up to
+// tag's, for writeRun to write with tag's run. They are flagged evicting, as
+// a writer round's frames are, so DropRel waits them out. The result is
+// indexed by block - lo, nil where no frame was pinned. At most half the
+// pool is pinned: the pins are held across the device write, and foreground
+// allocation needs the rest.
+func (p *Pool) pinGap(tag Tag, lo storage.BlockNum) []*Frame {
+	gap := make([]*Frame, tag.Blk-lo)
+	for i, pinned := 0, 0; i < len(gap) && pinned < p.cap/2; i++ {
+		t := Tag{SM: tag.SM, Rel: tag.Rel, Blk: lo + storage.BlockNum(i)}
+		part := p.part(t)
+		part.mu.Lock()
+		if f, ok := part.lookup[t]; ok && f.pins == 0 {
+			part.pinLocked(f)
+			f.evicting = true
+			gap[i] = f
+			pinned++
+		}
+		part.mu.Unlock()
+	}
+	return gap
+}
+
+// releaseGap drops pinGap's pins.
+func (p *Pool) releaseGap(gap []*Frame) {
+	for _, f := range gap {
+		if f != nil {
+			p.releaseToCold(f)
+		}
+	}
 }
 
 // Prefetch posts a read-ahead window of up to n blocks starting at blk.

@@ -445,6 +445,16 @@ func (p *Pool) wbWaitRel(key relKey) {
 	p.wbMu.Unlock()
 }
 
+// wbWaitAny blocks until some device write-back retires, or returns at
+// once when none is in flight.
+func (p *Pool) wbWaitAny() {
+	p.wbMu.Lock()
+	if len(p.wbInFlight) > 0 {
+		p.wbCond.Wait()
+	}
+	p.wbMu.Unlock()
+}
+
 // part hashes a tag to its partition (FNV-1a over rel, SM, and block).
 func (p *Pool) part(tag Tag) *partition {
 	const prime = 1099511628211
@@ -767,9 +777,24 @@ func (p *Pool) allocFrame() (*Frame, error) {
 	}
 	// The free list is dry and the pool is at capacity — the low-watermark
 	// wakeup: nudge the background writer so the victim about to be chosen
-	// (and the next ones) are clean.
-	p.kickBgWriter()
+	// (and the next ones) are clean. A pool with nothing dirty gives the
+	// writer nothing to do, and a read-only workload evicts on nearly every
+	// op: waking a goroutine for each would cost more than the eviction.
+	if p.anyDirty() {
+		p.kickBgWriter()
+	}
 	return p.evict()
+}
+
+// anyDirty reports whether some partition counts a dirty frame: one atomic
+// load per partition.
+func (p *Pool) anyDirty() bool {
+	for _, part := range p.parts {
+		if part.ndirty.Load() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *Pool) takeFree() *Frame {
@@ -823,6 +848,10 @@ func (p *Pool) evict() (*Frame, error) {
 		if f := p.takeFree(); f != nil {
 			return f, nil
 		}
+		// A write-back's pins, on a gap below its run too (see writeRun),
+		// go before it retires: wait for one to retire rather than call a
+		// pool exhausted whose pins are on their way out.
+		p.wbWaitAny()
 	}
 	return nil, fmt.Errorf("%w (%d frames)", ErrPoolExhausted, p.cap)
 }
@@ -973,7 +1002,8 @@ var pageBufs = sync.Pool{New: func() any { return new([page.Size]byte) }}
 
 func getPageBuf() *[page.Size]byte { return pageBufs.Get().(*[page.Size]byte) }
 
-// zeroPage materialises device blocks below a page being written back.
+// zeroPage materialises device blocks below a page being written back whose
+// own frames could not go with it (see writeRun).
 var zeroPage [page.Size]byte
 
 // A holeFinder is a Checksummer whose page layout has a gap that carries no
@@ -1007,10 +1037,15 @@ type holeFinder interface {
 func (p *Pool) snapshotForWrite(f *Frame, img []byte) error {
 	f.latch.RLock()
 	defer f.latch.RUnlock()
+	return p.snapshotLatched(f, img) //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
+}
+
+// snapshotLatched is snapshotForWrite with f's shared latch already held.
+func (p *Pool) snapshotLatched(f *Frame, img []byte) error {
 	f.setDirty(false)
 	copy(img, f.data)
 	if p.wal != nil && f.walDirty.Load() {
-		if _, err := p.logImage(f, img, 0); err != nil { //lobvet:ignore — append-under-latch is the stale-image-ordering fix; flusher never takes latches
+		if _, err := p.logImage(f, img, 0); err != nil {
 			f.setDirty(true)
 			return err
 		}

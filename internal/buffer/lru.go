@@ -8,6 +8,7 @@ package buffer
 // called with the partition's mu held.
 type lruList struct {
 	front, back *Frame
+	n           int // frames on the list
 }
 
 func (l *lruList) pushFrontLocked(f *Frame) {
@@ -18,6 +19,7 @@ func (l *lruList) pushFrontLocked(f *Frame) {
 		l.back = f
 	}
 	l.front = f
+	l.n++
 }
 
 func (l *lruList) pushBackLocked(f *Frame) {
@@ -28,6 +30,7 @@ func (l *lruList) pushBackLocked(f *Frame) {
 		l.front = f
 	}
 	l.back = f
+	l.n++
 }
 
 func (l *lruList) removeLocked(f *Frame) {
@@ -42,4 +45,5 @@ func (l *lruList) removeLocked(f *Frame) {
 		l.back = f.lruPrev
 	}
 	f.lruPrev, f.lruNext, f.inLRU = nil, nil, false
+	l.n--
 }

@@ -164,7 +164,9 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 }
 
 // An idle round touches no frame and takes no partition lock: it is one
-// atomic load per partition, however large the pool.
+// atomic load per partition, however large the pool. A round over one dirty
+// frame at the cold end of its list writes it and walks no further than the
+// list's cold window.
 func TestBgWriterIdleRoundScansNothing(t *testing.T) {
 	p, mem := newTestPool(t, 64)
 	p.StartEngine(EngineConfig{Manual: true})
@@ -173,10 +175,8 @@ func TestBgWriterIdleRoundScansNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirtyBlocks(t, p, storage.Mem, rel, 64)
-	for countDirty(p) > 0 {
-		if _, err := p.BgWriterRound(0); err != nil {
-			t.Fatal(err)
-		}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
 	}
 	scanned := obsBgScanned.Load()
 	for i := 0; i < 10; i++ {
@@ -188,9 +188,10 @@ func TestBgWriterIdleRoundScansNothing(t *testing.T) {
 		t.Fatalf("ten idle rounds over a clean 64-page pool visited %d frames, want 0", got)
 	}
 
-	// One dirty frame: the walk stops as soon as it has found it, so it
-	// visits at most the frames of that one partition.
-	f, err := p.Get(Tag{SM: storage.Mem, Rel: rel, Blk: 7})
+	// One dirty frame, parked at the cold end of its list by touching every
+	// other frame of its partition after it.
+	tag := Tag{SM: storage.Mem, Rel: rel, Blk: 7}
+	f, err := p.Get(tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,40 @@ func TestBgWriterIdleRoundScansNothing(t *testing.T) {
 	f.MarkDirty()
 	f.UnlockContent()
 	f.Release()
+	for _, other := range partitionTags(f.part) {
+		if other == tag {
+			continue
+		}
+		g, err := p.Get(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	}
+	f.part.mu.Lock()
+	back, window := f.part.lru.back, (f.part.lru.n+bgColdShare-1)/bgColdShare
+	f.part.mu.Unlock()
+	if back != f {
+		t.Fatal("the dirty frame is not at the cold end of its list")
+	}
 	scanned = obsBgScanned.Load()
 	if n, err := p.BgWriterRound(0); n != 1 || err != nil {
-		t.Fatalf("round over one dirty frame wrote %d, %v", n, err)
+		t.Fatalf("round over one cold dirty frame wrote %d, %v", n, err)
 	}
-	if got, most := obsBgScanned.Load()-scanned, int64(len(f.part.lookup)); got < 1 || got > most {
-		t.Fatalf("round over one dirty frame visited %d frames, want 1..%d", got, most)
+	if got := obsBgScanned.Load() - scanned; got < 1 || got > int64(window) {
+		t.Fatalf("round over one cold dirty frame visited %d frames, want 1..%d", got, window)
 	}
+}
+
+// partitionTags lists the tags resident in part.
+func partitionTags(part *partition) []Tag {
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	tags := make([]Tag, 0, len(part.lookup))
+	for tag := range part.lookup {
+		tags = append(tags, tag)
+	}
+	return tags
 }
 
 // BenchmarkBgWriterIdleRound runs writer rounds over a clean, fully resident

@@ -20,7 +20,10 @@ import (
 )
 
 // newTestStore builds a store over mem+disk managers in a temp dir.
-func newTestStore(t testing.TB) *Store {
+func newTestStore(t testing.TB) *Store { return newSizedTestStore(t, 512) }
+
+// newSizedTestStore is newTestStore with a buffer pool of the given size.
+func newSizedTestStore(t testing.TB, frames int) *Store {
 	t.Helper()
 	dir := t.TempDir()
 	sw := storage.NewSwitch()
@@ -30,7 +33,7 @@ func newTestStore(t testing.TB) *Store {
 		t.Fatal(err)
 	}
 	sw.Register(storage.Disk, disk)
-	pool := &heap.Pool{Buf: buffer.NewPool(512, sw, nil), Mgr: txn.NewManager()}
+	pool := &heap.Pool{Buf: buffer.NewPool(frames, sw, nil), Mgr: txn.NewManager()}
 	reg := adt.NewRegistry()
 	return NewStore(pool, catalog.NewMemory(), reg, Config{
 		FilesDir:  filepath.Join(dir, "pfiles"),
