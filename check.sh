@@ -74,8 +74,10 @@
 #                                  replace_wal op in miniature
 #
 #   6c. BenchmarkFastDecode        one-iteration smoke run of the
-#                                  run-at-a-time fast-codec decoder on a
-#                                  50 %-compressible 8,000-byte chunk
+#                                  fast-codec decoders, token (method 3) and
+#                                  escape (method 1) forms, over 1,024
+#                                  distinct 50 %-compressible 8,000-byte
+#                                  chunks
 #
 #   6d. BenchmarkBgWriterIdleRound one-iteration smoke run of a background
 #                                  writer round over a clean 24,576-page
@@ -89,10 +91,13 @@
 #                                  in time on the client
 #
 #   6f. compress fuzz smokes       FuzzFastRoundTrip, FuzzDecodeHostileInput,
-#                                  FuzzFastDecodeDifferential (the fast
-#                                  decoder against the byte-loop reference)
-#                                  and FuzzAppendEncode (the reused-buffer
-#                                  encoder against Encode) at -fuzztime 200x
+#                                  FuzzFastDecodeDifferential (the method-1
+#                                  decoder against the byte-loop reference),
+#                                  FuzzRunsDecodeHostile (the token decoder
+#                                  on arbitrary input, within its 255-per-2
+#                                  expansion bound) and FuzzAppendEncode (the
+#                                  reused-buffer encoder against Encode) at
+#                                  -fuzztime 200x
 #
 #   6g. BenchmarkStreamReadTo      one-iteration smoke run of a whole-object
 #                                  raw read over a loopback gateway, the
@@ -270,7 +275,7 @@ go test -run '^$' -bench '^BenchmarkBgWriterIdleRound$' -benchtime=1x -benchmem 
 echo "== examples/remoteaccess"
 go run ./examples/remoteaccess
 
-for target in FuzzFastRoundTrip FuzzDecodeHostileInput FuzzFastDecodeDifferential FuzzAppendEncode; do
+for target in FuzzFastRoundTrip FuzzDecodeHostileInput FuzzFastDecodeDifferential FuzzRunsDecodeHostile FuzzAppendEncode; do
 	echo "== $target smoke (-fuzztime=200x)"
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 200x ./internal/compress
 done

@@ -34,6 +34,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"postlob"
 	"postlob/internal/obs"
@@ -126,8 +127,11 @@ func main() {
 		log.Printf("lobjserve: metrics on http://%s/metrics", ml.Addr())
 	}
 
+	// SIGTERM is what a service manager or a plain kill sends; without it
+	// the deferred Closes never run, and the default durability mode loses
+	// every commit since the server started.
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("lobjserve: shutting down")
 }

@@ -79,6 +79,17 @@ type engine struct {
 	writer     *daemon.Loop
 	prefetcher *daemon.Loop
 	pf         chan prefetchReq // pending prefetch windows
+
+	// scratch is the drain's reusable run state. A drain takes it and puts
+	// it back, so the prefetcher reads every run without allocating, and a
+	// harness drain racing it works on a scratch of its own.
+	scratch atomic.Pointer[prefetchScratch]
+}
+
+// prefetchScratch holds one prefetch run's frames and their page buffers.
+type prefetchScratch struct {
+	frames []*Frame
+	bufs   [][]byte
 }
 
 type prefetchReq struct {
@@ -592,10 +603,15 @@ func (p *Pool) DrainPrefetch() {
 	if e == nil {
 		return
 	}
+	s := e.scratch.Swap(nil)
+	if s == nil {
+		s = new(prefetchScratch)
+	}
+	defer e.scratch.Store(s)
 	for {
 		select {
 		case req := <-e.pf:
-			p.prefetchOne(req)
+			p.prefetchOne(s, req)
 		default:
 			return
 		}
@@ -606,7 +622,7 @@ func (p *Pool) DrainPrefetch() {
 // length, skip resident blocks, and read each run of absent blocks with one
 // batched device read. Every failure path just drops the window — prefetch
 // is best-effort, and the foreground Get path has its own error handling.
-func (p *Pool) prefetchOne(req prefetchReq) {
+func (p *Pool) prefetchOne(s *prefetchScratch, req prefetchReq) {
 	start, end := req.blk, req.blk+storage.BlockNum(req.n)
 	// A hot pool usually holds the whole range already: settle that from the
 	// lookup tables before asking the device, whose Exists and NBlocks stat
@@ -644,7 +660,7 @@ func (p *Pool) prefetchOne(req prefetchReq) {
 		for stop < end && !p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: stop}) {
 			stop++
 		}
-		p.prefetchRun(mgr, req.sm, req.rel, start, int(stop-start))
+		p.prefetchRun(s, mgr, req.sm, req.rel, start, int(stop-start))
 		start = stop
 	}
 }
@@ -662,9 +678,9 @@ func (p *Pool) resident(tag Tag) bool {
 // prefetchRun reads n adjacent absent blocks with one scatter read and
 // installs the verified pages unpinned. Frames come from the free list or
 // clean-victim eviction only: prefetch must never put a dirty write-back on
-// its own path.
-func (p *Pool) prefetchRun(mgr storage.Manager, sm storage.ID, rel storage.RelName, blk storage.BlockNum, n int) {
-	frames := make([]*Frame, 0, n)
+// its own path. The run's frame and buffer lists live in s.
+func (p *Pool) prefetchRun(s *prefetchScratch, mgr storage.Manager, sm storage.ID, rel storage.RelName, blk storage.BlockNum, n int) {
+	frames := s.frames[:0]
 	for i := 0; i < n; i++ {
 		f := p.allocCleanFrame()
 		if f == nil {
@@ -675,10 +691,11 @@ func (p *Pool) prefetchRun(mgr storage.Manager, sm storage.ID, rel storage.RelNa
 	if len(frames) == 0 {
 		return
 	}
-	bufs := make([][]byte, len(frames))
-	for i, f := range frames {
-		bufs[i] = f.data
+	bufs := s.bufs[:0]
+	for _, f := range frames {
+		bufs = append(bufs, f.data)
 	}
+	s.frames, s.bufs = frames, bufs // keep what they grew to for the next run
 	if err := mgr.ReadBlocks(rel, blk, bufs); err != nil {
 		obsPfErrors.Inc()
 		for _, f := range frames {

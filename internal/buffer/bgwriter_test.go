@@ -10,6 +10,7 @@ package buffer
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +253,63 @@ func TestPrefetchInstallsAndTurnsReadsIntoHits(t *testing.T) {
 	if hits1-hits0 != 8 || misses1 != misses0 {
 		t.Fatalf("after prefetch: +%d hits +%d misses, want +8 hits +0 misses",
 			hits1-hits0, misses1-misses0)
+	}
+}
+
+// TestPrefetchRunAllocatesNothing reads prefetch windows over a disk
+// relation four times the pool, so every window evicts clean frames and
+// reads its run from the device in one batch. Once warm, a window allocates
+// nothing, a collection between windows included: the run's lists are the
+// engine's scratch and the device stages through its own free list.
+func TestPrefetchRunAllocatesNothing(t *testing.T) {
+	const frames, blocks = 16, 64
+	sw := storage.NewSwitch()
+	disk, err := storage.NewDiskManager(t.TempDir(), storage.DeviceModel{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	sw.Register(storage.Disk, disk)
+	p := NewPool(frames, sw, nil)
+	if err := disk.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBlocks(t, p, storage.Disk, rel, blocks)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	p.StartEngine(EngineConfig{Manual: true})
+	defer p.StopEngine()
+
+	next := storage.BlockNum(0)
+	window := func() {
+		p.Prefetch(storage.Disk, rel, next, PrefetchWindow)
+		p.DrainPrefetch()
+		next = (next + PrefetchWindow) % blocks
+	}
+	for i := 0; i < blocks/PrefetchWindow; i++ {
+		window()
+	}
+	installed := obsPfInstalled.Load()
+	if got := testing.AllocsPerRun(20, window); got != 0 {
+		t.Errorf("a prefetch window allocates %v times", got)
+	}
+	// Two collections empty a sync.Pool; the windows after them must still
+	// find the device's staging buffer. The runtime's own background work
+	// after a collection allocates a few small objects, so count bytes.
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		window()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= page.Size {
+			t.Fatalf("a window after a collection allocates %d bytes: the staging buffer was lost", got)
+		}
+	}
+	if got := obsPfInstalled.Load() - installed; got < 25*PrefetchWindow {
+		t.Fatalf("prefetch installed %d pages over 26 windows, want at least %d", got, 25*PrefetchWindow)
 	}
 }
 

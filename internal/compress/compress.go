@@ -6,10 +6,10 @@
 // byte-exact reversible codecs with the same cost profile:
 //
 //   - Fast: a run-length coder for zero runs (cheap, shallow compression),
-//     charged at 8 instructions per byte. Its decoder is run-at-a-time: it
-//     copies each literal run with one append and clears each zero run in
-//     one memclr rather than looping per byte, so the real cost stays well
-//     under the modelled one.
+//     charged at 8 instructions per byte. Its stored form is a sequence of
+//     length-prefixed tokens, so its decoder never scans: each token is one
+//     copy of a literal run and one memclr of a zero run, and the real cost
+//     stays well under the modelled one.
 //   - Tight: an LZ77-style coder with a 4 KB window (more work, deeper
 //     compression), charged at 20 instructions per byte.
 //
@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -93,15 +94,18 @@ func Charge(clk *vclock.Clock, m CPUModel, c Codec, n int) {
 // f-chunk implementation depends on this "no worse than raw" property.
 
 const (
-	methodRaw   = 0
-	methodFast  = 1
-	methodTight = 2
+	methodRaw = 0
+	// methodEscape is Fast's first stored form (escape-stuffed literals).
+	// Nothing writes it any more; chunks already stored in it still decode.
+	methodEscape = 1
+	methodTight  = 2
+	methodRuns   = 3
 )
 
 func methodFor(c Codec) (byte, error) {
 	switch c.(type) {
 	case Fast:
-		return methodFast, nil
+		return methodRuns, nil
 	case Tight:
 		return methodTight, nil
 	default:
@@ -134,8 +138,20 @@ func AppendEncode(dst []byte, c Codec, src []byte) ([]byte, error) {
 	return append(append(dst, methodRaw), src...), nil
 }
 
-// Decode reverses Encode into a fresh buffer.
-func Decode(data []byte) ([]byte, error) { return DecodeInto(nil, data) }
+// Decode reverses Encode into a fresh buffer. A token stream's headers give
+// its decoded length, so its buffer is allocated once at full size rather
+// than grown through a dozen appends.
+func Decode(data []byte) ([]byte, error) {
+	var dst []byte
+	if len(data) > 0 && data[0] == methodRuns {
+		n, err := runsLen(data[1:])
+		if err != nil {
+			return nil, err
+		}
+		dst = make([]byte, 0, n)
+	}
+	return DecodeInto(dst, data)
+}
 
 // DecodeInto reverses Encode, appending the decoded bytes to dst: a caller
 // that reuses one buffer, or decodes into the spare capacity of its own,
@@ -147,8 +163,10 @@ func DecodeInto(dst, data []byte) ([]byte, error) {
 	switch data[0] {
 	case methodRaw:
 		return append(dst, data[1:]...), nil
-	case methodFast:
+	case methodRuns:
 		return Fast{}.Decompress(dst, data[1:])
+	case methodEscape:
+		return decodeEscapes(dst, data[1:])
 	case methodTight:
 		return Tight{}.Decompress(dst, data[1:])
 	default:
@@ -158,14 +176,20 @@ func DecodeInto(dst, data []byte) ([]byte, error) {
 
 // --- Fast: zero-run-length coding ---------------------------------------------
 
-// Fast is the shallow codec: zero runs collapse to two bytes; everything
-// else passes through with escape stuffing. Modelled at 8 instructions per
-// byte, like the paper's 30 % algorithm.
+// Fast is the shallow codec: a zero run becomes a one-byte count, and
+// everything else passes through untouched behind a length prefix. Modelled
+// at 8 instructions per byte, like the paper's 30 % algorithm.
+//
+// Its output is a sequence of tokens, each uvarint(L), then L literal bytes,
+// then one byte Z standing for Z zero bytes (0..255). A zero run longer than
+// 255 continues in tokens with L = 0. Every token takes at least two input
+// bytes and yields at most L+255 output bytes, so a decoder never produces
+// more than 255 bytes per 2 bytes it reads, whatever the input.
 type Fast struct{}
 
-// fastEsc introduces either an escaped literal (next byte 0) or a zero run
-// (next byte = run length 1..255).
-const fastEsc = 0xF7
+// fastMinRun is the shortest zero run the encoder lifts out of a literal:
+// one or two zeros cost no more as literal bytes than a token break does.
+const fastMinRun = 3
 
 // Name implements Codec.
 func (Fast) Name() string { return "fast" }
@@ -173,35 +197,114 @@ func (Fast) Name() string { return "fast" }
 // CostPerByte implements Codec.
 func (Fast) CostPerByte() int { return 8 }
 
-// Compress implements Codec.
+// Compress implements Codec. IndexByte finds each zero and zeroRun measures
+// its run a word at a time; the bytes between runs are copied untouched.
 func (Fast) Compress(dst, src []byte) []byte {
-	i := 0
+	lit, i := 0, 0 // lit starts the pending literal; the search resumes at i
 	for i < len(src) {
-		b := src[i]
-		switch {
-		case b == 0:
-			run := 1
-			for i+run < len(src) && src[i+run] == 0 && run < 255 {
-				run++
-			}
-			dst = append(dst, fastEsc, byte(run))
-			i += run
-		case b == fastEsc:
-			dst = append(dst, fastEsc, 0)
-			i++
-		default:
-			dst = append(dst, b)
-			i++
+		k := bytes.IndexByte(src[i:], 0)
+		if k < 0 {
+			break
 		}
+		z := i + k
+		e := z + zeroRun(src[z:])
+		if e-z < fastMinRun && e < len(src) {
+			i = e // too short to pay for a token: it stays in the literal
+			continue
+		}
+		dst = appendRunsToken(dst, src[lit:z], e-z)
+		lit, i = e, e
+	}
+	if lit < len(src) {
+		dst = appendRunsToken(dst, src[lit:], 0)
 	}
 	return dst
 }
 
-// Decompress implements Codec. It works a run at a time: the vectorised
-// IndexByte finds the next escape, the literal run before it is one append,
-// and a zero run is one grow-and-clear (a memclr, no allocation beyond
-// growing dst).
+// appendRunsToken appends the token for literal lit followed by zeros zero
+// bytes, continuing a run past 255 in tokens with an empty literal.
+func appendRunsToken(dst, lit []byte, zeros int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(lit)))
+	dst = append(dst, lit...)
+	z := min(zeros, 255)
+	dst = append(dst, byte(z))
+	for zeros -= z; zeros > 0; zeros -= z {
+		z = min(zeros, 255)
+		dst = append(dst, 0, byte(z))
+	}
+	return dst
+}
+
+// zeroRun returns the number of zero bytes b starts with.
+func zeroRun(b []byte) int {
+	n := 0
+	for len(b)-n >= 8 {
+		if w := binary.LittleEndian.Uint64(b[n:]); w != 0 {
+			return n + bits.TrailingZeros64(w)/8
+		}
+		n += 8
+	}
+	for n < len(b) && b[n] == 0 {
+		n++
+	}
+	return n
+}
+
+// Decompress implements Codec. Each token is one append of its literal and
+// one grow-and-clear (a memclr) of its zero run; nothing is scanned.
 func (Fast) Decompress(dst, src []byte) ([]byte, error) {
+	for len(src) > 0 {
+		var l uint64
+		if b := src[0]; b < 0x80 {
+			l, src = uint64(b), src[1:]
+		} else {
+			v, n := binary.Uvarint(src)
+			if n <= 0 {
+				return nil, fmt.Errorf("%w: bad literal length", ErrCorrupt)
+			}
+			l, src = v, src[n:]
+		}
+		if l >= uint64(len(src)) { // the literal and its zero-run byte
+			return nil, fmt.Errorf("%w: truncated token", ErrCorrupt)
+		}
+		dst = append(dst, src[:l]...)
+		if z := int(src[l]); z > 0 {
+			m := len(dst)
+			dst = slices.Grow(dst, z)[:m+z]
+			clear(dst[m:])
+		}
+		src = src[l+1:]
+	}
+	return dst, nil
+}
+
+// runsLen returns the length a Fast token stream decodes to. It reads only
+// the token headers and rejects what Decompress rejects.
+func runsLen(src []byte) (int, error) {
+	n := 0
+	for len(src) > 0 {
+		l, k := binary.Uvarint(src)
+		if k <= 0 {
+			return 0, fmt.Errorf("%w: bad literal length", ErrCorrupt)
+		}
+		src = src[k:]
+		if l >= uint64(len(src)) {
+			return 0, fmt.Errorf("%w: truncated token", ErrCorrupt)
+		}
+		n += int(l) + int(src[l])
+		src = src[l+1:]
+	}
+	return n, nil
+}
+
+// fastEsc introduces, in the method-1 stored form, either an escaped literal
+// (next byte 0) or a zero run (next byte = run length 1..255).
+const fastEsc = 0xF7
+
+// decodeEscapes decodes Fast's method-1 form, in which literals are
+// escape-stuffed: the vectorised IndexByte finds the next escape, the
+// literal run before it is one append, and a zero run is one grow-and-clear.
+func decodeEscapes(dst, src []byte) ([]byte, error) {
 	for len(src) > 0 {
 		k := bytes.IndexByte(src, fastEsc)
 		if k < 0 {

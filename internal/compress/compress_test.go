@@ -1,9 +1,16 @@
 package compress
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,6 +122,29 @@ func TestEncodeDecodeEnvelope(t *testing.T) {
 	}
 }
 
+// TestDecodeSizesTokenOutputOnce checks that Decode of a token envelope
+// reads the decoded length from the token headers and allocates its output
+// once, at full size, instead of growing it append by append.
+func TestDecodeSizesTokenOutputOnce(t *testing.T) {
+	data := GenFrame(4, 8000, 0.5)
+	enc, err := Encode(Fast{}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc[0] != methodRuns {
+		t.Fatalf("fast envelope written with method %d", enc[0])
+	}
+	var dec []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		if dec, err = Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || cap(dec) != len(data) || !bytes.Equal(dec, data) {
+		t.Fatalf("Decode: %v allocations, %d/%d bytes (cap %d)", allocs, len(dec), len(data), cap(dec))
+	}
+}
+
 func TestEncodeFallsBackToRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := make([]byte, 4096)
@@ -142,9 +172,15 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, err := Decode([]byte{99, 1, 2}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad method: %v", err)
 	}
-	// Truncated Fast escape.
-	if _, err := (Fast{}).Decompress(nil, []byte{fastEsc}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("fast truncated: %v", err)
+	// Fast: truncated length, literal past the end, missing zero-run byte.
+	for _, src := range [][]byte{{0x80}, {3, 'a', 'b'}, {2, 'a', 'b'}, {0, 9, 1}} {
+		if _, err := (Fast{}).Decompress(nil, src); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("fast %v: %v", src, err)
+		}
+	}
+	// Method 1: truncated escape.
+	if _, err := Decode([]byte{methodEscape, fastEsc}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("escape truncated: %v", err)
 	}
 	// Tight: truncated literal run and bad offset.
 	if _, err := (Tight{}).Decompress(nil, []byte{5, 'a'}); !errors.Is(err, ErrCorrupt) {
@@ -223,5 +259,99 @@ func TestGenFrameDeterministic(t *testing.T) {
 	c := GenFrame(6, 4096, 0.3)
 	if bytes.Equal(a, c) {
 		t.Fatal("GenFrame ignores seed")
+	}
+}
+
+// TestMethodOneGoldenDecodes decodes envelopes that Fast's method-1 encoder
+// wrote before method 3 existed (testdata/method1, with each input's length
+// and SHA-256 in MANIFEST): chunks already stored must read back
+// byte-identically, behind a prefix already in dst too.
+func TestMethodOneGoldenDecodes(t *testing.T) {
+	dir := filepath.Join("testdata", "method1")
+	man, err := os.Open(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer man.Close()
+	n := 0
+	sc := bufio.NewScanner(man)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) != 3 {
+			t.Fatalf("bad manifest line %q", sc.Text())
+		}
+		size, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := os.ReadFile(filepath.Join(dir, f[0]+".env"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env[0] != methodEscape {
+			t.Fatalf("%s: method %d, want %d", f[0], env[0], methodEscape)
+		}
+		prefix := []byte("prefix")
+		out, err := DecodeInto(append([]byte(nil), prefix...), env)
+		if err != nil {
+			t.Fatalf("%s: %v", f[0], err)
+		}
+		if !bytes.HasPrefix(out, prefix) {
+			t.Fatalf("%s: prefix overwritten", f[0])
+		}
+		out = out[len(prefix):]
+		sum := sha256.Sum256(out)
+		if len(out) != size || hex.EncodeToString(sum[:]) != f[2] {
+			t.Fatalf("%s: decoded %d bytes (sha256 %x), want %d (%s)", f[0], len(out), sum, size, f[2])
+		}
+		n++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("empty manifest")
+	}
+	// The generated inputs can be rebuilt, so check one against its source.
+	env, err := os.ReadFile(filepath.Join(dir, "genframe_8000_0.5_seed2.env"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Decode(env); err != nil || !bytes.Equal(out, GenFrame(2, 8000, 0.5)) {
+		t.Fatalf("genframe_8000_0.5_seed2 does not decode to its frame: %v", err)
+	}
+}
+
+// TestRunsNoLongerThanEscapes compares Fast's token form with the method-1
+// form it replaced on 400 GenFrame chunks per size and fraction. At 0.5 (the f-chunk
+// shape: literals under 128 bytes) no chunk is longer, so two chunks still
+// share a page. At 0.3 a 176-byte literal needs a two-byte length, which the
+// old form did not pay when the literal held no zero or escape byte: a chunk
+// may come out a few bytes longer, at most one byte per 256-byte stripe and
+// one for the closing token, while the total stays shorter.
+func TestRunsNoLongerThanEscapes(t *testing.T) {
+	const chunks = 400
+	for _, size := range []int{4096, 8000, 64 << 10} {
+		for _, frac := range []float64{0.3, 0.5} {
+			var sumNew, sumOld, longer int
+			for seed := int64(0); seed < chunks; seed++ {
+				d := GenFrame(seed, size, frac)
+				n, o := len(Fast{}.Compress(nil, d)), len(encodeEscapes(nil, d))
+				sumNew += n
+				sumOld += o
+				if n <= o {
+					continue
+				}
+				longer++
+				if frac == 0.5 || n-o > size/256+2 {
+					t.Fatalf("size %d frac %.1f seed %d: %d bytes against %d", size, frac, seed, n, o)
+				}
+			}
+			t.Logf("size %d frac %.1f: mean %d against %d bytes, %d/%d chunks longer",
+				size, frac, sumNew/chunks, sumOld/chunks, longer, chunks)
+			if sumNew > sumOld {
+				t.Fatalf("size %d frac %.1f: %d bytes in total against %d", size, frac, sumNew, sumOld)
+			}
+		}
 	}
 }

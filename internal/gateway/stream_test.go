@@ -418,6 +418,54 @@ func TestStreamErrorsAndTxnDiscipline(t *testing.T) {
 	s.Abort()
 }
 
+// TestStreamLobjReadBadLength sends lobj_read lengths straight from the
+// query text. A negative one is an error on that query, not a crash of the
+// server, and the connection stays usable; a huge one reads what the object
+// holds past the offset without asking for that much memory.
+func TestStreamLobjReadBadLength(t *testing.T) {
+	addr, store, _ := startGateway(t, gateway.Options{})
+	if err := store.Registry().CreateLargeType(adt.LargeType{
+		Name: "image", Kind: adt.KindFChunk, Codec: compress.Fast{}, SM: storage.Mem,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := dialStream(t, addr)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(`retrieve (lobj_read(newlobj("image"), 0, -1))`); err == nil || !strings.Contains(err.Error(), "negative length") {
+		t.Fatalf("negative length: %v", err)
+	}
+	if _, err := s.Exec(`create DOC (name = text, body = large-object)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(`append DOC (name = "a", body = newlobj(""))`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(`retrieve (n = lobj_write(DOC.body, 0, "hello, large objects")) where DOC.name = "a"`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    string
+		want string
+	}{
+		{`retrieve (x = lobj_read(DOC.body, 7, 4611686018427387904)) where DOC.name = "a"`, "large objects"},
+		{`retrieve (x = lobj_read(DOC.body, 0, 5)) where DOC.name = "a"`, "hello"},
+		{`retrieve (x = lobj_read(DOC.body, 64, 10)) where DOC.name = "a"`, ""},
+	} {
+		res, err := s.Exec(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Str != tc.want {
+			t.Fatalf("%s: rows = %v, want %q", tc.q, res.Rows, tc.want)
+		}
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // clientObjectWithHandle opens a real handle then closes it, leaving a
 // dangling id on the client side.
 func clientObjectWithHandle(s *client.Stream) *client.StreamObject {

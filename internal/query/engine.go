@@ -990,10 +990,20 @@ func (e *Engine) registerBuiltins() {
 				return adt.Null(), err
 			}
 			defer obj.Close()
-			if _, err := obj.Seek(args[1].Int, io.SeekStart); err != nil {
+			// The length comes from the query text: refuse a negative one
+			// and allocate no more than the object holds past the offset.
+			off, want := args[1].Int, args[2].Int
+			if want < 0 {
+				return adt.Null(), fmt.Errorf("query: lobj_read: negative length %d", want)
+			}
+			size, err := obj.Seek(0, io.SeekEnd)
+			if err != nil {
 				return adt.Null(), err
 			}
-			buf := make([]byte, args[2].Int)
+			if _, err := obj.Seek(off, io.SeekStart); err != nil {
+				return adt.Null(), err
+			}
+			buf := make([]byte, max(0, min(want, size-off)))
 			n, err := io.ReadFull(obj, buf)
 			if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 				return adt.Null(), err

@@ -30,7 +30,18 @@ type DiskManager struct {
 	// briefly (shared) to look the handle up.
 	mu    sync.RWMutex
 	files map[RelName]*diskFile // guarded by mu
+
+	// stages is a bounded free list of the staging buffers ReadBlocks and
+	// WriteBlocks gather through. Unlike a sync.Pool, a collection does not
+	// empty it, so a warm manager stages every batch without allocating.
+	stages chan []byte
 }
+
+// maxStages bounds the staging buffers a DiskManager keeps: one per batch
+// that can be in flight at once (the prefetcher's read, a writer round's
+// write, a checkpoint's write) with room to spare. A batch beyond it
+// allocates, and its buffer is dropped afterwards.
+const maxStages = 4
 
 // diskFile is one open relation file and its length in blocks. The manager
 // is the file's only writer, so it tracks the length as its writes extend the
@@ -71,11 +82,12 @@ func NewDiskManager(dir string, model DeviceModel, clock *vclock.Clock) (*DiskMa
 		return nil, fmt.Errorf("disk: %w", err)
 	}
 	return &DiskManager{
-		dir:   dir,
-		model: model,
-		clock: clock,
-		track: newTracker(),
-		files: make(map[RelName]*diskFile),
+		dir:    dir,
+		model:  model,
+		clock:  clock,
+		track:  newTracker(),
+		files:  make(map[RelName]*diskFile),
+		stages: make(chan []byte, maxStages),
 	}, nil
 }
 
@@ -209,9 +221,8 @@ func (d *DiskManager) ReadBlocks(rel RelName, blk BlockNum, bufs [][]byte) error
 	if err != nil {
 		return err
 	}
-	sp := stagePool.Get().(*[]byte)
-	defer stagePool.Put(sp)
-	stage := growStage(sp, len(bufs))
+	stage := d.getStage(len(bufs))
+	defer d.putStage(stage)
 	n, err := f.ReadAt(stage, int64(blk)*page.Size)
 	if err != nil && err != io.EOF {
 		return fmt.Errorf("disk: read %s blocks %d..%d: %w", rel, blk, int(blk)+len(bufs)-1, err)
@@ -258,17 +269,29 @@ func (d *DiskManager) WriteBlock(rel RelName, blk BlockNum, buf []byte) error {
 	return nil
 }
 
-// stagePool recycles the staging buffers of ReadBlocks and WriteBlocks: a
-// busy workload issues thousands of small batches a second, and a fresh
-// staging copy per write batch was a fifth of everything it allocated.
-var stagePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// growStage returns *sp resliced to n blocks, growing it first if needed.
-func growStage(sp *[]byte, n int) []byte {
-	if cap(*sp) < n*page.Size {
-		*sp = make([]byte, n*page.Size)
+// getStage returns a staging buffer of n blocks from the free list, growing
+// it if it is too small, or a new one when the list is empty. A busy
+// workload issues thousands of small batches a second, and a fresh staging
+// copy per write batch was a fifth of everything it allocated.
+func (d *DiskManager) getStage(n int) []byte {
+	var stage []byte
+	select {
+	case stage = <-d.stages:
+	default:
 	}
-	return (*sp)[:n*page.Size]
+	if cap(stage) < n*page.Size {
+		stage = make([]byte, n*page.Size)
+	}
+	return stage[:n*page.Size]
+}
+
+// putStage returns a staging buffer to the free list, or drops it when the
+// list is full.
+func (d *DiskManager) putStage(stage []byte) {
+	select {
+	case d.stages <- stage:
+	default:
+	}
 }
 
 // contiguous returns bufs as one slice when they already sit back to back in
@@ -292,7 +315,7 @@ func contiguous(bufs [][]byte) ([]byte, bool) {
 
 // WriteBlocks implements Manager with one coalesced positional write: a
 // single WriteAt lands every page, straight from the caller's memory when
-// the buffers are contiguous and through a pooled staging buffer otherwise.
+// the buffers are contiguous and through a staging buffer otherwise.
 // Appending batches are allowed under the same contract as WriteBlock —
 // the batch may start at the append position and extends contiguously.
 func (d *DiskManager) WriteBlocks(rel RelName, blk BlockNum, bufs [][]byte) error {
@@ -318,9 +341,8 @@ func (d *DiskManager) WriteBlocks(rel RelName, blk BlockNum, bufs [][]byte) erro
 	}
 	stage, ok := contiguous(bufs)
 	if !ok {
-		sp := stagePool.Get().(*[]byte)
-		defer stagePool.Put(sp)
-		stage = growStage(sp, len(bufs))
+		stage = d.getStage(len(bufs))
+		defer d.putStage(stage)
 		for i, buf := range bufs {
 			copy(stage[i*page.Size:], buf)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -314,12 +315,10 @@ func TestDiskManagerTracksLength(t *testing.T) {
 	nblocks(d, 5)
 }
 
-// A batched read stages through a pooled buffer, so once the pool holds one
-// big enough it allocates nothing.
+// A batched read or gather write stages through the manager's free list, so
+// once the list holds a buffer big enough it allocates nothing, and a
+// collection between batches does not empty the list.
 func TestDiskReadBlocksAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a share of what it is given under the race detector")
-	}
 	d, err := NewDiskManager(t.TempDir(), DeviceModel{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +341,29 @@ func TestDiskReadBlocksAllocs(t *testing.T) {
 	read()
 	if got := testing.AllocsPerRun(20, read); got != 0 {
 		t.Errorf("ReadBlocks of %d blocks allocates %v times", len(dst), got)
+	}
+	write := func() {
+		if err := d.WriteBlocks(rel, 0, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, write); got != 0 {
+		t.Errorf("WriteBlocks of %d scattered blocks allocates %v times", len(src), got)
+	}
+	// Two collections empty a sync.Pool. The batches after them must still
+	// find their staging buffer; the runtime's own background work after a
+	// collection allocates a few small objects, so count bytes, not objects.
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		read()
+		write()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= page.Size {
+			t.Fatalf("batches after a collection allocate %d bytes: the staging buffer was lost", got)
+		}
 	}
 	for i := range dst {
 		if !bytes.Equal(dst[i], src[i]) {
