@@ -138,20 +138,8 @@ func AppendEncode(dst []byte, c Codec, src []byte) ([]byte, error) {
 	return append(append(dst, methodRaw), src...), nil
 }
 
-// Decode reverses Encode into a fresh buffer. A token stream's headers give
-// its decoded length, so its buffer is allocated once at full size rather
-// than grown through a dozen appends.
-func Decode(data []byte) ([]byte, error) {
-	var dst []byte
-	if len(data) > 0 && data[0] == methodRuns {
-		n, err := runsLen(data[1:])
-		if err != nil {
-			return nil, err
-		}
-		dst = make([]byte, 0, n)
-	}
-	return DecodeInto(dst, data)
-}
+// Decode reverses Encode into a fresh buffer.
+func Decode(data []byte) ([]byte, error) { return DecodeInto(nil, data) }
 
 // DecodeInto reverses Encode, appending the decoded bytes to dst: a caller
 // that reuses one buffer, or decodes into the spare capacity of its own,
@@ -276,25 +264,6 @@ func (Fast) Decompress(dst, src []byte) ([]byte, error) {
 		src = src[l+1:]
 	}
 	return dst, nil
-}
-
-// runsLen returns the length a Fast token stream decodes to. It reads only
-// the token headers and rejects what Decompress rejects.
-func runsLen(src []byte) (int, error) {
-	n := 0
-	for len(src) > 0 {
-		l, k := binary.Uvarint(src)
-		if k <= 0 {
-			return 0, fmt.Errorf("%w: bad literal length", ErrCorrupt)
-		}
-		src = src[k:]
-		if l >= uint64(len(src)) {
-			return 0, fmt.Errorf("%w: truncated token", ErrCorrupt)
-		}
-		n += int(l) + int(src[l])
-		src = src[l+1:]
-	}
-	return n, nil
 }
 
 // fastEsc introduces, in the method-1 stored form, either an escaped literal

@@ -325,7 +325,10 @@ func (o *vsegmentObject) segmentBytes(rec segRecord) ([]byte, error) {
 	if _, err := io.ReadFull(o.bytes, stored); err != nil {
 		return nil, fmt.Errorf("core: segment at %d of object %d: %w", rec.storePtr, o.ref.OID, err)
 	}
-	decoded, err := compress.Decode(stored)
+	if rec.origLen < 0 || rec.origLen > MaxSegmentSize {
+		return nil, fmt.Errorf("core: segment at %d: decoded length %d out of range", rec.storePtr, rec.origLen)
+	}
+	decoded, err := compress.DecodeInto(make([]byte, 0, rec.origLen), stored)
 	if err != nil {
 		return nil, fmt.Errorf("core: segment at %d of object %d: %w", rec.storePtr, o.ref.OID, err)
 	}

@@ -28,8 +28,10 @@ import (
 // Version 3 carried control messages as one gob stream per connection
 // direction instead of a self-contained gob payload per frame. Version 4
 // frames in the shared crcframe envelope, whose length field counts the
-// whole body, stream header included.
-const Proto = 4
+// whole body, stream header included. Version 5 ships Fast chunks in
+// their token form (compress method 3), which a version-4 client, decoding
+// raw extents itself, cannot read.
+const Proto = 5
 
 // Frame kinds.
 type Kind uint8

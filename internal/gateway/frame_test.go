@@ -201,3 +201,17 @@ func TestCreditCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestHelloRefusesProtocol4: a version-4 peer cannot decode the method-3
+// Fast envelopes that raw reads ship, so Hello refuses it up front rather
+// than letting its first read fail as a corrupt extent.
+func TestHelloRefusesProtocol4(t *testing.T) {
+	c := &gwConn{}
+	if err := c.negotiate(&Hello{Proto: 4, Chunk: DefaultChunk, Window: DefaultWindow}); err == nil {
+		t.Fatal("protocol 4 hello accepted")
+	}
+	c = &gwConn{chunk: DefaultChunk, window: DefaultWindow}
+	if err := c.negotiate(&Hello{Proto: Proto, Chunk: DefaultChunk, Window: DefaultWindow}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -996,7 +996,7 @@ func (e *Engine) registerBuiltins() {
 			if want < 0 {
 				return adt.Null(), fmt.Errorf("query: lobj_read: negative length %d", want)
 			}
-			size, err := obj.Seek(0, io.SeekEnd)
+			size, err := obj.Size()
 			if err != nil {
 				return adt.Null(), err
 			}

@@ -26,8 +26,10 @@ import (
 
 // Proto is the protocol version sent in Hello/HelloAck. A mismatch refuses
 // the connection — physical replication ships raw WAL record encodings, so
-// both sides must agree on that format exactly.
-const Proto = 2
+// both sides must agree on that format exactly. Version 3 ships page
+// images whose Fast chunks are in token form (compress method 3), which a
+// version-2 replica cannot decode.
+const Proto = 3
 
 // Kind discriminates replication frames.
 type Kind uint8

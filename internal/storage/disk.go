@@ -37,11 +37,24 @@ type DiskManager struct {
 	stages chan []byte
 }
 
-// maxStages bounds the staging buffers a DiskManager keeps: one per batch
-// that can be in flight at once (the prefetcher's read, a writer round's
-// write, a checkpoint's write) with room to spare. A batch beyond it
-// allocates, and its buffer is dropped afterwards.
-const maxStages = 4
+// maxStages bounds the staging buffers a DiskManager keeps: one for each
+// batch that can stage at once. The buffer pool's write-back keeps up to 16
+// gather writes in flight (bgWriteConcurrency in internal/buffer), the
+// prefetcher reads one run at a time, and one more covers a checkpoint's
+// write-back overlapping a writer round. The WAL's writes are contiguous and
+// never stage. The list only ever holds buffers that were once in flight
+// together, so the bound costs memory (maxStagePages each) only when that
+// much concurrency happens: instrumented runs saw at most 2 stages in
+// flight on replace_wal and 1 on frame_cold (2-core VM). A batch beyond
+// the bound allocates its own stage and drops it afterwards.
+const maxStages = 18
+
+// maxStagePages is the length of every stage the free list keeps: the
+// largest batch a writer round, a checkpoint slice (both 64 pages) or a
+// prefetch window (16) stages. A longer batch, a write-back that also fills
+// the gap past a relation's end, stages through a buffer of its own that is
+// dropped afterwards, so the list never pins a gap-sized buffer.
+const maxStagePages = 64
 
 // diskFile is one open relation file and its length in blocks. The manager
 // is the file's only writer, so it tracks the length as its writes extend the
@@ -269,25 +282,30 @@ func (d *DiskManager) WriteBlock(rel RelName, blk BlockNum, buf []byte) error {
 	return nil
 }
 
-// getStage returns a staging buffer of n blocks from the free list, growing
-// it if it is too small, or a new one when the list is empty. A busy
-// workload issues thousands of small batches a second, and a fresh staging
-// copy per write batch was a fifth of everything it allocated.
+// getStage returns a staging buffer of n blocks. Every stage the free list
+// keeps is maxStagePages long, so a batch that fits takes one from the list,
+// or allocates one at that length when the list is empty, and a stage never
+// grows step by step. A busy workload issues thousands of small batches a
+// second, and a fresh staging copy per write batch was a fifth of everything
+// it allocated.
 func (d *DiskManager) getStage(n int) []byte {
-	var stage []byte
+	if n > maxStagePages {
+		return make([]byte, n*page.Size)
+	}
 	select {
-	case stage = <-d.stages:
+	case stage := <-d.stages:
+		return stage[:n*page.Size]
 	default:
+		return make([]byte, n*page.Size, maxStagePages*page.Size)
 	}
-	if cap(stage) < n*page.Size {
-		stage = make([]byte, n*page.Size)
-	}
-	return stage[:n*page.Size]
 }
 
-// putStage returns a staging buffer to the free list, or drops it when the
-// list is full.
+// putStage returns a staging buffer to the free list, or drops it when it
+// is longer than maxStagePages or the list is full.
 func (d *DiskManager) putStage(stage []byte) {
+	if cap(stage) != maxStagePages*page.Size {
+		return
+	}
 	select {
 	case d.stages <- stage:
 	default:

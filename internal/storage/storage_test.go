@@ -315,6 +315,24 @@ func TestDiskManagerTracksLength(t *testing.T) {
 	nblocks(d, 5)
 }
 
+// The free list keeps a stage up to maxStagePages long and drops a longer
+// one, so one gap-sized write-back does not pin its buffer for good.
+func TestDiskDropsOversizedStage(t *testing.T) {
+	d, err := NewDiskManager(t.TempDir(), DeviceModel{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.putStage(d.getStage(maxStagePages + 1))
+	if n := len(d.stages); n != 0 {
+		t.Fatalf("free list kept an oversized stage (%d held)", n)
+	}
+	d.putStage(d.getStage(maxStagePages))
+	if n := len(d.stages); n != 1 {
+		t.Fatalf("free list holds %d stages after a full-size batch, want 1", n)
+	}
+}
+
 // A batched read or gather write stages through the manager's free list, so
 // once the list holds a buffer big enough it allocates nothing, and a
 // collection between batches does not empty the list.
