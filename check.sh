@@ -39,7 +39,11 @@
 #                                  (TestWALDirtyListSurvivesRandomOps,
 #                                  TestDirtyCountSurvivesRandomOps), which
 #                                  race live writer rounds against evictions,
-#                                  drops and checkpoints
+#                                  drops and checkpoints; TestStatsCounters,
+#                                  whose buffer miss once hung on the
+#                                  writer's timing; and TestStreamEveryKind,
+#                                  every object kind through the one
+#                                  streaming read path
 #
 #   4b. benchmark module           benchmark/ is a Go module of its own (it
 #                                  imports postlob/internal/... through a
@@ -245,8 +249,8 @@ fi
 echo "== lifecycle race sweep (-race -count=20)"
 go test -race -count=20 ./internal/daemon
 go test -race -count=20 \
-	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept)$' \
-	./internal/buffer ./internal/core ./internal/gateway
+	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters)$' \
+	. ./internal/buffer ./internal/core ./internal/gateway
 go test -race -count=20 \
 	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps)$' \
 	./internal/buffer

@@ -13,11 +13,11 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +53,7 @@ type Stream struct {
 	nextStream atomic.Uint32
 	readerDone chan struct{}
 
-	wireBytesIn atomic.Int64 // encoded (compressed) extent payload bytes
+	wireBytesIn atomic.Int64 // read payload bytes: encoded extents, or server-decoded data
 	lobBytesIn  atomic.Int64 // logical LOB bytes assembled by reads
 }
 
@@ -492,74 +492,28 @@ func (s *Stream) consumeStream(id uint32, cs *clientStream, handle func(payload 
 
 // Read fetches the requested range as a raw extent stream, decompressing
 // each extent as it arrives (just-in-time, at the client) and zero-filling
-// sparse gaps. One call moves at most len(p) bytes; it returns early at
-// end of object.
+// sparse gaps. It works on every object kind. One call moves at most
+// len(p) bytes; it returns early at end of object.
 func (o *StreamObject) Read(p []byte) (int, error) {
-	n, err := o.readRange(p, gateway.OpRawRead)
-	return n, err
+	return o.readAt(gateway.OpRawRead, p)
 }
 
-// ReadServerSide reads with server-side conversion (the pre-§3 behaviour),
-// for comparison and for u-file/p-file objects which have no raw form.
+// ReadServerSide reads with server-side conversion (the pre-§3 behaviour):
+// the comparison point for Read's wire savings.
 func (o *StreamObject) ReadServerSide(p []byte) (int, error) {
-	return o.readRange(p, gateway.OpRead)
+	return o.readAt(gateway.OpRead, p)
 }
 
-func (o *StreamObject) readRange(p []byte, op gateway.Op) (int, error) {
-	id, cs, err := o.s.sendReq(&gateway.Req{Op: op, Handle: o.handle, Offset: o.pos, N: int64(len(p))})
-	if err != nil {
-		return 0, err
-	}
-	defer o.s.closeStream(id)
-	r, err := cs.awaitResp()
-	if err != nil {
-		return 0, err
-	}
-	if r.N == 0 {
-		if o.pos >= r.Size {
-			return 0, io.EOF
-		}
-		return 0, nil
-	}
-	served := r.N // logical bytes the server is streaming
-	base := o.pos
-	raw := op == gateway.OpRawRead
-	if raw {
-		// Zero-fill once; extents decode into place as they arrive.
-		clear(p[:served])
-	}
-	sc := scratchPool.Get().(*decodeScratch)
-	defer scratchPool.Put(sc)
-	var got int64
-	err = o.s.consumeStream(id, cs, func(payload []byte) error {
-		if raw {
-			return sc.decode(o.s, payload, func(logStart int64, b []byte) error {
-				at := logStart - base
-				if at < 0 || at+int64(len(b)) > served {
-					return fmt.Errorf("client: extent at %d outside served range", logStart)
-				}
-				copy(p[at:], b)
-				return nil
-			})
-		}
-		if got+int64(len(payload)) > served {
-			return fmt.Errorf("client: server overran announced range")
-		}
-		copy(p[got:], payload)
-		got += int64(len(payload))
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := served
-	if !raw {
-		n = got
-		o.s.wireBytesIn.Add(got)
-	}
+// readAt is Read or ReadServerSide at the handle's position. The bytes
+// land in p itself: readStream writes at most the len(p) it asks for, so
+// the buffer over p[:0] never outgrows p.
+func (o *StreamObject) readAt(op gateway.Op, p []byte) (int, error) {
+	n, err := o.readStream(op, o.pos, int64(len(p)), bytes.NewBuffer(p[:0]))
 	o.pos += n
-	o.s.lobBytesIn.Add(n)
-	return int(n), nil
+	if err == nil && n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return int(n), err
 }
 
 // ReadTo streams [off, off+n) of the object into w without ever holding
@@ -567,21 +521,24 @@ func (o *StreamObject) readRange(p []byte, op gateway.Op) (int, error) {
 // order, sparse gaps emit as zeros. n < 0 means to the end. It returns the
 // bytes written.
 func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
-	id, cs, err := o.s.sendReq(&gateway.Req{Op: gateway.OpRawRead, Handle: o.handle, Offset: off, N: n})
+	return o.readStream(gateway.OpRawRead, off, n, w)
+}
+
+// readStream is every read's consumer: it streams [off, off+n) into w in
+// logical order, decoding extent frames (OpRawRead) or copying data frames
+// (OpRead), and writes the announced range's bytes no frame carried —
+// sparse gaps — as zeros. It returns the bytes written.
+func (o *StreamObject) readStream(op gateway.Op, off, n int64, w io.Writer) (int64, error) {
+	id, cs, err := o.s.sendReq(&gateway.Req{Op: op, Handle: o.handle, Offset: off, N: n})
 	if err != nil {
 		return 0, err
 	}
 	defer o.s.closeStream(id)
 	r, err := cs.awaitResp()
 	if err != nil {
-		// No raw form (u-file/p-file): fall back to server-side decode.
-		if strings.Contains(err.Error(), "no raw form") {
-			return o.readToServerSide(w, off, n)
-		}
 		return 0, err
 	}
-	served := r.N
-	base := off
+	served := r.N    // logical bytes the server is streaming
 	var cursor int64 // logical bytes flushed to w
 	writeZeros := func(upTo int64) error {
 		for cursor < upTo {
@@ -594,20 +551,26 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 		}
 		return nil
 	}
+	put := func(at int64, b []byte) error {
+		if at < cursor || at+int64(len(b)) > served {
+			return fmt.Errorf("client: bytes at %d out of stream order", off+at)
+		}
+		if err := writeZeros(at); err != nil {
+			return err
+		}
+		wn, werr := w.Write(b)
+		cursor += int64(wn)
+		return werr
+	}
 	sc := scratchPool.Get().(*decodeScratch)
 	defer scratchPool.Put(sc)
 	err = o.s.consumeStream(id, cs, func(payload []byte) error {
+		if op == gateway.OpRead {
+			o.s.wireBytesIn.Add(int64(len(payload)))
+			return put(cursor, payload)
+		}
 		return sc.decode(o.s, payload, func(logStart int64, b []byte) error {
-			at := logStart - base
-			if at < cursor || at+int64(len(b)) > served {
-				return fmt.Errorf("client: extent at %d out of stream order", logStart)
-			}
-			if err := writeZeros(at); err != nil {
-				return err
-			}
-			wn, werr := w.Write(b)
-			cursor += int64(wn)
-			return werr
+			return put(logStart-off, b)
 		})
 	})
 	if err != nil {
@@ -620,7 +583,7 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 	return cursor, nil
 }
 
-// zeroBlock is what ReadTo writes for sparse gaps. Writers must not modify
+// zeroBlock is what readStream writes for sparse gaps. Writers must not modify
 // the slices they are given (the io.Writer contract), so one read-only
 // block serves every read.
 var zeroBlock [32 << 10]byte
@@ -659,30 +622,6 @@ func (sc *decodeScratch) decode(s *Stream, payload []byte, put func(logStart int
 		}
 	}
 	return nil
-}
-
-// readToServerSide is ReadTo over server-decoded data frames.
-func (o *StreamObject) readToServerSide(w io.Writer, off, n int64) (int64, error) {
-	id, cs, err := o.s.sendReq(&gateway.Req{Op: gateway.OpRead, Handle: o.handle, Offset: off, N: n})
-	if err != nil {
-		return 0, err
-	}
-	defer o.s.closeStream(id)
-	if _, err := cs.awaitResp(); err != nil {
-		return 0, err
-	}
-	var total int64
-	err = o.s.consumeStream(id, cs, func(payload []byte) error {
-		wn, werr := w.Write(payload)
-		total += int64(wn)
-		o.s.wireBytesIn.Add(int64(wn))
-		return werr
-	})
-	if err != nil {
-		return total, err
-	}
-	o.s.lobBytesIn.Add(total)
-	return total, nil
 }
 
 // Write streams p to the object at the current position in chunk-granular

@@ -138,6 +138,15 @@ func AppendEncode(dst []byte, c Codec, src []byte) ([]byte, error) {
 	return append(append(dst, methodRaw), src...), nil
 }
 
+// RawEnvelope returns an n-byte raw envelope in dst's storage (grown if it
+// is too small) and its body, for a caller that fills the body in place —
+// the stored form of bytes that are not compressed.
+func RawEnvelope(dst []byte, n int) (env, body []byte) {
+	env = slices.Grow(dst[:0], 1+n)[:1+n]
+	env[0] = methodRaw
+	return env, env[1:]
+}
+
 // Decode reverses Encode into a fresh buffer.
 func Decode(data []byte) ([]byte, error) { return DecodeInto(nil, data) }
 

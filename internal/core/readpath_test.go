@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"postlob/internal/adt"
@@ -304,6 +305,71 @@ func TestFChunkReadRawMatchesRead(t *testing.T) {
 			})
 			if !errors.Is(err, stop) || calls != 1 {
 				t.Fatalf("visitor error: got %v after %d calls, want it back after 1", err, calls)
+			}
+		})
+	}
+}
+
+// TestFileVisitRawMatchesRead: VisitRaw over a u-file or p-file shows the
+// range as one raw envelope that decodes to the file's bytes, at any
+// offset and length (clipped at the end, nothing past it), read through
+// the kind's lob counters; VisitRawAsOf refuses with ErrNoTravel.
+func TestFileVisitRawMatchesRead(t *testing.T) {
+	for _, kind := range []adt.StorageKind{adt.KindUFile, adt.KindPFile} {
+		t.Run(kind.String(), func(t *testing.T) {
+			s := newTestStore(t)
+			opts := CreateOptions{Kind: kind}
+			if kind == adt.KindUFile {
+				opts.Path = filepath.Join(t.TempDir(), "blob.bin")
+			}
+			payload := compress.GenFrame(11, 30_000, 0.5)
+			tx := s.mgr().Begin()
+			ref, obj, err := s.Create(tx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := obj.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := obj.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			size := int64(len(payload))
+			readBytes := lobMetricsFor(kind).readBytes
+			for _, sp := range [][2]int64{{0, size}, {1, 1}, {4097, 9000}, {size - 10, 100}, {size, 10}, {size + 5, 10}} {
+				off, n := sp[0], sp[1]
+				want := payload[min(off, size):min(off+n, size)]
+				before := readBytes.Load()
+				var got []byte
+				calls := 0
+				err := s.VisitRaw(nil, ref, off, n, func(e *RawExtent) error {
+					calls++
+					if e.LogStart != off || e.Skip != 0 {
+						return fmt.Errorf("extent at %d skip %d, want %d skip 0", e.LogStart, e.Skip, off)
+					}
+					decoded, err := compress.Decode(e.Encoded)
+					if err != nil {
+						return err
+					}
+					got = decoded[:e.Take]
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if calls > 1 || !bytes.Equal(got, want) {
+					t.Fatalf("VisitRaw %d+%d: %d calls, %d bytes; want one extent of the file's %d", off, n, calls, len(got), len(want))
+				}
+				if read := readBytes.Load() - before; read != int64(len(want)) {
+					t.Fatalf("VisitRaw %d+%d counted %d bytes read, want %d", off, n, read, len(want))
+				}
+			}
+			err = s.VisitRawAsOf(s.mgr().Now(), ref, 0, size, func(*RawExtent) error { return nil })
+			if !errors.Is(err, ErrNoTravel) {
+				t.Fatalf("VisitRawAsOf of a %v: %v, want ErrNoTravel", kind, err)
 			}
 		})
 	}

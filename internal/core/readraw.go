@@ -8,6 +8,7 @@ import (
 
 	"postlob/internal/adt"
 	"postlob/internal/catalog"
+	"postlob/internal/compress"
 	"postlob/internal/heap"
 	"postlob/internal/txn"
 )
@@ -33,10 +34,13 @@ type RawExtent struct {
 }
 
 // VisitRaw calls fn, in ascending logical order, on each stored extent
-// covering [off, off+n) of a chunked large object, without decompressing
-// it. Logical bytes not covered by any extent (sparse regions) read as
-// zeros; the caller assembles the range by decoding each extent into place
-// over zeros.
+// covering [off, off+n) of a large object, without decompressing it.
+// Logical bytes not covered by any extent (sparse regions) read as zeros;
+// the caller assembles the range by decoding each extent into place over
+// zeros. Every kind answers, so one read path serves them all: f-chunk and
+// v-segment objects show their stored envelopes, and u-file and p-file
+// objects, which store plain bytes, show the range as one raw envelope n
+// bytes long (so callers keep n to a chunk).
 //
 // The extent, and the Encoded bytes it names, are valid only during the
 // call: for f-chunk objects Encoded aliases the pinned heap page, read
@@ -49,7 +53,8 @@ func (s *Store) VisitRaw(tx *txn.Txn, ref adt.ObjectRef, off, n int64, fn func(*
 
 // VisitRawAsOf is VisitRaw against a historical snapshot: no transaction,
 // no XID allocation. Replicas serve remote raw reads through this path — an
-// as-of handle has no transaction to hang visibility on.
+// as-of handle has no transaction to hang visibility on. File kinds have no
+// history and return ErrNoTravel, as OpenAsOf does.
 func (s *Store) VisitRawAsOf(ts txn.TS, ref adt.ObjectRef, off, n int64, fn func(*RawExtent) error) error {
 	return s.visitRaw(nil, txn.SnapshotAt(ts), ref, off, n, fn)
 }
@@ -67,9 +72,47 @@ func (s *Store) visitRaw(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, off,
 		return s.visitRawFChunk(tx, snap, ref, meta, off, n, fn)
 	case adt.KindVSegment:
 		return s.visitRawVSegment(tx, snap, ref, meta, off, n, fn)
+	case adt.KindUFile, adt.KindPFile:
+		if snap.Historical() {
+			return fmt.Errorf("%w: %v", ErrNoTravel, meta.Kind)
+		}
+		return s.visitRawFile(ref, meta, off, n, fn)
 	default:
-		return fmt.Errorf("core: raw reads unsupported for %v objects", meta.Kind)
+		return fmt.Errorf("core: unknown storage kind %v", meta.Kind)
 	}
+}
+
+// visitRawFile reads [off, min(off+n, size)) of a u-file or p-file through
+// a fileObject — its counters and modelled I/O cost — into the body of one
+// raw envelope, borrowed from the f-chunk buffer pool.
+func (s *Store) visitRawFile(ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64, fn func(*RawExtent) error) error {
+	obj, err := s.openFileObject(ref, meta)
+	if err != nil {
+		return err
+	}
+	defer obj.Close()
+	size, err := obj.Size()
+	if err != nil {
+		return err
+	}
+	end := min(off+n, size)
+	if off >= end {
+		return nil
+	}
+	if _, err := obj.Seek(off, io.SeekStart); err != nil {
+		return err
+	}
+	bufs := chunkBufs.Get().(*chunkBuf)
+	defer chunkBufs.Put(bufs)
+	env, body := compress.RawEnvelope(bufs.enc, int(end-off))
+	bufs.enc = env
+	// A file that shrank under the read yields what is left of the range.
+	got, err := io.ReadFull(obj, body)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return err
+	}
+	e := RawExtent{LogStart: off, Take: got, Encoded: env[:1+got]}
+	return fn(&e)
 }
 
 func (s *Store) visitRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64, fn func(*RawExtent) error) error {

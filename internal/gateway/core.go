@@ -28,7 +28,9 @@ type Options struct {
 	// while earlier chunks cross the wire.
 	Depth int
 	// FS configures the Inversion file system backing the HTTP frontend
-	// (bucket/key ↔ directory/file). Ignored by the stream protocol.
+	// (bucket/key ↔ directory/file). Ignored by the stream protocol. A
+	// u-file or p-file Kind is stored as f-chunk: every GET reads a
+	// snapshot, which file kinds cannot serve.
 	FS inversion.Options
 }
 
@@ -72,10 +74,11 @@ func New(store *core.Store, opts Options) *Gateway {
 	if opts.Depth <= 0 {
 		opts.Depth = 4
 	}
-	if opts.FS.Kind == adt.KindUFile {
-		// U-files need a server-side path per object, which the HTTP API has
-		// no way to supply; chunked objects are the only kind every frontend
-		// operation supports.
+	if opts.FS.Kind == adt.KindUFile || opts.FS.Kind == adt.KindPFile {
+		// Every HTTP GET is a snapshot read, and file kinds have no time
+		// travel (u-files also need a server-side path per object, which the
+		// HTTP API has no way to supply): chunked objects are the only kind
+		// every frontend operation supports.
 		opts.FS.Kind = adt.KindFChunk
 	}
 	return &Gateway{store: store, engine: query.New(store), opts: opts}

@@ -30,8 +30,11 @@ import (
 // frames in the shared crcframe envelope, whose length field counts the
 // whole body, stream header included. Version 5 ships Fast chunks in
 // their token form (compress method 3), which a version-4 client, decoding
-// raw extents itself, cannot read.
-const Proto = 5
+// raw extents itself, cannot read. Version 6 serves raw reads of every
+// object kind, u-files and p-files included, as extent frames. A version-5
+// server refused them, and a version-6 client no longer falls back to
+// server-decoded data when refused.
+const Proto = 6
 
 // Frame kinds.
 type Kind uint8

@@ -202,15 +202,18 @@ func TestCreditCodec(t *testing.T) {
 	}
 }
 
-// TestHelloRefusesProtocol4: a version-4 peer cannot decode the method-3
-// Fast envelopes that raw reads ship, so Hello refuses it up front rather
-// than letting its first read fail as a corrupt extent.
-func TestHelloRefusesProtocol4(t *testing.T) {
-	c := &gwConn{}
-	if err := c.negotiate(&Hello{Proto: 4, Chunk: DefaultChunk, Window: DefaultWindow}); err == nil {
-		t.Fatal("protocol 4 hello accepted")
+// TestHelloRefusesProtocol5: a version-5 server refuses raw reads of
+// u-files and p-files, which a version-6 client no longer falls back from,
+// so Hello refuses the mismatch up front rather than letting such a read
+// fail. Version 4 and older stay refused too.
+func TestHelloRefusesProtocol5(t *testing.T) {
+	for _, old := range []int{4, 5} {
+		c := &gwConn{}
+		if err := c.negotiate(&Hello{Proto: old, Chunk: DefaultChunk, Window: DefaultWindow}); err == nil {
+			t.Fatalf("protocol %d hello accepted", old)
+		}
 	}
-	c = &gwConn{chunk: DefaultChunk, window: DefaultWindow}
+	c := &gwConn{chunk: DefaultChunk, window: DefaultWindow}
 	if err := c.negotiate(&Hello{Proto: Proto, Chunk: DefaultChunk, Window: DefaultWindow}); err != nil {
 		t.Fatal(err)
 	}

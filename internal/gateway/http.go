@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"postlob/internal/adt"
 	"postlob/internal/core"
 	"postlob/internal/inversion"
 	"postlob/internal/repl"
@@ -265,64 +266,27 @@ func (g *Gateway) httpGet(w http.ResponseWriter, r *http.Request, path string, w
 		status = http.StatusPartialContent
 	}
 	w.WriteHeader(status)
-	g.streamBody(w, f, ts, off, end)
+	g.streamBody(w, f.Ref(), ts, off, end)
 }
 
-// streamBody streams [off, end) of the file to w through the chunk pump —
+// streamBody streams [off, end) of the object to w through the chunk pump —
 // the same depth-D read-ahead and chunk accounting as the v2 wire
-// protocol. Kinds with no raw form fall back to sequential seek/read in
-// chunk units.
-func (g *Gateway) streamBody(w http.ResponseWriter, f *inversion.File, ts txn.TS, off, end int64) {
-	ref := f.Ref()
-	if g.kindHasRaw(ref) {
-		visit := func(o, n int64, fn func(*core.RawExtent) error) error {
-			return g.store.VisitRawAsOf(ts, ref, o, n, fn)
-		}
-		err := g.pumpChunks(g.opts.Chunk, off, end,
-			func(o, n int64) (*chunkPiece, error) { return g.dataFetch(visit, o, n) },
-			func(p *chunkPiece, last bool) error {
-				defer p.release(g)
-				n, werr := w.Write(p.frames[0].b[HdrLen:])
-				obsHTTPBytesOut.Add(int64(n))
-				return werr
-			})
-		if err != nil {
-			// Mid-body: the status line is gone; all we can do is stop.
-			obsHTTPErrors.Inc()
-		}
-		return
+// protocol.
+func (g *Gateway) streamBody(w http.ResponseWriter, ref adt.ObjectRef, ts txn.TS, off, end int64) {
+	visit := func(o, n int64, fn func(*core.RawExtent) error) error {
+		return g.store.VisitRawAsOf(ts, ref, o, n, fn)
 	}
-	// Fallback: sequential chunk reads on the open file handle.
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
+	err := g.pumpChunks(g.opts.Chunk, off, end,
+		func(o, n int64) (*chunkPiece, error) { return g.dataFetch(visit, o, n) },
+		func(p *chunkPiece, last bool) error {
+			defer p.release(g)
+			n, werr := w.Write(p.frames[0].b[HdrLen:])
+			obsHTTPBytesOut.Add(int64(n))
+			return werr
+		})
+	if err != nil {
+		// Mid-body: the status line is gone; all we can do is stop.
 		obsHTTPErrors.Inc()
-		return
-	}
-	remain := end - off
-	buf := make([]byte, g.opts.Chunk)
-	for remain > 0 {
-		want := int64(len(buf))
-		if want > remain {
-			want = remain
-		}
-		g.chunkAcquire(int(want))
-		rn, err := io.ReadFull(f, buf[:want])
-		if rn > 0 {
-			wn, werr := w.Write(buf[:rn])
-			obsHTTPBytesOut.Add(int64(wn))
-			if werr != nil {
-				g.chunkRelease(int(want))
-				obsHTTPErrors.Inc()
-				return
-			}
-		}
-		g.chunkRelease(int(want))
-		if err != nil {
-			if err != io.EOF && err != io.ErrUnexpectedEOF {
-				obsHTTPErrors.Inc()
-			}
-			return
-		}
-		remain -= int64(rn)
 	}
 }
 

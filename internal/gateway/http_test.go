@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"postlob/internal/adt"
 	"postlob/internal/compress"
 	"postlob/internal/gateway"
 	"postlob/internal/inversion"
@@ -47,6 +48,23 @@ func httpDo(t *testing.T, method, url string, body []byte, hdr map[string]string
 		t.Fatal(err)
 	}
 	return resp, b
+}
+
+// TestHTTPPFileBackedGet: a gateway whose file system asks for p-files
+// stores its objects as f-chunks, so a GET — a snapshot read — returns
+// what the PUT stored instead of a no-time-travel error.
+func TestHTTPPFileBackedGet(t *testing.T) {
+	_, _, g := startGateway(t, gateway.Options{Chunk: 8 << 10, FS: inversion.Options{Kind: adt.KindPFile}})
+	srv := httpServer(t, g)
+	payload := compress.GenFrame(71, 50_000, 0.4)
+	resp, _ := httpDo(t, http.MethodPut, srv.URL+"/bucket/key", payload, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT = %d", resp.StatusCode)
+	}
+	resp, body := httpDo(t, http.MethodGet, srv.URL+"/bucket/key", nil, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
+		t.Fatalf("GET = %d, %d bytes: %.100s", resp.StatusCode, len(body), body)
+	}
 }
 
 func TestHTTPObjectLifecycle(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"postlob/internal/adt"
-	"postlob/internal/catalog"
 	"postlob/internal/core"
 	"postlob/internal/crcframe"
 	"postlob/internal/obs"
@@ -666,14 +665,6 @@ func (sess *session) open(it *reqItem) {
 	sess.c.respond(it.stream, &Resp{Handle: id})
 }
 
-// kindHasRaw reports whether the object kind has a stored-extent (raw)
-// form — file-backed objects do not; they stream through the seek/read
-// fallback.
-func (g *Gateway) kindHasRaw(ref adt.ObjectRef) bool {
-	meta, err := g.store.Catalog().Object(catalog.OID(ref.OID))
-	return err == nil && (meta.Kind == adt.KindFChunk || meta.Kind == adt.KindVSegment)
-}
-
 // streamJob is everything a streaming read needs — deliberately free of
 // session state so as-of jobs can run outside the dispatcher: the
 // snapshot fetch path opens its own objects from ref + timestamp.
@@ -684,7 +675,6 @@ type streamJob struct {
 	off, end int64
 	size     int64
 	raw      bool
-	canRaw   bool
 }
 
 // serveRead starts a streaming read. Transactional reads run inline in
@@ -705,13 +695,7 @@ func (sess *session) serveRead(it *reqItem, sw obs.Stopwatch) bool {
 		return false
 	}
 	off, end := clampRange(req.Offset, req.N, size)
-	raw := req.Op == OpRawRead
-	canRaw := sess.g.kindHasRaw(h.obj.Ref())
-	if raw && !canRaw {
-		c.respond(it.stream, failResp("object has no raw form (use read)"))
-		return false
-	}
-	job := streamJob{ref: h.obj.Ref(), asOf: h.asOf, off: off, end: end, size: size, raw: raw, canRaw: canRaw}
+	job := streamJob{ref: h.obj.Ref(), asOf: h.asOf, off: off, end: end, size: size, raw: req.Op == OpRawRead}
 	if h.asOf != txn.InvalidTS {
 		c.streamWG.Add(1)
 		go func() {
@@ -786,19 +770,14 @@ func (c *gwConn) streamOut(j streamJob, stream uint32) {
 		return nil
 	}
 
-	var err error
-	if j.canRaw {
-		visit := g.bindJob(&j)
-		fetch := g.dataFetch
-		if j.raw {
-			fetch = g.rawFetch
-		}
-		err = g.pumpChunks(c.chunk, j.off, j.end,
-			func(o, n int64) (*chunkPiece, error) { return fetch(visit, o, n) },
-			func(p *chunkPiece, last bool) error { return emitPiece(g, p, emitFrame) })
-	} else {
-		err = c.seqStream(&j, emitFrame)
+	visit := g.bindJob(&j)
+	fetch := g.dataFetch
+	if j.raw {
+		fetch = g.rawFetch
 	}
+	err := g.pumpChunks(c.chunk, j.off, j.end,
+		func(o, n int64) (*chunkPiece, error) { return fetch(visit, o, n) },
+		func(p *chunkPiece, last bool) error { return emitPiece(g, p, emitFrame) })
 	if err != nil {
 		if !errors.Is(err, errConnDone) {
 			c.sendStreamErr(stream, err)
@@ -838,59 +817,6 @@ func emitPiece(g *Gateway, p *chunkPiece, emitFrame func(*frameBuf, func()) erro
 		}
 		if err := emitFrame(fb, rel); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// seqStream is the fallback for object kinds with no raw form (u-files,
-// p-files): a private handle, sequential chunk reads into frame buffers,
-// same framing and accounting as the pump.
-func (c *gwConn) seqStream(j *streamJob, emitFrame func(*frameBuf, func()) error) error {
-	g := c.g
-	var obj core.Object
-	var err error
-	if j.asOf != txn.InvalidTS {
-		obj, err = g.store.OpenAsOf(j.asOf, j.ref)
-	} else {
-		obj, err = g.store.Open(j.tx, j.ref)
-	}
-	if err != nil {
-		return err
-	}
-	defer obj.Close()
-	if _, err := obj.Seek(j.off, io.SeekStart); err != nil {
-		return err
-	}
-	remain := j.end - j.off
-	for remain > 0 {
-		want := min(int64(c.chunk), remain)
-		fb := newFrameBuf(int(want))
-		fb.b = fb.b[:HdrLen+int(want)]
-		g.chunkAcquire(int(want))
-		rn, err := io.ReadFull(obj, fb.b[HdrLen:])
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			fb.free()
-			g.chunkRelease(int(want))
-			return err
-		}
-		if rn == 0 {
-			fb.free()
-			g.chunkRelease(int(want))
-			break
-		}
-		fb.b = fb.b[:HdrLen+rn]
-		nn := int64(rn)
-		rel := func() {
-			g.chunkRelease(int(want))
-			obsStreamBytesOut.Add(nn)
-		}
-		if err := emitFrame(fb, rel); err != nil {
-			return err
-		}
-		remain -= nn
-		if nn < want {
-			break
 		}
 	}
 	return nil

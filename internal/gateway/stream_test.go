@@ -23,7 +23,6 @@ import (
 	"postlob/internal/core"
 	"postlob/internal/gateway"
 	"postlob/internal/heap"
-	"postlob/internal/inversion"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 )
@@ -39,7 +38,7 @@ func startGateway(t testing.TB, opts gateway.Options) (string, *core.Store, *gat
 		FilesDir:  filepath.Join(dir, "pfiles"),
 		DefaultSM: storage.Mem,
 	})
-	opts.FS = inversion.Options{SM: storage.Mem}
+	opts.FS.SM = storage.Mem
 	g := gateway.New(store, opts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -60,11 +59,21 @@ func dialStream(t testing.TB, addr string) *client.Stream {
 	return s
 }
 
+// createOptions creates an object of the given kind and codec; a u-file
+// gets a fresh path of its own.
+func createOptions(t testing.TB, kind adt.StorageKind, codec string) core.CreateOptions {
+	opts := core.CreateOptions{Kind: kind, Codec: codec}
+	if kind == adt.KindUFile {
+		opts.Path = filepath.Join(t.TempDir(), "blob.bin")
+	}
+	return opts
+}
+
 // loadObject creates and commits a large object directly in the store.
 func loadObject(t testing.TB, store *core.Store, kind adt.StorageKind, codec string, payload []byte) adt.ObjectRef {
 	t.Helper()
 	tx := store.Pool().Mgr.Begin()
-	ref, obj, err := store.Create(tx, core.CreateOptions{Kind: kind, Codec: codec})
+	ref, obj, err := store.Create(tx, createOptions(t, kind, codec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,44 +349,151 @@ func TestStreamTimeTravel(t *testing.T) {
 	h.Close()
 }
 
-// TestStreamNoRawFallback covers u-file objects: raw reads are refused with
-// a clear error, ReadTo falls back to server-side decode transparently.
-func TestStreamNoRawFallback(t *testing.T) {
-	addr, store, _ := startGateway(t, gateway.Options{Chunk: 8 << 10})
-	payload := compress.GenFrame(40, 60_000, 0.3)
+// everyKind lists the paper's six object configurations.
+var everyKind = []struct {
+	name  string
+	kind  adt.StorageKind
+	codec string
+}{
+	{"ufile", adt.KindUFile, ""},
+	{"pfile", adt.KindPFile, ""},
+	{"fchunk", adt.KindFChunk, ""},
+	{"fchunk-fast", adt.KindFChunk, "fast"},
+	{"fchunk-tight", adt.KindFChunk, "tight"},
+	{"vsegment-fast", adt.KindVSegment, "fast"},
+}
+
+// loadSparse creates and commits an object of the given kind holding data,
+// then a hole, then more data, and returns its ref and committed size.
+func loadSparse(t testing.TB, store *core.Store, kind adt.StorageKind, codec string) (adt.ObjectRef, int64) {
+	t.Helper()
 	tx := store.Pool().Mgr.Begin()
-	ref, obj, err := store.Create(tx, core.CreateOptions{
-		Kind: adt.KindUFile, Path: filepath.Join(t.TempDir(), "blob.bin"),
-	})
+	ref, obj, err := store.Create(tx, createOptions(t, kind, codec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obj.Write(payload); err != nil {
+	if _, err := obj.Write(compress.GenFrame(41, 20_000, 0.4)); err != nil {
 		t.Fatal(err)
 	}
-	obj.Close()
+	if _, err := obj.Seek(50_000, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obj.Write(compress.GenFrame(42, 21_000, 0.4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	return ref, 71_000
+}
 
+// TestStreamEveryKind: every object kind reads through the one streaming
+// path, and Read, ReadServerSide and ReadTo each return what an in-process
+// Read returns, at the start, mid-chunk, at the tail, inside a sparse gap
+// and past the end. An as-of open of a file kind fails with the
+// no-time-travel error and leaves the connection usable.
+func TestStreamEveryKind(t *testing.T) {
+	addr, store, _ := startGateway(t, gateway.Options{Chunk: 8 << 10, Window: 2})
 	s := dialStream(t, addr)
-	s.Begin()
-	defer s.Abort()
-	h, err := s.Open(ref)
-	if err != nil {
-		t.Fatal(err)
+	spans := []struct {
+		name   string
+		off, n int64
+	}{
+		{"start", 0, 1000},
+		{"mid-chunk", 5_000, 20_000},
+		{"tail", 68_000, 10_000},
+		{"sparse", 22_000, 20_000},
+		{"past-end", 80_000, 100},
 	}
-	defer h.Close()
-	buf := make([]byte, 1024)
-	if _, err := h.Read(buf); err == nil || !strings.Contains(err.Error(), "no raw form") {
-		t.Fatalf("raw read of u-file: %v", err)
-	}
-	var sink bytes.Buffer
-	if n, err := h.ReadTo(&sink, 0, -1); err != nil || n != int64(len(payload)) {
-		t.Fatalf("ReadTo fallback = %d, %v", n, err)
-	}
-	if !bytes.Equal(sink.Bytes(), payload) {
-		t.Fatal("fallback stream mismatch")
+	for _, k := range everyKind {
+		t.Run(k.name, func(t *testing.T) {
+			ref, size := loadSparse(t, store, k.kind, k.codec)
+			want := func(off, n int64) []byte {
+				tx := store.Pool().Mgr.Begin()
+				defer tx.Abort()
+				obj, err := store.Open(tx, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer obj.Close()
+				if _, err := obj.Seek(off, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				b := make([]byte, max(0, min(n, size-off)))
+				if _, err := io.ReadFull(obj, b); err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Abort()
+			h, err := s.Open(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			// readAt adapts Read and ReadServerSide, which read at the
+			// handle's position; io.EOF with nothing read is an empty result.
+			readAt := func(read func([]byte) (int, error)) func(off, n int64) ([]byte, error) {
+				return func(off, n int64) ([]byte, error) {
+					h.Seek(off, io.SeekStart)
+					b := make([]byte, n)
+					got, err := read(b)
+					if err == io.EOF && got == 0 {
+						err = nil
+					}
+					return b[:got], err
+				}
+			}
+			reads := []struct {
+				name string
+				read func(off, n int64) ([]byte, error)
+			}{
+				{"Read", readAt(h.Read)},
+				{"ReadServerSide", readAt(h.ReadServerSide)},
+				{"ReadTo", func(off, n int64) ([]byte, error) {
+					var sink bytes.Buffer
+					got, err := h.ReadTo(&sink, off, n)
+					if got != int64(sink.Len()) {
+						t.Errorf("ReadTo returned %d, wrote %d", got, sink.Len())
+					}
+					return sink.Bytes(), err
+				}},
+			}
+			for _, sp := range spans {
+				exp := want(sp.off, sp.n)
+				for _, r := range reads {
+					got, err := r.read(sp.off, sp.n)
+					if err != nil {
+						t.Fatalf("%s %s: %v", r.name, sp.name, err)
+					}
+					if !bytes.Equal(got, exp) {
+						t.Fatalf("%s %s: %d bytes differ from the %d of an in-process read", r.name, sp.name, len(got), len(exp))
+					}
+				}
+			}
+
+			// Creating a file-kind object stamps no commit timestamp, and an
+			// as-of open at InvalidTS would be a transactional one.
+			ah, err := s.OpenAsOf(max(store.Pool().Mgr.Now(), 1), ref)
+			travels := k.kind == adt.KindFChunk || k.kind == adt.KindVSegment
+			if travels != (err == nil) {
+				t.Fatalf("as-of open: %v", err)
+			}
+			if travels {
+				ah.Close()
+			} else if !strings.Contains(err.Error(), core.ErrNoTravel.Error()) {
+				t.Fatalf("as-of open of %s: %v", k.name, err)
+			}
+			if got, err := reads[0].read(0, size); err != nil || !bytes.Equal(got, want(0, size)) {
+				t.Fatalf("whole read after as-of open: %d bytes, %v", len(got), err)
+			}
+		})
 	}
 }
 
@@ -964,17 +1080,28 @@ func TestServerErrorsAndTxnDiscipline(t *testing.T) {
 }
 
 // streamReads sets up what TestStreamReadAllocs and BenchmarkStreamReadTo
-// measure — a loopback gateway and client, and one 1 MiB fast-codec object
-// — and returns one whole-object snapshot read through ReadTo, the
-// benchmark's edge_stream op.
-func streamReads(t testing.TB) (payload []byte, read func(w io.Writer)) {
+// measure — a loopback gateway and client, and one 1 MiB object — and
+// returns one whole-object read through ReadTo. A fast-codec f-chunk is
+// read as of a snapshot, the benchmark's edge_stream op; a u-file, which
+// has no snapshots, in one open transaction.
+func streamReads(t testing.TB, kind adt.StorageKind) (payload []byte, read func(w io.Writer)) {
 	addr, store, _ := startGateway(t, gateway.Options{})
 	payload = compress.GenFrame(70, 1<<20, 0.5)
-	ref := loadObject(t, store, adt.KindFChunk, "fast", payload)
-	ts := store.Pool().Mgr.Now()
 	s := dialStream(t, addr)
+	var open func() (*client.StreamObject, error)
+	if kind == adt.KindUFile {
+		ref := loadObject(t, store, kind, "", payload)
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		open = func() (*client.StreamObject, error) { return s.Open(ref) }
+	} else {
+		ref := loadObject(t, store, kind, "fast", payload)
+		ts := store.Pool().Mgr.Now()
+		open = func() (*client.StreamObject, error) { return s.OpenAsOf(ts, ref) }
+	}
 	return payload, func(w io.Writer) {
-		h, err := s.OpenAsOf(ts, ref)
+		h, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -996,7 +1123,7 @@ func TestStreamReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of what it is given under the race detector")
 	}
-	payload, read := streamReads(t)
+	payload, read := streamReads(t, adt.KindFChunk)
 	// Start from empty pools: buffers that earlier tests in the package left
 	// behind are too small for this read's frames, and each one taken from the
 	// pool would count as an allocation here. Two collections empty a
@@ -1030,14 +1157,23 @@ func TestStreamReadAllocs(t *testing.T) {
 }
 
 // BenchmarkStreamReadTo is the edge_stream op in miniature: a whole-object
-// snapshot read of a 1 MiB fast-codec object over a loopback gateway.
+// snapshot read of a 1 MiB fast-codec object over a loopback gateway
+// (fchunk-fast), and the same read of a u-file, whose bytes the server
+// copies once more, from the file into a raw envelope (ufile).
 func BenchmarkStreamReadTo(b *testing.B) {
-	payload, read := streamReads(b)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		read(io.Discard)
+	for _, kind := range []struct {
+		name string
+		kind adt.StorageKind
+	}{{"fchunk-fast", adt.KindFChunk}, {"ufile", adt.KindUFile}} {
+		b.Run(kind.name, func(b *testing.B) {
+			payload, read := streamReads(b, kind.kind)
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read(io.Discard)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,11 @@ const (
 // must surface device errors rather than corrupt state, and must work again
 // once the device recovers — which is exactly what a flaky SCSI chain or
 // the paper's misbehaving jukebox driver (§9.3) looks like from above.
+//
+// It embeds the wrapped manager and overrides only the operations it can
+// fail; the rest forward untouched.
 type FaultManager struct {
-	inner Manager
+	Manager
 
 	mu          sync.Mutex
 	failReads   bool // guarded by mu
@@ -40,7 +43,7 @@ var _ Manager = (*FaultManager)(nil)
 
 // NewFaultManager wraps inner with injectable failures (initially healthy).
 func NewFaultManager(inner Manager) *FaultManager {
-	return &FaultManager{inner: inner, countdown: -1}
+	return &FaultManager{Manager: inner, countdown: -1}
 }
 
 // FailReads toggles failing all reads.
@@ -126,28 +129,22 @@ func (f *FaultManager) shouldFail(op faultOp) bool {
 }
 
 // Name implements Manager.
-func (f *FaultManager) Name() string { return f.inner.Name() + " (fault-injected)" }
+func (f *FaultManager) Name() string { return f.Manager.Name() + " (fault-injected)" }
 
 // Create implements Manager.
 func (f *FaultManager) Create(rel RelName) error {
 	if f.shouldFail(opCreate) {
 		return ErrInjected
 	}
-	return f.inner.Create(rel)
+	return f.Manager.Create(rel)
 }
-
-// Exists implements Manager.
-func (f *FaultManager) Exists(rel RelName) bool { return f.inner.Exists(rel) }
-
-// NBlocks implements Manager.
-func (f *FaultManager) NBlocks(rel RelName) (BlockNum, error) { return f.inner.NBlocks(rel) }
 
 // ReadBlock implements Manager.
 func (f *FaultManager) ReadBlock(rel RelName, blk BlockNum, buf []byte) error {
 	if f.shouldFail(opRead) {
 		return ErrInjected
 	}
-	return f.inner.ReadBlock(rel, blk, buf)
+	return f.Manager.ReadBlock(rel, blk, buf)
 }
 
 // ReadBlocks implements Manager as a per-block loop so the FailAfter
@@ -168,7 +165,7 @@ func (f *FaultManager) WriteBlock(rel RelName, blk BlockNum, buf []byte) error {
 	if f.shouldFail(opWrite) {
 		return ErrInjected
 	}
-	return f.inner.WriteBlock(rel, blk, buf)
+	return f.Manager.WriteBlock(rel, blk, buf)
 }
 
 // Sync implements Manager.
@@ -176,7 +173,7 @@ func (f *FaultManager) Sync(rel RelName) error {
 	if f.shouldFail(opSync) {
 		return ErrInjected
 	}
-	return f.inner.Sync(rel)
+	return f.Manager.Sync(rel)
 }
 
 // Unlink implements Manager.
@@ -184,11 +181,5 @@ func (f *FaultManager) Unlink(rel RelName) error {
 	if f.shouldFail(opRemove) {
 		return ErrInjected
 	}
-	return f.inner.Unlink(rel)
+	return f.Manager.Unlink(rel)
 }
-
-// Size implements Manager.
-func (f *FaultManager) Size(rel RelName) (int64, error) { return f.inner.Size(rel) }
-
-// Close implements Manager.
-func (f *FaultManager) Close() error { return f.inner.Close() }

@@ -11,9 +11,10 @@ import "time"
 // scalable read path provides, and on a small host it is the only honest
 // source of read-throughput scaling. The sleep happens in the calling
 // goroutine with no LatencyManager state shared between calls, so wrapped
-// operations are exactly as concurrent as the inner manager allows.
+// operations are exactly as concurrent as the inner manager allows. It
+// embeds the wrapped manager and overrides only the operations it delays.
 type LatencyManager struct {
-	inner    Manager
+	Manager
 	readLat  time.Duration
 	writeLat time.Duration
 	syncLat  time.Duration
@@ -24,7 +25,7 @@ var _ Manager = (*LatencyManager)(nil)
 // NewLatencyManager wraps inner, charging readLat per ReadBlock and
 // writeLat per WriteBlock. Zero durations disable the respective sleep.
 func NewLatencyManager(inner Manager, readLat, writeLat time.Duration) *LatencyManager {
-	return &LatencyManager{inner: inner, readLat: readLat, writeLat: writeLat}
+	return &LatencyManager{Manager: inner, readLat: readLat, writeLat: writeLat}
 }
 
 // NewLatencyManagerWithSync additionally charges syncLat per Sync — the
@@ -33,27 +34,18 @@ func NewLatencyManager(inner Manager, readLat, writeLat time.Duration) *LatencyM
 // buffered writes, expensive settles): it is the cost profile group commit
 // exists to amortise.
 func NewLatencyManagerWithSync(inner Manager, readLat, writeLat, syncLat time.Duration) *LatencyManager {
-	return &LatencyManager{inner: inner, readLat: readLat, writeLat: writeLat, syncLat: syncLat}
+	return &LatencyManager{Manager: inner, readLat: readLat, writeLat: writeLat, syncLat: syncLat}
 }
 
 // Name implements Manager.
-func (l *LatencyManager) Name() string { return l.inner.Name() + " (simulated latency)" }
-
-// Create implements Manager.
-func (l *LatencyManager) Create(rel RelName) error { return l.inner.Create(rel) }
-
-// Exists implements Manager.
-func (l *LatencyManager) Exists(rel RelName) bool { return l.inner.Exists(rel) }
-
-// NBlocks implements Manager.
-func (l *LatencyManager) NBlocks(rel RelName) (BlockNum, error) { return l.inner.NBlocks(rel) }
+func (l *LatencyManager) Name() string { return l.Manager.Name() + " (simulated latency)" }
 
 // ReadBlock implements Manager.
 func (l *LatencyManager) ReadBlock(rel RelName, blk BlockNum, buf []byte) error {
 	if l.readLat > 0 {
 		time.Sleep(l.readLat)
 	}
-	return l.inner.ReadBlock(rel, blk, buf)
+	return l.Manager.ReadBlock(rel, blk, buf)
 }
 
 // WriteBlock implements Manager.
@@ -61,7 +53,7 @@ func (l *LatencyManager) WriteBlock(rel RelName, blk BlockNum, buf []byte) error
 	if l.writeLat > 0 {
 		time.Sleep(l.writeLat)
 	}
-	return l.inner.WriteBlock(rel, blk, buf)
+	return l.Manager.WriteBlock(rel, blk, buf)
 }
 
 // ReadBlocks implements Manager: one positioning latency covers the whole
@@ -72,7 +64,7 @@ func (l *LatencyManager) ReadBlocks(rel RelName, blk BlockNum, bufs [][]byte) er
 	if l.readLat > 0 && len(bufs) > 0 {
 		time.Sleep(l.readLat)
 	}
-	return l.inner.ReadBlocks(rel, blk, bufs)
+	return l.Manager.ReadBlocks(rel, blk, bufs)
 }
 
 // WriteBlocks implements Manager: one positioning latency per batch, like
@@ -81,7 +73,7 @@ func (l *LatencyManager) WriteBlocks(rel RelName, blk BlockNum, bufs [][]byte) e
 	if l.writeLat > 0 && len(bufs) > 0 {
 		time.Sleep(l.writeLat)
 	}
-	return l.inner.WriteBlocks(rel, blk, bufs)
+	return l.Manager.WriteBlocks(rel, blk, bufs)
 }
 
 // Sync implements Manager.
@@ -89,14 +81,5 @@ func (l *LatencyManager) Sync(rel RelName) error {
 	if l.syncLat > 0 {
 		time.Sleep(l.syncLat)
 	}
-	return l.inner.Sync(rel)
+	return l.Manager.Sync(rel)
 }
-
-// Unlink implements Manager.
-func (l *LatencyManager) Unlink(rel RelName) error { return l.inner.Unlink(rel) }
-
-// Size implements Manager.
-func (l *LatencyManager) Size(rel RelName) (int64, error) { return l.inner.Size(rel) }
-
-// Close implements Manager.
-func (l *LatencyManager) Close() error { return l.inner.Close() }

@@ -30,10 +30,16 @@ func TestStatsCounters(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Read the object's first chunk back: 500 KB through a 16-page pool
-	// guarantees its page was evicted, so this is a deterministic buffer
-	// miss (a write-only workload's miss count depends on which metadata
-	// pages the background writer happened to keep resident).
+	// Read the object's first chunk back from a cold pool: a deterministic
+	// buffer miss (a write-only workload's miss count depends on which pages
+	// the background writer happened to keep resident). Writing 500 KB
+	// through a 16-page pool does not evict the first chunk's page by
+	// itself: that page also holds the object's size record, which Close
+	// rewrites last, so whether it stayed resident depended on when the
+	// background writer cleaned it.
+	if err := db.LargeObjects().EvictFromPool(ref); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.RunInTxn(func(tx *Txn) error {
 		obj, err := db.LargeObjects().Open(tx, ref)
 		if err != nil {
