@@ -137,12 +137,17 @@ func TestBackgroundWriteFaultSurfacesAtCheckpoint(t *testing.T) {
 // into the goroutine, and reopening the database — the operator response a
 // dead log demands — must recover every transaction that committed before
 // the fault while discarding the one in flight.
+//
+// The writer round that hits the fault is driven by the test, not by a live
+// engine: a live writer can clean every dirty page before the fault is
+// armed, and then no round ever fails.
 func TestBackgroundWriteFaultSurfacesAtCheckpointWAL(t *testing.T) {
 	dir := t.TempDir()
 	var fm *storage.FaultManager
 	db, err := Open(dir, Options{
-		BufferPoolPages: 128,
-		Durability:      DurabilityWAL,
+		BufferPoolPages:  128,
+		Durability:       DurabilityWAL,
+		BackgroundWriter: new(bool),
 		WrapStorage: func(id storage.ID, mgr storage.Manager) storage.Manager {
 			if id != storage.Disk {
 				return mgr
@@ -174,8 +179,8 @@ func TestBackgroundWriteFaultSurfacesAtCheckpointWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second transaction dirties pages and stays open; the background
-	// writer picks them up during the fault window and fails.
+	// A second transaction dirties pages and stays open; a writer round
+	// picks them up during the fault window and fails.
 	tx2 := db.Begin()
 	obj2, err := db.LargeObjects().Open(tx2, ref)
 	if err != nil {
@@ -188,13 +193,15 @@ func TestBackgroundWriteFaultSurfacesAtCheckpointWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// With no live writer, nothing has written v1's or tx2's pages back: the
+	// coldest frames of the pool's partitions are dirty, and the round's
+	// cold windows reach them. Its error is noted sticky, as a live round's
+	// would be.
 	before := ObsSnapshot()
 	fm.FailWrites(true)
+	_, _ = db.pool.Buf.BgWriterRound(0)
 	waitBgError(t, before)
 	fm.Heal()
-	// Settle the sticky slot: StopEngine waits out any round in flight, so
-	// the noted error is in place before the assertion reads it.
-	db.pool.Buf.StopEngine()
 	assertDirtyCounted(t, db, "after failed background writes")
 
 	// The async failure surfaces from the next checkpoint — never silently

@@ -41,9 +41,14 @@
 #                                  race live writer rounds against evictions,
 #                                  drops and checkpoints; TestStatsCounters,
 #                                  whose buffer miss once hung on the
-#                                  writer's timing; and TestStreamEveryKind,
+#                                  writer's timing; TestStreamEveryKind,
 #                                  every object kind through the one
-#                                  streaming read path
+#                                  streaming read path; TestRecoverRedoRules,
+#                                  the redo rules crash recovery and replicas
+#                                  share (core.Redo); and
+#                                  TestBackgroundWriteFaultSurfacesAtCheckpointWAL,
+#                                  a once-flaky writer-fault test whose reopen
+#                                  runs that recovery
 #
 #   4b. benchmark module           benchmark/ is a Go module of its own (it
 #                                  imports postlob/internal/... through a
@@ -249,7 +254,7 @@ fi
 echo "== lifecycle race sweep (-race -count=20)"
 go test -race -count=20 ./internal/daemon
 go test -race -count=20 \
-	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters)$' \
+	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters|TestRecoverRedoRules|TestBackgroundWriteFaultSurfacesAtCheckpointWAL)$' \
 	. ./internal/buffer ./internal/core ./internal/gateway
 go test -race -count=20 \
 	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps)$' \

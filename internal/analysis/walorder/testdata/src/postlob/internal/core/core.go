@@ -1,6 +1,7 @@
 // Package core is a fixture proving the allowed cases produce no
-// diagnostics: core may flush the pool, and Append* results that are kept
-// (or Checkpoint results that are discarded — not an Append) are fine.
+// diagnostics: core may flush the pool and apply redo images, and Append*
+// results that are kept (or Checkpoint results that are discarded — not an
+// Append) are fine.
 package core
 
 import (
@@ -25,8 +26,12 @@ func checkpoint(p *buffer.Pool, l *wal.Log) error {
 	if lazy, err := l.AppendAbort(3); err == nil { // allowed: LSN kept
 		l.FlushLazy(lazy)
 	}
-	if _, err := l.Checkpoint(lsn); err != nil { // allowed: not an Append*
+	if _, err := l.Checkpoint(lsn, wal.CheckpointMeta{}); err != nil { // allowed: not an Append*
 		return err
 	}
 	return nil
+}
+
+func redo(p *buffer.Pool) error {
+	return p.ApplyRedoImage("rel", 7, nil) // allowed: core.Redo is the one redo dispatcher
 }

@@ -1,12 +1,12 @@
-// Package repl is a fixture proving replication replay may apply physical
-// redo images and flush the pool: ApplyRedoImage and FlushAll calls from
-// postlob/internal/repl produce no diagnostics.
+// Package repl is a fixture proving the replica's checkpoint may flush the
+// pool (no diagnostic) while its replay may not apply redo images itself:
+// that goes through core.Redo.
 package repl
 
 import "postlob/internal/buffer"
 
 func replay(p *buffer.Pool) error {
-	return p.ApplyRedoImage("rel", 7, nil) // allowed: replication replay owns the pool
+	return p.ApplyRedoImage("rel", 7, nil) // want `buffer\.Pool\.ApplyRedoImage called from postlob/internal/repl`
 }
 
 func checkpoint(p *buffer.Pool) error {

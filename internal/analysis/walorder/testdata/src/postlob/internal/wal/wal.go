@@ -17,4 +17,6 @@ func (l *Log) Flush(lsn LSN) error { return nil }
 
 func (l *Log) FlushLazy(lsn LSN) {}
 
-func (l *Log) Checkpoint(redo LSN) (LSN, error) { return 0, nil }
+type CheckpointMeta struct{}
+
+func (l *Log) Checkpoint(redo LSN, meta CheckpointMeta) (LSN, error) { return 0, nil }

@@ -20,10 +20,11 @@
 //
 // Rule 3: buffer.Pool.ApplyRedoImage overwrites a page with a logged image,
 // bypassing the WAL append that every ordinary mutation carries — it is
-// physical redo, sound only where replay owns the pool: crash recovery and
-// replication. Only postlob/internal/buffer, postlob/internal/core, and
-// postlob/internal/repl may call it; anywhere else it is a page write the
-// log will never describe, silently un-replayable.
+// physical redo, sound only where replay owns the pool. Crash recovery and
+// replication replay both go through the one dispatcher, core.Redo, so only
+// postlob/internal/buffer and postlob/internal/core may call it; anywhere
+// else it is a page write the log will never describe, silently
+// un-replayable, or a second redo path that can drift from the first.
 //
 // Test files are exempt, as elsewhere in lobvet: tests may exercise flushes
 // and appends directly.
@@ -53,12 +54,11 @@ var flushPkgs = map[string]bool{
 }
 
 // redoPkgs are the packages allowed to call Pool.ApplyRedoImage: the pool
-// itself, core's crash recovery, and replication replay. Everywhere else it
-// is a page write the WAL never describes.
+// itself and core, whose Redo serves crash recovery and replication replay
+// alike. Everywhere else it is a page write the WAL never describes.
 var redoPkgs = map[string]bool{
 	"postlob/internal/buffer": true,
 	"postlob/internal/core":   true,
-	"postlob/internal/repl":   true,
 }
 
 // Analyzer reports flush calls outside the checkpoint layers and discarded
@@ -111,7 +111,7 @@ func checkFile(pass *analysis.Pass, file *ast.File) {
 			}
 			if fn.Name() == "ApplyRedoImage" && !redoPkgs[pass.Pkg.Path()] {
 				pass.Reportf(call.Pos(),
-					"buffer.Pool.ApplyRedoImage called from %s; physical redo belongs to crash recovery (core) and replication replay (repl) only — elsewhere it is a page write the WAL never describes",
+					"buffer.Pool.ApplyRedoImage called from %s; physical redo goes through core.Redo, the one dispatcher crash recovery and replication replay share — elsewhere it is a page write the WAL never describes",
 					pass.Pkg.Path())
 			}
 		case walPath:

@@ -472,11 +472,11 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 	imgs := make([][]byte, int(tag0.Blk-lo)+len(run))
 	var taken []*Frame // gap frames whose pages this write carries
 	redirty := func() {
-		for _, f := range run {
+		for _, f := range append(taken, run...) {
 			f.setDirty(true)
-		}
-		for _, f := range taken {
-			f.setDirty(true)
+			if p.wal == nil {
+				f.walDirty.Store(true) // the device never got the page
+			}
 		}
 	}
 	defer func() {

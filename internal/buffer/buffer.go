@@ -675,14 +675,13 @@ func (p *Pool) NewBlock(sm storage.ID, rel storage.RelName) (*Frame, storage.Blo
 	return f, n, nil
 }
 
-// ApplyRedoImage installs a physical redo page image: replication replay's
-// page write (and the only legal non-recovery writer of a replica's pool —
-// lobvet's walorder analyzer enforces the caller set). The image lands in
-// the pool as a dirty frame, so replica reads see it immediately and the
-// next flush carries it to the device; relation length stays coherent
-// because extension goes through NewBlock. Blocks below blk that the
-// stream has not yet imaged materialise as zero pages, exactly like
-// recovery's hole handling.
+// ApplyRedoImage installs a physical redo page image: the page write of
+// core.Redo, which crash recovery and replication replay share (lobvet's
+// walorder analyzer keeps every other caller out). The image lands in the
+// pool as a dirty frame, so replica reads see it immediately and the next
+// flush or eviction carries it to the device; relation length stays
+// coherent because extension goes through NewBlock. Blocks below blk that
+// no image has reached yet materialise as zero pages.
 func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.BlockNum, img []byte) error {
 	if len(img) != page.Size {
 		return fmt.Errorf("buffer: redo image is %d bytes, want %d", len(img), page.Size)
@@ -1041,6 +1040,9 @@ func (p *Pool) snapshotForWrite(f *Frame, img []byte) error {
 }
 
 // snapshotLatched is snapshotForWrite with f's shared latch already held.
+// With no log attached the write-back also settles walDirty: once the page is
+// on the device, a log attached later (recovery's end, Promote) needs no
+// image of it until it changes again.
 func (p *Pool) snapshotLatched(f *Frame, img []byte) error {
 	f.setDirty(false)
 	copy(img, f.data)
@@ -1049,7 +1051,12 @@ func (p *Pool) snapshotLatched(f *Frame, img []byte) error {
 			f.setDirty(true)
 			return err
 		}
-	} else if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
+		return nil
+	}
+	if p.wal == nil {
+		f.walDirty.Store(false)
+	}
+	if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
 		cs.Stamp(img)
 	}
 	return nil

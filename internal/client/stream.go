@@ -406,10 +406,18 @@ func (s *Stream) Open(ref adt.ObjectRef) (*StreamObject, error) {
 	return &StreamObject{s: s, handle: r.Handle, ref: ref, asOf: txn.InvalidTS}, nil
 }
 
+// ErrNothingCommitted is OpenAsOf's refusal of timestamp 0 (txn.InvalidTS):
+// the timestamp Now reports until some commit stamps one. On the wire a zero
+// as-of is a transactional open, so it is refused before it is sent.
+var ErrNothingCommitted = errors.New("client: as-of open at timestamp 0: nothing has committed yet")
+
 // OpenAsOf opens a read-only historical view. As-of reads stream without a
 // transaction, so they multiplex freely — and they are what replicas
-// serve.
+// serve. ts must be a commit timestamp; 0 fails with ErrNothingCommitted.
 func (s *Stream) OpenAsOf(ts txn.TS, ref adt.ObjectRef) (*StreamObject, error) {
+	if ts == txn.InvalidTS {
+		return nil, ErrNothingCommitted
+	}
 	r, err := s.call(&gateway.Req{Op: gateway.OpOpen, Ref: ref, AsOf: ts})
 	if err != nil {
 		return nil, err

@@ -49,6 +49,7 @@ type crashStack struct {
 	store   *Store
 	wlog    *wal.Log // non-nil in WAL mode
 	walMode bool
+	down    bool // the power failed during recovery; store is nil
 }
 
 // openCrashStack builds the stack in one of the two durability modes under
@@ -57,7 +58,14 @@ type crashStack struct {
 // recovery replays on the next open). The WAL lives on the same crash-
 // simulated manager as the data, so torn writes land inside the log file
 // too.
-func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg storage.CrashConfig, walMode bool) *crashStack {
+//
+// A non-negative recoveryCrash arms the disk's crash countdown just before
+// redo recovery: the power fails that many device operations into replay or
+// its closing checkpoint. openCrashStack then returns the half-open stack
+// with down set (nothing past recovery is built), and the caller crashes it
+// and boots again. A countdown that outlasts recovery is disarmed, and the
+// stack opens as usual.
+func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg storage.CrashConfig, walMode bool, recoveryCrash int) *crashStack {
 	t.Helper()
 	sw := storage.NewSwitch()
 	diskCM := storage.NewCrashManager(durable, cfg)
@@ -80,9 +88,13 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 	}
 	mgr.SetLogPath(logPath)
 
-	// Redo recovery runs before anything reads the data: replay the durable
-	// log into the raw managers, persist the recovered commit outcomes, and
-	// truncate the log. Tiny segments (8 blocks) force constant rotation and
+	// A tiny pool forces evictions mid-transaction, so uncommitted pages
+	// reach the (volatile) device constantly — and mid-replay, so recovery's
+	// write-backs do too.
+	pool := &heap.Pool{Buf: buffer.NewPool(16, sw, nil), Mgr: mgr}
+
+	// Redo recovery runs before anything reads the data, exactly as Open
+	// runs it. Tiny segments (8 blocks) force constant rotation and
 	// checkpoint truncation under the randomized workload.
 	var wlog *wal.Log
 	if walMode {
@@ -90,16 +102,22 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 		if err != nil {
 			t.Fatalf("open wal: %v", err)
 		}
-		if err := RecoverWAL(sw, mgr, wlog); err != nil {
+		t.Cleanup(func() { wlog.Close() })
+		if recoveryCrash >= 0 {
+			diskCM.CrashAfter(recoveryCrash)
+		}
+		err := Recover(pool, wlog, func() error { return mgr.Save(logPath) })
+		if diskCM.Crashed() {
+			if err == nil {
+				t.Fatalf("recovery reported success on a device that died under it")
+			}
+			return &crashStack{dir: dir, logPath: logPath, diskCM: diskCM, wormCM: wormCM,
+				mgr: mgr, wlog: wlog, walMode: walMode, down: true}
+		}
+		if err != nil {
 			t.Fatalf("wal recovery: %v", err)
 		}
-		if err := mgr.Save(logPath); err != nil {
-			t.Fatalf("save commit log after recovery: %v", err)
-		}
-		if _, err := wlog.Checkpoint(wlog.RedoPoint()); err != nil {
-			t.Fatalf("post-recovery wal checkpoint: %v", err)
-		}
-		t.Cleanup(func() { wlog.Close() })
+		diskCM.CrashAfter(-1)
 	}
 
 	cat, err := catalog.Open(filepath.Join(dir, "catalog.json"))
@@ -109,10 +127,8 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 	if err := os.MkdirAll(filepath.Join(dir, "ufiles"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A tiny pool forces evictions mid-transaction, so uncommitted pages
-	// reach the (volatile) device constantly; a small chunk size gives every
-	// object many pages and a deep enough B-tree to matter.
-	pool := &heap.Pool{Buf: buffer.NewPool(16, sw, nil), Mgr: mgr}
+	// A small chunk size gives every object many pages and a deep enough
+	// B-tree to matter.
 	store := NewStore(pool, cat, adt.NewRegistry(), Config{
 		FilesDir:  filepath.Join(dir, "pfiles"),
 		DefaultSM: storage.Mem,
@@ -777,13 +793,39 @@ func runCrashSeed(t *testing.T, seed int64, tear, walMode bool) {
 	dir := t.TempDir()
 	durable := storage.NewMemManager(storage.DeviceModel{}, nil)
 	ops, crashAt := generateScript(seed)
-	cs := openCrashStack(t, dir, durable, storage.CrashConfig{Seed: seed, TearWrites: tear}, walMode)
+	cs := openCrashStack(t, dir, durable, storage.CrashConfig{Seed: seed, TearWrites: tear}, walMode, -1)
 	objs, snaps, maxXID, maxTS := runWorkload(t, cs, ops, crashAt)
 
 	// Reboot: fresh caches and pools over the same durable media and files.
-	rec := openCrashStack(t, dir, durable, storage.CrashConfig{Seed: seed + 7777}, walMode)
+	// On some WAL-mode seeds the power fails again while that reboot is still
+	// recovering, and only the boot after it gets to finish.
+	if k, ok := recoveryCrashPoint(seed); ok && walMode {
+		mid := openCrashStack(t, dir, durable, storage.CrashConfig{Seed: seed + 5555, TearWrites: tear}, walMode, k)
+		if !mid.down {
+			t.Logf("recovery finished within %d device operations", k)
+		}
+		mid.crash()
+	}
+	rec := openCrashStack(t, dir, durable, storage.CrashConfig{Seed: seed + 7777}, walMode, -1)
 	verifyRecovered(t, rec, objs, snaps, maxXID, maxTS, seed, tear)
 }
+
+// recoveryCrashPoint decides from the seed alone whether the reboot after
+// the workload's crash crashes again mid-recovery (one seed in four), and
+// after how many device operations: replay's evictions through the sweep's
+// 16-frame pool, the closing flush and the checkpoint all write.
+func recoveryCrashPoint(seed int64) (int, bool) {
+	rng := rand.New(rand.NewSource(seed*7919 + 17))
+	if rng.Intn(4) != 0 {
+		return 0, false
+	}
+	return rng.Intn(recoveryCrashSpan), true
+}
+
+// recoveryCrashSpan bounds the in-recovery crash point, in device
+// operations. The sweep's recoveries take from a handful to a few dozen, so
+// most points land inside one and the rest crash just after it.
+const recoveryCrashSpan = 48
 
 // crashSweepSeeds returns the sweep's seed list: CRASHSEED pins a single
 // seed, CRASH widens the sweep (default 25 seeds).

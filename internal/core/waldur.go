@@ -1,19 +1,20 @@
 package core
 
 // Write-ahead-log durability glue: the adapter that couples a heap.Pool's
-// buffer pool and transaction manager to an internal/wal log, the redo
-// recovery pass that replays the log into the storage switch, and the
-// WAL-mode checkpoint. This lives in core because it is the one package that
+// buffer pool and transaction manager to an internal/wal log, the one redo
+// dispatcher that crash recovery and replica replay share, and the WAL-mode
+// checkpoint. This lives in core because it is the one package that
 // sees all three layers; postlob's facade and the crash-simulation harness
 // both build their WAL stacks from these pieces so their semantics cannot
 // drift apart.
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"time"
 
+	"postlob/internal/buffer"
 	"postlob/internal/heap"
-	"postlob/internal/page"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/wal"
@@ -29,8 +30,7 @@ type WALDurability struct {
 
 // AttachWAL wires log into pool: the buffer pool starts honoring the WAL
 // flush ceiling and the transaction manager starts writing commit/abort
-// records. Call once per open, after RecoverWAL and before the pool is
-// shared.
+// records. Call once per open, after Recover and before the pool is shared.
 func AttachWAL(pool *heap.Pool, log *wal.Log) *WALDurability {
 	d := &WALDurability{log: log, pool: pool}
 	pool.Buf.AttachWAL(log)
@@ -107,7 +107,7 @@ func (d *WALDurability) Checkpoint(saveLog func() error) error {
 		NowTS:   int64(nowTS),
 		Oldest:  uint32(d.pool.Mgr.GlobalXmin()),
 	}
-	if _, err := d.log.CheckpointWithMeta(redo, meta); err != nil {
+	if _, err := d.log.Checkpoint(redo, meta); err != nil {
 		return err
 	}
 	return nil
@@ -121,98 +121,74 @@ func (s *Store) CheckpointData() error {
 	return s.pool.Buf.FlushAll()
 }
 
-// RecoverWAL replays the durable log into the storage switch and the
-// transaction manager: page images are written back to their home locations
-// (idempotent physical redo — uncommitted images are inert under
-// no-overwrite visibility), unlink records drop resurrected relations,
-// commit and abort records rebuild transaction outcomes that finished after
-// the last pg_log save. Every relation touched is synced before the call
-// returns, so a crash during the next checkpoint's truncation re-replays
-// harmlessly. Run it after wal.Open and before the catalog or buffer pool
-// read anything; it works on raw storage managers, beneath the pool.
-func RecoverWAL(sw *storage.Switch, mgr *txn.Manager, log *wal.Log) error {
-	touched := make(map[relKeyWAL]bool)
-	zero := make([]byte, page.Size)
-	err := log.Replay(func(r *wal.Record) error {
-		switch r.Type {
-		case wal.TypePageImage:
-			m, err := sw.Get(r.SM)
-			if err != nil {
-				return fmt.Errorf("core: recover page image for %s: %w", r.Rel, err)
-			}
-			if !m.Exists(r.Rel) {
-				if err := m.Create(r.Rel); err != nil {
-					return err
-				}
-			}
-			n, err := m.NBlocks(r.Rel)
-			if err != nil {
-				return err
-			}
-			// WriteBlock forbids holes; materialise missing blocks below ours
-			// as zeros, exactly as the pool's write-back does. Their real
-			// contents, if any survived, are other images in this same log.
-			for b := n; b < r.Blk; b++ {
-				if err := m.WriteBlock(r.Rel, b, zero); err != nil {
-					return err
-				}
-			}
-			if err := m.WriteBlock(r.Rel, r.Blk, r.Image); err != nil {
-				return err
-			}
-			touched[relKeyWAL{r.SM, r.Rel}] = true
-		case wal.TypeUnlink:
-			m, err := sw.Get(r.SM)
-			if err != nil {
-				return fmt.Errorf("core: recover unlink of %s: %w", r.Rel, err)
-			}
-			if m.Exists(r.Rel) {
-				if err := m.Unlink(r.Rel); err != nil {
-					return err
-				}
-			}
-			delete(touched, relKeyWAL{r.SM, r.Rel})
-		case wal.TypeCommit:
-			mgr.ApplyRecoveredCommit(txn.XID(r.XID), txn.TS(r.TS))
-		case wal.TypeAbort:
-			mgr.ApplyRecoveredAbort(txn.XID(r.XID))
-		case wal.TypeCheckpoint:
-			// Version metadata: push the manager's counters past everything
-			// the checkpointed epoch had issued. Legacy records decode as
-			// zeros, which advance nothing.
-			mgr.ApplyRecoveredCounters(txn.XID(r.XID), txn.TS(r.TS))
-		}
-		return nil
-	})
+// Recover is crash recovery: it replays every record the durable log holds
+// from its last checkpoint's redo point through Redo — the dispatcher a
+// replica's receiver runs too — and then takes the ordinary WAL checkpoint,
+// which flushes and syncs every replayed page, persists the commit log via
+// saveLog, and appends a checkpoint record carrying the manager's counters.
+// Redo is unconditional (uncommitted images are inert under no-overwrite
+// visibility) and idempotent, so a crash anywhere in here re-replays the same
+// log on the next open. Run it after wal.Open and before AttachWAL, the
+// catalog, or anything else reads the pool; the replayed pages stay resident
+// and clean.
+func Recover(pool *heap.Pool, log *wal.Log, saveLog func() error) error {
+	err := log.Replay(func(r *wal.Record) error { return Redo(pool.Buf, pool.Mgr, r) })
 	if err != nil {
 		return err
 	}
-	keys := make([]relKeyWAL, 0, len(touched))
-	for k := range touched {
-		keys = append(keys, k)
+	return (&WALDurability{log: log, pool: pool}).Checkpoint(saveLog)
+}
+
+// Redo applies one WAL record: a page image is installed in the pool as a
+// dirty frame (blocks below it that no image has reached yet materialise as
+// zero pages), an unlink drops the relation (DropRel), and commit, abort and
+// checkpoint records rebuild transaction outcomes and push the manager's
+// counters past everything the logged epoch issued. It is the one redo
+// dispatcher: crash recovery and a replica's receiver both replay through it.
+func Redo(buf *buffer.Pool, mgr *txn.Manager, rec *wal.Record) error {
+	var err error
+	switch rec.Type {
+	case wal.TypePageImage:
+		err = buf.ApplyRedoImage(rec.SM, rec.Rel, rec.Blk, rec.Image)
+	case wal.TypeUnlink:
+		err = DropRel(buf, rec.SM, rec.Rel)
+	case wal.TypeCommit:
+		mgr.ApplyRecoveredCommit(txn.XID(rec.XID), txn.TS(rec.TS))
+	case wal.TypeAbort:
+		mgr.ApplyRecoveredAbort(txn.XID(rec.XID))
+	case wal.TypeCheckpoint:
+		// Legacy records decode with zero counters, which advance nothing.
+		mgr.ApplyRecoveredCounters(txn.XID(rec.XID), txn.TS(rec.TS))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].sm != keys[j].sm {
-			return keys[i].sm < keys[j].sm
-		}
-		return keys[i].rel < keys[j].rel
-	})
-	for _, k := range keys {
-		m, err := sw.Get(k.sm)
-		if err != nil {
-			return err
-		}
-		if !m.Exists(k.rel) {
-			continue
-		}
-		if err := m.Sync(k.rel); err != nil {
-			return fmt.Errorf("core: recovery sync %s: %w", k.rel, err)
-		}
+	if err != nil {
+		return fmt.Errorf("core: redo %v of %s: %w", rec.Type, rec.Rel, err)
 	}
 	return nil
 }
 
-type relKeyWAL struct {
-	sm  storage.ID
-	rel storage.RelName
+// DropRel discards a relation's pooled pages, dirty ones included, and
+// unlinks its storage: the redo of an unlink record, and a replica's clean
+// slate before a base backup reinstalls the relation. A replica's snapshot
+// readers may hold brief pins; those are waited out rather than failed,
+// since replay is the only writer and readers always release.
+func DropRel(buf *buffer.Pool, sm storage.ID, rel storage.RelName) error {
+	var err error
+	for attempt := 0; attempt < 200; attempt++ {
+		err = buf.DropRel(sm, rel, true)
+		if !errors.Is(err, buffer.ErrPinned) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err != nil {
+		return err
+	}
+	m, err := buf.Switch().Get(sm)
+	if err != nil {
+		return err
+	}
+	if m.Exists(rel) {
+		return m.Unlink(rel)
+	}
+	return nil
 }

@@ -81,7 +81,7 @@ type Req struct {
 	Op     Op
 	Query  string        // OpExec
 	Ref    adt.ObjectRef // OpOpen
-	AsOf   txn.TS        // nonzero with OpOpen: historical snapshot handle
+	AsOf   txn.TS        // OpOpen: nonzero opens a snapshot handle, zero a transactional one (client.OpenAsOf refuses 0)
 	Handle int32
 	Offset int64
 	N      int64

@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -494,6 +495,45 @@ func TestStreamEveryKind(t *testing.T) {
 				t.Fatalf("whole read after as-of open: %d bytes, %v", len(got), err)
 			}
 		})
+	}
+}
+
+// TestOpenAsOfBeforeAnyCommit: a store holding only a p-file has stamped no
+// commit timestamp, so Now reports 0. An as-of open at that timestamp must
+// fail with ErrNothingCommitted, even inside a transaction (where a zero
+// as-of on the wire would open live), and leave the connection serving the
+// transactional Open that follows.
+func TestOpenAsOfBeforeAnyCommit(t *testing.T) {
+	addr, store, _ := startGateway(t, gateway.Options{})
+	payload := bytes.Repeat([]byte("no timestamp yet "), 100)
+	ref := loadObject(t, store, adt.KindPFile, "", payload)
+	s := dialStream(t, addr)
+	now, err := s.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now != txn.InvalidTS {
+		t.Fatalf("Now = %d after creating only a p-file, want 0", now)
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	h, err := s.OpenAsOf(now, ref)
+	if !errors.Is(err, client.ErrNothingCommitted) || h != nil {
+		t.Fatalf("OpenAsOf(0) = %v, %v; want no handle and ErrNothingCommitted", h, err)
+	}
+	h, err = s.Open(ref)
+	if err != nil {
+		t.Fatalf("Open after the refused as-of open: %v", err)
+	}
+	defer h.Close()
+	got := make([]byte, len(payload))
+	if _, err := io.ReadFull(h, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("transactional read after the refused as-of open returned other bytes")
 	}
 }
 

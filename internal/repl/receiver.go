@@ -14,6 +14,7 @@ import (
 
 	"postlob/internal/buffer"
 	"postlob/internal/catalog"
+	"postlob/internal/core"
 	"postlob/internal/crcframe"
 	"postlob/internal/page"
 	"postlob/internal/storage"
@@ -286,6 +287,9 @@ func (r *Receiver) session(conn net.Conn) error {
 		r.markReady()
 	}
 
+	// Shipped records replay through core.Redo, crash recovery's own
+	// dispatcher, so concurrent snapshot reads see each page as it lands.
+	redo := func(rec *wal.Record) error { return core.Redo(r.cfg.Pool, r.cfg.Mgr, rec) }
 	var sinceCheckpoint uint64
 	for {
 		k, d, err := w.recvData()
@@ -304,7 +308,7 @@ func (r *Receiver) session(conn net.Conn) error {
 				return fmt.Errorf("repl: records frame at %d, expected %d", start, expect)
 			}
 			sw := obsApplyBatch.Start()
-			err := wal.ScanRecords(wal.LSN(start), d.bytes, r.applyRecord)
+			err := wal.ScanRecords(wal.LSN(start), d.bytes, redo)
 			sw.Stop()
 			if err != nil {
 				obsFrameErr.Inc()
@@ -376,16 +380,18 @@ func (r *Receiver) applyBase(w *wire) error {
 		case KindBaseBlocks:
 			if !seen[d.rel] {
 				seen[d.rel] = true
-				if err := r.dropRel(d.rel.SM, d.rel.Rel); err != nil {
+				if err := core.DropRel(r.cfg.Pool, d.rel.SM, d.rel.Rel); err != nil {
 					return err
 				}
 			}
-			blk := storage.BlockNum(d.at)
+			// Each shipped block is a page image, redone like a logged one.
+			rec := wal.Record{Type: wal.TypePageImage, SM: d.rel.SM, Rel: d.rel.Rel, Blk: storage.BlockNum(d.at)}
 			for img := d.bytes; len(img) > 0; img = img[page.Size:] {
-				if err := r.cfg.Pool.ApplyRedoImage(d.rel.SM, d.rel.Rel, blk, img[:page.Size]); err != nil {
+				rec.Image = img[:page.Size]
+				if err := core.Redo(r.cfg.Pool, r.cfg.Mgr, &rec); err != nil {
 					return err
 				}
-				blk++
+				rec.Blk++
 			}
 		case KindCatalog:
 			if err := r.cfg.Cat.ImportState(d.bytes); err != nil {
@@ -404,53 +410,9 @@ func (r *Receiver) applyBase(w *wire) error {
 // clean ground.
 func (r *Receiver) wipe() error {
 	for _, ref := range CatalogRels(r.cfg.Cat) {
-		if err := r.dropRel(ref.SM, ref.Rel); err != nil {
+		if err := core.DropRel(r.cfg.Pool, ref.SM, ref.Rel); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// applyRecord replays one WAL record — the same dispatch crash recovery
-// uses, but through the buffer pool so concurrent snapshot reads see the
-// new pages immediately.
-func (r *Receiver) applyRecord(rec *wal.Record) error {
-	switch rec.Type {
-	case wal.TypePageImage:
-		return r.cfg.Pool.ApplyRedoImage(rec.SM, rec.Rel, rec.Blk, rec.Image)
-	case wal.TypeCommit:
-		r.cfg.Mgr.ApplyRecoveredCommit(txn.XID(rec.XID), txn.TS(rec.TS))
-	case wal.TypeAbort:
-		r.cfg.Mgr.ApplyRecoveredAbort(txn.XID(rec.XID))
-	case wal.TypeCheckpoint:
-		r.cfg.Mgr.ApplyRecoveredCounters(txn.XID(rec.XID), txn.TS(rec.TS))
-	case wal.TypeUnlink:
-		return r.dropRel(rec.SM, rec.Rel)
-	}
-	return nil
-}
-
-// dropRel discards a relation's pooled pages and unlinks its storage.
-// Snapshot readers may hold brief pins; those are waited out rather than
-// failed, since replay is the only writer and readers always release.
-func (r *Receiver) dropRel(sm storage.ID, rel storage.RelName) error {
-	var err error
-	for attempt := 0; attempt < 200; attempt++ {
-		err = r.cfg.Pool.DropRel(sm, rel, true)
-		if err == nil || !errors.Is(err, buffer.ErrPinned) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err != nil {
-		return err
-	}
-	mgr, err := r.cfg.Pool.Switch().Get(sm)
-	if err != nil {
-		return nil // storage manager not registered on this replica
-	}
-	if mgr.Exists(rel) {
-		return mgr.Unlink(rel)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func TestCheckpointSlotHoldback(t *testing.T) {
 		t.Fatalf("expected several segments, got %+v", before)
 	}
 
-	if _, err := l.Checkpoint(l.RedoPoint()); err != nil {
+	if _, err := l.Checkpoint(l.RedoPoint(), CheckpointMeta{}); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	held := l.Stats()
@@ -84,7 +84,7 @@ func TestCheckpointSlotHoldback(t *testing.T) {
 	// The replica catches up: its slot advances, and the next checkpoint
 	// reclaims the segments below it.
 	l.AdvanceSlot("replica-a", held.Durable)
-	if _, err := l.Checkpoint(l.RedoPoint()); err != nil {
+	if _, err := l.Checkpoint(l.RedoPoint(), CheckpointMeta{}); err != nil {
 		t.Fatalf("Checkpoint after advance: %v", err)
 	}
 	if after := l.Stats(); after.FirstSeg == 0 {
@@ -98,7 +98,7 @@ func TestCheckpointSlotHoldback(t *testing.T) {
 	}
 	fillSegments(t, l, 8)
 	l.ReleaseSlot("replica-dead")
-	if _, err := l.Checkpoint(l.RedoPoint()); err != nil {
+	if _, err := l.Checkpoint(l.RedoPoint(), CheckpointMeta{}); err != nil {
 		t.Fatalf("Checkpoint after release: %v", err)
 	}
 	final := l.Stats()

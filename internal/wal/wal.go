@@ -829,16 +829,11 @@ type CheckpointMeta struct {
 }
 
 // Checkpoint appends a checkpoint record carrying redo — the caller's redo
-// point, captured with RedoPoint before it began flushing data pages —
-// makes it durable, and drops every segment wholly below the redo point.
-// Callers serialise checkpoints themselves (concurrent calls are safe but
-// may interleave truncations pointlessly). Returns the record's end LSN.
-func (l *Log) Checkpoint(redo LSN) (LSN, error) {
-	return l.CheckpointWithMeta(redo, CheckpointMeta{})
-}
-
-// CheckpointWithMeta is Checkpoint carrying the version-metadata triple.
-func (l *Log) CheckpointWithMeta(redo LSN, meta CheckpointMeta) (LSN, error) {
+// point, captured with RedoPoint before it began flushing data pages — and
+// meta, makes it durable, and drops every segment wholly below the redo
+// point. Callers serialise checkpoints themselves (concurrent calls are safe
+// but may interleave truncations pointlessly). Returns the record's end LSN.
+func (l *Log) Checkpoint(redo LSN, meta CheckpointMeta) (LSN, error) {
 	lsn, err := l.append(&Record{
 		Type:   TypeCheckpoint,
 		Redo:   redo,

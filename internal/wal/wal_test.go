@@ -418,7 +418,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 		t.Fatalf("expected several segments, got %+v", before)
 	}
 	redo := l.RedoPoint()
-	if _, err := l.Checkpoint(redo); err != nil {
+	if _, err := l.Checkpoint(redo, CheckpointMeta{}); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	after := l.Stats()
@@ -470,7 +470,7 @@ func TestReplayHonorsRedoPoint(t *testing.T) {
 	if _, err := l.AppendCommit(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Checkpoint(l.RedoPoint()); err != nil {
+	if _, err := l.Checkpoint(l.RedoPoint(), CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	lsn, err := l.AppendCommit(2, 20)

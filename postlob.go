@@ -293,29 +293,23 @@ func Open(dir string, opts Options) (*DB, error) {
 		// stream.
 		mode = DurabilityWAL
 	}
-	// Redo recovery must run before the catalog or buffer pool read
-	// anything. The log is opened whenever one exists on disk — even if
-	// this Open does not ask for WAL mode — so a database last closed
-	// uncleanly in WAL mode is always repaired.
+	// Redo recovery replays the log through the pool before the catalog or
+	// anything else reads it, and ends with the ordinary checkpoint. The log
+	// is opened whenever one exists on disk — even if this Open does not ask
+	// for WAL mode — so a database last closed uncleanly in WAL mode is
+	// always repaired.
 	diskMgr, err := sw.Get(storage.Disk)
 	if err != nil {
 		return nil, err
 	}
+	pool := &heap.Pool{Buf: buffer.NewPool(frames, sw, opts.Clock), Mgr: mgr}
 	var wlog *wal.Log
 	if mode == DurabilityWAL || diskMgr.Exists("pg_wal_ctl") {
 		wlog, err = wal.Open(diskMgr, wal.Config{SegBlocks: opts.WALSegBlocks})
 		if err != nil {
 			return nil, err
 		}
-		if err := core.RecoverWAL(sw, mgr, wlog); err != nil {
-			return nil, err
-		}
-		// Persist the recovered commit outcomes, then truncate the log:
-		// everything it held is now in the data pages and pg_log.
-		if err := mgr.Save(logPath); err != nil {
-			return nil, err
-		}
-		if _, err := wlog.Checkpoint(wlog.RedoPoint()); err != nil {
+		if err := core.Recover(pool, wlog, func() error { return mgr.Save(logPath) }); err != nil {
 			return nil, err
 		}
 		if mode != DurabilityWAL {
@@ -335,7 +329,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	if opts.DefaultSM != nil {
 		defaultSM = *opts.DefaultSM
 	}
-	pool := &heap.Pool{Buf: buffer.NewPool(frames, sw, opts.Clock), Mgr: mgr}
 	reg := adt.NewRegistry()
 	store := core.NewStore(pool, cat, reg, core.Config{
 		FilesDir:  filepath.Join(dir, "pfiles"),
