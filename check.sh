@@ -48,7 +48,15 @@
 #                                  share (core.Redo); and
 #                                  TestBackgroundWriteFaultSurfacesAtCheckpointWAL,
 #                                  a once-flaky writer-fault test whose reopen
-#                                  runs that recovery
+#                                  runs that recovery; the relation-descriptor
+#                                  tests (TestFlushAllSweepsPoolOnce,
+#                                  TestFlushSyncsOnlyWrittenRelations,
+#                                  TestDroppedRelationHandle,
+#                                  TestAllocWaitsForRelease,
+#                                  TestCloseAfterCheckpointWritesNothing); and
+#                                  TestConcurrentWritersDistinctBlocks at
+#                                  -count=200, whose tiny pool once ran out of
+#                                  unpinned frames 2 runs in 200
 #
 #   4b. benchmark module           benchmark/ is a Go module of its own (it
 #                                  imports postlob/internal/... through a
@@ -93,6 +101,14 @@
 #                                  pool, allocations reported: an idle
 #                                  round must cost one atomic load per
 #                                  partition, not a walk of every frame
+#
+#   6d2. BenchmarkGetHit           one-iteration smoke runs of the buffer
+#        BenchmarkFlushAllClean    pool's own benchmarks, allocations
+#                                  reported: a resident page read through
+#                                  its relation descriptor, and a checkpoint
+#                                  over a clean 24,576-frame pool of 256
+#                                  relations, which must not scale with
+#                                  relations x frames
 #
 #   6e. examples/remoteaccess      runs the remote-client example end to end:
 #                                  a loopback gateway, a stream client, a
@@ -254,11 +270,12 @@ fi
 echo "== lifecycle race sweep (-race -count=20)"
 go test -race -count=20 ./internal/daemon
 go test -race -count=20 \
-	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters|TestRecoverRedoRules|TestBackgroundWriteFaultSurfacesAtCheckpointWAL)$' \
+	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters|TestRecoverRedoRules|TestBackgroundWriteFaultSurfacesAtCheckpointWAL|TestCloseAfterCheckpointWritesNothing)$' \
 	. ./internal/buffer ./internal/core ./internal/gateway
 go test -race -count=20 \
-	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps)$' \
+	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps|TestFlushAllSweepsPoolOnce|TestFlushSyncsOnlyWrittenRelations|TestDroppedRelationHandle|TestAllocWaitsForRelease)$' \
 	./internal/buffer
+go test -race -count=200 -run '^TestConcurrentWritersDistinctBlocks$' ./internal/buffer
 
 echo "== benchmark module (go vet + go test in benchmark/)"
 (cd benchmark && go vet ./... && go test ./...)
@@ -280,6 +297,9 @@ go test -run '^$' -bench '^BenchmarkFastDecode$' -benchtime=1x -benchmem ./inter
 
 echo "== BenchmarkBgWriterIdleRound smoke (-benchtime=1x)"
 go test -run '^$' -bench '^BenchmarkBgWriterIdleRound$' -benchtime=1x -benchmem ./internal/buffer
+
+echo "== BenchmarkGetHit / BenchmarkFlushAllClean smoke (-benchtime=1x)"
+go test -run '^$' -bench '^(BenchmarkGetHit|BenchmarkFlushAllClean)$' -benchtime=1x -benchmem ./internal/buffer
 
 echo "== examples/remoteaccess"
 go run ./examples/remoteaccess

@@ -3,7 +3,11 @@ package postlob
 import (
 	"bytes"
 	"io"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"postlob/internal/storage"
 )
 
 // TestDurabilityForceSurvivesCrash commits under DurabilityForce and then
@@ -105,5 +109,88 @@ func TestCheckpointGranularityWithoutForce(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows after crash = %v", res.Rows)
+	}
+}
+
+// ioCountMgr counts the block writes and syncs that reach a storage manager's
+// data relations; the write-ahead log's own relations are not counted.
+type ioCountMgr struct {
+	storage.Manager
+	writes, syncs atomic.Int64
+}
+
+func isLogRel(rel storage.RelName) bool { return strings.HasPrefix(string(rel), "pg_wal") }
+
+func (m *ioCountMgr) WriteBlock(rel storage.RelName, blk storage.BlockNum, buf []byte) error {
+	if !isLogRel(rel) {
+		m.writes.Add(1)
+	}
+	return m.Manager.WriteBlock(rel, blk, buf)
+}
+
+func (m *ioCountMgr) WriteBlocks(rel storage.RelName, blk storage.BlockNum, bufs [][]byte) error {
+	if !isLogRel(rel) {
+		m.writes.Add(int64(len(bufs)))
+	}
+	return m.Manager.WriteBlocks(rel, blk, bufs)
+}
+
+func (m *ioCountMgr) Sync(rel storage.RelName) error {
+	if !isLogRel(rel) {
+		m.syncs.Add(1)
+	}
+	return m.Manager.Sync(rel)
+}
+
+// TestCloseAfterCheckpointWritesNothing closes a database right after a
+// checkpoint: no page has changed since, so the closing checkpoint writes
+// no data block and syncs no data relation, however many relations the
+// pool knows. (Under WAL durability the close still appends its checkpoint
+// record to the log.)
+func TestCloseAfterCheckpointWritesNothing(t *testing.T) {
+	for _, mode := range []Durability{DurabilityCheckpoint, DurabilityWAL} {
+		var disk *ioCountMgr
+		db, err := Open(t.TempDir(), Options{
+			Durability: mode,
+			WrapStorage: func(id storage.ID, mgr storage.Manager) storage.Manager {
+				if id != storage.Disk {
+					return mgr
+				}
+				disk = &ioCountMgr{Manager: mgr}
+				return disk
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		for i := 0; i < 8; i++ {
+			_, obj, err := db.LargeObjects().Create(tx, CreateOptions{Kind: FChunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := obj.Write(bytes.Repeat([]byte{byte(i)}, 20000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := obj.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if disk.syncs.Load() == 0 {
+			t.Fatalf("mode %v: the checkpoint synced nothing", mode)
+		}
+		writes, syncs := disk.writes.Load(), disk.syncs.Load()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w, s := disk.writes.Load()-writes, disk.syncs.Load()-syncs; w != 0 || s != 0 {
+			t.Fatalf("mode %v: close after a checkpoint wrote %d blocks and synced %d relations, want none", mode, w, s)
+		}
 	}
 }

@@ -61,7 +61,8 @@ var Hierarchy = []Level{
 		{Name: "heap.Relation.mu"},
 		{Name: "btree.Tree.mu"},
 	}},
-	{Doc: "buffer pool frame-count lock and log-batch lock, never held " +
+	{Doc: "buffer pool relation lock (the descriptor registry and every " +
+		"descriptor's length) and log-batch lock, never held " +
 		"together: LogDirtyPages holds logMu from taking frames off the " +
 		"WAL-dirty lists until their images are appended, pinning through " +
 		"partition latches and copying under content latches on the way, and " +
@@ -72,8 +73,8 @@ var Hierarchy = []Level{
 	{Doc: "buffer pool partition latches (ascending index when several)", Classes: []Class{
 		{Name: "buffer.partition.mu", Latch: true},
 	}},
-	{Doc: "per-relation extension locks", Classes: []Class{
-		{Name: "buffer.Pool.extLock()"},
+	{Doc: "per-relation extension locks, one in each relation's descriptor", Classes: []Class{
+		{Name: "buffer.Rel.ext"},
 	}},
 	{Doc: "frame content latches", Classes: []Class{
 		{Name: "buffer.Frame.latch", Latch: true},
@@ -90,7 +91,7 @@ var Hierarchy = []Level{
 	{Doc: "WAL segment I/O lock, never nested inside wal.Log.mu", Classes: []Class{
 		{Name: "wal.Log.ioMu"},
 	}},
-	{Doc: "buffer pool leaf locks: free list, extension table, checksummers, " +
+	{Doc: "buffer pool leaf locks: free list, " +
 		"background-writer error slot, the write-back drain gate (wbMu is " +
 		"taken bare by write-backs signing in/out and by checkpoint syncs " +
 		"draining them; Cond.Wait releases it while blocked), and each " +
@@ -99,8 +100,6 @@ var Hierarchy = []Level{
 		"nothing is ever acquired while it is held)", Classes: []Class{
 		{Name: "buffer.partition.wdMu"},
 		{Name: "buffer.Pool.freeMu"},
-		{Name: "buffer.Pool.extMu"},
-		{Name: "buffer.Pool.csMu"},
 		{Name: "buffer.Pool.bgErrMu"},
 		{Name: "buffer.Pool.wbMu"},
 	}},

@@ -144,10 +144,9 @@ type Config struct {
 
 // Tree is an open B+tree.
 type Tree struct {
-	buf  *buffer.Pool
-	sm   storage.ID
-	name storage.RelName
-	cfg  Config
+	buf *buffer.Pool
+	rel *buffer.Rel // the buffer pool's descriptor: name, manager, pages
+	cfg Config
 
 	// cache is the handle cache that installed this tree, nil for handles
 	// opened directly. Written once at install, before the handle is shared.
@@ -176,10 +175,10 @@ func Create(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (
 	if err := mgr.Create(name); err != nil {
 		return nil, err
 	}
-	t := &Tree{buf: buf, sm: sm, name: name, cfg: cfg}
-	buf.SetChecksummer(sm, name, nodeChecksummer{})
+	t := &Tree{buf: buf, rel: buf.Rel(sm, name), cfg: cfg}
+	t.rel.SetChecksummer(nodeChecksummer{})
 
-	meta, blk, err := buf.NewBlock(sm, name)
+	meta, blk, err := t.rel.NewBlock()
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +186,7 @@ func Create(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (
 		meta.Release()
 		return nil, fmt.Errorf("btree: metapage allocated at block %d", blk)
 	}
-	rootFrame, rootBlk, err := buf.NewBlock(sm, name)
+	rootFrame, rootBlk, err := t.rel.NewBlock()
 	if err != nil {
 		meta.Release()
 		return nil, err
@@ -214,8 +213,8 @@ func Open(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (*T
 	if !mgr.Exists(name) {
 		return nil, fmt.Errorf("%w: %s", storage.ErrNoRelation, name)
 	}
-	t := &Tree{buf: buf, sm: sm, name: name, cfg: cfg}
-	buf.SetChecksummer(sm, name, nodeChecksummer{})
+	t := &Tree{buf: buf, rel: buf.Rel(sm, name), cfg: cfg}
+	t.rel.SetChecksummer(nodeChecksummer{})
 	f, err := t.getBlock(0)
 	if err != nil {
 		return nil, err
@@ -228,7 +227,7 @@ func Open(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (*T
 }
 
 // Name returns the tree's relation name.
-func (t *Tree) Name() storage.RelName { return t.name }
+func (t *Tree) Name() storage.RelName { return t.rel.Name() }
 
 // mutate runs fn on f's page under the frame's exclusive content latch and
 // marks the frame dirty: the write-a-node idiom for every structural change.
@@ -260,7 +259,7 @@ func (t *Tree) Height() (int, error) {
 
 // Size returns the tree's storage footprint in bytes.
 func (t *Tree) Size() (int64, error) {
-	n, err := t.buf.NBlocks(t.sm, t.name)
+	n, err := t.rel.NBlocks()
 	if err != nil {
 		return 0, err
 	}
@@ -269,19 +268,20 @@ func (t *Tree) Size() (int64, error) {
 
 // Drop discards the tree and its storage.
 func (t *Tree) Drop() error {
-	if err := t.buf.DropRel(t.sm, t.name, true); err != nil {
+	sm, name := t.rel.SM(), t.rel.Name()
+	if err := t.buf.DropRel(sm, name, true); err != nil {
 		return err
 	}
-	mgr, err := t.buf.Switch().Get(t.sm)
+	mgr, err := t.buf.Switch().Get(sm)
 	if err != nil {
 		return err
 	}
 	// Log the unlink so redo recovery does not resurrect the tree from
 	// earlier page images.
-	t.buf.LogUnlink(t.sm, t.name)
-	err = mgr.Unlink(t.name)
+	t.buf.LogUnlink(sm, name)
+	err = mgr.Unlink(name)
 	if t.cache != nil {
-		t.cache.forget(t.sm, t.name)
+		t.cache.forget(sm, name)
 	}
 	return err
 }
@@ -379,7 +379,7 @@ func nodeSearch(p []byte, k, v uint64) int {
 
 func (t *Tree) getBlock(blk storage.BlockNum) (*buffer.Frame, error) {
 	t.cfg.Clock.Advance(t.cfg.SearchCPU)
-	return t.buf.Get(buffer.Tag{SM: t.sm, Rel: t.name, Blk: blk})
+	return t.rel.Get(blk)
 }
 
 // Tree metrics, summed across all trees; registered once at package init.
@@ -433,7 +433,7 @@ func (t *Tree) Insert(key, val uint64) error {
 		// entry of every internal node acts as -infinity (key 0,0) so that
 		// keys smaller than any current separator always route left; this
 		// keeps separators correct when new smallest keys arrive later.
-		f, blk, err := t.buf.NewBlock(t.sm, t.name)
+		f, blk, err := t.rel.NewBlock()
 		if err != nil {
 			return err
 		}
@@ -559,7 +559,7 @@ func (t *Tree) insertInto(blk storage.BlockNum, key, val uint64) (separator, sto
 func (t *Tree) splitNode(f *buffer.Frame, blk storage.BlockNum) (separator, storage.BlockNum, error) {
 	obsSplits.Inc()
 	p := f.Page()
-	rf, rightBlk, err := t.buf.NewBlock(t.sm, t.name)
+	rf, rightBlk, err := t.rel.NewBlock()
 	if err != nil {
 		return separator{}, noSibling, err
 	}

@@ -34,13 +34,15 @@ func NewCache(buf *buffer.Pool) *Cache {
 }
 
 // Open returns the shared handle for (sm, name), validating the relation on
-// first use.
+// first use. A cached handle whose relation the buffer pool has since
+// dropped (a replica's redo of an unlink, or its wipe before a base backup)
+// is replaced by one on the relation the name now resolves to.
 func (c *Cache) Open(sm storage.ID, name storage.RelName, cfg Config) (*Tree, error) {
 	key := cacheKey{sm, name}
 	c.mu.Lock()
 	t := c.trees[key]
 	c.mu.Unlock()
-	if t != nil {
+	if t != nil && !t.rel.Dropped() {
 		return t, nil
 	}
 	// The metapage check reads through the buffer pool; do it outside the
@@ -51,7 +53,7 @@ func (c *Cache) Open(sm storage.ID, name storage.RelName, cfg Config) (*Tree, er
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev := c.trees[key]; prev != nil {
+	if prev := c.trees[key]; prev != nil && !prev.rel.Dropped() {
 		return prev, nil
 	}
 	t.cache = c

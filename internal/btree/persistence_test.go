@@ -102,12 +102,12 @@ func TestDropRemovesStorage(t *testing.T) {
 // Production code checkpoints through core so the WAL flush ceiling is
 // honored (see the walorder analyzer); tests flush directly.
 func flushTree(t *Tree) error {
-	if err := t.buf.FlushRel(t.sm, t.name); err != nil {
+	if err := t.buf.FlushRel(t.rel.SM(), t.rel.Name()); err != nil {
 		return err
 	}
-	mgr, err := t.buf.Switch().Get(t.sm)
+	mgr, err := t.buf.Switch().Get(t.rel.SM())
 	if err != nil {
 		return err
 	}
-	return mgr.Sync(t.name)
+	return mgr.Sync(t.rel.Name())
 }

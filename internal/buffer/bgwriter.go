@@ -12,7 +12,8 @@
 package buffer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +94,7 @@ type prefetchScratch struct {
 }
 
 type prefetchReq struct {
-	sm  storage.ID
-	rel storage.RelName
+	rel *Rel
 	blk storage.BlockNum
 	n   int
 }
@@ -199,7 +199,7 @@ func (p *Pool) BgWriterRound(maxPages int) (int, error) {
 		return 0, nil
 	}
 	obsBgRounds.Inc()
-	sortFramesByTag(frames)
+	sortFrames(frames)
 	written, err := p.writeBackBatch(frames)
 	for _, f := range frames {
 		p.releaseToCold(f)
@@ -275,26 +275,28 @@ func (p *Pool) releaseToCold(f *Frame) {
 	part.mu.Lock()
 	if f.pins <= 0 {
 		part.mu.Unlock()
-		panic("buffer: releaseToCold of unpinned frame " + f.tag.String())
+		panic("buffer: releaseToCold of unpinned frame " + f.Tag().String())
 	}
 	f.pins--
 	f.evicting = false
-	if f.pins == 0 {
+	last := f.pins == 0
+	if last {
 		part.lru.pushBackLocked(f)
 	}
 	part.mu.Unlock()
+	if last {
+		p.noteUnpin()
+	}
 }
 
-func sortFramesByTag(frames []*Frame) {
-	sort.Slice(frames, func(i, j int) bool {
-		ti, tj := frames[i].tag, frames[j].tag
-		if ti.SM != tj.SM {
-			return ti.SM < tj.SM
+// sortFrames orders frames by relation (cmpRel) and block: the order every
+// write-back and log append follows.
+func sortFrames(frames []*Frame) {
+	slices.SortFunc(frames, func(a, b *Frame) int {
+		if c := cmpRel(a.rel, b.rel); c != 0 {
+			return c
 		}
-		if ti.Rel != tj.Rel {
-			return ti.Rel < tj.Rel
-		}
-		return ti.Blk < tj.Blk
+		return cmp.Compare(a.blk, b.blk)
 	})
 }
 
@@ -309,7 +311,7 @@ const bgWriteConcurrency = 16
 
 // writeBackBatch is the only way a page leaves the pool: writer rounds,
 // foreground eviction of a dirty victim, DropRel and FlushRel all hand it
-// their pinned frames, sorted by tag; the caller releases the pins.
+// their pinned frames, sorted (sortFrames); the caller releases the pins.
 //
 // Under a WAL, a frame about to be written may hold an image no commit has
 // logged, and that image is about to become device-visible. One page's
@@ -361,9 +363,8 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 	for i := 0; i < len(frames); {
 		j := i + 1
 		for j < len(frames) &&
-			frames[j].tag.SM == frames[i].tag.SM &&
-			frames[j].tag.Rel == frames[i].tag.Rel &&
-			frames[j].tag.Blk == frames[j-1].tag.Blk+1 {
+			frames[j].rel == frames[i].rel &&
+			frames[j].blk == frames[j-1].blk+1 {
 			j++
 		}
 		runs = append(runs, runSpan{i, j})
@@ -438,38 +439,37 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 // own; any other gap block is written as a zero page
 // (buffer.zero_fill_blocks) and its frame's own write-back replaces it.
 func (p *Pool) writeRun(run []*Frame) (int, error) {
-	tag0 := run[0].tag
+	r, blk0 := run[0].rel, run[0].blk
 	// Drain-gate sign-in before the dirty bits are cleared below: a
 	// concurrent FlushRel must not sync the relation (and a checkpoint
-	// durably advance the redo point) while these pages are neither
-	// pinDirty-visible nor on the device yet.
-	p.wbBegin(relKey{tag0.SM, tag0.Rel})
-	defer p.wbEnd(relKey{tag0.SM, tag0.Rel})
-	mgr, err := p.sw.Get(tag0.SM)
+	// durably advance the redo point) while these pages are neither visible
+	// to its sweep nor on the device yet.
+	p.wbBegin(r)
+	defer p.wbEnd(r)
+	mgr, err := p.sw.Get(r.sm)
 	if err != nil {
 		return 0, err
 	}
-	ext := p.extLock(tag0.SM, tag0.Rel)
-	ext.Lock()
-	phys, err := mgr.NBlocks(tag0.Rel)
+	r.ext.Lock()
+	phys, err := mgr.NBlocks(r.name)
 	gapLo := phys
 	var gap []*Frame
-	if err == nil && phys < tag0.Blk {
+	if err == nil && phys < blk0 {
 		// Partition latches rank above the extension lock: pin the gap's
 		// frames with it dropped, then read the device's length again. It
-		// can only have grown, toward tag0.Blk.
-		ext.Unlock()
-		gap = p.pinGap(tag0, gapLo)
+		// can only have grown, toward blk0.
+		r.ext.Unlock()
+		gap = p.pinGap(r, gapLo, blk0)
 		defer p.releaseGap(gap)
-		ext.Lock()
-		phys, err = mgr.NBlocks(tag0.Rel)
+		r.ext.Lock()
+		phys, err = mgr.NBlocks(r.name)
 	}
-	defer ext.Unlock()
+	defer r.ext.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	lo := min(phys, tag0.Blk)
-	imgs := make([][]byte, int(tag0.Blk-lo)+len(run))
+	lo := min(phys, blk0)
+	imgs := make([][]byte, int(blk0-lo)+len(run))
 	var taken []*Frame // gap frames whose pages this write carries
 	redirty := func() {
 		for _, f := range append(taken, run...) {
@@ -487,7 +487,7 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 		}
 	}()
 	var ceiling wal.LSN
-	for blk := lo; blk < tag0.Blk; blk++ {
+	for blk := lo; blk < blk0; blk++ {
 		k := int(blk - lo)
 		imgs[k] = zeroPage[:]
 		var f *Frame
@@ -516,7 +516,7 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 		}
 	}
 	for i, f := range run {
-		k := int(tag0.Blk-lo) + i
+		k := int(blk0-lo) + i
 		imgs[k] = getPageBuf()[:]
 		if err := p.snapshotForWrite(f, imgs[k]); err != nil {
 			redirty()
@@ -532,7 +532,14 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 			return 0, err
 		}
 	}
-	if err := mgr.WriteBlocks(tag0.Rel, lo, imgs); err != nil {
+	err = mgr.WriteBlocks(r.name, lo, imgs)
+	// Whatever the outcome, part of the write may be on the device now, and
+	// only a sync makes it durable. Marked after the write returns and
+	// before wbEnd: a flush that clears the mark after draining the gate
+	// then syncs this write, and one that cleared it while the write was
+	// in flight leaves the mark for the next flush.
+	r.unsynced.Store(true)
+	if err != nil {
 		redirty()
 		return 0, err
 	}
@@ -544,19 +551,20 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 	return written, nil
 }
 
-// pinGap pins the resident, unpinned frames of the blocks from lo up to
-// tag's, for writeRun to write with tag's run. They are flagged evicting, as
-// a writer round's frames are, so DropRel waits them out. The result is
-// indexed by block - lo, nil where no frame was pinned. At most half the
-// pool is pinned: the pins are held across the device write, and foreground
-// allocation needs the rest.
-func (p *Pool) pinGap(tag Tag, lo storage.BlockNum) []*Frame {
-	gap := make([]*Frame, tag.Blk-lo)
+// pinGap pins the resident, unpinned frames of r's blocks from lo up to hi,
+// for writeRun to write with the run starting at hi. They are flagged
+// evicting, as a writer round's frames are, so DropRel waits them out. The
+// result is indexed by block - lo, nil where no frame was pinned. At most
+// half the pool is pinned: the pins are held across the device write, and
+// foreground allocation needs the rest.
+func (p *Pool) pinGap(r *Rel, lo, hi storage.BlockNum) []*Frame {
+	gap := make([]*Frame, hi-lo)
 	for i, pinned := 0, 0; i < len(gap) && pinned < p.cap/2; i++ {
-		t := Tag{SM: tag.SM, Rel: tag.Rel, Blk: lo + storage.BlockNum(i)}
-		part := p.part(t)
+		blk := lo + storage.BlockNum(i)
+		key := r.key(blk)
+		part := p.part(r, blk)
 		part.mu.Lock()
-		if f, ok := part.lookup[t]; ok && f.pins == 0 {
+		if f, ok := part.lookup[key]; ok && f.pins == 0 {
 			part.pinLocked(f)
 			f.evicting = true
 			gap[i] = f
@@ -581,14 +589,14 @@ func (p *Pool) releaseGap(gap []*Frame) {
 // drops the request. Safe to call from scan loops holding access-method
 // locks — it never touches pool state. The window is queued before the
 // prefetcher is kicked, so a round that the kick buys always sees it.
-func (p *Pool) Prefetch(sm storage.ID, rel storage.RelName, blk storage.BlockNum, n int) {
-	e := p.eng.Load()
+func (r *Rel) Prefetch(blk storage.BlockNum, n int) {
+	e := r.pool.eng.Load()
 	if e == nil || n <= 0 {
 		return
 	}
 	n = min(n, PrefetchWindow)
 	select {
-	case e.pf <- prefetchReq{sm: sm, rel: rel, blk: blk, n: n}:
+	case e.pf <- prefetchReq{rel: r, blk: blk, n: n}:
 		obsPfPosted.Inc()
 		e.prefetcher.Kick()
 	default:
@@ -623,25 +631,26 @@ func (p *Pool) DrainPrefetch() {
 // batched device read. Every failure path just drops the window — prefetch
 // is best-effort, and the foreground Get path has its own error handling.
 func (p *Pool) prefetchOne(s *prefetchScratch, req prefetchReq) {
+	r := req.rel
 	start, end := req.blk, req.blk+storage.BlockNum(req.n)
 	// A hot pool usually holds the whole range already: settle that from the
 	// lookup tables before asking the device, whose Exists and NBlocks stat
 	// the file and allocate.
-	for start < end && p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: start}) {
+	for start < end && p.resident(r, start) {
 		obsPfSkipped.Inc()
 		start++
 	}
 	if start == end {
 		return
 	}
-	mgr, err := p.sw.Get(req.sm)
+	mgr, err := p.sw.Get(r.sm)
 	if err != nil {
 		return
 	}
-	if !mgr.Exists(req.rel) {
+	if r.dropped.Load() || !mgr.Exists(r.name) {
 		return // dropped while queued
 	}
-	phys, err := mgr.NBlocks(req.rel)
+	phys, err := mgr.NBlocks(r.name)
 	if err != nil {
 		return
 	}
@@ -651,26 +660,27 @@ func (p *Pool) prefetchOne(s *prefetchScratch, req prefetchReq) {
 		end = phys
 	}
 	for start < end {
-		if p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: start}) {
+		if p.resident(r, start) {
 			obsPfSkipped.Inc()
 			start++
 			continue
 		}
 		stop := start + 1
-		for stop < end && !p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: stop}) {
+		for stop < end && !p.resident(r, stop) {
 			stop++
 		}
-		p.prefetchRun(s, mgr, req.sm, req.rel, start, int(stop-start))
+		p.prefetchRun(s, mgr, r, start, int(stop-start))
 		start = stop
 	}
 }
 
-// resident reports whether the tag currently has a frame, without pinning.
-// The answer is advisory — installPrefetched re-checks under the lock.
-func (p *Pool) resident(tag Tag) bool {
-	part := p.part(tag)
+// resident reports whether r's block blk currently has a frame, without
+// pinning. The answer is advisory — installPrefetched re-checks under the
+// lock.
+func (p *Pool) resident(r *Rel, blk storage.BlockNum) bool {
+	part := p.part(r, blk)
 	part.mu.Lock()
-	_, ok := part.lookup[tag]
+	_, ok := part.lookup[r.key(blk)]
 	part.mu.Unlock()
 	return ok
 }
@@ -679,7 +689,7 @@ func (p *Pool) resident(tag Tag) bool {
 // installs the verified pages unpinned. Frames come from the free list or
 // clean-victim eviction only: prefetch must never put a dirty write-back on
 // its own path. The run's frame and buffer lists live in s.
-func (p *Pool) prefetchRun(s *prefetchScratch, mgr storage.Manager, sm storage.ID, rel storage.RelName, blk storage.BlockNum, n int) {
+func (p *Pool) prefetchRun(s *prefetchScratch, mgr storage.Manager, r *Rel, blk storage.BlockNum, n int) {
 	frames := s.frames[:0]
 	for i := 0; i < n; i++ {
 		f := p.allocCleanFrame()
@@ -696,7 +706,7 @@ func (p *Pool) prefetchRun(s *prefetchScratch, mgr storage.Manager, sm storage.I
 		bufs = append(bufs, f.data)
 	}
 	s.frames, s.bufs = frames, bufs // keep what they grew to for the next run
-	if err := mgr.ReadBlocks(rel, blk, bufs); err != nil {
+	if err := mgr.ReadBlocks(r.name, blk, bufs); err != nil {
 		obsPfErrors.Inc()
 		for _, f := range frames {
 			p.putFree(f)
@@ -704,7 +714,7 @@ func (p *Pool) prefetchRun(s *prefetchScratch, mgr storage.Manager, sm storage.I
 		return
 	}
 	obsPfPages.Add(int64(len(frames)))
-	cs := p.checksummer(sm, rel)
+	cs := r.checksummer()
 	for i, f := range frames {
 		if cs != nil {
 			if err := cs.Verify(f.data); err != nil {
@@ -716,7 +726,7 @@ func (p *Pool) prefetchRun(s *prefetchScratch, mgr storage.Manager, sm storage.I
 				continue
 			}
 		}
-		p.installPrefetched(Tag{SM: sm, Rel: rel, Blk: blk + storage.BlockNum(i)}, f)
+		p.installPrefetched(r, blk+storage.BlockNum(i), f)
 	}
 }
 
@@ -749,7 +759,7 @@ func (p *Pool) evictCleanOnly() *Frame {
 		for f := part.lru.back; f != nil; f = f.lruPrev {
 			if !f.dirty.Load() {
 				part.lru.removeLocked(f)
-				delete(part.lookup, f.tag)
+				delete(part.lookup, f.key())
 				part.mu.Unlock()
 				obsEvictions.Inc()
 				return f
@@ -763,32 +773,27 @@ func (p *Pool) evictCleanOnly() *Frame {
 // installPrefetched publishes a prefetched page unpinned at the warm end of
 // its LRU list. The nbMu hold serialises against DropRel: a relation dropped
 // while the read was in flight must not reappear as a ghost page, so the
-// install happens only while the pool still tracks the relation. A lost race
-// against a foreground install discards the duplicate.
-func (p *Pool) installPrefetched(tag Tag, f *Frame) {
+// install happens only while its descriptor is live. A lost race against a
+// foreground install discards the duplicate.
+func (p *Pool) installPrefetched(r *Rel, blk storage.BlockNum, f *Frame) {
 	p.nbMu.Lock()
-	if _, ok := p.nblocks[relKey{tag.SM, tag.Rel}]; !ok {
+	if r.dropped.Load() {
 		p.nbMu.Unlock()
 		p.putFree(f)
 		return
 	}
-	part := p.part(tag)
+	key := r.key(blk)
+	part := p.part(r, blk)
 	part.mu.Lock()
-	if _, ok := part.lookup[tag]; ok {
+	if _, ok := part.lookup[key]; ok {
 		part.mu.Unlock()
 		p.nbMu.Unlock()
 		obsPfSkipped.Inc()
 		p.putFree(f)
 		return
 	}
-	f.tag = tag
-	f.part = part
-	f.pins = 0
-	f.evicting = false
-	f.setDirty(false)
-	f.walDirty.Store(false)
-	f.walLSN.Store(0)
-	part.lookup[tag] = f
+	f.installLocked(r, blk, part)
+	part.lookup[key] = f
 	part.lru.pushFrontLocked(f)
 	part.mu.Unlock()
 	p.nbMu.Unlock()

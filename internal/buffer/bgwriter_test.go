@@ -23,7 +23,7 @@ import (
 func dirtyBlocks(t *testing.T, p *Pool, sm storage.ID, rel storage.RelName, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		f, _, err := p.NewBlock(sm, rel)
+		f, _, err := p.Rel(sm, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestPrefetchInstallsAndTurnsReadsIntoHits(t *testing.T) {
 	}
 	f.Release()
 	installed := obsPfInstalled.Load()
-	p.Prefetch(storage.Mem, rel, 1, 8)
+	p.Rel(storage.Mem, rel).Prefetch(1, 8)
 	p.DrainPrefetch()
 	if got := obsPfInstalled.Load() - installed; got != 8 {
 		t.Fatalf("prefetch installed %d pages, want 8", got)
@@ -283,7 +283,7 @@ func TestPrefetchRunAllocatesNothing(t *testing.T) {
 
 	next := storage.BlockNum(0)
 	window := func() {
-		p.Prefetch(storage.Disk, rel, next, PrefetchWindow)
+		p.Rel(storage.Disk, rel).Prefetch(next, PrefetchWindow)
 		p.DrainPrefetch()
 		next = (next + PrefetchWindow) % blocks
 	}
@@ -327,10 +327,10 @@ func TestPrefetchContentMatchesDevice(t *testing.T) {
 	if err := p.DropRel(storage.Mem, rel, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.NBlocks(storage.Mem, rel); err != nil {
+	if _, err := p.Rel(storage.Mem, rel).NBlocks(); err != nil {
 		t.Fatal(err)
 	}
-	p.Prefetch(storage.Mem, rel, 0, 6)
+	p.Rel(storage.Mem, rel).Prefetch(0, 6)
 	p.DrainPrefetch()
 	want := make([]byte, page.Size)
 	for blk := storage.BlockNum(0); blk < 6; blk++ {
@@ -368,14 +368,14 @@ func TestPrefetchNeverForcesWriteback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.NBlocks(storage.Mem, other); err != nil {
+	if _, err := p.Rel(storage.Mem, other).NBlocks(); err != nil {
 		t.Fatal(err)
 	}
 	dirtyBlocks(t, p, storage.Mem, rel, 4)
 
 	wb := obsWritebacks.Load()
 	installed := obsPfInstalled.Load()
-	p.Prefetch(storage.Mem, other, 0, 8)
+	p.Rel(storage.Mem, other).Prefetch(0, 8)
 	p.DrainPrefetch()
 	if got := obsWritebacks.Load() - wb; got != 0 {
 		t.Fatalf("prefetch forced %d write-backs; it must only use clean frames", got)
@@ -399,7 +399,7 @@ func TestPrefetchDiscardsWindowForDroppedRelation(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	p.Prefetch(storage.Mem, rel, 0, 4)
+	p.Rel(storage.Mem, rel).Prefetch(0, 4)
 	// The relation is dropped (and unlinked) while the window is queued; the
 	// drain must not resurrect ghost pages.
 	if err := p.DropRel(storage.Mem, rel, true); err != nil {

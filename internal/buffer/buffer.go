@@ -5,25 +5,30 @@
 // relation length so new blocks can be allocated in memory and written out
 // lazily, the way POSTGRES extends relations.
 //
+// A relation is known to the pool by its descriptor (Rel), which the pool
+// creates once per relation and access methods hold; a page is keyed by one
+// uint64, the descriptor's process-local id and the block number.
+//
 // Concurrency model: the lookup table, LRU list, and pin counts are sharded
-// into lock-striped partitions keyed by a hash of the page Tag, so readers
-// of different pages contend only when their tags collide. Device reads on
+// into lock-striped partitions keyed by a hash of the page key, so readers
+// of different pages contend only when their keys collide. Device reads on
 // a miss happen with no pool lock held — concurrent misses overlap their
 // I/O — and a lost install race simply discards the duplicate read. Each
 // frame carries a shared/exclusive content latch: access methods hold it
 // exclusive around page-byte mutation and the pool holds it shared while a
 // page's bytes are on their way to the device, so a flush never writes a
 // torn page. Lock ordering is nbMu → partition mutexes (ascending) →
-// relation extension lock → frame latch; no code acquires an earlier lock
+// relation extension lock (Rel.ext) → frame latch; no code acquires an earlier lock
 // while holding a later one, and no pool call is made while a content latch
 // is held.
 package buffer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +52,9 @@ var (
 	obsWritebacks = obs.NewCounter("pool.writebacks")
 	obsLatchWaits = obs.NewCounter("pool.latch_waits")
 	obsReadLat    = obs.NewTimer("pool.miss_read_latency")
+	// obsFlushScanned counts the frames checkpoints, relation flushes and
+	// drops look at: a FlushAll reads at most resident frames + dirty pages.
+	obsFlushScanned = obs.NewCounter("buffer.flush.frames_scanned")
 	// obsDirtyFrames is the sum of every pool's partition ndirty counts.
 	obsDirtyFrames = obs.NewGauge("buffer.dirty_frames")
 )
@@ -55,14 +63,17 @@ var (
 var (
 	ErrPoolExhausted = errors.New("buffer: all frames pinned")
 	ErrPinned        = errors.New("buffer: frame still pinned")
+	ErrDropped       = errors.New("buffer: relation dropped")
 )
 
 // maxPartitions caps the lock striping; pools smaller than this get one
 // partition per frame.
 const maxPartitions = 16
 
-// Tag identifies a disk page: which storage manager, which relation, which
-// block.
+// Tag names a disk page the way everything outside the pool does: storage
+// manager, relation name, block. The log, base backups and every sort order
+// use this form; inside the pool a page is its descriptor's id and block
+// (Rel.key).
 type Tag struct {
 	SM  storage.ID
 	Rel storage.RelName
@@ -73,11 +84,6 @@ func (t Tag) String() string {
 	return fmt.Sprintf("%v:%s:%d", t.SM, t.Rel, t.Blk)
 }
 
-type relKey struct {
-	sm  storage.ID
-	rel storage.RelName
-}
-
 // Frame is a pinned buffer holding one page. Callers must Release every
 // frame they obtain, and MarkDirty after mutating its page under the
 // exclusive content latch.
@@ -86,8 +92,11 @@ type Frame struct {
 	// part is the frame's resident partition. It is written only while the
 	// frame is unreferenced (install time) and is stable while pinned, so
 	// pin holders may read it without a lock.
-	part     *partition
-	tag      Tag
+	part *partition
+	// rel and blk are the page the frame holds, its tag. Like part they are
+	// written only while the frame is unreferenced.
+	rel      *Rel
+	blk      storage.BlockNum
 	data     page.Page
 	pins     int  // guarded by part.mu
 	evicting bool // guarded by part.mu; a write-back holds the only pin
@@ -116,7 +125,10 @@ type Frame struct {
 func (f *Frame) Page() page.Page { return f.data }
 
 // Tag returns the identity of the page held in the frame.
-func (f *Frame) Tag() Tag { return f.tag }
+func (f *Frame) Tag() Tag { return f.rel.tag(f.blk) }
+
+// key is the frame's page-table key.
+func (f *Frame) key() uint64 { return f.rel.key(f.blk) }
 
 // MarkDirty records that the page has been modified and must be written back
 // before eviction.
@@ -126,9 +138,10 @@ func (f *Frame) MarkDirty() {
 }
 
 // setDirty is the only writer of f.dirty. It keeps the resident partition's
-// ndirty exact by adjusting it only on a real transition, which Swap makes
-// race-free between concurrent setters. The caller holds a pin or part.mu, or
-// owns the unreferenced frame it is installing (f.part already assigned).
+// and the relation's ndirty exact by adjusting them only on a real
+// transition, which Swap makes race-free between concurrent setters. The
+// caller holds a pin or part.mu, or owns the unreferenced frame it is
+// installing (f.part and f.rel already assigned).
 // Frames off every partition — the free list, a fresh allocation — are always
 // clean, so a frame's count never follows it from one partition to another.
 func (f *Frame) setDirty(d bool) {
@@ -140,6 +153,7 @@ func (f *Frame) setDirty(d bool) {
 		n = -1
 	}
 	f.part.ndirty.Add(n)
+	f.rel.ndirty.Add(n)
 	obsDirtyFrames.Add(n)
 }
 
@@ -167,10 +181,43 @@ func (p *Pool) CheckDirtyCounts() (int64, error) {
 	return sum, nil
 }
 
+// CheckRelDirtyCounts verifies that every descriptor's ndirty equals the
+// number of resident frames of its relation with dirty set. Like
+// CheckDirtyCounts it is exact only at quiesce.
+func (p *Pool) CheckRelDirtyCounts() error {
+	counts := make(map[*Rel]int64)
+	for _, part := range p.parts {
+		part.mu.Lock()
+		for _, f := range part.lookup {
+			if f.dirty.Load() {
+				counts[f.rel]++
+			}
+		}
+		part.mu.Unlock()
+	}
+	p.nbMu.Lock()
+	rels := make([]*Rel, 0, len(p.rels)+len(counts))
+	for _, r := range p.rels {
+		rels = append(rels, r)
+	}
+	p.nbMu.Unlock()
+	for r := range counts {
+		if r.dropped.Load() {
+			rels = append(rels, r) // no longer registered, yet holds dirty frames
+		}
+	}
+	for _, r := range rels {
+		if got, want := r.ndirty.Load(), counts[r]; got != want {
+			return fmt.Errorf("buffer: relation %s counts %d dirty frames, but %d resident frames are dirty", r.name, got, want)
+		}
+	}
+	return nil
+}
+
 // noteWALDirty records that the page differs from its last logged image and,
 // when that is news, queues the frame on its partition's WAL-dirty list — the
 // only place LogDirtyPages looks. The caller holds a pin or part.mu, either
-// of which keeps tag and part stable. Without a log nobody drains the lists,
+// of which keeps the frame's page and part stable. Without a log nobody drains the lists,
 // so only the flag is kept; AttachWAL queues what was flagged before it.
 func (f *Frame) noteWALDirty() {
 	if !f.walDirty.Swap(true) && f.pool.wal != nil {
@@ -221,24 +268,29 @@ func (f *Frame) TryRLockContent() bool { return f.latch.TryRLock() }
 func (f *Frame) Release() {
 	part := f.part
 	part.mu.Lock()
-	defer part.mu.Unlock()
 	if f.pins <= 0 {
-		panic("buffer: Release of unpinned frame " + f.tag.String())
+		part.mu.Unlock()
+		panic("buffer: Release of unpinned frame " + f.Tag().String())
 	}
 	f.pins--
-	if f.pins == 0 {
+	last := f.pins == 0
+	if last {
 		part.lru.pushFrontLocked(f)
+	}
+	part.mu.Unlock()
+	if last {
+		f.pool.noteUnpin()
 	}
 }
 
-// partition is one lock stripe of the pool: the frames whose tags hash
+// partition is one lock stripe of the pool: the frames whose keys hash
 // here, their lookup table, and their LRU list.
 type partition struct {
 	mu     sync.Mutex
-	lookup map[Tag]*Frame // guarded by mu
-	lru    lruList        // guarded by mu; unpinned frames, front = most recently used
-	hits   int64          // guarded by mu
-	misses int64          // guarded by mu
+	lookup map[uint64]*Frame // guarded by mu; keyed by Rel.key
+	lru    lruList           // guarded by mu; unpinned frames, front = most recently used
+	hits   int64             // guarded by mu
+	misses int64             // guarded by mu
 
 	// ndirty counts this partition's resident frames with dirty set, pinned
 	// or not. Frame.setDirty maintains it, so the background writer can pass
@@ -253,20 +305,20 @@ type partition struct {
 	// since LogDirtyPages last drained the list: every frame of this
 	// partition with the flag set is on it (or in the hands of the drain that
 	// took it off). Entries go stale when a frame is logged by a write-back,
-	// evicted or dropped; the drain filters them under mu by looking the tag
-	// up again, which is why an entry carries the tag the frame had when it
+	// evicted or dropped; the drain filters them under mu by looking the key
+	// up again, which is why an entry carries the key the frame had when it
 	// was queued.
 	wdList []walDirtyEntry // guarded by wdMu
 }
 
 type walDirtyEntry struct {
-	tag Tag
+	key uint64
 	f   *Frame
 }
 
 func (part *partition) queueWALDirty(f *Frame) {
 	part.wdMu.Lock()
-	part.wdList = append(part.wdList, walDirtyEntry{f.tag, f})
+	part.wdList = append(part.wdList, walDirtyEntry{f.key(), f})
 	part.wdMu.Unlock()
 }
 
@@ -283,7 +335,7 @@ func (part *partition) pinWALDirty(frames []*Frame) []*Frame {
 	part.wdList = nil
 	part.wdMu.Unlock()
 	for _, e := range taken {
-		if f, ok := part.lookup[e.tag]; ok && f == e.f && f.walDirty.Load() {
+		if f, ok := part.lookup[e.key]; ok && f == e.f && f.walDirty.Load() {
 			part.pinLocked(f)
 			frames = append(frames, f)
 		}
@@ -301,13 +353,13 @@ func (part *partition) pinWALDirty(frames []*Frame) []*Frame {
 	return frames
 }
 
-// tryPin returns the resident frame for tag with one more pin, or nil.
+// tryPin returns the resident frame for key with one more pin, or nil.
 // A successful pin is counted as a hit while the partition lock is held,
 // so Stats can take a snapshot that is consistent across partitions.
-func (part *partition) tryPin(tag Tag) *Frame {
+func (part *partition) tryPin(key uint64) *Frame {
 	part.mu.Lock()
 	defer part.mu.Unlock()
-	f, ok := part.lookup[tag]
+	f, ok := part.lookup[key]
 	if !ok {
 		return nil
 	}
@@ -340,14 +392,16 @@ type Pool struct {
 	freeMu sync.Mutex
 	free   []*Frame // guarded by freeMu; allocated frames resident nowhere
 
-	nbMu    sync.Mutex
-	nblocks map[relKey]storage.BlockNum // guarded by nbMu
-
-	extMu sync.Mutex
-	ext   map[relKey]*sync.Mutex // guarded by extMu; per-relation extension locks
-
-	csMu      sync.RWMutex
-	checksums map[relKey]Checksummer // guarded by csMu
+	// nbMu guards the relation registry and every descriptor's length. It
+	// also serialises extension (NewBlock) against DropRel and against a
+	// prefetched page's install.
+	nbMu sync.Mutex
+	rels map[relKey]*Rel // guarded by nbMu; live descriptors by name
+	// lastID is the id of the newest descriptor. Ids are never reused, so
+	// no page key of a dropped relation's descriptor can name a page of a
+	// relation created later under the same name; a pool would have to
+	// register 2^32 relations to wrap.
+	lastID uint32 // guarded by nbMu
 
 	// wal is the attached write-ahead log, nil in force-at-commit and
 	// checkpoint-grained durability modes. Set once by AttachWAL before the
@@ -361,6 +415,12 @@ type Pool struct {
 
 	evictHand atomic.Uint64 // rotates the partition eviction scan start
 
+	// pinWaiters counts allocations waiting for a pin to be released
+	// (waitUnpin); only while it is above zero does a last Release signal
+	// unpinned, so a hit pays one atomic load for the wait.
+	pinWaiters atomic.Int32
+	unpinned   chan struct{} // capacity 1: a pending wakeup
+
 	// Background I/O engine state (see bgwriter.go). eng is nil until
 	// StartEngine; bgHand rotates the writer's partition scan independently
 	// of the eviction hand.
@@ -373,13 +433,20 @@ type Pool struct {
 	// The write-back drain gate. A device write-back signs in (wbBegin)
 	// before it clears a frame's dirty bit and signs out (wbEnd) after its
 	// device write returns. In between, the page's newest image is invisible
-	// to pinDirty and not yet guaranteed on the device — so a checkpoint
-	// that syncs the relation must first drain it (wbWaitRel), or it could
-	// durably advance the redo point past an image that never reached the
-	// synced medium, and a crash would lose the page with nothing to replay.
-	wbMu       sync.Mutex
-	wbCond     *sync.Cond     // signalled as in-flight write-backs retire
-	wbInFlight map[relKey]int // guarded by wbMu
+	// to a flush's sweep and not yet guaranteed on the device — so a
+	// checkpoint that syncs the relation must first drain it (wbWaitRel), or
+	// it could durably advance the redo point past an image that never
+	// reached the synced medium, and a crash would lose the page with
+	// nothing to replay. Each descriptor counts its own write-backs
+	// (Rel.wbInFlight); wbTotal is their sum.
+	wbMu    sync.Mutex
+	wbCond  *sync.Cond // signalled as in-flight write-backs retire
+	wbTotal int        // guarded by wbMu
+
+	// flushScratch is the reusable sweep state of FlushAll and FlushRel. A
+	// flush takes it and puts it back, so a checkpoint allocates nothing, and
+	// a concurrent flush works on a scratch of its own.
+	flushScratch atomic.Pointer[flushScratch]
 }
 
 // NewPool creates a pool of nframes pages over the given switch. clock may
@@ -394,52 +461,49 @@ func NewPool(nframes int, sw *storage.Switch, clock *vclock.Clock) *Pool {
 		nparts /= 2
 	}
 	p := &Pool{
-		sw:        sw,
-		clock:     clock,
-		cap:       nframes,
-		partMask:  uint64(nparts - 1),
-		parts:     make([]*partition, nparts),
-		nblocks:   make(map[relKey]storage.BlockNum),
-		ext:       make(map[relKey]*sync.Mutex),
-		checksums: make(map[relKey]Checksummer),
-
-		wbInFlight: make(map[relKey]int),
+		sw:       sw,
+		clock:    clock,
+		cap:      nframes,
+		partMask: uint64(nparts - 1),
+		parts:    make([]*partition, nparts),
+		rels:     make(map[relKey]*Rel),
+		unpinned: make(chan struct{}, 1),
 	}
 	p.wbCond = sync.NewCond(&p.wbMu)
 	for i := range p.parts {
-		p.parts[i] = &partition{lookup: make(map[Tag]*Frame)}
+		p.parts[i] = &partition{lookup: make(map[uint64]*Frame)}
 	}
 	return p
 }
 
-// wbBegin signs a device write-back of rel's pages into the drain gate.
+// wbBegin signs a device write-back of r's pages into the drain gate.
 // Must precede the dirty-bit clear; pair with wbEnd on every path.
-func (p *Pool) wbBegin(key relKey) {
+func (p *Pool) wbBegin(r *Rel) {
 	p.wbMu.Lock()
-	p.wbInFlight[key]++
+	r.wbInFlight++
+	p.wbTotal++
 	p.wbMu.Unlock()
 }
 
 // wbEnd retires a write-back begun with wbBegin and wakes drain waiters.
-func (p *Pool) wbEnd(key relKey) {
+func (p *Pool) wbEnd(r *Rel) {
 	p.wbMu.Lock()
-	if p.wbInFlight[key]--; p.wbInFlight[key] <= 0 {
-		delete(p.wbInFlight, key)
-	}
+	r.wbInFlight--
+	p.wbTotal--
 	p.wbCond.Broadcast()
 	p.wbMu.Unlock()
 }
 
-// wbWaitRel blocks until no write-back of rel's pages is in flight. A
+// wbWaitRel blocks until no write-back of r's pages is in flight. A
 // checkpoint calls it immediately before syncing the relation: any frame
 // whose dirty bit a write-back cleared before the checkpoint's own flush
 // pass is then guaranteed to have reached the (possibly volatile) device,
 // where the sync that follows makes it durable. Write-backs that begin
 // after the wait was satisfied carry images logged after the checkpoint's
 // redo point, which replay covers.
-func (p *Pool) wbWaitRel(key relKey) {
+func (p *Pool) wbWaitRel(r *Rel) {
 	p.wbMu.Lock()
-	for p.wbInFlight[key] > 0 {
+	for r.wbInFlight > 0 {
 		p.wbCond.Wait()
 	}
 	p.wbMu.Unlock()
@@ -449,22 +513,19 @@ func (p *Pool) wbWaitRel(key relKey) {
 // once when none is in flight.
 func (p *Pool) wbWaitAny() {
 	p.wbMu.Lock()
-	if len(p.wbInFlight) > 0 {
+	if p.wbTotal > 0 {
 		p.wbCond.Wait()
 	}
 	p.wbMu.Unlock()
 }
 
-// part hashes a tag to its partition (FNV-1a over rel, SM, and block).
-func (p *Pool) part(tag Tag) *partition {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(tag.Rel); i++ {
-		h = (h ^ uint64(tag.Rel[i])) * prime
-	}
-	h = (h ^ uint64(tag.SM)) * prime
-	h = (h ^ uint64(tag.Blk)) * prime
-	return p.parts[h&p.partMask]
+// part maps r's block blk to its partition: FNV-1a over the relation's name
+// and storage manager (Rel.hash, computed once) and the block. The stripe
+// depends on the page's name, not on the process-local id, so a seeded
+// workload places — and evicts — the same pages the same way in every
+// process, however many relations came before it.
+func (p *Pool) part(r *Rel, blk storage.BlockNum) *partition {
+	return p.parts[((r.hash^uint64(blk))*fnvPrime)&p.partMask]
 }
 
 // Switch returns the storage switch the pool reads and writes through.
@@ -523,156 +584,10 @@ func (p *Pool) Capacity() int { return p.cap }
 // Partitions returns the number of lock stripes, for observability.
 func (p *Pool) Partitions() int { return len(p.parts) }
 
-// NBlocks returns the relation's length including blocks that exist only as
-// dirty frames not yet written out.
-func (p *Pool) NBlocks(sm storage.ID, rel storage.RelName) (storage.BlockNum, error) {
-	p.nbMu.Lock()
-	defer p.nbMu.Unlock()
-	return p.nblocksLocked(sm, rel)
-}
-
-func (p *Pool) nblocksLocked(sm storage.ID, rel storage.RelName) (storage.BlockNum, error) {
-	key := relKey{sm, rel}
-	if n, ok := p.nblocks[key]; ok {
-		return n, nil
-	}
-	mgr, err := p.sw.Get(sm)
-	if err != nil {
-		return 0, err
-	}
-	n, err := mgr.NBlocks(rel)
-	if err != nil {
-		return 0, err
-	}
-	p.nblocks[key] = n
-	return n, nil
-}
-
-// Get pins the frame holding the page identified by tag, reading it from the
-// storage manager on a miss. The device read happens with no pool lock held,
-// so concurrent misses overlap their I/O; when two goroutines race to load
-// the same page, one install wins and the other read is discarded.
+// Get pins the frame holding the page identified by tag: the by-name form of
+// Rel.Get, for callers that hold no descriptor.
 func (p *Pool) Get(tag Tag) (*Frame, error) {
-	obsLookups.Inc()
-	part := p.part(tag)
-	if f := part.tryPin(tag); f != nil {
-		obsHits.Inc()
-		return f, nil
-	}
-	// Count the miss up front (whatever the outcome of the device read) so
-	// hits + misses == lookups holds even on error paths. The lost-install
-	// race below is still this one miss, not an extra hit.
-	part.mu.Lock()
-	part.misses++
-	part.mu.Unlock()
-	obsMisses.Inc()
-	for attempt := 0; ; attempt++ {
-		n, err := p.NBlocks(tag.SM, tag.Rel)
-		if err != nil {
-			return nil, err
-		}
-		if tag.Blk >= n {
-			return nil, fmt.Errorf("%w: %s (nblocks %d)", storage.ErrBadBlock, tag, n)
-		}
-		f, err := p.allocFrame()
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := p.sw.Get(tag.SM)
-		if err != nil {
-			p.putFree(f)
-			return nil, err
-		}
-		sw := obsReadLat.Start()
-		readErr := mgr.ReadBlock(tag.Rel, tag.Blk, f.data)
-		sw.Stop()
-		if readErr == nil {
-			if cs := p.checksummer(tag.SM, tag.Rel); cs != nil {
-				if err := cs.Verify(f.data); err != nil {
-					readErr = fmt.Errorf("buffer: %s: %w", tag, err)
-				}
-			}
-		}
-
-		part.mu.Lock()
-		if g, ok := part.lookup[tag]; ok {
-			// Lost the install race (or the page was born in the pool while
-			// we were at the device): use the resident frame.
-			part.pinLocked(g)
-			part.mu.Unlock()
-			p.putFree(f)
-			return g, nil
-		}
-		if readErr != nil {
-			part.mu.Unlock()
-			p.putFree(f)
-			// A checksum mismatch can be a transient torn read racing an
-			// eviction's in-flight device write; once that write completes
-			// a re-read sees the full image. Only a mismatch that persists
-			// is real on-device corruption.
-			if errors.Is(readErr, page.ErrChecksum) && attempt < 4 {
-				time.Sleep(20 * time.Microsecond)
-				continue
-			}
-			// A block inside the relation's virtual length lives either in
-			// the pool or on the device; a failed device read can race an
-			// eviction that was still materialising the block. Retry only
-			// when the device genuinely lacks the block — if the device
-			// claims it exists, the failure is a real I/O error and must
-			// surface to the caller.
-			if devN, nErr := mgr.NBlocks(tag.Rel); attempt == 0 && nErr == nil && tag.Blk >= devN {
-				continue
-			}
-			return nil, readErr
-		}
-		f.tag = tag
-		f.part = part
-		f.pins = 1
-		f.evicting = false
-		f.setDirty(false)
-		f.walDirty.Store(false)
-		f.walLSN.Store(0)
-		part.lookup[tag] = f
-		part.mu.Unlock()
-		return f, nil
-	}
-}
-
-// NewBlock extends the relation by one page and returns the new block's
-// pinned, dirty, zeroed frame. The block reaches the device lazily. The
-// frame is installed in its partition before the new length is published,
-// so a concurrent Get that sees the length always finds the page.
-func (p *Pool) NewBlock(sm storage.ID, rel storage.RelName) (*Frame, storage.BlockNum, error) {
-	f, err := p.allocFrame()
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := range f.data {
-		f.data[i] = 0
-	}
-	p.nbMu.Lock()
-	n, err := p.nblocksLocked(sm, rel)
-	if err != nil {
-		p.nbMu.Unlock()
-		p.putFree(f)
-		return nil, 0, err
-	}
-	tag := Tag{SM: sm, Rel: rel, Blk: n}
-	part := p.part(tag)
-	part.mu.Lock()
-	f.tag = tag
-	f.part = part
-	f.pins = 1
-	f.evicting = false
-	f.setDirty(true)
-	f.walDirty.Store(false)
-	f.noteWALDirty()
-	f.walLSN.Store(0)
-	part.lookup[tag] = f
-	p.nblocks[relKey{sm, rel}] = n + 1
-	part.mu.Unlock()
-	p.nbMu.Unlock()
-	return f, n, nil
+	return p.Rel(tag.SM, tag.Rel).Get(tag.Blk)
 }
 
 // ApplyRedoImage installs a physical redo page image: the page write of
@@ -695,15 +610,16 @@ func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.Bl
 			return err
 		}
 	}
+	r := p.Rel(sm, rel)
 	for {
-		n, err := p.NBlocks(sm, rel)
+		n, err := r.NBlocks()
 		if err != nil {
 			return err
 		}
 		if blk < n {
 			break
 		}
-		f, bn, err := p.NewBlock(sm, rel)
+		f, bn, err := r.NewBlock()
 		if err != nil {
 			return err
 		}
@@ -720,10 +636,10 @@ func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.Bl
 	// "these bytes, whatever was there" — the home location may hold a torn
 	// page the image is about to repair, so a read-verify pass would reject
 	// exactly the pages replay exists to fix.
-	tag := Tag{SM: sm, Rel: rel, Blk: blk}
-	part := p.part(tag)
+	key := r.key(blk)
+	part := p.part(r, blk)
 	for {
-		if f := part.tryPin(tag); f != nil {
+		if f := part.tryPin(key); f != nil {
 			f.LockContent()
 			copy(f.data, img)
 			f.MarkDirty()
@@ -737,26 +653,34 @@ func (p *Pool) ApplyRedoImage(sm storage.ID, rel storage.RelName, blk storage.Bl
 		}
 		copy(f.data, img)
 		part.mu.Lock()
-		if _, ok := part.lookup[tag]; ok {
+		if _, ok := part.lookup[key]; ok {
 			// Lost an install race with a concurrent reader; retry the
 			// resident path so the overwrite lands in the surviving frame.
 			part.mu.Unlock()
 			p.putFree(f)
 			continue
 		}
-		f.tag = tag
-		f.part = part
+		f.installLocked(r, blk, part)
 		f.pins = 1
-		f.evicting = false
 		f.setDirty(true)
-		f.walDirty.Store(false)
 		f.noteWALDirty()
-		f.walLSN.Store(0)
-		part.lookup[tag] = f
+		part.lookup[key] = f
 		part.mu.Unlock()
 		f.Release()
 		return nil
 	}
+}
+
+// installLocked gives an unreferenced frame its page and partition and resets its
+// state to an unpinned, clean, never-logged page; the caller holds part.mu
+// and then pins, dirties and publishes it as the install requires.
+func (f *Frame) installLocked(r *Rel, blk storage.BlockNum, part *partition) {
+	f.rel, f.blk, f.part = r, blk, part
+	f.pins = 0
+	f.evicting = false
+	f.setDirty(false)
+	f.walDirty.Store(false)
+	f.walLSN.Store(0)
 }
 
 // allocFrame produces an unreferenced frame: from the free list, by growing
@@ -815,10 +739,61 @@ func (p *Pool) putFree(f *Frame) {
 	p.freeMu.Unlock()
 }
 
+// pinWaitBound is how long an allocation that finds every frame pinned
+// waits for pins to be released before it reports the pool exhausted. Pins
+// are held for the length of one page access, so a wait that runs out means
+// callers really hold more pages than the pool has.
+const pinWaitBound = 250 * time.Millisecond
+
 // evict reclaims the least recently used unpinned frame of some partition,
-// writing its page back first when dirty. The scan starts at a rotating
-// partition so replacement pressure spreads across stripes.
+// writing its page back first when dirty. When every frame is pinned it
+// waits, up to pinWaitBound, for a caller to release one.
 func (p *Pool) evict() (*Frame, error) {
+	var deadline time.Time
+	for {
+		f, err := p.evictRounds()
+		if f != nil || err != nil {
+			return f, err
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(pinWaitBound)
+		} else if time.Now().After(deadline) {
+			return nil, fmt.Errorf("%w (%d frames)", ErrPoolExhausted, p.cap)
+		}
+		p.waitUnpin(deadline)
+	}
+}
+
+// waitUnpin blocks until some frame's last pin is released or the deadline
+// passes. A release between the caller's failed search and the waiter's
+// registration goes unsignalled; the caller searches once more after the
+// deadline, so the miss costs time, never a spurious error.
+func (p *Pool) waitUnpin(deadline time.Time) {
+	p.pinWaiters.Add(1)
+	defer p.pinWaiters.Add(-1)
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-p.unpinned:
+	case <-t.C:
+	}
+}
+
+// noteUnpin wakes an allocation waiting in waitUnpin, if there is one:
+// called after a frame's last pin goes, it costs one atomic load otherwise.
+func (p *Pool) noteUnpin() {
+	if p.pinWaiters.Load() > 0 {
+		select {
+		case p.unpinned <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// evictRounds makes a few passes over the partitions for a victim; nil, nil
+// means every frame stayed pinned. The scan starts at a rotating partition
+// so replacement pressure spreads across stripes.
+func (p *Pool) evictRounds() (*Frame, error) {
 	if p.eng.Load() != nil {
 		// Pool-wide clean-first pass: with a background writer attached, a
 		// foreground dirty write-back is only acceptable when no partition
@@ -852,7 +827,7 @@ func (p *Pool) evict() (*Frame, error) {
 		// pool exhausted whose pins are on their way out.
 		p.wbWaitAny()
 	}
-	return nil, fmt.Errorf("%w (%d frames)", ErrPoolExhausted, p.cap)
+	return nil, nil
 }
 
 // evictFrom tries to reclaim one partition's LRU victim. A clean victim is
@@ -883,7 +858,7 @@ func (p *Pool) evictFrom(part *partition) (*Frame, error) {
 	}
 	part.lru.removeLocked(f)
 	if !f.dirty.Load() {
-		delete(part.lookup, f.tag)
+		delete(part.lookup, f.key())
 		part.mu.Unlock()
 		obsEvictions.Inc()
 		return f, nil
@@ -906,7 +881,7 @@ func (p *Pool) evictFrom(part *partition) (*Frame, error) {
 	f.pins--
 	f.evicting = false
 	if err == nil && f.pins == 0 && !f.dirty.Load() {
-		delete(part.lookup, f.tag)
+		delete(part.lookup, f.key())
 		part.mu.Unlock()
 		obsEvictions.Inc()
 		return f, nil
@@ -917,21 +892,6 @@ func (p *Pool) evictFrom(part *partition) (*Frame, error) {
 	}
 	part.mu.Unlock()
 	return nil, err
-}
-
-// extLock returns the relation's extension lock, which serialises device
-// growth (the no-holes invariant needs a stable view of the physical
-// length).
-func (p *Pool) extLock(sm storage.ID, rel storage.RelName) *sync.Mutex {
-	key := relKey{sm, rel}
-	p.extMu.Lock()
-	defer p.extMu.Unlock()
-	mu, ok := p.ext[key]
-	if !ok {
-		mu = new(sync.Mutex)
-		p.ext[key] = mu
-	}
-	return mu
 }
 
 // LogDirtyPages appends a physical image of every page modified since its
@@ -956,7 +916,7 @@ func (p *Pool) LogDirtyPages(xid uint32) (wal.LSN, error) {
 	// Deterministic append order, for the same reason FlushAll sorts: a
 	// seeded crash-simulation run must lay down the same log bytes every
 	// time.
-	sortFramesByTag(frames)
+	sortFrames(frames)
 	var (
 		end      wal.LSN
 		firstErr error
@@ -1056,7 +1016,7 @@ func (p *Pool) snapshotLatched(f *Frame, img []byte) error {
 	if p.wal == nil {
 		f.walDirty.Store(false)
 	}
-	if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
+	if cs := f.rel.checksummer(); cs != nil {
 		cs.Stamp(img)
 	}
 	return nil
@@ -1069,14 +1029,14 @@ func (p *Pool) snapshotLatched(f *Frame, img []byte) error {
 // the page replay will rebuild. On error walDirty stays set.
 func (p *Pool) logImage(f *Frame, img []byte, xid uint32) (wal.LSN, error) {
 	var off, n int
-	if cs := p.checksummer(f.tag.SM, f.tag.Rel); cs != nil {
+	if cs := f.rel.checksummer(); cs != nil {
 		if h, ok := cs.(holeFinder); ok {
 			off, n = h.Hole(img)
 			clear(img[off : off+n])
 		}
 		cs.Stamp(img)
 	}
-	lsn, err := p.wal.AppendPageImageHole(f.tag.SM, f.tag.Rel, f.tag.Blk, img, off, n, xid)
+	lsn, err := p.wal.AppendPageImageHole(f.rel.sm, f.rel.name, f.blk, img, off, n, xid)
 	if err == nil {
 		f.walLSN.Store(uint64(lsn))
 		f.walDirty.Store(false)
@@ -1101,7 +1061,7 @@ func (p *Pool) LogUnlink(sm storage.ID, rel storage.RelName) {
 // A Checksummer stamps a device-bound page image with a checksum and
 // verifies an image read back from the device, using whatever header slot
 // the relation's page layout reserves. Access methods register one per
-// relation (SetChecksummer); the pool itself stays ignorant of page
+// relation (Rel.SetChecksummer); the pool itself stays ignorant of page
 // layouts. Verify must accept unstamped images — blocks written before the
 // relation had a checksummer — and must return an error for a stamped image
 // whose contents no longer match, which is how a torn block left by a crash
@@ -1111,107 +1071,205 @@ type Checksummer interface {
 	Verify(img []byte) error
 }
 
-// SetChecksummer registers the relation's page checksummer; nil disables
-// checksumming. Registration must precede reads for verification to happen,
-// so access methods call this when a relation is created or opened.
-func (p *Pool) SetChecksummer(sm storage.ID, rel storage.RelName, cs Checksummer) {
-	p.csMu.Lock()
-	if cs == nil {
-		delete(p.checksums, relKey{sm, rel})
-	} else {
-		p.checksums[relKey{sm, rel}] = cs
-	}
-	p.csMu.Unlock()
-}
-
-func (p *Pool) checksummer(sm storage.ID, rel storage.RelName) Checksummer {
-	p.csMu.RLock()
-	cs := p.checksums[relKey{sm, rel}]
-	p.csMu.RUnlock()
-	return cs
-}
-
-// checkpointSlicePages bounds how many pages FlushRel writes back between
-// scheduler yields.
+// checkpointSlicePages bounds how many pages a flush pins and writes back
+// between scheduler yields.
 const checkpointSlicePages = 64
 
-// FlushRel makes the relation durable: it writes back every dirty page, then
-// syncs the relation. Pinned frames are flushed too (they stay resident).
-// Pages go out in ascending block order through writeBackBatch — gather
-// writes over contiguous runs, one WAL flush ceiling per slice — at most
-// checkpointSlicePages at a time, with the scheduler yielded between slices
-// so foreground work interleaves. Before the sync, write-backs already in
-// flight are drained: a page whose dirty bit a writer round cleared before
-// pinDirty looked is invisible here but not yet on the device, and the sync
-// must cover it. A relation no longer on its device is not synced.
-func (p *Pool) FlushRel(sm storage.ID, rel storage.RelName) error {
-	frames := p.pinDirty(sm, rel)
-	sort.Slice(frames, func(i, j int) bool { return frames[i].tag.Blk < frames[j].tag.Blk })
-	var first error
-	for len(frames) > 0 {
-		slice := frames[:min(checkpointSlicePages, len(frames))]
-		frames = frames[len(slice):]
-		// A frame a writer round cleaned since it was pinned is released
-		// unwritten, as is every frame once a write has failed; the rest are
-		// compacted to the slice's front.
-		live := slice[:0]
-		for _, f := range slice {
-			if first == nil && f.dirty.Load() {
-				live = append(live, f)
-			} else {
-				f.Release()
-			}
-		}
-		if len(live) > 0 {
-			if _, err := p.writeBackBatch(live); err != nil {
-				first = err
-			}
-		}
-		for _, f := range live {
-			f.Release()
-		}
-		if len(frames) > 0 {
-			runtime.Gosched()
-		}
-	}
-	if first != nil {
-		return first
-	}
-	mgr, err := p.sw.Get(sm)
-	if err != nil {
-		return err
-	}
-	if !mgr.Exists(rel) {
-		return nil
-	}
-	p.wbWaitRel(relKey{sm, rel})
-	if err := mgr.Sync(rel); err != nil {
-		return fmt.Errorf("buffer: sync %s: %w", rel, err)
-	}
-	return nil
+// dirtyRef is a dirty frame a flush's sweep found, not pinned: the frame and
+// the page it held. A checkpoint pins its dirty set one slice at a time —
+// foreground allocation needs the rest of the pool — so by the time a
+// reference's slice comes up the frame may have been written back, evicted
+// or given another page; pinDirtyRef tells.
+type dirtyRef struct {
+	f   *Frame
+	rel *Rel
+	blk storage.BlockNum
 }
 
-// pinDirty pins every dirty resident frame of the relation.
-func (p *Pool) pinDirty(sm storage.ID, rel storage.RelName) []*Frame {
-	var frames []*Frame
+func cmpDirtyRef(a, b dirtyRef) int {
+	if c := cmpRel(a.rel, b.rel); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.blk, b.blk)
+}
+
+// flushScratch is the reusable state of one flush (see Pool.flushScratch).
+type flushScratch struct {
+	dirty  []dirtyRef
+	rels   []*Rel
+	frames []*Frame
+}
+
+func (p *Pool) takeFlushScratch() *flushScratch {
+	if s := p.flushScratch.Swap(nil); s != nil {
+		return s
+	}
+	return new(flushScratch)
+}
+
+// putFlushScratch hands the scratch back, holding no frame or descriptor.
+// dirty and rels are filled from their start, so their lengths bound what
+// they hold; frames is refilled per slice, so an earlier, longer slice may
+// have left entries past its length.
+func (p *Pool) putFlushScratch(s *flushScratch) {
+	clear(s.dirty)
+	clear(s.rels)
+	clear(s.frames[:cap(s.frames)])
+	s.dirty, s.rels, s.frames = s.dirty[:0], s.rels[:0], s.frames[:0]
+	p.flushScratch.Store(s)
+}
+
+// sweepDirty appends every dirty resident frame — of only, or of any
+// relation when only is nil — in one pass over the partitions: a partition
+// counting no dirty frame is passed by without its lock, and a walk stops
+// once it has seen the partition's ndirty dirty frames.
+func (p *Pool) sweepDirty(dst []dirtyRef, only *Rel) []dirtyRef {
+	scanned := 0
 	for _, part := range p.parts {
+		if part.ndirty.Load() <= 0 {
+			continue
+		}
 		part.mu.Lock()
-		for tag, f := range part.lookup {
-			if tag.SM == sm && tag.Rel == rel && f.dirty.Load() {
-				part.pinLocked(f)
-				frames = append(frames, f)
+		left := part.ndirty.Load()
+		for _, f := range part.lookup {
+			if left <= 0 {
+				break
+			}
+			scanned++
+			if f.dirty.Load() {
+				left--
+				if only == nil || f.rel == only {
+					dst = append(dst, dirtyRef{f, f.rel, f.blk})
+				}
 			}
 		}
 		part.mu.Unlock()
 	}
-	return frames
+	obsFlushScanned.Add(int64(scanned))
+	return dst
 }
 
-// FlushAll is the data half of every checkpoint: it runs FlushRel over every
-// relation the pool has extended or read. A sticky background write-back
-// error is returned first, and the flush does not run: the error surfaces
-// once, where the checkpoint can report it, and the frames it left dirty are
-// written by the next checkpoint. Relations are flushed in sorted order so a
+// relDirty appends r's dirty resident frames. A relation with none costs
+// one atomic load; one no longer than the pool is probed block by block,
+// any other swept for (sweepDirty).
+func (p *Pool) relDirty(dst []dirtyRef, r *Rel) []dirtyRef {
+	if r.ndirty.Load() <= 0 {
+		return dst
+	}
+	p.nbMu.Lock()
+	n, known := r.nblocks, r.nbKnown
+	p.nbMu.Unlock()
+	if !known || int(n) > p.cap {
+		return p.sweepDirty(dst, r)
+	}
+	scanned := 0
+	for blk := storage.BlockNum(0); blk < n; blk++ {
+		key := r.key(blk)
+		part := p.part(r, blk)
+		part.mu.Lock()
+		if f, ok := part.lookup[key]; ok {
+			scanned++
+			if f.dirty.Load() {
+				dst = append(dst, dirtyRef{f, r, blk})
+			}
+		}
+		part.mu.Unlock()
+	}
+	obsFlushScanned.Add(int64(scanned))
+	return dst
+}
+
+// pinDirtyRef pins the frame e names if it still holds e's page and is
+// still dirty, and returns nil otherwise.
+func (p *Pool) pinDirtyRef(e dirtyRef) *Frame {
+	key := e.rel.key(e.blk)
+	part := p.part(e.rel, e.blk)
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	obsFlushScanned.Inc()
+	if f, ok := part.lookup[key]; ok && f == e.f && f.dirty.Load() {
+		part.pinLocked(f)
+		return f
+	}
+	return nil
+}
+
+// FlushRel makes the relation durable: it writes back every dirty page, then
+// syncs the relation if anything was written to it since its last sync.
+// Pinned frames are flushed too (they stay resident).
+func (p *Pool) FlushRel(sm storage.ID, rel storage.RelName) error {
+	r := p.Rel(sm, rel)
+	s := p.takeFlushScratch()
+	defer p.putFlushScratch(s)
+	s.dirty = p.relDirty(s.dirty, r)
+	slices.SortFunc(s.dirty, cmpDirtyRef)
+	return p.flushRel(r, s.dirty, s)
+}
+
+// flushRel writes back refs, r's dirty pages in ascending block order,
+// through writeBackBatch — gather writes over contiguous runs, one WAL flush
+// ceiling per slice — pinning at most checkpointSlicePages at a time, with
+// the scheduler yielded between slices so foreground work interleaves. A
+// page a writer round cleaned, or eviction took, since the sweep is passed
+// by. Then it syncs the relation, unless nothing was written to it since
+// its last sync. Before the sync, write-backs already in flight are
+// drained: a page whose dirty bit a writer round cleared before the sweep
+// looked is invisible here but not yet on the device, and the sync must
+// cover it. A relation no longer on its device is not synced.
+func (p *Pool) flushRel(r *Rel, refs []dirtyRef, s *flushScratch) error {
+	for len(refs) > 0 {
+		slice := refs[:min(checkpointSlicePages, len(refs))]
+		refs = refs[len(slice):]
+		live := s.frames[:0]
+		for _, e := range slice {
+			if f := p.pinDirtyRef(e); f != nil {
+				live = append(live, f)
+			}
+		}
+		s.frames = live
+		var err error
+		if len(live) > 0 {
+			_, err = p.writeBackBatch(live)
+			for _, f := range live {
+				f.Release()
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if len(refs) > 0 {
+			runtime.Gosched()
+		}
+	}
+	if r.dropped.Load() {
+		return nil
+	}
+	mgr, err := p.sw.Get(r.sm)
+	if err != nil {
+		return err
+	}
+	if !mgr.Exists(r.name) {
+		return nil
+	}
+	p.wbWaitRel(r)
+	if !r.unsynced.Swap(false) {
+		return nil
+	}
+	if err := mgr.Sync(r.name); err != nil {
+		r.unsynced.Store(true)
+		return fmt.Errorf("buffer: sync %s: %w", r.name, err)
+	}
+	return nil
+}
+
+// FlushAll is the data half of every checkpoint: one sweep of the pool
+// collects the dirty frames, and each relation holding one, or written
+// since its last sync, is flushed as FlushRel would (flushRel). Its cost is
+// O(resident frames + dirty pages) whatever the number of relations. A
+// sticky background write-back error is returned first, and the flush does
+// not run: the error surfaces once, where the checkpoint can report it, and
+// the frames it left dirty are written by the next checkpoint. Relations
+// are flushed in (storage manager, name) order, each in block order, so a
 // given workload issues the same device-operation sequence every run — the
 // crash-simulation harness depends on that to make a seeded crash land on
 // the same operation each time.
@@ -1219,38 +1277,53 @@ func (p *Pool) FlushAll() error {
 	if err := p.TakeBackgroundError(); err != nil {
 		return fmt.Errorf("buffer: background write-back: %w", err)
 	}
+	s := p.takeFlushScratch()
+	defer p.putFlushScratch(s)
+	s.dirty = p.sweepDirty(s.dirty, nil)
+	slices.SortFunc(s.dirty, cmpDirtyRef)
+	for i, e := range s.dirty {
+		if i == 0 || e.rel != s.dirty[i-1].rel {
+			s.rels = append(s.rels, e.rel)
+		}
+	}
 	p.nbMu.Lock()
-	keys := make([]relKey, 0, len(p.nblocks))
-	for key := range p.nblocks {
-		keys = append(keys, key)
+	for _, r := range p.rels {
+		if r.unsynced.Load() {
+			s.rels = append(s.rels, r)
+		}
 	}
 	p.nbMu.Unlock()
-	sortRelKeys(keys)
-	for _, key := range keys {
-		if err := p.FlushRel(key.sm, key.rel); err != nil {
+	slices.SortFunc(s.rels, cmpRel)
+	s.rels = slices.Compact(s.rels)
+	dirty := s.dirty
+	for _, r := range s.rels {
+		n := 0
+		for n < len(dirty) && dirty[n].rel == r {
+			n++
+		}
+		if err := p.flushRel(r, dirty[:n], s); err != nil {
 			return err
 		}
+		dirty = dirty[n:]
 	}
 	return nil
 }
 
-func sortRelKeys(keys []relKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].sm != keys[j].sm {
-			return keys[i].sm < keys[j].sm
-		}
-		return keys[i].rel < keys[j].rel
-	})
-}
-
 // DropRel invalidates every buffered page of a relation. With discard, dirty
-// pages are thrown away (used when unlinking temporaries); otherwise they
-// are flushed first. Fails if any page of the relation is caller-pinned;
-// pins held briefly by a racing eviction write-back are waited out. Callers
-// must not access the relation concurrently with dropping it.
+// pages are thrown away and the descriptor is retired (the relation is
+// being unlinked): handles still holding it get ErrDropped, and the name
+// resolves to a fresh descriptor. Without discard, dirty pages are flushed
+// first and the descriptor stays live, so the next access starts cold.
+// Fails if any page of the relation is caller-pinned; pins held briefly by
+// a racing eviction write-back are waited out. Callers must not access the
+// relation concurrently with dropping it.
 func (p *Pool) DropRel(sm storage.ID, rel storage.RelName, discard bool) error {
+	r := p.lookupRel(sm, rel)
+	if r == nil {
+		return nil // the pool holds nothing of it
+	}
 	for {
-		retry, err := p.dropRelOnce(sm, rel, discard)
+		retry, err := p.dropRelOnce(r, discard)
 		if !retry {
 			return err
 		}
@@ -1258,7 +1331,7 @@ func (p *Pool) DropRel(sm storage.ID, rel storage.RelName, discard bool) error {
 	}
 }
 
-func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (retry bool, err error) {
+func (p *Pool) dropRelOnce(r *Rel, discard bool) (retry bool, err error) {
 	// Lock order: nbMu, then every partition, matching NewBlock.
 	// lockorder:allow buffer.partition.mu->buffer.partition.mu — all-partition sweep locks partitions in ascending index order, so concurrent sweeps cannot deadlock
 	p.nbMu.Lock()
@@ -1271,39 +1344,40 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 		}
 		p.nbMu.Unlock()
 	}
-	for _, part := range p.parts {
-		for tag, f := range part.lookup {
-			if tag.SM != sm || tag.Rel != rel || f.pins == 0 {
-				continue
-			}
-			if f.evicting {
-				unlock()
-				return true, nil // the write-back finishes momentarily
-			}
-			unlock()
-			return false, fmt.Errorf("%w: %s", ErrPinned, tag)
-		}
+	if r.dropped.Load() {
+		unlock()
+		return false, nil
 	}
-	if !discard {
+	frames := p.relFramesLocked(r)
+	for _, f := range frames {
+		if f.pins == 0 {
+			continue
+		}
+		evicting, tag := f.evicting, f.Tag()
+		unlock()
+		if evicting {
+			return true, nil // the write-back finishes momentarily
+		}
+		return false, fmt.Errorf("%w: %s", ErrPinned, tag)
+	}
+	if !discard && r.ndirty.Load() > 0 {
 		// Write-backs must run with no partition lock held: under a WAL,
 		// writeBackBatch pre-logs the unlogged dirty set (LogDirtyPages),
 		// which itself takes every partition lock — calling it from here
 		// would self-deadlock. Pin the relation's dirty frames, drop every
-		// lock, write them back in tag order, and retry the drop; by then
+		// lock, write them back in block order, and retry the drop; by then
 		// they are clean (the caller must not mutate a relation it is
 		// dropping) or the write has failed.
-		var dirty []*Frame
-		for _, part := range p.parts {
-			for tag, f := range part.lookup {
-				if tag.SM == sm && tag.Rel == rel && f.dirty.Load() {
-					part.pinLocked(f)
-					dirty = append(dirty, f)
-				}
+		dirty := frames[:0]
+		for _, f := range frames {
+			if f.dirty.Load() {
+				f.part.pinLocked(f)
+				dirty = append(dirty, f)
 			}
 		}
 		if len(dirty) > 0 {
 			unlock()
-			sortFramesByTag(dirty)
+			sortFrames(dirty)
 			_, err := p.writeBackBatch(dirty)
 			for _, f := range dirty {
 				f.Release()
@@ -1314,23 +1388,48 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 			return true, nil
 		}
 	}
-	for _, part := range p.parts {
-		for tag, f := range part.lookup {
-			if tag.SM != sm || tag.Rel != rel {
-				continue
-			}
-			if f.inLRU {
-				part.lru.removeLocked(f)
-			}
-			delete(part.lookup, tag)
-			f.setDirty(false) // a discarded page leaves its count behind
-			p.putFree(f)
+	for _, f := range frames {
+		if f.inLRU {
+			f.part.lru.removeLocked(f)
 		}
+		delete(f.part.lookup, f.key())
+		f.setDirty(false) // a discarded page leaves its counts behind
+		p.putFree(f)
 	}
-	delete(p.nblocks, relKey{sm, rel})
-	p.extMu.Lock()
-	delete(p.ext, relKey{sm, rel})
-	p.extMu.Unlock()
+	if discard {
+		r.dropped.Store(true)
+		delete(p.rels, relKey{r.sm, r.name})
+	} else {
+		r.nbKnown = false
+	}
 	unlock()
 	return false, nil
+}
+
+// relFramesLocked returns r's resident frames, with nbMu and every partition
+// lock held: probed block by block when the relation is no longer than the
+// pool, otherwise found in one pass over the lookup tables.
+func (p *Pool) relFramesLocked(r *Rel) []*Frame {
+	var frames []*Frame
+	scanned := 0
+	if r.nbKnown && int(r.nblocks) <= p.cap {
+		for blk := storage.BlockNum(0); blk < r.nblocks; blk++ {
+			key := r.key(blk)
+			if f, ok := p.part(r, blk).lookup[key]; ok {
+				scanned++
+				frames = append(frames, f)
+			}
+		}
+	} else {
+		for _, part := range p.parts {
+			for _, f := range part.lookup {
+				scanned++
+				if f.rel == r {
+					frames = append(frames, f)
+				}
+			}
+		}
+	}
+	obsFlushScanned.Add(int64(scanned))
+	return frames
 }

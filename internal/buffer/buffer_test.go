@@ -24,7 +24,7 @@ func TestNewBlockAndGet(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, blk, err := p.NewBlock(storage.Mem, rel)
+	f, blk, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	}
 	// Create 5 blocks through a 2-frame pool.
 	for i := 0; i < 5; i++ {
-		f, blk, err := p.NewBlock(storage.Mem, rel)
+		f, blk, err := p.Rel(storage.Mem, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,19 +96,19 @@ func TestPoolExhaustedWhenAllPinned(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f1, _, err := p.NewBlock(storage.Mem, rel)
+	f1, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _, err := p.NewBlock(storage.Mem, rel)
+	f2, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.NewBlock(storage.Mem, rel); !errors.Is(err, ErrPoolExhausted) {
+	if _, _, err := p.Rel(storage.Mem, rel).NewBlock(); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("err = %v", err)
 	}
 	f1.Release()
-	f3, _, err := p.NewBlock(storage.Mem, rel)
+	f3, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatalf("after release: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestFlushRelMakesDeviceCurrent(t *testing.T) {
 	}
 	// Three dirty in-pool blocks, nothing on the device yet.
 	for i := 0; i < 3; i++ {
-		f, _, err := p.NewBlock(storage.Mem, rel)
+		f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestFlushRelMakesDeviceCurrent(t *testing.T) {
 	if n, _ := mem.NBlocks(rel); n != 0 {
 		t.Fatalf("device nblocks before flush = %d", n)
 	}
-	if n, _ := p.NBlocks(storage.Mem, rel); n != 3 {
+	if n, _ := p.Rel(storage.Mem, rel).NBlocks(); n != 3 {
 		t.Fatalf("virtual nblocks = %d", n)
 	}
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
@@ -164,7 +164,7 @@ func TestOutOfOrderEvictionFillsHoles(t *testing.T) {
 	}
 	var frames []*Frame
 	for i := 0; i < 3; i++ {
-		f, _, err := p.NewBlock(storage.Mem, rel)
+		f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestDropRelDiscard(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := p.NewBlock(storage.Mem, rel)
+	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDropRelDiscard(t *testing.T) {
 	if n, _ := mem.NBlocks(rel); n != 0 {
 		t.Fatalf("device nblocks = %d after discard", n)
 	}
-	if n, _ := p.NBlocks(storage.Mem, rel); n != 0 {
+	if n, _ := p.Rel(storage.Mem, rel).NBlocks(); n != 0 {
 		t.Fatalf("virtual nblocks = %d after discard", n)
 	}
 }
@@ -279,7 +279,7 @@ func TestReleaseUnpinnedPanics(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := p.NewBlock(storage.Mem, rel)
+	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestPageSizeInvariant(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := p.NewBlock(storage.Mem, rel)
+	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}

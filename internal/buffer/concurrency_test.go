@@ -19,7 +19,7 @@ func TestConcurrentGetRelease(t *testing.T) {
 	}
 	const blocks = 64
 	for i := 0; i < blocks; i++ {
-		f, blk, err := p.NewBlock(storage.Mem, rel)
+		f, blk, err := p.Rel(storage.Mem, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestConcurrentWritersDistinctBlocks(t *testing.T) {
 	}
 	const writers = 8
 	for i := 0; i < writers; i++ {
-		f, _, err := p.NewBlock(storage.Mem, rel)
+		f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}

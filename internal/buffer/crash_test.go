@@ -65,7 +65,7 @@ func writeRelPages(t *testing.T, p *Pool, nblocks int, fill byte) {
 		}
 	}
 	for i := 0; i < nblocks; i++ {
-		f, _, err := p.NewBlock(storage.Mem, rel)
+		f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func readItem(t *testing.T, p *Pool, blk storage.BlockNum) []byte {
 // Sync must erase every trace of them, relation included.
 func TestWriteBackAloneIsNotDurable(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 1})
-	p.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	writeRelPages(t, p, 8, 0xA0)
 	writeBackAll(t, p)
 	if durable.Exists(rel) {
@@ -115,7 +115,7 @@ func TestWriteBackAloneIsNotDurable(t *testing.T) {
 // be readable through a fresh pool, byte for byte.
 func TestFlushSyncCrashRecoversImage(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 2})
-	p.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	writeRelPages(t, p, 8, 0xB0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestFlushSyncCrashRecoversImage(t *testing.T) {
 	cm.Crash()
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	for i := 0; i < 8; i++ {
 		want := bytes.Repeat([]byte{0xB0, byte(i)}, 64)
 		if got := readItem(t, p2, storage.BlockNum(i)); !bytes.Equal(got, want) {
@@ -136,7 +136,7 @@ func TestFlushSyncCrashRecoversImage(t *testing.T) {
 // synced committed image: after the crash, the old version is intact.
 func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 3})
-	p.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	writeRelPages(t, p, 6, 0xC0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 	cm.Crash()
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	for i := 0; i < 6; i++ {
 		want := bytes.Repeat([]byte{0xC0, byte(i)}, 64)
 		if got := readItem(t, p2, storage.BlockNum(i)); !bytes.Equal(got, want) {
@@ -176,7 +176,7 @@ func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 // checksum rejects anything in between — and never a mix within one page.
 func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 4})
-	p.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	writeRelPages(t, p, 6, 0xE0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 	}
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	sawOld, sawNew := false, false
 	for i := 0; i < 6; i++ {
 		got := readItem(t, p2, storage.BlockNum(i))
@@ -224,7 +224,7 @@ func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 // parse as a page.
 func TestTornBlockDetectedByChecksum(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 99, TearWrites: true})
-	p.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	writeRelPages(t, p, 2, 0x5A)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestTornBlockDetectedByChecksum(t *testing.T) {
 	}
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.SetChecksummer(storage.Mem, rel, slottedCS{})
+	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
 	_, err = p2.Get(Tag{SM: storage.Mem, Rel: rel, Blk: torn.Blk})
 	if !errors.Is(err, page.ErrChecksum) {
 		t.Fatalf("torn block read error = %v, want page.ErrChecksum", err)

@@ -18,7 +18,7 @@ func TestContentLatchExcludesFlushDuringMutation(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := p.NewBlock(storage.Mem, rel)
+	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestContentLatchBlocksWriteBack(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := p.NewBlock(storage.Mem, rel)
+	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSharedLatchReaders(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := p.NewBlock(storage.Mem, rel)
+	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,9 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
+		if err := pool.CheckRelDirtyCounts(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
 		if g := obsDirtyFrames.Load() - gauge0; g != sum {
 			t.Fatalf("%s: buffer.dirty_frames moved by %d, want %d", when, g, sum)
 		}
@@ -49,7 +52,7 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 					return err
 				}
 			}
-			n, err := pool.NBlocks(storage.Mem, rel)
+			n, err := pool.Rel(storage.Mem, rel).NBlocks()
 			if err != nil {
 				return err
 			}
@@ -60,7 +63,7 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 			rel := rels[i]
 			switch op := rng.Intn(16); {
 			case op < 4 || blocks[i] == 0: // extend
-				f, _, err := pool.NewBlock(storage.Mem, rel)
+				f, _, err := pool.Rel(storage.Mem, rel).NewBlock()
 				if err != nil {
 					if healthy {
 						return fmt.Errorf("NewBlock: %w", err)
@@ -229,8 +232,8 @@ func partitionTags(part *partition) []Tag {
 	part.mu.Lock()
 	defer part.mu.Unlock()
 	tags := make([]Tag, 0, len(part.lookup))
-	for tag := range part.lookup {
-		tags = append(tags, tag)
+	for _, f := range part.lookup {
+		tags = append(tags, f.Tag())
 	}
 	return tags
 }
@@ -242,11 +245,12 @@ func partitionTags(part *partition) []Tag {
 func BenchmarkBgWriterIdleRound(b *testing.B) {
 	const frames = 24576
 	p := NewPool(frames, storage.NewSwitch(), nil)
+	r := p.Rel(storage.Mem, "idle")
 	for blk := 0; blk < frames; blk++ {
-		tag := Tag{SM: storage.Mem, Rel: "idle", Blk: storage.BlockNum(blk)}
-		part := p.part(tag)
-		f := &Frame{pool: p, part: part, tag: tag}
-		part.lookup[tag] = f
+		key := r.key(storage.BlockNum(blk))
+		part := p.part(r, storage.BlockNum(blk))
+		f := &Frame{pool: p, part: part, rel: r, blk: storage.BlockNum(blk)}
+		part.lookup[key] = f
 		part.lru.pushFrontLocked(f)
 	}
 	p.StartEngine(EngineConfig{Manual: true})

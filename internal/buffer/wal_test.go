@@ -79,7 +79,7 @@ func dirtyBlock(t *testing.T, pool *Pool, rel storage.RelName, fill byte) storag
 			t.Fatal(err)
 		}
 	}
-	f, blk, err := pool.NewBlock(storage.Mem, rel)
+	f, blk, err := pool.Rel(storage.Mem, rel).NewBlock()
 	if err != nil {
 		t.Fatal(err)
 	}

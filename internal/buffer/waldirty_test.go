@@ -26,13 +26,13 @@ func unreachableWALDirty(p *Pool) []Tag {
 		part.wdMu.Lock()
 		listed := make(map[*Frame]bool, len(part.wdList))
 		for _, e := range part.wdList {
-			if e.tag == e.f.tag {
+			if e.key == e.f.key() {
 				listed[e.f] = true
 			}
 		}
-		for tag, f := range part.lookup {
+		for _, f := range part.lookup {
 			if f.walDirty.Load() && !listed[f] {
-				missing = append(missing, tag)
+				missing = append(missing, f.Tag())
 			}
 		}
 		part.wdMu.Unlock()
@@ -101,7 +101,7 @@ func TestWALDirtyListSurvivesRandomOps(t *testing.T) {
 					return err
 				}
 			}
-			n, err := pool.NBlocks(storage.Mem, rel)
+			n, err := pool.Rel(storage.Mem, rel).NBlocks()
 			if err != nil {
 				return err
 			}
@@ -118,7 +118,7 @@ func TestWALDirtyListSurvivesRandomOps(t *testing.T) {
 			rel := rels[i]
 			switch op := rng.Intn(16); {
 			case op < 4 || blocks[i] == 0: // extend
-				f, _, err := pool.NewBlock(storage.Mem, rel)
+				f, _, err := pool.Rel(storage.Mem, rel).NewBlock()
 				if err != nil {
 					if healthy {
 						return fmt.Errorf("NewBlock: %w", err)
@@ -204,6 +204,9 @@ func TestWALDirtyListSurvivesRandomOps(t *testing.T) {
 		}
 		assertWALDirtyReachable(t, pool, phase)
 		if _, err := pool.CheckDirtyCounts(); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		if err := pool.CheckRelDirtyCounts(); err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
 	}

@@ -12,17 +12,23 @@ import (
 	"postlob/internal/storage"
 )
 
-// blockWriteMgr counts device block writes, per block and in total.
+// blockWriteMgr counts device block writes, per block and in total, and
+// syncs per relation.
 type blockWriteMgr struct {
 	storage.Manager
 	mu     sync.Mutex
 	blocks map[storage.BlockNum]int
 	total  int
+	syncs  map[storage.RelName]int
 }
 
-func newBlockWritePool(t *testing.T, frames int) (*Pool, *blockWriteMgr) {
+func newBlockWritePool(t testing.TB, frames int) (*Pool, *blockWriteMgr) {
 	t.Helper()
-	m := &blockWriteMgr{Manager: storage.NewMemManager(storage.DeviceModel{}, nil), blocks: map[storage.BlockNum]int{}}
+	m := &blockWriteMgr{
+		Manager: storage.NewMemManager(storage.DeviceModel{}, nil),
+		blocks:  map[storage.BlockNum]int{},
+		syncs:   map[storage.RelName]int{},
+	}
 	sw := storage.NewSwitch()
 	sw.Register(storage.Mem, m)
 	if err := m.Create(rel); err != nil {
@@ -43,6 +49,23 @@ func (m *blockWriteMgr) WriteBlocks(rel storage.RelName, blk storage.BlockNum, b
 	m.total += len(bufs)
 	m.mu.Unlock()
 	return m.Manager.WriteBlocks(rel, blk, bufs)
+}
+
+func (m *blockWriteMgr) Sync(rel storage.RelName) error {
+	m.mu.Lock()
+	m.syncs[rel]++
+	m.mu.Unlock()
+	return m.Manager.Sync(rel)
+}
+
+// take returns the block writes and the syncs by relation since the last
+// take, and resets both.
+func (m *blockWriteMgr) take() (int, map[storage.RelName]int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w, s := m.total, m.syncs
+	m.total, m.syncs = 0, map[storage.RelName]int{}
+	return w, s
 }
 
 func (m *blockWriteMgr) writes(blk storage.BlockNum) int {
@@ -67,7 +90,7 @@ func TestBgWriterLeavesHotFramesDirty(t *testing.T) {
 	var hot Tag
 	for blk := storage.BlockNum(0); ; blk++ {
 		hot = Tag{SM: storage.Mem, Rel: rel, Blk: blk}
-		if len(partitionTags(p.part(hot))) >= 2 {
+		if len(partitionTags(p.part(p.Rel(hot.SM, hot.Rel), hot.Blk))) >= 2 {
 			break
 		}
 	}

@@ -440,7 +440,7 @@ func (s *Store) Footprint(ref adt.ObjectRef) (StorageFootprint, error) {
 }
 
 func (s *Store) relSize(sm storage.ID, rel storage.RelName) (int64, error) {
-	n, err := s.pool.Buf.NBlocks(sm, rel)
+	n, err := s.pool.Buf.Rel(sm, rel).NBlocks()
 	if err != nil {
 		return 0, err
 	}

@@ -465,6 +465,9 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 			if _, err := cs.store.Pool().Buf.CheckDirtyCounts(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
+			if err := cs.store.Pool().Buf.CheckRelDirtyCounts(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
 		}
 		switch op.action {
 		case aBegin:
@@ -590,6 +593,9 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 		}
 	}
 	if _, err := cs.store.Pool().Buf.CheckDirtyCounts(); err != nil {
+		t.Fatalf("at crash: %v", err)
+	}
+	if err := cs.store.Pool().Buf.CheckRelDirtyCounts(); err != nil {
 		t.Fatalf("at crash: %v", err)
 	}
 	cs.crash()

@@ -125,7 +125,9 @@ type relCacheKey struct {
 }
 
 // cached returns the shared Relation for (sm, name), creating the handle on
-// first use.
+// first use. A cached handle whose relation the buffer pool has since
+// dropped (a replica's redo of an unlink, or its wipe before a base backup)
+// is replaced: the name now resolves to the relation created after it.
 func (p *Pool) cached(sm storage.ID, name storage.RelName) *Relation {
 	p.relMu.Lock()
 	defer p.relMu.Unlock()
@@ -133,15 +135,15 @@ func (p *Pool) cached(sm storage.ID, name storage.RelName) *Relation {
 		p.rels = make(map[relCacheKey]*Relation)
 	}
 	key := relCacheKey{sm, name}
-	if r, ok := p.rels[key]; ok {
+	if r, ok := p.rels[key]; ok && !r.rel.Dropped() {
 		return r
 	}
-	r := &Relation{pool: p, sm: sm, name: name}
+	r := &Relation{pool: p, rel: p.Buf.Rel(sm, name)}
 	p.rels[key] = r
 	// Heap relations are slotted pages; have the pool stamp and verify the
 	// page-header write-back checksum so a torn block left by a crash is
 	// detected on read instead of parsed as tuples.
-	p.Buf.SetChecksummer(sm, name, slottedChecksummer{})
+	r.rel.SetChecksummer(slottedChecksummer{})
 	return r
 }
 
@@ -162,8 +164,7 @@ func (p *Pool) forget(sm storage.ID, name storage.RelName) {
 // Relation is an open heap relation.
 type Relation struct {
 	pool *Pool
-	sm   storage.ID
-	name storage.RelName
+	rel  *buffer.Rel // the buffer pool's descriptor: name, manager, pages
 
 	// mu is the relation lock: exclusive only for Vacuum's structural
 	// compaction; shared for tuple mutations (Insert, Delete), which
@@ -254,21 +255,21 @@ func Open(p *Pool, sm storage.ID, name storage.RelName) (*Relation, error) {
 }
 
 // Name returns the relation's storage name.
-func (r *Relation) Name() storage.RelName { return r.name }
+func (r *Relation) Name() storage.RelName { return r.rel.Name() }
 
 // StorageManager returns the ID of the storage manager holding the relation.
-func (r *Relation) StorageManager() storage.ID { return r.sm }
+func (r *Relation) StorageManager() storage.ID { return r.rel.SM() }
 
 // NBlocks returns the relation's current length in pages.
 func (r *Relation) NBlocks() (storage.BlockNum, error) {
-	return r.pool.Buf.NBlocks(r.sm, r.name)
+	return r.rel.NBlocks()
 }
 
 // Prefetch posts an advisory read-ahead window to the buffer pool's
 // background engine (a no-op without one): the caller expects to read up to
 // n blocks starting at blk soon. Never blocks.
 func (r *Relation) Prefetch(blk storage.BlockNum, n int) {
-	r.pool.Buf.Prefetch(r.sm, r.name, blk, n)
+	r.rel.Prefetch(blk, n)
 }
 
 // Size returns the relation's footprint in bytes.
@@ -353,7 +354,7 @@ func addTuple(p page.Page, m VersionMeta, data []byte) (page.SlotNum, error) {
 // regardless of visibility — the raw chain link, for vacuum diagnostics and
 // test oracles.
 func (r *Relation) TupleMeta(tid TID) (VersionMeta, error) {
-	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})
+	f, err := r.rel.Get(tid.Blk)
 	if err != nil {
 		return VersionMeta{}, err
 	}
@@ -477,7 +478,7 @@ func (r *Relation) insert(t *txn.Txn, data []byte, prev TID) (TID, error) {
 		}
 		r.placeMu.Unlock()
 	}
-	f, blk, err := r.pool.Buf.NewBlock(r.sm, r.name)
+	f, blk, err := r.rel.NewBlock()
 	if err != nil {
 		return InvalidTID, err
 	}
@@ -510,7 +511,7 @@ func (r *Relation) noteInsert(blk storage.BlockNum, tid TID) TID {
 
 // tryInsertAt attempts to place the tuple on an existing block.
 func (r *Relation) tryInsertAt(blk storage.BlockNum, meta VersionMeta, data []byte) (TID, bool, error) {
-	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
+	f, err := r.rel.Get(blk)
 	if err != nil {
 		return InvalidTID, false, err
 	}
@@ -538,7 +539,7 @@ func (r *Relation) tryInsertAt(blk storage.BlockNum, meta VersionMeta, data []by
 func (r *Relation) Delete(t *txn.Txn, tid TID) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})
+	f, err := r.rel.Get(tid.Blk)
 	if err != nil {
 		return err
 	}
@@ -577,7 +578,7 @@ func (r *Relation) Delete(t *txn.Txn, tid TID) error {
 func (r *Relation) UpdateOwnInPlace(t *txn.Txn, tid TID, data []byte) (bool, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})
+	f, err := r.rel.Get(tid.Blk)
 	if err != nil {
 		return false, err
 	}
@@ -661,7 +662,7 @@ func (r *Relation) ViewSnap(snap txn.Snapshot, tid TID, use func(data []byte)) e
 // use must not keep the slice.
 func (r *Relation) view(tid TID, vis func([]byte, *buffer.Frame) bool, use func(data []byte)) error {
 	obsFetches.Inc()
-	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})
+	f, err := r.rel.Get(tid.Blk)
 	if errors.Is(err, storage.ErrBadBlock) {
 		// A TID past the end of the relation names no tuple. Index entries
 		// can point there after a crash: page images are logged in fuzzy
@@ -724,14 +725,14 @@ func (r *Relation) scan(vis func([]byte, *buffer.Frame) bool, fn func(TID, []byt
 	const readAhead = buffer.PrefetchWindow
 	for blk := storage.BlockNum(0); blk < n; blk++ {
 		if blk%(readAhead/2) == 0 && blk+1 < n {
-			r.pool.Buf.Prefetch(r.sm, r.name, blk+1, readAhead)
+			r.rel.Prefetch(blk+1, readAhead)
 		}
 		// Collect the page's visible tuples (copying payloads) under the
 		// page's shared content latch — the only lock a snapshot reader
 		// takes — then invoke fn with no locks held so callbacks can
 		// re-enter the relation freely.
 		hits, err := func() ([]hit, error) {
-			f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
+			f, err := r.rel.Get(blk)
 			if err != nil {
 				return nil, err
 			}
@@ -896,7 +897,7 @@ func (r *Relation) VersionStamps(fn func(txn.TS)) error {
 	mgr := r.pool.Mgr
 	for blk := storage.BlockNum(0); blk < n; blk++ {
 		err := func() error {
-			f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
+			f, err := r.rel.Get(blk)
 			if err != nil {
 				return err
 			}
@@ -1030,7 +1031,7 @@ func (r *Relation) VacuumBelow(horizon txn.XID, keepHistory bool) (int, error) {
 func (r *Relation) vacuumBlock(blk storage.BlockNum, horizon txn.XID, keepHistory bool) (removed, free int, err error) {
 	obsVacBlocksVisited.Inc()
 	mgr := r.pool.Mgr
-	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
+	f, err := r.rel.Get(blk)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1082,16 +1083,17 @@ func (r *Relation) vacuumBlock(blk storage.BlockNum, horizon txn.XID, keepHistor
 // Drop removes the relation: buffered pages are discarded and the underlying
 // storage unlinked.
 func (r *Relation) Drop() error {
-	if err := r.pool.Buf.DropRel(r.sm, r.name, true); err != nil {
+	sm, name := r.rel.SM(), r.rel.Name()
+	if err := r.pool.Buf.DropRel(sm, name, true); err != nil {
 		return err
 	}
-	mgr, err := r.pool.Buf.Switch().Get(r.sm)
+	mgr, err := r.pool.Buf.Switch().Get(sm)
 	if err != nil {
 		return err
 	}
-	r.pool.forget(r.sm, r.name)
+	r.pool.forget(sm, name)
 	// Log the unlink before performing it so redo recovery does not
 	// resurrect the relation from earlier page images.
-	r.pool.Buf.LogUnlink(r.sm, r.name)
-	return mgr.Unlink(r.name)
+	r.pool.Buf.LogUnlink(sm, name)
+	return mgr.Unlink(name)
 }

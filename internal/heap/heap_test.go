@@ -561,12 +561,12 @@ func mustInsertCommitted(t *testing.T, p *Pool, r *Relation, s string) TID {
 // Production code checkpoints through core so the WAL flush ceiling is
 // honored (see the walorder analyzer); tests flush directly.
 func flushRelation(r *Relation) error {
-	if err := r.pool.Buf.FlushRel(r.sm, r.name); err != nil {
+	if err := r.pool.Buf.FlushRel(r.StorageManager(), r.Name()); err != nil {
 		return err
 	}
-	mgr, err := r.pool.Buf.Switch().Get(r.sm)
+	mgr, err := r.pool.Buf.Switch().Get(r.StorageManager())
 	if err != nil {
 		return err
 	}
-	return mgr.Sync(r.name)
+	return mgr.Sync(r.Name())
 }

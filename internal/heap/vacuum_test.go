@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"postlob/internal/buffer"
 	"postlob/internal/page"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
@@ -27,7 +26,7 @@ func liveTIDs(t *testing.T, r *Relation) []TID {
 	}
 	var out []TID
 	for blk := storage.BlockNum(0); blk < n; blk++ {
-		f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: blk})
+		f, err := r.rel.Get(blk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +184,8 @@ func TestTargetedVacuumMatchesFullWalk(t *testing.T) {
 					delete(pendingDel, tx)
 				case op == 16: // close and reopen: the bitmap is not persisted
 					both(func(s *vacuumSide, _ int) {
-						s.p.forget(s.r.sm, s.r.name)
-						r, err := Open(s.p, s.r.sm, s.r.name)
+						s.p.forget(s.r.StorageManager(), s.r.Name())
+						r, err := Open(s.p, s.r.StorageManager(), s.r.Name())
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -235,7 +235,8 @@ func (s *Sender) sendRel(w *wire, rel RelRef) error {
 	if !mgr.Exists(rel.Rel) {
 		return nil
 	}
-	n, err := s.pool.NBlocks(rel.SM, rel.Rel)
+	desc := s.pool.Rel(rel.SM, rel.Rel)
+	n, err := desc.NBlocks()
 	if err != nil {
 		return nil
 	}
@@ -243,7 +244,7 @@ func (s *Sender) sendRel(w *wire, rel RelRef) error {
 		run := min(n-start, basePagesPerFrame)
 		b := appendBaseHdr(w.start(KindBaseBlocks), rel, uint32(start), int(run))
 		for blk := start; blk < start+run; blk++ {
-			if b, err = s.appendPage(b, buffer.Tag{SM: rel.SM, Rel: rel.Rel, Blk: blk}); err != nil {
+			if b, err = appendPage(b, desc, blk); err != nil {
 				// A concurrent drop mid-relation: stop shipping it; the
 				// stream's unlink record supersedes whatever we sent.
 				return nil
@@ -257,8 +258,8 @@ func (s *Sender) sendRel(w *wire, rel RelRef) error {
 }
 
 // appendPage pins one block and appends a stable copy of its bytes to dst.
-func (s *Sender) appendPage(dst []byte, tag buffer.Tag) ([]byte, error) {
-	f, err := s.pool.Get(tag)
+func appendPage(dst []byte, rel *buffer.Rel, blk storage.BlockNum) ([]byte, error) {
+	f, err := rel.Get(blk)
 	if err != nil {
 		return dst, err
 	}
