@@ -50,9 +50,11 @@
 #                                  a once-flaky writer-fault test whose reopen
 #                                  runs that recovery; the relation-descriptor
 #                                  tests (TestFlushAllSweepsPoolOnce,
+#                                  TestFlushAllUnderConcurrentDirtying,
 #                                  TestFlushSyncsOnlyWrittenRelations,
 #                                  TestDroppedRelationHandle,
 #                                  TestAllocWaitsForRelease,
+#                                  TestAllocWaitsForFreeFrame,
 #                                  TestCloseAfterCheckpointWritesNothing); and
 #                                  TestConcurrentWritersDistinctBlocks at
 #                                  -count=200, whose tiny pool once ran out of
@@ -273,7 +275,7 @@ go test -race -count=20 \
 	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters|TestRecoverRedoRules|TestBackgroundWriteFaultSurfacesAtCheckpointWAL|TestCloseAfterCheckpointWritesNothing)$' \
 	. ./internal/buffer ./internal/core ./internal/gateway
 go test -race -count=20 \
-	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps|TestFlushAllSweepsPoolOnce|TestFlushSyncsOnlyWrittenRelations|TestDroppedRelationHandle|TestAllocWaitsForRelease)$' \
+	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps|TestFlushAllSweepsPoolOnce|TestFlushAllUnderConcurrentDirtying|TestFlushSyncsOnlyWrittenRelations|TestDroppedRelationHandle|TestAllocWaitsForRelease|TestAllocWaitsForFreeFrame)$' \
 	./internal/buffer
 go test -race -count=200 -run '^TestConcurrentWritersDistinctBlocks$' ./internal/buffer
 

@@ -732,11 +732,13 @@ func (p *Pool) takeFree() *Frame {
 }
 
 // putFree returns an unreferenced frame (never installed, or already
-// removed from its partition with no pins) to the free list.
+// removed from its partition with no pins) to the free list, and wakes an
+// allocation waiting for a frame.
 func (p *Pool) putFree(f *Frame) {
 	p.freeMu.Lock()
 	p.free = append(p.free, f)
 	p.freeMu.Unlock()
+	p.noteUnpin()
 }
 
 // pinWaitBound is how long an allocation that finds every frame pinned
@@ -747,10 +749,16 @@ const pinWaitBound = 250 * time.Millisecond
 
 // evict reclaims the least recently used unpinned frame of some partition,
 // writing its page back first when dirty. When every frame is pinned it
-// waits, up to pinWaitBound, for a caller to release one.
+// waits, up to pinWaitBound, for a caller to release one or for a frame to
+// reach the free list, which each retry looks at first.
 func (p *Pool) evict() (*Frame, error) {
 	var deadline time.Time
 	for {
+		if !deadline.IsZero() {
+			if f := p.takeFree(); f != nil {
+				return f, nil
+			}
+		}
 		f, err := p.evictRounds()
 		if f != nil || err != nil {
 			return f, err
@@ -764,10 +772,11 @@ func (p *Pool) evict() (*Frame, error) {
 	}
 }
 
-// waitUnpin blocks until some frame's last pin is released or the deadline
-// passes. A release between the caller's failed search and the waiter's
-// registration goes unsignalled; the caller searches once more after the
-// deadline, so the miss costs time, never a spurious error.
+// waitUnpin blocks until some frame's last pin is released, or a frame is
+// put on the free list, or the deadline passes. A release between the
+// caller's failed search and the waiter's registration goes unsignalled;
+// the caller searches once more after the deadline, so the miss costs time,
+// never a spurious error.
 func (p *Pool) waitUnpin(deadline time.Time) {
 	p.pinWaiters.Add(1)
 	defer p.pinWaiters.Add(-1)
@@ -1119,58 +1128,23 @@ func (p *Pool) putFlushScratch(s *flushScratch) {
 	p.flushScratch.Store(s)
 }
 
-// sweepDirty appends every dirty resident frame — of only, or of any
-// relation when only is nil — in one pass over the partitions: a partition
-// counting no dirty frame is passed by without its lock, and a walk stops
-// once it has seen the partition's ndirty dirty frames.
-func (p *Pool) sweepDirty(dst []dirtyRef, only *Rel) []dirtyRef {
+// sweepDirty appends every dirty resident frame in one pass over the
+// partitions. A partition counting no dirty frame is passed by without its
+// lock; any other is walked to the end, since frames of it may be dirtied
+// while the walk runs (MarkDirty needs only a pin), so the count read at the
+// start cannot tell when the frames dirty before the sweep have all been
+// seen.
+func (p *Pool) sweepDirty(dst []dirtyRef) []dirtyRef {
 	scanned := 0
 	for _, part := range p.parts {
 		if part.ndirty.Load() <= 0 {
 			continue
 		}
 		part.mu.Lock()
-		left := part.ndirty.Load()
 		for _, f := range part.lookup {
-			if left <= 0 {
-				break
-			}
 			scanned++
 			if f.dirty.Load() {
-				left--
-				if only == nil || f.rel == only {
-					dst = append(dst, dirtyRef{f, f.rel, f.blk})
-				}
-			}
-		}
-		part.mu.Unlock()
-	}
-	obsFlushScanned.Add(int64(scanned))
-	return dst
-}
-
-// relDirty appends r's dirty resident frames. A relation with none costs
-// one atomic load; one no longer than the pool is probed block by block,
-// any other swept for (sweepDirty).
-func (p *Pool) relDirty(dst []dirtyRef, r *Rel) []dirtyRef {
-	if r.ndirty.Load() <= 0 {
-		return dst
-	}
-	p.nbMu.Lock()
-	n, known := r.nblocks, r.nbKnown
-	p.nbMu.Unlock()
-	if !known || int(n) > p.cap {
-		return p.sweepDirty(dst, r)
-	}
-	scanned := 0
-	for blk := storage.BlockNum(0); blk < n; blk++ {
-		key := r.key(blk)
-		part := p.part(r, blk)
-		part.mu.Lock()
-		if f, ok := part.lookup[key]; ok {
-			scanned++
-			if f.dirty.Load() {
-				dst = append(dst, dirtyRef{f, r, blk})
+				dst = append(dst, dirtyRef{f, f.rel, f.blk})
 			}
 		}
 		part.mu.Unlock()
@@ -1196,13 +1170,16 @@ func (p *Pool) pinDirtyRef(e dirtyRef) *Frame {
 
 // FlushRel makes the relation durable: it writes back every dirty page, then
 // syncs the relation if anything was written to it since its last sync.
-// Pinned frames are flushed too (they stay resident).
+// Pinned frames are flushed too (they stay resident). A relation counting
+// no dirty page visits no frame; any other is found by FlushAll's sweep.
 func (p *Pool) FlushRel(sm storage.ID, rel storage.RelName) error {
 	r := p.Rel(sm, rel)
 	s := p.takeFlushScratch()
 	defer p.putFlushScratch(s)
-	s.dirty = p.relDirty(s.dirty, r)
-	slices.SortFunc(s.dirty, cmpDirtyRef)
+	if r.ndirty.Load() > 0 {
+		s.dirty = slices.DeleteFunc(p.sweepDirty(s.dirty), func(e dirtyRef) bool { return e.rel != r })
+		slices.SortFunc(s.dirty, cmpDirtyRef)
+	}
 	return p.flushRel(r, s.dirty, s)
 }
 
@@ -1279,7 +1256,7 @@ func (p *Pool) FlushAll() error {
 	}
 	s := p.takeFlushScratch()
 	defer p.putFlushScratch(s)
-	s.dirty = p.sweepDirty(s.dirty, nil)
+	s.dirty = p.sweepDirty(s.dirty)
 	slices.SortFunc(s.dirty, cmpDirtyRef)
 	for i, e := range s.dirty {
 		if i == 0 || e.rel != s.dirty[i-1].rel {
@@ -1406,27 +1383,16 @@ func (p *Pool) dropRelOnce(r *Rel, discard bool) (retry bool, err error) {
 	return false, nil
 }
 
-// relFramesLocked returns r's resident frames, with nbMu and every partition
-// lock held: probed block by block when the relation is no longer than the
-// pool, otherwise found in one pass over the lookup tables.
+// relFramesLocked returns r's resident frames, found in one pass over the
+// lookup tables; the caller holds nbMu and every partition lock.
 func (p *Pool) relFramesLocked(r *Rel) []*Frame {
 	var frames []*Frame
 	scanned := 0
-	if r.nbKnown && int(r.nblocks) <= p.cap {
-		for blk := storage.BlockNum(0); blk < r.nblocks; blk++ {
-			key := r.key(blk)
-			if f, ok := p.part(r, blk).lookup[key]; ok {
-				scanned++
+	for _, part := range p.parts {
+		for _, f := range part.lookup {
+			scanned++
+			if f.rel == r {
 				frames = append(frames, f)
-			}
-		}
-	} else {
-		for _, part := range p.parts {
-			for _, f := range part.lookup {
-				scanned++
-				if f.rel == r {
-					frames = append(frames, f)
-				}
 			}
 		}
 	}

@@ -7,9 +7,12 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"postlob/internal/page"
 	"postlob/internal/storage"
 )
 
@@ -88,6 +91,83 @@ func TestFlushAllSweepsPoolOnce(t *testing.T) {
 	}
 	if got := obsFlushScanned.Load() - before; got != 0 {
 		t.Fatalf("FlushAll over a clean pool read %d frames, want 0", got)
+	}
+}
+
+// A checkpoint writes every page that was dirty when it began, however many
+// other frames of the same partition are dirtied while its sweep walks the
+// partition: MarkDirty needs only a pin, so the partition's dirty count read
+// at the start of the walk cannot tell it when it has seen them all.
+func TestFlushAllUnderConcurrentDirtying(t *testing.T) {
+	const frames = 256
+	p, m := newBlockWritePool(t, frames)
+	r := p.Rel(storage.Mem, rel)
+	held := make([]*Frame, frames)
+	for i := range held {
+		f, _, err := r.NewBlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = f
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// a is block 0; the others are the rest of its partition, dirtied over
+	// and over while the checkpoints run.
+	a := held[0]
+	var others []*Frame
+	for _, f := range held[1:] {
+		if f.part == a.part {
+			others = append(others, f)
+		}
+	}
+	if len(others) < 4 {
+		t.Fatalf("block 0's partition holds %d other frames, want a few", len(others))
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			for _, f := range others {
+				f.LockContent()
+				f.Page()[64]++
+				f.MarkDirty()
+				f.UnlockContent()
+			}
+		}
+	}()
+	rounds := 400
+	if testing.Short() {
+		rounds = 100
+	}
+	for i := 0; i < rounds; i++ {
+		a.LockContent()
+		a.Page()[64]++
+		a.MarkDirty()
+		a.UnlockContent()
+		before := m.writes(0)
+		if err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.writes(0) - before; got != 1 {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("round %d: checkpoint wrote block 0, dirty before it began, %d times, want 1", i, got)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for _, f := range held {
+		f.Release()
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckRelDirtyCounts(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -226,6 +306,39 @@ func TestAllocWaitsForRelease(t *testing.T) {
 	f.Release()
 	if err := <-done; err != nil {
 		t.Fatalf("NewBlock with the only frame released meanwhile: %v", err)
+	}
+}
+
+// An allocation waiting for a frame takes one put on the free list at once,
+// rather than sleeping out the wait bound.
+func TestAllocWaitsForFreeFrame(t *testing.T) {
+	p, mem := newTestPool(t, 1)
+	if err := mem.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	r := p.Rel(storage.Mem, rel)
+	f, _, err := r.NewBlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		g, _, err := r.NewBlock()
+		if err == nil {
+			g.Release()
+		}
+		done <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	// What a lost install race or a failed read hands back.
+	p.putFree(&Frame{pool: p, data: make(page.Page, page.Size)})
+	if err := <-done; err != nil {
+		t.Fatalf("NewBlock with a frame freed meanwhile: %v", err)
+	}
+	if d := time.Since(start); d >= pinWaitBound {
+		t.Fatalf("NewBlock took %v to find the freed frame, the whole wait bound", d)
 	}
 }
 
