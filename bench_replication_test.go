@@ -207,10 +207,7 @@ func TestReplicationReport(t *testing.T) {
 		t.Skip("set BENCH=1 to run the replication scale-out harness")
 	}
 
-	primary := openReplBenchNode(t, Options{
-		Durability:  DurabilityWAL,
-		ReplicateTo: "127.0.0.1:0",
-	})
+	primary := openReplBenchNode(t, Options{Durability: DurabilityWAL})
 	refs := make([]ObjectRef, replBenchObjects)
 	tx := primary.db.Begin()
 	for i := range refs {
@@ -248,7 +245,7 @@ func TestReplicationReport(t *testing.T) {
 	for replicas := 0; replicas <= 2; replicas++ {
 		if replicas > 0 {
 			r := openReplBenchNode(t, Options{
-				ReplicaOf:   primary.db.ReplicationAddr().String(),
+				ReplicaOf:   primary.addr,
 				ReplicaName: fmt.Sprintf("bench-%d", replicas),
 			})
 			waitCaughtUp(t, primary.db, r.db, 20*time.Second)

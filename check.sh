@@ -259,6 +259,17 @@ go vet -vettool="$lobvet_bin" ./internal/adt
 rm -rf "$(dirname "$lobvet_bin")"
 echo "== lint wall-time: $(($(date +%s) - lint_start))s (vet + lobvet + vettool smoke)"
 
+echo "== one protocol version (const Proto in internal/gateway)"
+protos=$(grep -rnE --include='*.go' \
+	'^[[:space:]]*(const[[:space:]]+)?[[:alnum:]_]*Proto[[:alnum:]_]*[[:space:]]*([[:alnum:]_.]+[[:space:]]*)?=' . |
+	grep -v '_test\.go:' | grep -v '/testdata/' || true)
+if [ "$(printf '%s\n' "$protos" | grep -c .)" != 1 ] ||
+	! printf '%s\n' "$protos" | grep -q '^\./internal/gateway/[^/]*\.go:[0-9]*:const Proto = '; then
+	echo "check.sh: want exactly one protocol-version constant, const Proto in internal/gateway; found:"
+	printf '%s\n' "$protos"
+	exit 1
+fi
+
 # BENCH is cleared for the full suite so the (slow) overhead harness runs
 # only as its own step below.
 if [ "${RACE:-1}" = "0" ]; then

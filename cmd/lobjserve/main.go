@@ -10,8 +10,9 @@
 //	curl -r 100-199 http://host:8080/bucket/key       # Range read
 //	curl -T file http://host:8080/bucket/key          # PUT
 //
-// On a replica both listeners come up read-only: GETs and snapshot stream
-// reads are served from local pages, mutations refused.
+// A -wal server also serves replicas on -addr: -replica-of names it. On a
+// replica both listeners come up read-only: GETs and snapshot stream reads
+// are served from local pages, mutations refused.
 //
 // A second HTTP listener exposes observability: GET /metrics renders the
 // process-wide metrics registry (internal/obs) as plain text, and
@@ -20,7 +21,7 @@
 // Usage:
 //
 //	lobjserve -db /path/to/dbdir [-addr 127.0.0.1:5439] [-metrics 127.0.0.1:5440]
-//	          [-http 127.0.0.1:8080]
+//	          [-http 127.0.0.1:8080] [-wal | -replica-of host:port [-replica-name n]]
 //
 // Pass -metrics "" to disable the observability listener; -http defaults
 // to off.
@@ -45,11 +46,10 @@ func main() {
 		dbdir   = flag.String("db", "", "database directory (required)")
 		addr    = flag.String("addr", "127.0.0.1:5439", "listen address for the chunked pipelined stream protocol")
 		metrics = flag.String("metrics", "127.0.0.1:5440", "HTTP address for /metrics and /debug/pprof (empty disables)")
-		useWAL  = flag.Bool("wal", false, "open with write-ahead logging (group commit, redo recovery)")
+		useWAL  = flag.Bool("wal", false, "open with write-ahead logging (group commit, redo recovery) and serve replicas on -addr")
 		bgw     = flag.Bool("bgwriter", true, "run the background I/O engine (writer + scan prefetch)")
 		autovac = flag.Bool("autovacuum", false, "run the online vacuum daemon (reclaims dead versions; keeps committed history)")
-		repto   = flag.String("replicate", "", "listen address for WAL-shipping replicas (implies -wal)")
-		repof   = flag.String("replica-of", "", "open as a read-only streaming replica of the primary at this address")
+		repof   = flag.String("replica-of", "", "open as a read-only streaming replica of the -wal primary whose -addr is this address")
 		repname = flag.String("replica-name", "", "replica identity in the primary's slots (default: db dir name)")
 		httpa   = flag.String("http", "", "listen address for the S3-style HTTP object API (empty disables)")
 	)
@@ -59,7 +59,6 @@ func main() {
 	}
 	opts := postlob.Options{
 		BackgroundWriter: bgw,
-		ReplicateTo:      *repto,
 		ReplicaOf:        *repof,
 		ReplicaName:      *repname,
 	}
@@ -74,9 +73,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	if a := db.ReplicationAddr(); a != nil {
-		log.Printf("lobjserve: shipping WAL to replicas on %s", a)
-	}
 	if db.IsReplica() {
 		log.Printf("lobjserve: read-only replica of %s", *repof)
 	}

@@ -33,6 +33,43 @@ func dirtyBlocks(t *testing.T, p *Pool, sm storage.ID, rel storage.RelName, n in
 	}
 }
 
+// dirtySpread makes n blocks of rel resident and dirty, each alone in its
+// partition and already on the device. A writer round's cold window (the
+// coldest quarter of a partition's list, rounded up) then covers every one,
+// and no write-back has a gap below it to fill, so what a round writes does
+// not depend on where the partition hash puts the blocks. The pool must have
+// at least n partitions.
+func dirtySpread(t *testing.T, p *Pool, mem *storage.MemManager, n int) {
+	t.Helper()
+	r := p.Rel(storage.Mem, rel)
+	used := make(map[*partition]bool)
+	var blks []storage.BlockNum
+	for blk := storage.BlockNum(0); len(blks) < n; blk++ {
+		if blk > 1<<16 {
+			t.Fatalf("found %d partitions of %d for %d blocks", len(blks), len(p.parts), n)
+		}
+		if part := p.part(r, blk); !used[part] {
+			used[part] = true
+			blks = append(blks, blk)
+		}
+	}
+	img := make([]byte, page.Size)
+	for blk := storage.BlockNum(0); blk <= blks[n-1]; blk++ {
+		if err := mem.WriteBlock(rel, blk, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, blk := range blks {
+		f, err := r.Get(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Page()[0] = byte('A' + i)
+		f.MarkDirty()
+		f.Release()
+	}
+}
+
 // countDirty walks every partition's lookup table.
 func countDirty(p *Pool) int {
 	n := 0
@@ -123,7 +160,7 @@ func TestBgWriterRoundCapsPinsAtHalfPool(t *testing.T) {
 	if err := mem.Create(rel); err != nil {
 		t.Fatal(err)
 	}
-	dirtyBlocks(t, p, storage.Mem, rel, 4)
+	dirtySpread(t, p, mem, 4)
 	written, err := p.BgWriterRound(0)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +459,7 @@ func TestEngineAsyncStartStop(t *testing.T) {
 	}
 	pages := obsBgPages.Load()
 	p.StartEngine(EngineConfig{})
-	dirtyBlocks(t, p, storage.Mem, rel, 6)
+	dirtySpread(t, p, mem, 6)
 	deadline := time.Now().Add(5 * time.Second)
 	for countDirty(p) > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

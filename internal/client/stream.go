@@ -112,33 +112,15 @@ func newStream(conn net.Conn) (*Stream, error) {
 		streams:    make(map[uint32]*clientStream),
 		readerDone: make(chan struct{}),
 	}
-	if err := s.writeMsg(gateway.KindHello, 0, &gateway.Hello{Proto: gateway.Proto, Chunk: gateway.DefaultChunk, Window: gateway.DefaultWindow}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: hello: %w", err)
+	hello, err := gateway.Greet(conn, s.enc, s.dec, &gateway.Hello{Proto: gateway.Proto, Chunk: gateway.DefaultChunk, Window: gateway.DefaultWindow})
+	if err == nil && (hello.Chunk <= 0 || hello.Window <= 0) {
+		err = fmt.Errorf("bad negotiation (chunk %d window %d)", hello.Chunk, hello.Window)
 	}
-	f, _, err := gateway.ReadFrameInto(conn, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
-	if f.Kind == gateway.KindErr {
-		conn.Close()
-		return nil, fmt.Errorf("client: server: %s", f.Payload)
-	}
-	if f.Kind != gateway.KindHello {
-		conn.Close()
-		return nil, fmt.Errorf("client: expected hello, got %v", f.Kind)
-	}
-	var hello gateway.Hello
-	if err := s.dec.Decode(f.Payload, &hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
 	s.chunk, s.window = hello.Chunk, hello.Window
-	if s.chunk <= 0 || s.window <= 0 {
-		conn.Close()
-		return nil, fmt.Errorf("client: bad negotiation (chunk %d window %d)", s.chunk, s.window)
-	}
 	go s.readLoop()
 	return s, nil
 }
@@ -286,11 +268,8 @@ func (s *Stream) writeFrame(f *gateway.Frame) error {
 func (s *Stream) writeMsg(kind gateway.Kind, stream uint32, msg any) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	p, err := s.enc.Encode(msg)
-	if err == nil {
-		s.wbuf, err = gateway.AppendFrame(s.wbuf[:0], &gateway.Frame{Kind: kind, Stream: stream, Payload: p})
-	}
-	if err != nil {
+	var err error
+	if s.wbuf, err = gateway.AppendMsg(s.wbuf[:0], s.enc, kind, stream, msg); err != nil {
 		s.conn.Close()
 		return err
 	}
@@ -407,8 +386,8 @@ func (s *Stream) Open(ref adt.ObjectRef) (*StreamObject, error) {
 }
 
 // ErrNothingCommitted is OpenAsOf's refusal of timestamp 0 (txn.InvalidTS):
-// the timestamp Now reports until some commit stamps one. On the wire a zero
-// as-of is a transactional open, so it is refused before it is sent.
+// the timestamp Now reports until some commit stamps one. The server refuses
+// it too; the client does so before sending.
 var ErrNothingCommitted = errors.New("client: as-of open at timestamp 0: nothing has committed yet")
 
 // OpenAsOf opens a read-only historical view. As-of reads stream without a
@@ -418,7 +397,7 @@ func (s *Stream) OpenAsOf(ts txn.TS, ref adt.ObjectRef) (*StreamObject, error) {
 	if ts == txn.InvalidTS {
 		return nil, ErrNothingCommitted
 	}
-	r, err := s.call(&gateway.Req{Op: gateway.OpOpen, Ref: ref, AsOf: ts})
+	r, err := s.call(&gateway.Req{Op: gateway.OpOpen, Ref: ref, Snapshot: true, AsOf: ts})
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 // Package daemon is the one lifecycle the stack's background work runs on.
 // A Loop is a background round — the buffer pool's dirty-page writer and
 // prefetcher, the vacuum cleaner, the WAL flusher — run on a clock tick
-// and on demand; a Server is an accept loop — the replication sender and
-// the gateway's stream protocol — that owns its connections. Each round
+// and on demand; a Server owns connections — the gateway's stream
+// protocol, and the replication sessions it hands the sender. Each round
 // or connection handler stays in its own package; only starting, waking,
 // stepping and stopping live here, written once.
 package daemon
@@ -102,9 +102,9 @@ func (l *Loop) Stop() error {
 // ErrClosed is returned by Serve on a server that has been closed.
 var ErrClosed = errors.New("daemon: server closed")
 
-// Server is an accept loop that owns its connections: each runs its
-// handler on its own goroutine, and Close tears every one down and waits
-// for it. The zero value is ready to Serve.
+// Server owns connections, accepted by its own loop (Serve) or handed over
+// (Handle): each runs its handler, and Close tears every one down and
+// waits for it. The zero value is ready to use.
 type Server struct {
 	// mu guards the listener and connection table; it is never held across
 	// a handler or an Accept.
@@ -139,27 +139,35 @@ func (s *Server) Serve(l net.Listener, handle func(net.Conn)) error {
 			}
 			return err
 		}
-		// Registration and the closed check share one critical section
-		// with Close's sweep: a connection accepted while Close runs is
-		// either swept or refused here, never left serving after Close.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
-		}
-		s.conns[conn] = struct{}{}
+		// The goroutine holds a count until Handle registers conn, so Close
+		// waits for a connection accepted while it runs to be closed.
 		s.wg.Add(1)
-		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			defer s.drop(conn)
-			handle(conn)
+			s.Handle(conn, handle)
 		}()
 	}
+}
+
+// Handle runs handle on conn, accepted by Serve or elsewhere, on the caller's
+// goroutine. Registration shares a critical section with Close's sweep: Close
+// closes conn and waits for handle, or conn comes later and just closes.
+func (s *Server) Handle(conn net.Conn, handle func(net.Conn)) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	if s.conns == nil {
+		s.conns = make(map[net.Conn]struct{})
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	defer s.wg.Done()
+	defer s.drop(conn)
+	handle(conn)
 }
 
 func (s *Server) drop(conn net.Conn) {

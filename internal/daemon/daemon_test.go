@@ -259,3 +259,41 @@ func TestServerCloseWaitsForHandlers(t *testing.T) {
 		t.Fatalf("Close returned with %d of %d handlers finished", n, conns)
 	}
 }
+
+// TestServerHandleOwnsHandedOverConn: a connection handed over with Handle
+// runs on the caller's goroutine as one of the server's own, so Close
+// closes it and waits for its handler; after Close, Handle closes the
+// connection without running the handler.
+func TestServerHandleOwnsHandedOverConn(t *testing.T) {
+	var s Server
+	server, client := net.Pipe()
+	defer client.Close()
+	var finished atomic.Bool
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.Handle(server, func(c net.Conn) {
+			c.Write([]byte{1})
+			io.Copy(io.Discard, c) // until Close closes c
+			finished.Store(true)
+		})
+	}()
+	if _, err := client.Read(make([]byte, 1)); err != nil { // the handler is running
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Load() {
+		t.Fatal("Close returned before the handed-over connection's handler")
+	}
+	<-returned
+
+	late, lateClient := net.Pipe()
+	defer lateClient.Close()
+	s.Handle(late, func(net.Conn) { t.Error("handler ran after Close") })
+	lateClient.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := lateClient.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection handed over after Close still open: read %v", err)
+	}
+}

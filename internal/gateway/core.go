@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +50,8 @@ type Gateway struct {
 	fs   *inversion.FS // guarded by fsMu until set, then read-only
 
 	// srv owns the stream listener and its connections.
-	srv daemon.Server
+	srv       daemon.Server
+	replicate func(net.Conn) // see SetReplication; nil refuses replication
 
 	readOnly atomic.Bool
 	chunkHWM atomic.Int64
@@ -88,6 +90,10 @@ func New(store *core.Store, opts Options) *Gateway {
 // — begin, exec, write, PUT, DELETE — is refused at the edge while
 // snapshot reads pass through.
 func (g *Gateway) SetReadOnly() { g.readOnly.Store(true) }
+
+// SetReplication hands each connection whose Hello asks for replication to
+// serve (the WAL sender's), once answered. Call it before ServeStream.
+func (g *Gateway) SetReplication(serve func(net.Conn)) { g.replicate = serve }
 
 // ChunkBufferHWM returns the high-water mark of the streaming core's
 // in-flight chunk-buffer bytes — the O(chunk-window) bound the edge soak

@@ -24,17 +24,11 @@ import (
 	"postlob/internal/crcframe"
 )
 
-// Proto is the streaming protocol version exchanged in Hello frames.
-// Version 3 carried control messages as one gob stream per connection
-// direction instead of a self-contained gob payload per frame. Version 4
-// frames in the shared crcframe envelope, whose length field counts the
-// whole body, stream header included. Version 5 ships Fast chunks in
-// their token form (compress method 3), which a version-4 client, decoding
-// raw extents itself, cannot read. Version 6 serves raw reads of every
-// object kind, u-files and p-files included, as extent frames. A version-5
-// server refused them, and a version-6 client no longer falls back to
-// server-decoded data when refused.
-const Proto = 6
+// Proto is the stream protocol version exchanged in Hello frames, and the
+// stack's only one: a replica opens with a Hello too. A peer of another
+// version is refused at Hello. DESIGN.md §15 records what each version
+// changed; 7 added the Hello's replication role and the Req's Snapshot flag.
+const Proto = 7
 
 // Frame kinds.
 type Kind uint8

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"postlob/internal/adt"
 	"postlob/internal/core"
 	"postlob/internal/crcframe"
 )
@@ -38,6 +39,9 @@ func FuzzChunkFrameDecode(f *testing.F) {
 	seed(&Frame{Kind: KindHello, Payload: firstMsg(f, &Hello{Proto: Proto, Chunk: DefaultChunk, Window: DefaultWindow})})
 	seed(&Frame{Kind: KindReq, Stream: 7, Payload: firstMsg(f, &Req{Op: OpRawRead, Handle: 1, Offset: 4096, N: 1 << 20})})
 	seed(&Frame{Kind: KindResp, Stream: 8, Payload: firstMsg(f, &Resp{Size: 1 << 20, N: 4096})})
+	// A replica's Hello, and a snapshot open (protocol 7).
+	seed(&Frame{Kind: KindHello, Payload: firstMsg(f, &Hello{Proto: Proto, Replication: true})})
+	seed(&Frame{Kind: KindReq, Stream: 9, Payload: firstMsg(f, &Req{Op: OpOpen, Ref: adt.ObjectRef{OID: 16384}, Snapshot: true, AsOf: 42})})
 	f.Add([]byte("not a frame at all"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -136,6 +140,12 @@ func FuzzReadFrameInto(f *testing.F) {
 	small := enc(&Frame{Kind: KindData, Flags: FlagFIN, Stream: 3, Payload: []byte("tail")})
 	credit := enc(&Frame{Kind: KindCredit, Stream: 3, Payload: CreditPayload(1)})
 	f.Add(bytes.Join([][]byte{big, small, credit, small}, nil))
+	// A connection's opening: a replication Hello, then a snapshot open
+	// whose message carries its type definitions.
+	f.Add(bytes.Join([][]byte{
+		enc(&Frame{Kind: KindHello, Payload: firstMsg(f, &Hello{Proto: Proto, Replication: true})}),
+		enc(&Frame{Kind: KindReq, Stream: 1, Payload: firstMsg(f, &Req{Op: OpOpen, Snapshot: true, AsOf: 7})}),
+	}, nil))
 	f.Add(bytes.Join([][]byte{big, small[:len(small)-2]}, nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -12,7 +12,6 @@ import (
 	"postlob/internal/adt"
 	"postlob/internal/core"
 	"postlob/internal/inversion"
-	"postlob/internal/repl"
 	"postlob/internal/txn"
 )
 
@@ -236,7 +235,7 @@ func (g *Gateway) httpGet(w http.ResponseWriter, r *http.Request, path string, w
 	defer f.Close()
 	if g.readOnly.Load() {
 		// Snapshot open served from the replica's own pool.
-		repl.CountReplicaRead()
+		obsReplicaReads.Inc()
 	}
 	size, err := f.Size()
 	if err != nil {

@@ -20,6 +20,7 @@ import "postlob/internal/obs"
 //     pool, for both protocols. It returns to 0 whenever no connection is
 //     open and no HTTP body is streaming: a buffer that never comes back
 //     shows here.
+//   - repl.replica_reads and repl.proxied_reads: DESIGN.md §14.
 var (
 	obsStreamConns     = obs.NewGauge("gateway.stream.connections")
 	obsStreamReqs      = obs.NewCounter("gateway.stream.requests")
@@ -59,6 +60,8 @@ var (
 	obsChunkBuffered = obs.NewGauge("gateway.chunk.buffered")
 	obsChunkHWM      = obs.NewGauge("gateway.chunk.buffered_hwm")
 	obsFrameBufs     = obs.NewGauge("gateway.stream.frame_bufs")
+	obsReplicaReads  = obs.NewCounter("repl.replica_reads")
+	_                = obs.NewCounter("repl.proxied_reads")
 )
 
 // rpcTimer maps an op to its latency timer (nil for an unknown op). A

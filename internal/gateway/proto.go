@@ -3,9 +3,11 @@ package gateway
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"postlob/internal/adt"
 	"postlob/internal/core"
+	"postlob/internal/crcframe"
 	"postlob/internal/txn"
 )
 
@@ -69,22 +71,64 @@ func (o Op) String() string {
 // server clamps the client's proposal to its own configuration and answers
 // with the values both sides then obey.
 type Hello struct {
-	Proto  int
-	Chunk  int // chunk granularity in bytes
-	Window int // per-stream credit window in frames
+	Proto       int
+	Chunk       int  // chunk granularity in bytes
+	Window      int  // per-stream credit window in frames
+	Replication bool // hand the connection to the WAL sender (internal/repl), if any
+}
+
+// Greet sends hello, the first message of enc's stream, and returns the
+// answer, the first of dec's: the client side of the Hello exchange, for
+// the stream client and the replication receiver alike.
+func Greet(conn io.ReadWriter, enc *crcframe.MsgEncoder, dec *crcframe.MsgDecoder, hello *Hello) (*Hello, error) {
+	b, err := AppendMsg(nil, enc, KindHello, 0, hello)
+	if err == nil {
+		_, err = conn.Write(b)
+	}
+	var f Frame
+	if err == nil {
+		f, _, err = ReadFrameInto(conn, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return decodeHello(f, dec)
+}
+
+// decodeHello decodes an opening Hello; an Err frame there is a refusal.
+func decodeHello(f Frame, dec *crcframe.MsgDecoder) (*Hello, error) {
+	switch {
+	case f.Kind == KindErr:
+		return nil, fmt.Errorf("%s", f.Payload)
+	case f.Kind != KindHello || f.Stream != 0:
+		return nil, fmt.Errorf("%w: expected hello, got %v", ErrFrame, f.Kind)
+	}
+	var h Hello
+	return &h, dec.Decode(f.Payload, &h)
+}
+
+// AppendMsg appends the frame carrying msg, the next message of enc's
+// stream; a frame never written leaves the peer's decoder behind.
+func AppendMsg(dst []byte, enc *crcframe.MsgEncoder, kind Kind, stream uint32, msg any) ([]byte, error) {
+	p, err := enc.Encode(msg)
+	if err != nil {
+		return dst, err
+	}
+	return AppendFrame(dst, &Frame{Kind: kind, Stream: stream, Payload: p})
 }
 
 // Req is one v2 request, a message of the client's gob stream in a KindReq
 // frame. Which fields are meaningful depends on Op; gob omits the
 // zero-valued rest.
 type Req struct {
-	Op     Op
-	Query  string        // OpExec
-	Ref    adt.ObjectRef // OpOpen
-	AsOf   txn.TS        // OpOpen: nonzero opens a snapshot handle, zero a transactional one (client.OpenAsOf refuses 0)
-	Handle int32
-	Offset int64
-	N      int64
+	Op       Op
+	Query    string        // OpExec
+	Ref      adt.ObjectRef // OpOpen
+	Snapshot bool          // OpOpen: a read-only handle as of AsOf, a commit timestamp (never 0)
+	AsOf     txn.TS        // OpOpen: 0 unless Snapshot
+	Handle   int32
+	Offset   int64
+	N        int64
 }
 
 // Resp completes a request, a message of the server's gob stream in a

@@ -12,7 +12,6 @@ import (
 	"postlob/internal/crcframe"
 	"postlob/internal/obs"
 	"postlob/internal/query"
-	"postlob/internal/repl"
 	"postlob/internal/txn"
 )
 
@@ -235,11 +234,8 @@ func (c *gwConn) writer() {
 			} else {
 				// An encoded message that never reaches the wire would leave
 				// the peer's decoder behind, so any failure here is fatal.
-				var p []byte
-				if p, err = c.enc.Encode(it.msg); err == nil {
-					msgBuf, err = AppendFrame(msgBuf[:0], &Frame{Kind: it.kind, Stream: it.stream, Payload: p})
-					buf = msgBuf
-				}
+				msgBuf, err = AppendMsg(msgBuf[:0], c.enc, it.kind, it.stream, it.msg)
+				buf = msgBuf
 				if err != nil {
 					failed = true
 					c.kill(err.Error())
@@ -256,12 +252,9 @@ func (c *gwConn) writer() {
 	}
 }
 
-// handleStream runs one connection: Hello negotiation, then the reader
-// loop, with the dispatcher and writer alongside.
+// handleStream runs one connection: the Hello, which may hand it to the
+// sender, then the reader loop with the dispatcher and writer alongside.
 func (g *Gateway) handleStream(conn net.Conn) {
-	obsStreamConns.Inc()
-	defer obsStreamConns.Dec()
-
 	c := &gwConn{
 		g:          g,
 		conn:       conn,
@@ -276,6 +269,12 @@ func (g *Gateway) handleStream(conn net.Conn) {
 		dispDone:   make(chan struct{}),
 		writerDone: make(chan struct{}),
 	}
+	if !c.greet() {
+		return
+	}
+
+	obsStreamConns.Inc()
+	defer obsStreamConns.Dec()
 	go c.writer()
 
 	sess := &session{c: c, g: g, handles: make(map[int32]sessHandle), nextID: 1}
@@ -292,6 +291,36 @@ func (g *Gateway) handleStream(conn net.Conn) {
 	c.drainWrites()
 	close(c.out)
 	<-c.writerDone
+}
+
+// greet reads the client's Hello, negotiates, and answers on the
+// connection itself, before the writer starts; a replica's connection then
+// goes to the sender. It reports whether the reader loop should run.
+func (c *gwConn) greet() bool {
+	f, _, err := ReadFrameInto(c.conn, nil)
+	if err != nil {
+		return false
+	}
+	hello, err := decodeHello(f, c.dec)
+	if err == nil {
+		err = c.negotiate(hello)
+	}
+	var b []byte
+	if err == nil {
+		b, err = AppendMsg(nil, c.enc, KindHello, 0, &Hello{Proto: Proto, Chunk: c.chunk, Window: c.window, Replication: hello.Replication})
+	}
+	if err != nil {
+		c.kill(err.Error())
+		return false
+	}
+	if _, err := c.conn.Write(b); err != nil {
+		c.kill("")
+		return false
+	}
+	if hello.Replication {
+		c.g.replicate(c.conn)
+	}
+	return !hello.Replication
 }
 
 // drainWrites returns the write-data frames the reader routed to streams
@@ -317,6 +346,9 @@ func (c *gwConn) negotiate(h *Hello) error {
 	if h.Proto != Proto {
 		return fmt.Errorf("protocol %d not supported (want %d)", h.Proto, Proto)
 	}
+	if h.Replication && c.g.replicate == nil {
+		return errors.New("replication refused: this server is a replica, or a primary opened without a write-ahead log")
+	}
 	if h.Chunk > 0 && h.Chunk < c.chunk {
 		c.chunk = h.Chunk
 	}
@@ -332,35 +364,15 @@ func (c *gwConn) negotiate(h *Hello) error {
 	return nil
 }
 
-// readLoop is the connection's reader: Hello first, then frame routing
-// until the peer hangs up or violates the protocol. Every frame is read
-// into one pooled buffer, reused from frame to frame; a write-data frame
-// takes that buffer with it to its stream, and the reader takes a fresh one.
+// readLoop is the connection's reader: frame routing after the Hello until
+// the peer hangs up or violates the protocol. Every frame is read into one
+// pooled buffer, reused from frame to frame; a write-data frame takes that
+// buffer with it to its stream, and the reader takes a fresh one.
 func (c *gwConn) readLoop() {
 	fb := newFrameBuf(0)
 	defer func() { fb.free() }()
 	var f Frame
 	var err error
-	if f, fb.b, err = ReadFrameInto(c.conn, fb.b); err != nil {
-		return
-	}
-	if f.Kind != KindHello || f.Stream != 0 {
-		c.kill("expected hello")
-		return
-	}
-	var hello Hello
-	if err := c.dec.Decode(f.Payload, &hello); err != nil {
-		c.kill(err.Error())
-		return
-	}
-	if err := c.negotiate(&hello); err != nil {
-		c.kill(err.Error())
-		return
-	}
-	if !c.sendMsg(KindHello, 0, &Hello{Proto: Proto, Chunk: c.chunk, Window: c.window}) {
-		return
-	}
-
 	for {
 		if f, fb.b, err = ReadFrameInto(c.conn, fb.b); err != nil {
 			if errors.Is(err, ErrFrame) {
@@ -640,13 +652,18 @@ func (sess *session) open(it *reqItem) {
 	req := &it.req
 	var obj core.Object
 	var err error
-	if req.AsOf != txn.InvalidTS {
+	switch {
+	case req.Snapshot == (req.AsOf == txn.InvalidTS):
+		// A snapshot needs a commit timestamp; a transactional open, none.
+		sess.c.respond(it.stream, failResp("open with snapshot %v at as-of timestamp %d refused", req.Snapshot, req.AsOf))
+		return
+	case req.Snapshot:
 		obj, err = sess.g.store.OpenAsOf(req.AsOf, req.Ref)
 		if err == nil && sess.g.readOnly.Load() {
 			// Snapshot open served from the replica's own pool.
-			repl.CountReplicaRead()
+			obsReplicaReads.Inc()
 		}
-	} else {
+	default:
 		tx, errMsg := sess.needTx()
 		if errMsg != "" {
 			sess.c.respond(it.stream, &Resp{Err: errMsg})

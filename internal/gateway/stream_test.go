@@ -22,6 +22,7 @@ import (
 	"postlob/internal/client"
 	"postlob/internal/compress"
 	"postlob/internal/core"
+	"postlob/internal/crcframe"
 	"postlob/internal/gateway"
 	"postlob/internal/heap"
 	"postlob/internal/storage"
@@ -500,9 +501,8 @@ func TestStreamEveryKind(t *testing.T) {
 
 // TestOpenAsOfBeforeAnyCommit: a store holding only a p-file has stamped no
 // commit timestamp, so Now reports 0. An as-of open at that timestamp must
-// fail with ErrNothingCommitted, even inside a transaction (where a zero
-// as-of on the wire would open live), and leave the connection serving the
-// transactional Open that follows.
+// fail with ErrNothingCommitted, even inside a transaction, and leave the
+// connection serving the transactional Open that follows.
 func TestOpenAsOfBeforeAnyCommit(t *testing.T) {
 	addr, store, _ := startGateway(t, gateway.Options{})
 	payload := bytes.Repeat([]byte("no timestamp yet "), 100)
@@ -1277,5 +1277,149 @@ func TestGatewayCloseRefusesLateAccept(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeStream still running after Close")
+	}
+}
+
+// rawConn speaks the stream protocol directly, one request at a time, as a
+// client outside internal/client would.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	enc  *crcframe.MsgEncoder
+	dec  *crcframe.MsgDecoder
+}
+
+// dialRaw connects and sends hello, returning the connection and the
+// server's answer or refusal.
+func dialRaw(t *testing.T, addr string, hello *gateway.Hello) (*rawConn, *gateway.Hello, error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	c := &rawConn{t: t, conn: conn, enc: crcframe.NewMsgEncoder(), dec: crcframe.NewMsgDecoder()}
+	ans, err := gateway.Greet(conn, c.enc, c.dec, hello)
+	return c, ans, err
+}
+
+// call sends req on stream and returns its Resp.
+func (c *rawConn) call(stream uint32, req *gateway.Req) *gateway.Resp {
+	c.t.Helper()
+	p, err := c.enc.Encode(req)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	b, err := gateway.AppendFrame(nil, &gateway.Frame{Kind: gateway.KindReq, Stream: stream, Payload: p})
+	if err == nil {
+		_, err = c.conn.Write(b)
+	}
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	f, _, err := gateway.ReadFrameInto(c.conn, nil)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if f.Kind != gateway.KindResp || f.Stream != stream {
+		c.t.Fatalf("got %v frame on stream %d, want the response on stream %d", f.Kind, f.Stream, stream)
+	}
+	var r gateway.Resp
+	if err := c.dec.Decode(f.Payload, &r); err != nil {
+		c.t.Fatal(err)
+	}
+	return &r
+}
+
+// TestSnapshotOpenAtZeroRefused: a snapshot open at timestamp 0, sent on
+// the wire by a client that skips client.OpenAsOf's own check, is refused
+// rather than served as a transactional open, and so is an as-of timestamp
+// without the snapshot flag. The connection then opens the object as of a
+// real commit.
+func TestSnapshotOpenAtZeroRefused(t *testing.T) {
+	addr, store, _ := startGateway(t, gateway.Options{})
+	payload := bytes.Repeat([]byte("snapshot "), 200)
+	ref := loadObject(t, store, adt.KindFChunk, "", payload)
+	c, _, err := dialRaw(t, addr, &gateway.Hello{Proto: gateway.Proto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := c.call(1, &gateway.Req{Op: gateway.OpBegin}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if r := c.call(2, &gateway.Req{Op: gateway.OpOpen, Ref: ref, Snapshot: true}); !strings.Contains(r.Err, "timestamp 0") {
+		t.Fatalf("snapshot open at 0 answered %+v, want a refusal", r)
+	}
+	now := c.call(3, &gateway.Req{Op: gateway.OpNow}).TS
+	if r := c.call(4, &gateway.Req{Op: gateway.OpOpen, Ref: ref, AsOf: now}); !strings.Contains(r.Err, "snapshot false") {
+		t.Fatalf("as-of open without the snapshot flag answered %+v, want a refusal", r)
+	}
+	r := c.call(5, &gateway.Req{Op: gateway.OpOpen, Ref: ref, Snapshot: true, AsOf: now})
+	if r.Err != "" {
+		t.Fatalf("snapshot open at %d after the refusals: %s", now, r.Err)
+	}
+	if sz := c.call(6, &gateway.Req{Op: gateway.OpSize, Handle: r.Handle}); sz.Err != "" || sz.Size != int64(len(payload)) {
+		t.Fatalf("size of the snapshot handle: %+v, want %d", sz, len(payload))
+	}
+}
+
+// TestReplicationHelloRefusedWithoutSender: a gateway with no WAL sender
+// refuses a replication Hello with a readable reason and closes the
+// connection, keeps serving ordinary clients, and closes without waiting on
+// the refused connection.
+func TestReplicationHelloRefusedWithoutSender(t *testing.T) {
+	addr, _, g := startGateway(t, gateway.Options{})
+	c, _, err := dialRaw(t, addr, &gateway.Hello{Proto: gateway.Proto, Replication: true})
+	if err == nil || !strings.Contains(err.Error(), "replication refused") {
+		t.Fatalf("replication hello answered %v, want a refusal", err)
+	}
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("refused connection still open: read %v", err)
+	}
+	if _, err := dialStream(t, addr).Now(); err != nil {
+		t.Fatalf("ordinary client after the refusal: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("gateway Close hung after a refused replication hello")
+	}
+}
+
+// TestReplicationHelloHandedOff: a replication Hello is answered as one and
+// the raw connection goes to the replication handler, which owns it from
+// there; Close ends the handler's connection and waits for it.
+func TestReplicationHelloHandedOff(t *testing.T) {
+	addr, _, g := startGateway(t, gateway.Options{})
+	handled := make(chan struct{})
+	g.SetReplication(func(conn net.Conn) {
+		defer close(handled)
+		conn.Write([]byte("sender"))
+		io.Copy(io.Discard, conn) // until the gateway closes it
+	})
+	c, ans, err := dialRaw(t, addr, &gateway.Hello{Proto: gateway.Proto, Replication: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Replication || ans.Proto != gateway.Proto {
+		t.Fatalf("replication hello answered %+v", ans)
+	}
+	got := make([]byte, len("sender"))
+	if _, err := io.ReadFull(c.conn, got); err != nil || string(got) != "sender" {
+		t.Fatalf("after the hand-off read %q, %v; want the handler's bytes", got, err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-handled:
+	default:
+		t.Fatal("gateway Close returned before the replication handler")
 	}
 }

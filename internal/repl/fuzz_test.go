@@ -40,10 +40,10 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	msg := func(k Kind, v any) { send(func(w *wire) error { return w.sendMsg(k, v) }) }
 	blob := func(k Kind, at uint64, b []byte) { send(func(w *wire) error { return w.sendBlob(k, at, b) }) }
 
-	msg(KindHello, &Hello{Proto: Proto, Name: "replica-1", Durable: 16, CatVersion: 3})
-	msg(KindHelloAck, &HelloAck{Proto: Proto, Mode: "stream", End: 8192, SegBytes: 65536})
-	msg(KindHelloAck, &HelloAck{Proto: Proto, Mode: "base", Base: 4112, End: 4112, SegBytes: 65536})
-	msg(KindHelloAck, &HelloAck{Proto: Proto, Err: "protocol 1, want 2"})
+	msg(KindHello, &Hello{Name: "replica-1", Durable: 16, CatVersion: 3})
+	msg(KindHelloAck, &HelloAck{Mode: "stream", End: 8192, SegBytes: 65536})
+	msg(KindHelloAck, &HelloAck{Mode: "base", Base: 4112, End: 4112, SegBytes: 65536})
+	msg(KindHelloAck, &HelloAck{Err: "replica durable 9000 ahead of primary durable 8192"})
 	blob(KindRecords, 16, []byte{0x10, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
 	blob(KindCatalog, 7, []byte(`{"classes":[],"objects":[]}`))
 	blob(KindTxnState, 0, []byte{9, 8, 7, 6, 5})

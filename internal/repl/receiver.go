@@ -16,6 +16,7 @@ import (
 	"postlob/internal/catalog"
 	"postlob/internal/core"
 	"postlob/internal/crcframe"
+	"postlob/internal/gateway"
 	"postlob/internal/page"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
@@ -39,7 +40,7 @@ const (
 
 // ReceiverConfig wires a Receiver into a replica database.
 type ReceiverConfig struct {
-	// Primary is the sender's address (host:port).
+	// Primary is the primary's stream gateway address (host:port).
 	Primary string
 	// Name identifies this replica in the primary's slot names and logs.
 	Name string
@@ -232,19 +233,22 @@ func (r *Receiver) run() {
 	}
 }
 
-// session runs one connection: handshake, optional base resync, streaming.
-// Any error (transport, framing, protocol) abandons the connection; the
-// durable position makes the retry safe.
+// session runs one connection: gateway Hello, handshake, optional base
+// resync, streaming. Any error (transport, framing, protocol) abandons the
+// connection; the durable position makes the retry safe.
 func (r *Receiver) session(conn net.Conn) error {
 	w := newWire(conn)
-	err := w.sendMsg(KindHello, &Hello{
-		Proto:      Proto,
-		Name:       r.cfg.Name,
-		Durable:    r.durable.Load(),
-		CatVersion: r.cfg.Cat.Version(),
-	})
+	_, err := gateway.Greet(conn, crcframe.NewMsgEncoder(), crcframe.NewMsgDecoder(),
+		&gateway.Hello{Proto: gateway.Proto, Replication: true})
+	if err == nil {
+		err = w.sendMsg(KindHello, &Hello{
+			Name:       r.cfg.Name,
+			Durable:    r.durable.Load(),
+			CatVersion: r.cfg.Cat.Version(),
+		})
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("repl: hello: %w", err)
 	}
 	var ack HelloAck
 	if err := w.recvMsg(KindHelloAck, &ack); err != nil {
@@ -252,9 +256,6 @@ func (r *Receiver) session(conn net.Conn) error {
 	}
 	if ack.Err != "" {
 		return fmt.Errorf("repl: primary refused: %s", ack.Err)
-	}
-	if ack.Proto != Proto {
-		return fmt.Errorf("repl: primary speaks protocol %d, want %d", ack.Proto, Proto)
 	}
 	segBytes := ack.SegBytes
 	if segBytes == 0 {
@@ -437,7 +438,8 @@ func readCtl(path string) (uint64, error) {
 	return binary.LittleEndian.Uint64(data[4:]), nil
 }
 
-// writeCtl persists the resume position atomically (tmp + rename).
+// writeCtl persists the resume position atomically (tmp + rename), syncing
+// the directory so the rename survives a power loss.
 func writeCtl(path string, at uint64) error {
 	buf := make([]byte, ctlLen)
 	binary.LittleEndian.PutUint32(buf, ctlMagic)
@@ -459,5 +461,13 @@ func writeCtl(path string, at uint64) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

@@ -58,20 +58,4 @@ var (
 	obsBase       = obs.NewCounter("repl.base_backups")
 	obsFrameErr   = obs.NewCounter("repl.frame_errors")
 	obsApplyBatch = obs.NewTimer("repl.apply_batch")
-
-	// Read-serving counters. replica_reads counts snapshot opens a replica
-	// served from its own pool (the server edge counts them via
-	// CountReplicaRead). proxied_reads counts reads a replica forwarded to
-	// the primary: the design has no proxy path — replicas always serve
-	// locally — so the counter is structurally zero, and it exists precisely
-	// so that invariant is checkable from outside (the replication benchmark
-	// asserts it stays zero) and so any future fallback path has a counter
-	// it must be charged to.
-	obsReplicaReads = obs.NewCounter("repl.replica_reads")
-	_               = obs.NewCounter("repl.proxied_reads")
 )
-
-// CountReplicaRead records one snapshot read served from a replica's own
-// buffer pool. The server edge calls it for every successful as-of open
-// while in read-only (replica) mode.
-func CountReplicaRead() { obsReplicaReads.Inc() }

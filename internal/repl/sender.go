@@ -18,9 +18,9 @@ import (
 // frames comfortably under the envelope limit while amortising framing.
 const basePagesPerFrame = 32
 
-// Sender is the primary side: it accepts replica connections, decides
-// between catch-up streaming and a full base resync, and ships durable WAL
-// to each replica from a per-connection replication slot.
+// Sender is the primary side: it serves the replica connections its gateway
+// hands it, decides between catch-up streaming and a full base resync, and
+// ships durable WAL to each from a per-connection replication slot.
 type Sender struct {
 	log  *wal.Log
 	pool *buffer.Pool
@@ -33,17 +33,17 @@ type Sender struct {
 
 // NewSender builds a sender over the primary's WAL, pool, transaction
 // manager, and catalog — the four things a base backup and a stream are made
-// of. Call Serve with a listener to start accepting replicas.
+// of. The gateway hands it replica connections through Handle.
 func NewSender(log *wal.Log, pool *buffer.Pool, mgr *txn.Manager, cat *catalog.Catalog) *Sender {
 	return &Sender{log: log, pool: pool, mgr: mgr, cat: cat}
 }
 
-// Serve accepts replica connections on l until Close. It returns after the
-// listener fails or is closed, and Close waits for it to return.
-func (s *Sender) Serve(l net.Listener) error { return s.srv.Serve(l, s.handle) }
+// Handle serves one replica connection, its gateway Hello answered, until
+// the replica hangs up or Close; after Close it just closes conn.
+func (s *Sender) Handle(conn net.Conn) { s.srv.Handle(conn, s.handle) }
 
-// Close stops accepting, tears down replica connections, and waits for
-// Serve, the connection handlers and their slot releases to finish.
+// Close tears down replica connections and waits for their handlers and
+// slot releases to finish.
 func (s *Sender) Close() error { return s.srv.Close() }
 
 // handle runs one replica connection: handshake, optional base backup, then
@@ -56,11 +56,6 @@ func (s *Sender) handle(conn net.Conn) {
 	w := newWire(conn)
 	var hello Hello
 	if err := w.recvMsg(KindHello, &hello); err != nil {
-		return
-	}
-	if hello.Proto != Proto {
-		w.sendMsg(KindHelloAck, &HelloAck{Proto: Proto,
-			Err: fmt.Sprintf("protocol %d, want %d", hello.Proto, Proto)})
 		return
 	}
 	name := hello.Name
@@ -76,7 +71,7 @@ func (s *Sender) handle(conn net.Conn) {
 	// position checkpoint truncation has dropped — takes a base backup from
 	// the current end of log.
 	var from wal.LSN
-	ack := &HelloAck{Proto: Proto, SegBytes: s.log.SegBytes()}
+	ack := &HelloAck{SegBytes: s.log.SegBytes()}
 	if hello.Durable > 0 && s.log.TryAcquireSlot(slot, wal.LSN(hello.Durable)) {
 		from = wal.LSN(hello.Durable)
 		ack.Mode = "stream"
@@ -85,7 +80,7 @@ func (s *Sender) handle(conn net.Conn) {
 			// A replica ahead of our durable horizon replicated a future we
 			// lost (or belongs to another primary); it must resync.
 			s.log.ReleaseSlot(slot)
-			w.sendMsg(KindHelloAck, &HelloAck{Proto: Proto,
+			w.sendMsg(KindHelloAck, &HelloAck{
 				Err: fmt.Sprintf("replica durable %d ahead of primary durable %d", hello.Durable, durable)})
 			return
 		}

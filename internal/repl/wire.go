@@ -11,7 +11,9 @@ import (
 	"postlob/internal/storage"
 )
 
-// The replication wire protocol: every message is one crcframe envelope
+// The replication wire protocol follows the gateway Hello that hands the
+// connection to the Sender, whose version (gateway.Proto) covers it: these
+// messages carry none of their own. Every message is one crcframe envelope
 // whose body opens with its kind byte. Hello, HelloAck and Status are
 // control messages on their connection direction's gob stream
 // (crcframe.MsgEncoder); the data messages have fixed binary bodies after
@@ -23,13 +25,6 @@ import (
 // at is the records' start LSN, the catalog version, zero for txn state and
 // the base LSN for base done; only base done carries no data. parseData
 // checks every length against the body before anything is applied.
-
-// Proto is the protocol version sent in Hello/HelloAck. A mismatch refuses
-// the connection — physical replication ships raw WAL record encodings, so
-// both sides must agree on that format exactly. Version 3 ships page
-// images whose Fast chunks are in token form (compress method 3), which a
-// version-2 replica cannot decode.
-const Proto = 3
 
 // Kind discriminates replication frames.
 type Kind uint8
@@ -71,7 +66,6 @@ func (k Kind) String() string {
 
 // Hello is the replica's opening message: its identity and resume position.
 type Hello struct {
-	Proto      int
 	Name       string
 	Durable    uint64 // replica's persisted applied LSN
 	CatVersion uint64 // replica's catalog version
@@ -79,7 +73,6 @@ type Hello struct {
 
 // HelloAck is the primary's answer: how the connection proceeds.
 type HelloAck struct {
-	Proto    int
 	Mode     string // "stream" or "base"
 	Base     uint64 // base-backup LSN — streaming starts here
 	End      uint64 // primary durable LSN at connect: the ready gate

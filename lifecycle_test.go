@@ -14,11 +14,16 @@ import (
 
 // TestCloseStopsEveryDaemon opens every background loop and accept loop the
 // facade runs — a primary with the vacuum daemon, the background I/O engine
-// and a replication sender, a replica streaming from it, and a serving
-// gateway — then closes them all: no goroutine may outlive its Close.
+// and a replication sender, a serving gateway, and a replica streaming from
+// the primary through that gateway — then closes them all: no goroutine may
+// outlive its Close.
 func TestCloseStopsEveryDaemon(t *testing.T) {
 	before := runtime.NumGoroutine()
-	pdb, rdb, _ := replPair(t, Options{AutoVacuum: &VacuumOptions{ReclaimHistory: true}}, Options{})
+	pdb, err := Open(t.TempDir(), Options{Durability: DurabilityWAL, WALSegBlocks: 8,
+		AutoVacuum: &VacuumOptions{ReclaimHistory: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,6 +31,10 @@ func TestCloseStopsEveryDaemon(t *testing.T) {
 	gw := pdb.NewGateway(GatewayOptions{})
 	served := make(chan error, 1)
 	go func() { served <- gw.ServeStream(l) }()
+	rdb, err := Open(t.TempDir(), Options{ReplicaOf: l.Addr().String(), ReplCheckpointEvery: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Put every loop to work once: commits wake the WAL flusher, the
 	// sender ships them, the overwrite stamps versions for the vacuum, and

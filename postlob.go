@@ -22,7 +22,6 @@ package postlob
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -176,14 +175,9 @@ type Options struct {
 	// also be started and stopped at runtime via StartVacuum/StopVacuum.
 	AutoVacuum *VacuumOptions
 
-	// ReplicateTo, when non-empty, makes this database a replication
-	// primary: it listens on the address for replica connections and
-	// streams the durable write-ahead log to each (WAL shipping). Implies
-	// DurabilityWAL — only a logged database has bytes to ship. Use ":0"
-	// to pick a free port; ReplicationAddr reports the bound address.
-	ReplicateTo string
 	// ReplicaOf, when non-empty, opens the database as a read-only
-	// streaming replica of the primary at that address: a receiver
+	// streaming replica of the WAL primary whose stream gateway listens
+	// at that address (see NewGateway): a receiver
 	// continuously replays the shipped log into the local pool, reads are
 	// served from local pages through time-travel snapshots, and writes
 	// are refused (Begin panics, the gateway rejects mutating ops).
@@ -226,8 +220,7 @@ type DB struct {
 
 	replica atomic.Bool // read-only streaming replica (until Promote)
 	recv    *repl.Receiver
-	sender  *repl.Sender
-	replLn  net.Listener
+	sender  *repl.Sender // nil unless opened with DurabilityWAL
 }
 
 // VacuumOptions configures the online vacuum daemon; see core.VacuumOptions.
@@ -279,19 +272,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	mgr.SetLogPath(logPath)
 
 	mode := opts.Durability
-	if opts.ReplicaOf != "" && opts.ReplicateTo != "" {
-		return nil, fmt.Errorf("postlob: a database cannot be both a replica and a replication primary")
-	}
 	if opts.ReplicaOf != "" {
 		// A replica has no write-ahead log of its own: its durability is the
 		// replicated stream plus checkpoint-grained persistence of what it
 		// has applied (pg_repl_ctl).
 		mode = DurabilityCheckpoint
-	}
-	if opts.ReplicateTo != "" {
-		// Replication ships the WAL; a primary without one has nothing to
-		// stream.
-		mode = DurabilityWAL
 	}
 	// Redo recovery replays the log through the pool before the catalog or
 	// anything else reads it, and ends with the ordinary checkpoint. The log
@@ -401,15 +386,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	if _, err := store.GCOrphanTemps(); err != nil {
 		return nil, err
 	}
-	if opts.ReplicateTo != "" {
-		ln, err := net.Listen("tcp", opts.ReplicateTo)
-		if err != nil {
-			db.Close()
-			return nil, fmt.Errorf("postlob: replication listener: %w", err)
-		}
+	if wlog != nil {
 		db.sender = repl.NewSender(wlog, pool.Buf, mgr, cat)
-		db.replLn = ln
-		go db.sender.Serve(ln)
 	}
 	return db, nil
 }
@@ -499,11 +477,15 @@ func (db *DB) Inversion(opts FSOptions) (*FS, error) {
 // just-in-time conversion); Gateway.HTTPHandler serves the S3-style object
 // API over the Inversion file system. On a replica the gateway comes up
 // read-only — GETs and snapshot stream reads are served locally, mutations
-// refused at the edge.
+// refused at the edge. On a WAL primary the stream frontend also hands
+// replicas (Options.ReplicaOf) to the WAL sender.
 func (db *DB) NewGateway(opts GatewayOptions) *Gateway {
 	gw := gateway.New(db.store, opts)
 	if db.replica.Load() {
 		gw.SetReadOnly()
+	}
+	if db.sender != nil {
+		gw.SetReplication(db.sender.Handle)
 	}
 	return gw
 }
@@ -648,9 +630,6 @@ func (db *DB) Close() error {
 	if db.sender != nil {
 		db.sender.Close()
 	}
-	if db.replLn != nil {
-		db.replLn.Close()
-	}
 	// Quiesce the daemons first: the closing checkpoint must see a stable
 	// dirty set, and StopEngine surfaces any sticky async write-back error.
 	if err := db.StopVacuum(); err != nil {
@@ -672,16 +651,6 @@ func (db *DB) Close() error {
 		}
 	}
 	return db.sw.Close()
-}
-
-// ReplicationAddr returns the address the replication listener is bound to
-// (nil unless this database was opened with ReplicateTo). Tests open the
-// primary with ReplicateTo ":0" and point replicas here.
-func (db *DB) ReplicationAddr() net.Addr {
-	if db.replLn == nil {
-		return nil
-	}
-	return db.replLn.Addr()
 }
 
 // IsReplica reports whether this database is (still) a read-only replica.

@@ -26,27 +26,27 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"postlob/internal/storage"
 )
 
-// openReplCrashPrimary opens (or reopens after a crash) a WAL-shipping
-// primary whose disk manager sits behind a fresh CrashManager. Reopening
-// rebinds the same replication address; transient rebind failures are
-// retried so the waiting replica can reconnect to the port it knows.
-func openReplCrashPrimary(t *testing.T, dir string, seed int64, addr string) (*DB, *storage.CrashManager) {
+// openReplCrashPrimary opens (or reopens after a crash) a WAL primary whose
+// disk manager sits behind a fresh CrashManager, and serves its stream
+// gateway on addr, returning the bound address. Reopening rebinds the same
+// port; transient rebind failures are retried so the waiting replica can
+// reconnect to the port it knows.
+func openReplCrashPrimary(t *testing.T, dir string, seed int64, addr string) (*DB, *storage.CrashManager, *Gateway, string) {
 	t.Helper()
 	var cm *storage.CrashManager
-	opts := Options{
+	db, err := Open(dir, Options{
 		Durability:      DurabilityWAL,
 		WALSegBlocks:    8,
 		BufferPoolPages: 48,
-		ReplicateTo:     addr,
 		WrapStorage: func(id storage.ID, mgr storage.Manager) storage.Manager {
 			if id != storage.Disk {
 				return mgr
@@ -54,21 +54,23 @@ func openReplCrashPrimary(t *testing.T, dir string, seed int64, addr string) (*D
 			cm = storage.NewCrashManager(mgr, storage.CrashConfig{Seed: seed})
 			return cm
 		},
+	})
+	if err != nil {
+		t.Fatalf("open primary: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cm = nil
-		db, err := Open(dir, opts)
+	if cm == nil {
+		t.Fatal("WrapStorage never saw the disk manager")
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		l, err := net.Listen("tcp", addr)
 		if err == nil {
-			if cm == nil {
-				t.Fatal("WrapStorage never saw the disk manager")
-			}
-			return db, cm
+			gw := db.NewGateway(GatewayOptions{})
+			go gw.ServeStream(l)
+			return db, cm, gw, l.Addr().String()
 		}
-		if !strings.Contains(err.Error(), "replication listener") || time.Now().After(deadline) {
-			t.Fatalf("open primary: %v", err)
+		if time.Now().After(deadline) {
+			t.Fatalf("rebind primary stream port: %v", err)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -101,13 +103,15 @@ func openReplCrashReplica(t *testing.T, dir string, seed int64, primary string) 
 }
 
 // crashReplPrimary power-cuts the primary: unsynced device state is gone,
-// the replication listener closes (freeing the port for the reopen), and the
-// background engine's goroutines die with the "machine". The DB value is
-// abandoned, never Closed — a crash runs no shutdown path. With the engine
-// stopped the pool is quiescent, so its dirty counts must be exact.
-func crashReplPrimary(t *testing.T, pdb *DB, cm *storage.CrashManager) {
+// the stream gateway closes (freeing the port for the reopen, and ending
+// the replica's session), and the background engine's goroutines die with
+// the "machine". The DB value is abandoned, never Closed — a crash runs no
+// shutdown path. With the engine stopped the pool is quiescent, so its
+// dirty counts must be exact.
+func crashReplPrimary(t *testing.T, pdb *DB, gw *Gateway, cm *storage.CrashManager) {
 	t.Helper()
 	cm.Crash()
+	gw.Close()
 	pdb.sender.Close()
 	pdb.pool.Buf.StopEngine()
 	assertDirtyCounted(t, pdb, "crashed primary")
@@ -220,8 +224,7 @@ func TestReplicationCrashSweep(t *testing.T) {
 func replCrashSweepRun(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	pdir, rdir := t.TempDir(), t.TempDir()
-	pdb, pcm := openReplCrashPrimary(t, pdir, seed, "127.0.0.1:0")
-	addr := pdb.ReplicationAddr().String()
+	pdb, pcm, pgw, addr := openReplCrashPrimary(t, pdir, seed, "127.0.0.1:0")
 	rdb, rcm := openReplCrashReplica(t, rdir, seed^0x5eed, addr)
 
 	oracle := make(map[ObjectRef][]byte)
@@ -290,8 +293,8 @@ func replCrashSweepRun(t *testing.T, seed int64) {
 					oracle[ref] = junk
 				}
 			}
-			crashReplPrimary(t, pdb, pcm)
-			pdb, pcm = openReplCrashPrimary(t, pdir, seed+101*int64(round)+1, addr)
+			crashReplPrimary(t, pdb, pgw, pcm)
+			pdb, pcm, pgw, _ = openReplCrashPrimary(t, pdir, seed+101*int64(round)+1, addr)
 		}
 		if victim != 0 {
 			crashReplReplica(t, rdb, rcm)
@@ -310,4 +313,5 @@ func replCrashSweepRun(t *testing.T, seed int64) {
 	_ = rcm
 	rdb.Close()
 	pdb.Close()
+	pgw.Close()
 }

@@ -12,13 +12,12 @@ import (
 	"postlob/internal/client"
 )
 
-// replPair opens a primary shipping WAL on a loopback port and a replica
-// streaming from it, both rooted in fresh directories. The returned addr is
-// the primary's replication endpoint (stable across a primary reopen, which
-// rebinds the same port).
+// replPair opens a WAL primary serving its stream gateway on a loopback
+// port and a replica streaming from it, both rooted in fresh directories.
+// The returned addr is the primary's stream address, which replicas dial.
 func replPair(t *testing.T, popts, ropts Options) (pdb, rdb *DB, addr string) {
 	t.Helper()
-	popts.ReplicateTo = "127.0.0.1:0"
+	popts.Durability = DurabilityWAL
 	if popts.WALSegBlocks == 0 {
 		popts.WALSegBlocks = 8
 	}
@@ -26,7 +25,7 @@ func replPair(t *testing.T, popts, ropts Options) (pdb, rdb *DB, addr string) {
 	if err != nil {
 		t.Fatalf("open primary: %v", err)
 	}
-	addr = pdb.ReplicationAddr().String()
+	addr = serveStream(t, pdb, GatewayOptions{})
 	ropts.ReplicaOf = addr
 	if ropts.ReplCheckpointEvery == 0 {
 		ropts.ReplCheckpointEvery = 64 << 10
@@ -436,6 +435,44 @@ func TestReplicationFanOut(t *testing.T) {
 		}
 		if got := readReplica(t, r2, ref); !bytes.Equal(got, wants[i]) {
 			t.Fatalf("replica 2 object %d mismatch: %s", i, diffDesc(got, wants[i]))
+		}
+	}
+}
+
+// TestReplicaOfRefusedWithoutSender points a replica at stream ports that
+// serve no replication: a primary's opened without a write-ahead log, and
+// another replica's. Each refuses the replication Hello with a readable
+// reason, which the receiver keeps as its last error while it retries, and
+// every database still closes cleanly.
+func TestReplicaOfRefusedWithoutSender(t *testing.T) {
+	plain, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	pdb, rdb, _ := replPair(t, Options{}, Options{})
+	defer pdb.Close()
+	defer rdb.Close()
+	for _, tc := range []struct {
+		name, addr, want string
+	}{
+		{"primary without WAL", serveStream(t, plain, GatewayOptions{}), "replication refused"},
+		{"replica", serveStream(t, rdb, GatewayOptions{}), "replication refused"},
+	} {
+		r, err := Open(t.TempDir(), Options{ReplicaOf: tc.addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if err := r.recv.LastErr(); err != nil && strings.Contains(err.Error(), tc.want) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: receiver's last error %v, want a refusal naming %q", tc.name, r.recv.LastErr(), tc.want)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("%s: close the refused replica: %v", tc.name, err)
 		}
 	}
 }
