@@ -10,8 +10,9 @@ package postlob
 // of the paper's magnetic disks, and exactly the cost group commit exists
 // to amortise.
 //
-// Force-at-commit pays one sync per touched relation on every commit and
-// serialises committers behind the checkpoint. WAL mode appends page images
+// Force-at-commit — Commit followed by Checkpoint, in checkpoint-grained
+// mode — pays one sync per touched relation and one of the commit log on
+// every commit, and serialises committers behind the checkpoint. WAL mode appends page images
 // and a commit record, and the group-commit flusher batches every committer
 // parked during one fsync into a single sync of the log segment — so
 // per-commit latency falls as concurrency rises. The harness records the
@@ -53,12 +54,16 @@ const commitLatPayload = 256
 // 8-committer point.
 const commitLatSpeedupBar = 2.0
 
-// newCommitLatencyDB opens a database in the given durability mode with the
-// magnetic disk behind a 200µs-per-sync latency shim, and creates one
-// committed f-chunk object per committer so the benchmark transactions never
-// contend on a single object.
-func newCommitLatencyDB(tb testing.TB, mode Durability, committers int) (*DB, []ObjectRef) {
+// newCommitLatencyDB opens a database with the magnetic disk behind a
+// 200µs-per-sync latency shim — under WAL durability, or checkpoint-grained
+// for force-at-commit — and creates one committed f-chunk object per
+// committer so the benchmark transactions never contend on a single object.
+func newCommitLatencyDB(tb testing.TB, force bool, committers int) (*DB, []ObjectRef) {
 	tb.Helper()
+	mode := DurabilityWAL
+	if force {
+		mode = DurabilityCheckpoint
+	}
 	wrap := func(id storage.ID, mgr storage.Manager) storage.Manager {
 		if id == storage.Disk {
 			return storage.NewLatencyManagerWithSync(mgr, 0, 0, commitLatSyncLat)
@@ -100,9 +105,10 @@ func newCommitLatencyDB(tb testing.TB, mode Durability, committers int) (*DB, []
 }
 
 // runCommitLatency splits b.N commits across the committer goroutines; each
-// transaction overwrites a small range of its own object and commits.
-// NsPerOp is therefore the observed per-commit latency at that concurrency.
-func runCommitLatency(b *testing.B, db *DB, refs []ObjectRef) {
+// transaction overwrites a small range of its own object and commits, and
+// with force a checkpoint follows each commit. NsPerOp is therefore the
+// observed per-commit latency at that concurrency.
+func runCommitLatency(b *testing.B, db *DB, refs []ObjectRef, force bool) {
 	g := len(refs)
 	payload := make([]byte, commitLatPayload)
 	for i := range payload {
@@ -142,6 +148,12 @@ func runCommitLatency(b *testing.B, db *DB, refs []ObjectRef) {
 					b.Errorf("commit: %v", err)
 					return
 				}
+				if force {
+					if err := db.Checkpoint(); err != nil {
+						b.Errorf("checkpoint: %v", err)
+						return
+					}
+				}
 			}
 		}(w, n)
 	}
@@ -149,21 +161,21 @@ func runCommitLatency(b *testing.B, db *DB, refs []ObjectRef) {
 	b.StopTimer()
 }
 
-func commitLatencyModeName(mode Durability) string {
-	if mode == DurabilityWAL {
-		return "wal"
+func commitLatencyModeName(force bool) string {
+	if force {
+		return "force"
 	}
-	return "force"
+	return "wal"
 }
 
 // BenchmarkCommitLatency is the runnable family: ns/op is per-commit latency
 // at the named concurrency and durability mode.
 func BenchmarkCommitLatency(b *testing.B) {
-	for _, mode := range []Durability{DurabilityWAL, DurabilityForce} {
+	for _, force := range []bool{false, true} {
 		for _, g := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("mode=%s/committers=%d", commitLatencyModeName(mode), g), func(b *testing.B) {
-				db, refs := newCommitLatencyDB(b, mode, g)
-				runCommitLatency(b, db, refs)
+			b.Run(fmt.Sprintf("mode=%s/committers=%d", commitLatencyModeName(force), g), func(b *testing.B) {
+				db, refs := newCommitLatencyDB(b, force, g)
+				runCommitLatency(b, db, refs, force)
 			})
 		}
 	}
@@ -186,14 +198,14 @@ func TestCommitLatencyReport(t *testing.T) {
 	results := make(map[string]commitLatencyResult)
 	for _, g := range []int{1, 8, 64} {
 		g := g
-		bench := func(mode Durability) (int64, float64) {
+		bench := func(force bool) (int64, float64) {
 			before := obs.Snapshot()
 			res := testing.Benchmark(func(b *testing.B) {
-				db, refs := newCommitLatencyDB(b, mode, g)
-				runCommitLatency(b, db, refs)
+				db, refs := newCommitLatencyDB(b, force, g)
+				runCommitLatency(b, db, refs, force)
 			})
 			if res.N == 0 {
-				t.Fatalf("committers=%d mode=%s: no iterations", g, commitLatencyModeName(mode))
+				t.Fatalf("committers=%d mode=%s: no iterations", g, commitLatencyModeName(force))
 			}
 			after := obs.Snapshot()
 			batching := 0.0
@@ -202,8 +214,8 @@ func TestCommitLatencyReport(t *testing.T) {
 			}
 			return res.NsPerOp(), batching
 		}
-		walNs, batching := bench(DurabilityWAL)
-		forceNs, _ := bench(DurabilityForce)
+		walNs, batching := bench(false)
+		forceNs, _ := bench(true)
 		speedup := float64(forceNs) / float64(walNs)
 		results[fmt.Sprintf("committers=%d", g)] = commitLatencyResult{
 			WALNsPerCommit:   walNs,
@@ -226,7 +238,7 @@ func TestCommitLatencyReport(t *testing.T) {
 		Workloads   map[string]commitLatencyResult `json:"workloads"`
 	}{
 		Benchmark:   "TestCommitLatencyReport",
-		Description: "Per-commit latency for concurrent committers: write-ahead logging with group commit vs force-at-commit (flush + sync everything per commit), each transaction overwriting 256 bytes of its own f-chunk object on a disk charging 200us per durable sync (buffered block writes are page-cache free). Speedup is force/wal ns-per-commit; group_commit_batching_factor is committed transactions per WAL fsync during the WAL run. The build fails unless WAL wins by speedup_bar_at_8 at 8 committers.",
+		Description: "Per-commit latency for concurrent committers: write-ahead logging with group commit vs force-at-commit (a checkpoint after every commit: flush + sync everything, then the commit log), each transaction overwriting 256 bytes of its own f-chunk object on a disk charging 200us per durable sync (buffered block writes are page-cache free). Speedup is force/wal ns-per-commit; group_commit_batching_factor is committed transactions per WAL fsync during the WAL run. The build fails unless WAL wins by speedup_bar_at_8 at 8 committers.",
 		Environment: map[string]any{
 			"cpu_count":       runtime.NumCPU(),
 			"gomaxprocs":      runtime.GOMAXPROCS(0),

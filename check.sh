@@ -55,10 +55,27 @@
 #                                  TestDroppedRelationHandle,
 #                                  TestAllocWaitsForRelease,
 #                                  TestAllocWaitsForFreeFrame,
-#                                  TestCloseAfterCheckpointWritesNothing); and
+#                                  TestCloseAfterCheckpointWritesNothing); the
+#                                  gap-pin cap test
+#                                  (TestBgWriterRoundCapsGapPinsAtHalfPool);
+#                                  and
 #                                  TestConcurrentWritersDistinctBlocks at
 #                                  -count=200, whose tiny pool once ran out of
 #                                  unpinned frames 2 runs in 200
+#
+#   4a2. checkpoint cut sweep     the commit-log cut's two reproducers and
+#                                  the process-kill test, 20 times each
+#                                  under the race detector:
+#                                  TestReservationOmitsUncheckpointedCommit
+#                                  (an XID reservation must not record a
+#                                  commit no checkpoint flushed),
+#                                  TestCheckpointOmitsCommitDuringFlush (a
+#                                  commit during a checkpoint's flush stays
+#                                  out of its pg_log) and
+#                                  TestKillDuringEvictingTxnKeepsCommittedObject
+#                                  (under the WAL, a committed object reads
+#                                  back intact after a kill while a
+#                                  transaction has evicted pages)
 #
 #   4b. benchmark module           benchmark/ is a Go module of its own (it
 #                                  imports postlob/internal/... through a
@@ -286,9 +303,14 @@ go test -race -count=20 \
 	-run '^(TestEngineAsyncStartStop|TestVacuumDaemonBackground|TestGatewayCloseRefusesLateAccept|TestStreamEveryKind|TestStatsCounters|TestRecoverRedoRules|TestBackgroundWriteFaultSurfacesAtCheckpointWAL|TestCloseAfterCheckpointWritesNothing)$' \
 	. ./internal/buffer ./internal/core ./internal/gateway
 go test -race -count=20 \
-	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps|TestFlushAllSweepsPoolOnce|TestFlushAllUnderConcurrentDirtying|TestFlushSyncsOnlyWrittenRelations|TestDroppedRelationHandle|TestAllocWaitsForRelease|TestAllocWaitsForFreeFrame)$' \
+	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterRoundCapsGapPinsAtHalfPool|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps|TestFlushAllSweepsPoolOnce|TestFlushAllUnderConcurrentDirtying|TestFlushSyncsOnlyWrittenRelations|TestDroppedRelationHandle|TestAllocWaitsForRelease|TestAllocWaitsForFreeFrame)$' \
 	./internal/buffer
 go test -race -count=200 -run '^TestConcurrentWritersDistinctBlocks$' ./internal/buffer
+
+echo "== checkpoint cut sweep (-race -count=20)"
+go test -race -count=20 \
+	-run '^(TestReservationOmitsUncheckpointedCommit|TestCheckpointOmitsCommitDuringFlush|TestKillDuringEvictingTxnKeepsCommittedObject)$' \
+	. ./internal/core
 
 echo "== benchmark module (go vet + go test in benchmark/)"
 (cd benchmark && go vet ./... && go test ./...)

@@ -10,12 +10,12 @@ import (
 )
 
 // openCrashDB opens a database whose real disk manager sits behind a
-// CrashManager volatile write cache, via Options.WrapStorage.
+// CrashManager volatile write cache, via Options.WrapStorage. Its commits
+// are forced with forceCommit.
 func openCrashDB(t *testing.T, dir string, seed int64) (*DB, *storage.CrashManager) {
 	t.Helper()
 	var cm *storage.CrashManager
 	db, err := Open(dir, Options{
-		Durability:      DurabilityForce,
 		BufferPoolPages: 32,
 		WrapStorage: func(id storage.ID, mgr storage.Manager) storage.Manager {
 			if id != storage.Disk {
@@ -34,8 +34,17 @@ func openCrashDB(t *testing.T, dir string, seed int64) (*DB, *storage.CrashManag
 	return db, cm
 }
 
-// A committed transaction survives a power cut that strikes right after
-// commit returns; an uncommitted one leaves no trace. The database is
+// forceCommit commits tx and checkpoints at once: force-at-commit, the
+// POSTGRES no-write-ahead-log discipline.
+func forceCommit(db *DB, tx *Txn) error {
+	if _, err := tx.Commit(); err != nil {
+		return err
+	}
+	return db.Checkpoint()
+}
+
+// A forced commit survives a power cut that strikes right after it
+// returns; an uncommitted transaction leaves no trace. The database is
 // re-opened with plain Options — recovery runs against exactly the bytes
 // the crash left on the real disk manager.
 func TestWrapStorageCrashRecovery(t *testing.T) {
@@ -55,7 +64,7 @@ func TestWrapStorageCrashRecovery(t *testing.T) {
 	if err := obj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
+	if err := forceCommit(db, tx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,9 +108,9 @@ func TestWrapStorageCrashRecovery(t *testing.T) {
 	}
 }
 
-// A crash in the middle of the commit-time checkpoint must surface from
-// tx.Commit, and recovery must roll the transaction back entirely: the log
-// is never written ahead of the data it describes.
+// A crash in the middle of the checkpoint that forces a commit must surface
+// from the checkpoint, and recovery must roll the transaction back
+// entirely: the log is never written ahead of the data it describes.
 func TestWrapStorageCrashMidCommit(t *testing.T) {
 	dir := t.TempDir()
 	db, cm := openCrashDB(t, dir, 23)
@@ -119,7 +128,7 @@ func TestWrapStorageCrashMidCommit(t *testing.T) {
 	if err := obj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
+	if err := forceCommit(db, tx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,10 +143,10 @@ func TestWrapStorageCrashMidCommit(t *testing.T) {
 	if err := obj2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The machine dies two storage operations into the commit checkpoint.
+	// The machine dies two storage operations into the commit's checkpoint.
 	cm.CrashAfter(2)
-	if _, err := tx2.Commit(); !errors.Is(err, storage.ErrCrashed) {
-		t.Fatalf("mid-checkpoint commit error = %v, want ErrCrashed", err)
+	if err := forceCommit(db, tx2); !errors.Is(err, storage.ErrCrashed) {
+		t.Fatalf("mid-checkpoint forced commit error = %v, want ErrCrashed", err)
 	}
 	// The crash takes the process's goroutines with it.
 	db.pool.Buf.StopEngine()

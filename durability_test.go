@@ -3,19 +3,21 @@ package postlob
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"postlob/internal/storage"
+	"postlob/internal/txn"
 )
 
-// TestDurabilityForceSurvivesCrash commits under DurabilityForce and then
-// abandons the DB object without Close or Checkpoint — simulating a crash.
-// A fresh Open over the same directory must see the committed data.
-func TestDurabilityForceSurvivesCrash(t *testing.T) {
+// TestForceAtCommitSurvivesCrash commits, checkpoints at once — force-at-
+// commit — and then abandons the DB object without Close — simulating a
+// crash. A fresh Open over the same directory must see the committed data.
+func TestForceAtCommitSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Durability: DurabilityForce})
+	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +32,13 @@ func TestDurabilityForceSurvivesCrash(t *testing.T) {
 	if err := obj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
+	if err := forceCommit(db, tx); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: no Close, no Checkpoint. (The storage managers hold open file
-	// descriptors, but all committed state is already on disk.) A real crash
-	// kills the background engine too — it must not keep writing into the
-	// directory the reopened database owns.
+	// Crash: no Close. (The storage managers hold open file descriptors,
+	// but all committed state is already on disk.) A real crash kills the
+	// background engine too — it must not keep writing into the directory
+	// the reopened database owns.
 	db.pool.Buf.StopEngine()
 
 	db2, err := Open(dir, Options{})
@@ -44,19 +46,112 @@ func TestDurabilityForceSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	tx2 := db2.Begin()
-	defer tx2.Abort()
-	obj2, err := db2.LargeObjects().Open(tx2, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer obj2.Close()
-	got, err := io.ReadAll(obj2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
+	if got := readObject(t, db2, ref); !bytes.Equal(got, payload) {
 		t.Fatalf("committed data lost in crash: %d bytes", len(got))
+	}
+}
+
+// readObject reads ref whole in a transaction of its own.
+func readObject(t *testing.T, db *DB, ref ObjectRef) []byte {
+	t.Helper()
+	tx := db.Begin()
+	defer tx.Abort()
+	obj, err := db.LargeObjects().Open(tx, ref)
+	if err != nil {
+		t.Fatalf("open %v: %v", ref, err)
+	}
+	defer obj.Close()
+	got, err := io.ReadAll(obj)
+	if err != nil {
+		t.Fatalf("read %v: %v", ref, err)
+	}
+	return got
+}
+
+// evictingOverwrite writes n bytes over ref in tx, through a pool far
+// smaller than n, so most of the new pages are evicted to the device
+// before tx ends.
+func evictingOverwrite(t *testing.T, db *DB, tx *Txn, ref ObjectRef, n int) {
+	t.Helper()
+	obj, err := db.LargeObjects().Open(tx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obj.Write(bytes.Repeat([]byte("evicted "), n/8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReservationOmitsUncheckpointedCommit: Begin's XID reservation rewrites
+// pg_log, and must not record there a commit no checkpoint has flushed.
+// T1's 16 MiB went through a 64-page pool, so some of its pages are still
+// only in the pool; a pg_log that called T1 committed would make a crash
+// surface a half-written object. Without the 200 Begins no reservation runs
+// and T1 is absent either way.
+func TestReservationOmitsUncheckpointedCommit(t *testing.T) {
+	dir := t.TempDir()
+	off := false
+	db, err := Open(dir, Options{BufferPoolPages: 64, BackgroundWriter: &off})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ref := commitObject(t, db, []byte("checkpointed"))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	t1 := db.Begin()
+	evictingOverwrite(t, db, t1, ref, 16<<20)
+	if _, err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := db.Begin().Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saved, err := txn.Load(filepath.Join(dir, "pg_log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := saved.Status(t1.ID()); st == txn.Committed {
+		t.Fatalf("pg_log reports T1 (xid %d) %v before any checkpoint flushed its pages", t1.ID(), st)
+	}
+}
+
+// TestKillDuringEvictingTxnKeepsCommittedObject kills the process while a
+// transaction that has evicted pages is open: the writes it already made
+// stay in the page cache, where a reopen reads them. Under WAL durability
+// the committed object must read back byte-identical. Without the WAL the
+// same steps leave the object unreadable — an evicted metapage points at a
+// B-tree root that was never written; EXPERIMENTS.md records that case.
+func TestKillDuringEvictingTxnKeepsCommittedObject(t *testing.T) {
+	dir := t.TempDir()
+	off := false
+	opts := Options{Durability: DurabilityWAL, BufferPoolPages: 64, BackgroundWriter: &off}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := bytes.Repeat([]byte("committed 1 MiB "), (1<<20)/16)
+	ref := commitObject(t, db, committed)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	evictingOverwrite(t, db, db.Begin(), ref, 16<<20)
+	// Kill: the open transaction never ends, and no Close runs.
+	db.pool.Buf.StopEngine()
+
+	db2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := readObject(t, db2, ref); !bytes.Equal(got, committed) {
+		t.Fatalf("committed object after a kill: %d bytes, want the committed %d", len(got), len(committed))
 	}
 }
 

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), lockorder.Analyzer, "buffer", "app", "repl")
+	analysistest.RunProgram(t, analysistest.TestData(), lockorder.Analyzer, "buffer", "app", "heap", "repl")
 }

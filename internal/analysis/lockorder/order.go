@@ -37,10 +37,11 @@ type Level struct {
 
 // Hierarchy is the declared canonical acquisition order, outermost first.
 var Hierarchy = []Level{
-	{Doc: "replica checkpoint serialisation: a replica checkpoint flushes " +
-		"the buffer pool and syncs storage beneath it, so chkMu sits above " +
-		"every pool and storage class", Classes: []Class{
-		{Name: "repl.Receiver.chkMu"},
+	{Doc: "checkpoint serialisation: core.Checkpoint, the one checkpoint " +
+		"body, holds its pool's CkptMu while it flushes the buffer pool, " +
+		"syncs storage beneath it, saves the commit log and appends to the " +
+		"WAL, so CkptMu sits above every pool, transaction and storage class", Classes: []Class{
+		{Name: "heap.Pool.CkptMu"},
 	}},
 	{Doc: "HTTP gateway Inversion bootstrap: fsMu is held across " +
 		"inversion.Init/OpenReadOnly, which resolve (and on a primary create) " +
@@ -104,9 +105,10 @@ var Hierarchy = []Level{
 		{Name: "buffer.Pool.wbMu"},
 	}},
 	{Doc: "replication session state: the receiver's current-connection " +
-		"slot is touched bare — never while holding, and never while " +
-		"acquiring, any pool or WAL class", Classes: []Class{
+		"slot and its resume-position file are touched bare — never while " +
+		"holding, and never while acquiring, any pool or WAL class", Classes: []Class{
 		{Name: "repl.Receiver.mu"},
+		{Name: "repl.Receiver.ctlMu"},
 	}},
 	{Doc: "network-edge session state: the accept-loop helper's listener/" +
 		"connection table (the replication sender's and the gateway's), a v2 " +

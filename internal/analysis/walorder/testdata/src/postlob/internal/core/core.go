@@ -10,7 +10,7 @@ import (
 )
 
 func checkpoint(p *buffer.Pool, l *wal.Log) error {
-	if err := p.FlushAll(); err != nil { // allowed: core implements the checkpoint
+	if err := p.FlushAll(); err != nil { // allowed: core.Checkpoint is the one checkpoint body
 		return err
 	}
 	if err := p.FlushRel(); err != nil { // allowed

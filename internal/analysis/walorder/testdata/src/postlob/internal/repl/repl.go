@@ -1,5 +1,5 @@
-// Package repl is a fixture proving the replica's checkpoint may flush the
-// pool (no diagnostic) while its replay may not apply redo images itself:
+// Package repl is a fixture proving the replica may neither flush the pool
+// itself — its checkpoint is core.Checkpoint — nor apply redo images itself:
 // that goes through core.Redo.
 package repl
 
@@ -10,5 +10,5 @@ func replay(p *buffer.Pool) error {
 }
 
 func checkpoint(p *buffer.Pool) error {
-	return p.FlushAll() // allowed: the replica checkpoint lives here
+	return p.FlushAll() // want `buffer\.Pool\.FlushAll called from postlob/internal/repl`
 }

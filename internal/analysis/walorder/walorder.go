@@ -4,12 +4,13 @@
 // Rule 1: buffer.Pool.FlushRel and FlushAll write dirty pages to their home
 // locations, so every call site must sit below the WAL flush ceiling — the
 // machinery that makes a page's newest log record durable before the page
-// itself. Only the packages that implement that machinery may call them:
-// postlob/internal/buffer, postlob/internal/txn, postlob/internal/core, and
-// postlob/internal/repl (the replica's checkpoint lives in the receiver; a
-// replica pool has no WAL attached, so the ceiling is vacuously honored).
-// A flush call anywhere else (a shell, the facade, an example) bypasses the
-// checkpoint path and silently weakens the recovery contract.
+// itself — and a checkpoint's flush must follow its commit-log cut. Only
+// postlob/internal/buffer, which implements the ceiling, and
+// postlob/internal/core, whose Checkpoint is the one checkpoint body (the
+// facade, crash recovery and a replica's receiver all run it), may call
+// them. A flush call anywhere else (the receiver, a shell, the facade, an
+// example) bypasses the checkpoint path and silently weakens the recovery
+// contract.
 //
 // Rule 2: every wal.Append* function returns the record's LSN, and that LSN
 // is the caller's only handle on durability — it must reach wal.Flush,
@@ -44,13 +45,10 @@ const (
 )
 
 // flushPkgs are the packages allowed to call Pool.FlushRel / Pool.FlushAll:
-// the pool itself, the transaction manager, core's checkpoint machinery, and
-// the replication receiver (the replica-side checkpoint).
+// the pool itself and core, whose Checkpoint every checkpoint runs.
 var flushPkgs = map[string]bool{
 	"postlob/internal/buffer": true,
-	"postlob/internal/txn":    true,
 	"postlob/internal/core":   true,
-	"postlob/internal/repl":   true,
 }
 
 // redoPkgs are the packages allowed to call Pool.ApplyRedoImage: the pool
@@ -65,7 +63,7 @@ var redoPkgs = map[string]bool{
 // wal.Append* LSNs.
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
-	Doc:  "Pool flushes stay in buffer/txn/core; wal.Append* LSNs must not be discarded",
+	Doc:  "Pool flushes stay in buffer/core; wal.Append* LSNs must not be discarded",
 	Run:  run,
 }
 
@@ -106,7 +104,7 @@ func checkFile(pass *analysis.Pass, file *ast.File) {
 		case bufferPath:
 			if (fn.Name() == "FlushAll" || fn.Name() == "FlushRel") && !flushPkgs[pass.Pkg.Path()] {
 				pass.Reportf(call.Pos(),
-					"buffer.Pool.%s called from %s; page flushes must go through buffer, txn, or core so the WAL flush ceiling is honored",
+					"buffer.Pool.%s called from %s; page flushes must go through buffer or core.Checkpoint so the WAL flush ceiling and the commit-log cut are honored",
 					fn.Name(), pass.Pkg.Path())
 			}
 			if fn.Name() == "ApplyRedoImage" && !redoPkgs[pass.Pkg.Path()] {

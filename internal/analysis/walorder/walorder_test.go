@@ -9,5 +9,5 @@ import (
 
 func TestWalOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), walorder.Analyzer,
-		"postlob/internal/core", "postlob/internal/repl", "a")
+		"postlob/internal/core", "postlob/internal/repl", "postlob/internal/txn", "a")
 }

@@ -329,8 +329,11 @@ const bgWriteConcurrency = 16
 // (independent runs concurrently, see bgWriteConcurrency — serial under a
 // Manual engine or none, keeping deterministic harnesses deterministic). On
 // error the affected frames are re-marked dirty and the count of pages
-// already written is returned.
+// already written is returned. The batch's frames and the gap frames its
+// runs pin (pinGap) stay within half the pool together.
 func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
+	var gapPins atomic.Int64
+	gapPins.Store(int64(max(0, p.cap/2-len(frames))))
 	if p.wal != nil {
 		needBatch := false
 		for _, f := range frames {
@@ -380,7 +383,7 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 	if conc == 1 {
 		written := 0
 		for _, r := range runs {
-			n, err := p.writeRun(frames[r.lo:r.hi])
+			n, err := p.writeRun(frames[r.lo:r.hi], &gapPins)
 			written += n
 			if err != nil {
 				return written, err
@@ -404,7 +407,7 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 				if i >= len(runs) {
 					return
 				}
-				n, err := p.writeRun(frames[runs[i].lo:runs[i].hi])
+				n, err := p.writeRun(frames[runs[i].lo:runs[i].hi], &gapPins)
 				written.Add(int64(n))
 				if err != nil {
 					errMu.Lock()
@@ -438,7 +441,8 @@ func (p *Pool) writeBackBatch(frames []*Frame) (int, error) {
 // (TryRLock, held for the copy) and, under a WAL, it needs no image of its
 // own; any other gap block is written as a zero page
 // (buffer.zero_fill_blocks) and its frame's own write-back replaces it.
-func (p *Pool) writeRun(run []*Frame) (int, error) {
+// gapPins is how many more gap frames the batch may pin.
+func (p *Pool) writeRun(run []*Frame, gapPins *atomic.Int64) (int, error) {
 	r, blk0 := run[0].rel, run[0].blk
 	// Drain-gate sign-in before the dirty bits are cleared below: a
 	// concurrent FlushRel must not sync the relation (and a checkpoint
@@ -459,8 +463,8 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 		// frames with it dropped, then read the device's length again. It
 		// can only have grown, toward blk0.
 		r.ext.Unlock()
-		gap = p.pinGap(r, gapLo, blk0)
-		defer p.releaseGap(gap)
+		gap = p.pinGap(r, gapLo, blk0, gapPins)
+		defer p.releaseGap(gap, gapPins)
 		r.ext.Lock()
 		phys, err = mgr.NBlocks(r.name)
 	}
@@ -554,32 +558,34 @@ func (p *Pool) writeRun(run []*Frame) (int, error) {
 // pinGap pins the resident, unpinned frames of r's blocks from lo up to hi,
 // for writeRun to write with the run starting at hi. They are flagged
 // evicting, as a writer round's frames are, so DropRel waits them out. The
-// result is indexed by block - lo, nil where no frame was pinned. At most
-// half the pool is pinned: the pins are held across the device write, and
-// foreground allocation needs the rest.
-func (p *Pool) pinGap(r *Rel, lo, hi storage.BlockNum) []*Frame {
+// result is indexed by block - lo, nil where no frame was pinned. Each pin
+// takes one from budget, and none is taken once it is spent: the batch
+// holds its own frames' pins too, and together they stay within half the
+// pool (writeBackBatch).
+func (p *Pool) pinGap(r *Rel, lo, hi storage.BlockNum, budget *atomic.Int64) []*Frame {
 	gap := make([]*Frame, hi-lo)
-	for i, pinned := 0, 0; i < len(gap) && pinned < p.cap/2; i++ {
+	for i := 0; i < len(gap) && budget.Load() > 0; i++ {
 		blk := lo + storage.BlockNum(i)
 		key := r.key(blk)
 		part := p.part(r, blk)
 		part.mu.Lock()
-		if f, ok := part.lookup[key]; ok && f.pins == 0 {
+		// A budget a concurrent run overdraws stays below zero: fewer pins.
+		if f, ok := part.lookup[key]; ok && f.pins == 0 && budget.Add(-1) >= 0 {
 			part.pinLocked(f)
 			f.evicting = true
 			gap[i] = f
-			pinned++
 		}
 		part.mu.Unlock()
 	}
 	return gap
 }
 
-// releaseGap drops pinGap's pins.
-func (p *Pool) releaseGap(gap []*Frame) {
+// releaseGap drops pinGap's pins and returns them to budget.
+func (p *Pool) releaseGap(gap []*Frame, budget *atomic.Int64) {
 	for _, f := range gap {
 		if f != nil {
 			p.releaseToCold(f)
+			budget.Add(1)
 		}
 	}
 }

@@ -173,6 +173,103 @@ func TestBgWriterRoundCapsPinsAtHalfPool(t *testing.T) {
 	}
 }
 
+// pinWatchMgr calls onWrite at every device write, while the write-back's
+// pins are held.
+type pinWatchMgr struct {
+	storage.Manager
+	onWrite func()
+}
+
+func (m *pinWatchMgr) WriteBlocks(rel storage.RelName, blk storage.BlockNum, bufs [][]byte) error {
+	m.onWrite()
+	return m.Manager.WriteBlocks(rel, blk, bufs)
+}
+
+// countPinned walks every partition's lookup table.
+func countPinned(p *Pool) int {
+	n := 0
+	for _, part := range p.parts {
+		part.mu.Lock()
+		for _, f := range part.lookup {
+			if f.pins > 0 {
+				n++
+			}
+		}
+		part.mu.Unlock()
+	}
+	return n
+}
+
+// A run that starts past the device's end also pins the resident frames in
+// the gap below it (pinGap), for the same gather write; those pins count
+// against the round's half-pool cap too. Every partition holds two dirty
+// frames, a low block and a colder high one, so the round collects exactly
+// the high blocks whatever the partition hash, and every low block lies in
+// the gap below the first of them.
+func TestBgWriterRoundCapsGapPinsAtHalfPool(t *testing.T) {
+	mem := storage.NewMemManager(storage.DeviceModel{}, nil)
+	pm := &pinWatchMgr{Manager: mem, onWrite: func() {}}
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, pm)
+	const frames = 32
+	p := NewPool(frames, sw, nil)
+	if 2*len(p.parts) != frames {
+		t.Fatalf("%d frames over %d partitions, want two a partition", frames, len(p.parts))
+	}
+	r := p.Rel(storage.Mem, rel)
+	onePerPartition := func(from storage.BlockNum) []storage.BlockNum {
+		used := make(map[*partition]bool)
+		var blks []storage.BlockNum
+		for blk := from; len(blks) < len(p.parts); blk++ {
+			if part := p.part(r, blk); !used[part] {
+				used[part] = true
+				blks = append(blks, blk)
+			}
+		}
+		return blks
+	}
+	low := onePerPartition(0)
+	high := onePerPartition(low[len(low)-1] + 1)
+	if err := mem.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, page.Size)
+	for blk := storage.BlockNum(0); blk <= high[len(high)-1]; blk++ {
+		if err := mem.WriteBlock(rel, blk, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The high blocks first: each partition's colder frame is its high one.
+	for _, blk := range append(high, low...) {
+		f, err := r.Get(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Page()[0] = 1
+		f.MarkDirty()
+		f.Release()
+	}
+	// The device loses the relation's blocks, so every run starts past its
+	// end.
+	if err := mem.Unlink(rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	maxPinned := 0
+	pm.onWrite = func() { maxPinned = max(maxPinned, countPinned(p)) }
+	if _, err := p.BgWriterRound(0); err != nil {
+		t.Fatal(err)
+	}
+	if maxPinned > frames/2 {
+		t.Fatalf("a writer round held %d of %d frames pinned, want at most half", maxPinned, frames)
+	}
+	if maxPinned == 0 {
+		t.Fatal("the round wrote nothing")
+	}
+}
+
 func TestBgWriterErrorSurfacesAndFramesStayDirty(t *testing.T) {
 	sw := storage.NewSwitch()
 	fault := storage.NewFaultManager(storage.NewMemManager(storage.DeviceModel{}, nil))

@@ -205,11 +205,10 @@ func (c *Catalog) writeLocked() error {
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := storage.ReplaceFile(c.path, data, false); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	return os.Rename(tmp, c.path)
+	return nil
 }
 
 // Version returns the catalog's mutation counter.

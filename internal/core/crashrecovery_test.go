@@ -42,7 +42,6 @@ import (
 // real installation.
 type crashStack struct {
 	dir     string
-	logPath string
 	diskCM  *storage.CrashManager
 	wormCM  *storage.CrashManager
 	mgr     *txn.Manager
@@ -53,8 +52,8 @@ type crashStack struct {
 }
 
 // openCrashStack builds the stack in one of the two durability modes under
-// trial: force-at-commit (walMode false — every commit checkpoints) or
-// write-ahead logging (walMode true — commits group-flush a log that redo
+// trial: force-at-commit (walMode false — every commit is followed by a
+// checkpoint) or write-ahead logging (walMode true — commits group-flush a log that redo
 // recovery replays on the next open). The WAL lives on the same crash-
 // simulated manager as the data, so torn writes land inside the log file
 // too.
@@ -106,12 +105,12 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 		if recoveryCrash >= 0 {
 			diskCM.CrashAfter(recoveryCrash)
 		}
-		err := Recover(pool, wlog, func() error { return mgr.Save(logPath) })
+		err := Recover(pool, wlog)
 		if diskCM.Crashed() {
 			if err == nil {
 				t.Fatalf("recovery reported success on a device that died under it")
 			}
-			return &crashStack{dir: dir, logPath: logPath, diskCM: diskCM, wormCM: wormCM,
+			return &crashStack{dir: dir, diskCM: diskCM, wormCM: wormCM,
 				mgr: mgr, wlog: wlog, walMode: walMode, down: true}
 		}
 		if err != nil {
@@ -134,7 +133,7 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 		DefaultSM: storage.Mem,
 		ChunkSize: 512,
 	})
-	cs := &crashStack{dir: dir, logPath: logPath, diskCM: diskCM, wormCM: wormCM,
+	cs := &crashStack{dir: dir, diskCM: diskCM, wormCM: wormCM,
 		mgr: mgr, store: store, wlog: wlog, walMode: walMode}
 	if walMode {
 		AttachWAL(pool, wlog)
@@ -146,25 +145,16 @@ func openCrashStack(t *testing.T, dir string, durable *storage.MemManager, cfg s
 	return cs
 }
 
-// begin starts a transaction. In force mode its commit flushes and syncs
-// every relation and only then saves the commit log — the POSTGRES no-WAL
-// discipline; in WAL mode the durability log wired by AttachWAL makes the
-// commit record durable via group commit instead.
-func (cs *crashStack) begin() *txn.Txn {
-	tx := cs.mgr.Begin()
-	if !cs.walMode {
-		tx.OnCommitDurable(cs.checkpoint)
+// commit commits tx. In force mode a checkpoint follows at once: it flushes
+// and syncs every relation and only then saves the commit log — the
+// POSTGRES no-WAL discipline; in WAL mode the durability log wired by
+// AttachWAL makes the commit record durable via group commit instead.
+func (cs *crashStack) commit(tx *txn.Txn) (txn.TS, error) {
+	ts, err := tx.Commit()
+	if err == nil && !cs.walMode {
+		err = Checkpoint(cs.store.Pool(), nil)
 	}
-	return tx
-}
-
-// checkpoint is the production force-at-commit checkpoint: the facade's
-// data half, then the commit log.
-func (cs *crashStack) checkpoint() error {
-	if err := cs.store.CheckpointData(); err != nil {
-		return err
-	}
-	return cs.mgr.Save(cs.logPath)
+	return ts, err
 }
 
 // crash powers off the simulated machine: both storage managers lose their
@@ -471,7 +461,7 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 		}
 		switch op.action {
 		case aBegin:
-			tx = cs.begin()
+			tx = cs.mgr.Begin() //lobvet:ignore — a later op ends it, or the crash leaves it open by design
 			maxXID = tx.ID()
 		case aCreate:
 			copts := CreateOptions{Kind: op.kind, Codec: op.codec}
@@ -538,7 +528,7 @@ func runWorkload(t *testing.T, cs *crashStack, ops []scriptOp, crashAt int) ([]*
 			}
 		case aCommit:
 			closeHandles()
-			ts, err := tx.Commit()
+			ts, err := cs.commit(tx)
 			if err != nil {
 				t.Fatalf("op %d commit: %v", i, err)
 			}
@@ -750,7 +740,7 @@ func verifyRecovered(t *testing.T, cs *crashStack, objs []*oracleObj, snaps []sn
 
 	// Probe transaction: recovery must never reuse an XID or a timestamp —
 	// either would resurrect a lost transaction's tuples.
-	tx := cs.begin()
+	tx := cs.mgr.Begin()
 	if maxXID != 0 && tx.ID() <= maxXID {
 		t.Errorf("XID reuse after recovery: new %d, pre-crash max %d", tx.ID(), maxXID)
 	}
@@ -765,7 +755,7 @@ func verifyRecovered(t *testing.T, cs *crashStack, objs []*oracleObj, snaps []sn
 	if err := h.Close(); err != nil {
 		t.Fatalf("probe close: %v", err)
 	}
-	ts, err := tx.Commit()
+	ts, err := cs.commit(tx)
 	if err != nil {
 		t.Fatalf("probe commit: %v", err)
 	}

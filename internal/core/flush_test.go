@@ -136,3 +136,76 @@ func TestFlushWaitsForInFlightWriteBack(t *testing.T) {
 		t.Fatalf("data relation device events = %v, want the parked write before the flush's sync", got)
 	}
 }
+
+// A checkpoint saves pg_log with the commits made before its flush began,
+// never one made during it: the flush may have passed that commit's pages
+// by. A transaction commits while the checkpoint's flush is parked in a
+// device write; the saved log must report the earlier commit and leave the
+// later one out.
+func TestCheckpointOmitsCommitDuringFlush(t *testing.T) {
+	dir := t.TempDir()
+	pm := &parkMgr{
+		Manager: storage.NewMemManager(storage.DeviceModel{}, nil),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, pm)
+	logPath := filepath.Join(dir, "pg_log")
+	mgr := txn.NewManager()
+	mgr.SetLogPath(logPath)
+	pool := &heap.Pool{Buf: buffer.NewPool(64, sw, nil), Mgr: mgr}
+	s := NewStore(pool, catalog.NewMemory(), adt.NewRegistry(), Config{
+		FilesDir:  filepath.Join(dir, "pfiles"),
+		DefaultSM: storage.Mem,
+	})
+	create := func() (*txn.Txn, adt.ObjectRef) {
+		t.Helper()
+		tx := mgr.Begin()
+		ref, obj, err := s.Create(tx, CreateOptions{Kind: adt.KindFChunk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obj.Write(bytes.Repeat([]byte("cut"), 3000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := obj.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return tx, ref
+	}
+	before, ref := create()
+	meta, err := s.cat.Object(catalog.OID(ref.OID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.watch = meta.DataRel
+	release := sync.OnceFunc(func() { close(pm.release) })
+	t.Cleanup(release) // a failed assertion must not leave the flush parked
+
+	done := make(chan error, 1)
+	go func() { done <- Checkpoint(pool, nil) }()
+	select {
+	case <-pm.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint flush never reached the data relation")
+	}
+	during, _ := create()
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	saved, err := txn.Load(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := saved.Status(before.ID()); st != txn.Committed {
+		t.Errorf("saved pg_log: commit before the checkpoint is %v, want committed", st)
+	}
+	if st := saved.Status(during.ID()); st == txn.Committed {
+		t.Errorf("saved pg_log: commit during the checkpoint's flush is %v, want it left out", st)
+	}
+}

@@ -187,7 +187,7 @@ func TestFChunkOverwriteWritesEachVersionBackAboutOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wlog.Close()
-	d := AttachWAL(s.pool, wlog)
+	AttachWAL(s.pool, wlog)
 	s.pool.Buf.StartEngine(buffer.EngineConfig{Manual: true})
 	defer s.pool.Buf.StopEngine()
 	sm := storage.Disk
@@ -241,7 +241,7 @@ func TestFChunkOverwriteWritesEachVersionBackAboutOnce(t *testing.T) {
 			if _, err := s.Vacuum(false); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Checkpoint(nil); err != nil {
+			if err := Checkpoint(s.pool, wlog); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -273,7 +273,7 @@ func BenchmarkFChunkOverwrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer wlog.Close()
-			d := AttachWAL(s.pool, wlog)
+			AttachWAL(s.pool, wlog)
 			sm := storage.Disk
 			tx := s.mgr().Begin()
 			ref, obj, err := s.Create(tx, CreateOptions{Kind: adt.KindFChunk, Codec: codec, SM: &sm})
@@ -316,7 +316,7 @@ func BenchmarkFChunkOverwrite(b *testing.B) {
 					if _, err := s.Vacuum(false); err != nil {
 						b.Fatal(err)
 					}
-					if err := d.Checkpoint(nil); err != nil {
+					if err := Checkpoint(s.pool, wlog); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"postlob/internal/buffer"
@@ -81,13 +82,17 @@ func TestRecoverRedoRules(t *testing.T) {
 	sw := storage.NewSwitch()
 	sw.Register(storage.Mem, data)
 	mgr := txn.NewManager()
+	logPath := filepath.Join(t.TempDir(), "pg_log")
+	mgr.SetLogPath(logPath)
 	pool := &heap.Pool{Buf: buffer.NewPool(4, sw, nil), Mgr: mgr}
-	saves := 0
-	if err := Recover(pool, wlog, func() error { saves++; return nil }); err != nil {
+	if err := Recover(pool, wlog); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if saves != 1 {
-		t.Errorf("commit log saved %d times, want once", saves)
+	// The closing checkpoint saved every replayed outcome.
+	if saved, err := txn.Load(logPath); err != nil {
+		t.Errorf("commit log after recovery: %v", err)
+	} else if ts, ok := saved.CommitTS(5); !ok || ts != 100 {
+		t.Errorf("saved commit log: xid 5 commit ts %d (%v), want 100", ts, ok)
 	}
 
 	want := map[storage.RelName][]byte{

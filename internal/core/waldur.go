@@ -1,12 +1,12 @@
 package core
 
-// Write-ahead-log durability glue: the adapter that couples a heap.Pool's
-// buffer pool and transaction manager to an internal/wal log, the one redo
-// dispatcher that crash recovery and replica replay share, and the WAL-mode
-// checkpoint. This lives in core because it is the one package that
-// sees all three layers; postlob's facade and the crash-simulation harness
-// both build their WAL stacks from these pieces so their semantics cannot
-// drift apart.
+// Durability glue: the adapter that couples a heap.Pool's buffer pool and
+// transaction manager to an internal/wal log, the one redo dispatcher that
+// crash recovery and replica replay share, and the one checkpoint body,
+// with a log or without. This lives in core because it is the one package
+// that sees all three layers; postlob's facade, a replica's receiver and the
+// crash-simulation harness all checkpoint through it, so their semantics
+// cannot drift apart.
 
 import (
 	"errors"
@@ -31,15 +31,10 @@ type WALDurability struct {
 // AttachWAL wires log into pool: the buffer pool starts honoring the WAL
 // flush ceiling and the transaction manager starts writing commit/abort
 // records. Call once per open, after Recover and before the pool is shared.
-func AttachWAL(pool *heap.Pool, log *wal.Log) *WALDurability {
-	d := &WALDurability{log: log, pool: pool}
+func AttachWAL(pool *heap.Pool, log *wal.Log) {
 	pool.Buf.AttachWAL(log)
-	pool.Mgr.SetDurabilityLog(d)
-	return d
+	pool.Mgr.SetDurabilityLog(&WALDurability{log: log, pool: pool})
 }
-
-// Log returns the underlying write-ahead log.
-func (d *WALDurability) Log() *wal.Log { return d.log }
 
 // LogWork implements txn.DurabilityLog: append images of every page modified
 // since its last logged image. No flush — the commit record lands right
@@ -71,72 +66,70 @@ func (d *WALDurability) WaitDurable(lsn uint64) error {
 	return d.log.Flush(wal.LSN(lsn))
 }
 
-// Checkpoint runs the WAL-mode checkpoint: capture the redo point, log and
-// group-flush every still-unlogged dirty page (so the FlushAll that follows
-// pays no per-page log syncs), flush and sync all data pages, persist the
-// commit log via saveLog, and finally append the checkpoint record — which
-// truncates every log segment wholly below the redo point. Ordering is the
-// recovery contract: the commit log on disk must cover every commit record
-// the truncation discards. A sticky background write-back error fails the
-// checkpoint from FlushAll, before any record is appended.
-func (d *WALDurability) Checkpoint(saveLog func() error) error {
-	redo := d.log.RedoPoint()
-	lsn, err := d.pool.Buf.LogDirtyPages(0)
-	if err != nil {
-		return err
+// Checkpoint is the one checkpoint body, one at a time per pool; log is nil
+// without a WAL. With a log it takes the redo point. Then it takes the cut,
+// the newest commit timestamp: a commit at or below it has all its pages in
+// the pool or on the device, and a later one logs its commit record at or
+// above the redo point. With a log it pre-logs and group-flushes the dirty
+// pages; it flushes and syncs every dirty page; it saves pg_log, synced,
+// with the commits at or below the cut, as the flush may miss a later
+// commit's pages; and with a log it appends the checkpoint record (counters
+// that survive a lost pg_log write), truncating the log below the redo
+// point.
+func Checkpoint(pool *heap.Pool, log *wal.Log) error {
+	pool.CkptMu.Lock()
+	defer pool.CkptMu.Unlock()
+	var redo wal.LSN
+	if log != nil {
+		redo = log.RedoPoint()
 	}
-	if lsn > 0 {
-		if err := d.log.Flush(lsn); err != nil {
+	_, cut := pool.Mgr.Counters()
+	if log != nil {
+		lsn, err := pool.Buf.LogDirtyPages(0)
+		if err != nil {
 			return err
 		}
-	}
-	if err := d.pool.Buf.FlushAll(); err != nil {
-		return err
-	}
-	if saveLog != nil {
-		if err := saveLog(); err != nil {
-			return err
+		if lsn > 0 {
+			if err := log.Flush(lsn); err != nil {
+				return err
+			}
 		}
 	}
-	// The checkpoint record carries the manager's version metadata — XID and
-	// timestamp counters plus the snapshot horizon — so recovery restores
-	// version numbering even if the pg_log file write above was lost.
-	nextXID, nowTS := d.pool.Mgr.Counters()
+	if err := pool.Buf.FlushAll(); err != nil {
+		return err
+	}
+	if err := pool.Mgr.Save(cut); err != nil {
+		return err
+	}
+	if log == nil {
+		return nil
+	}
+	nextXID, nowTS := pool.Mgr.Counters()
 	meta := wal.CheckpointMeta{
 		NextXID: uint32(nextXID),
 		NowTS:   int64(nowTS),
-		Oldest:  uint32(d.pool.Mgr.GlobalXmin()),
+		Oldest:  uint32(pool.Mgr.GlobalXmin()),
 	}
-	if _, err := d.log.Checkpoint(redo, meta); err != nil {
-		return err
-	}
-	return nil
-}
-
-// CheckpointData flushes and syncs every buffered relation — the data half
-// of a force-at-commit or checkpoint-grained checkpoint. It lives here (not
-// in the facade) because FlushAll call sites must sit in a package that can
-// see the WAL flush ceiling, the invariant the walorder analyzer enforces.
-func (s *Store) CheckpointData() error {
-	return s.pool.Buf.FlushAll()
+	_, err := log.Checkpoint(redo, meta)
+	return err
 }
 
 // Recover is crash recovery: it replays every record the durable log holds
 // from its last checkpoint's redo point through Redo — the dispatcher a
-// replica's receiver runs too — and then takes the ordinary WAL checkpoint,
-// which flushes and syncs every replayed page, persists the commit log via
-// saveLog, and appends a checkpoint record carrying the manager's counters.
-// Redo is unconditional (uncommitted images are inert under no-overwrite
+// replica's receiver runs too — and then takes the ordinary checkpoint,
+// which flushes and syncs every replayed page, saves the commit log, and
+// appends a checkpoint record carrying the manager's counters. Redo is
+// unconditional (uncommitted images are inert under no-overwrite
 // visibility) and idempotent, so a crash anywhere in here re-replays the same
 // log on the next open. Run it after wal.Open and before AttachWAL, the
 // catalog, or anything else reads the pool; the replayed pages stay resident
 // and clean.
-func Recover(pool *heap.Pool, log *wal.Log, saveLog func() error) error {
+func Recover(pool *heap.Pool, log *wal.Log) error {
 	err := log.Replay(func(r *wal.Record) error { return Redo(pool.Buf, pool.Mgr, r) })
 	if err != nil {
 		return err
 	}
-	return (&WALDurability{log: log, pool: pool}).Checkpoint(saveLog)
+	return Checkpoint(pool, log)
 }
 
 // Redo applies one WAL record: a page image is installed in the pool as a

@@ -46,14 +46,14 @@ type Gateway struct {
 	// fsMu serialises the lazy Inversion bootstrap for the HTTP frontend.
 	// It is held across inversion.Init (which reads and may create catalog
 	// classes), so in the lock hierarchy it ranks above the catalog latch.
-	fsMu sync.Mutex
-	fs   *inversion.FS // guarded by fsMu until set, then read-only
+	fsMu       sync.Mutex
+	fs         *inversion.FS // guarded by fsMu
+	fsReadOnly bool          // guarded by fsMu; fs was opened on a replica
 
 	// srv owns the stream listener and its connections.
-	srv       daemon.Server
-	replicate func(net.Conn) // see SetReplication; nil refuses replication
+	srv  daemon.Server
+	role Role // see SetRole
 
-	readOnly atomic.Bool
 	chunkHWM atomic.Int64
 	chunkCur atomic.Int64
 }
@@ -83,17 +83,31 @@ func New(store *core.Store, opts Options) *Gateway {
 		// every frontend operation supports.
 		opts.FS.Kind = adt.KindFChunk
 	}
-	return &Gateway{store: store, engine: query.New(store), opts: opts}
+	return &Gateway{store: store, engine: query.New(store), opts: opts, role: primary{}}
 }
 
-// SetReadOnly puts the gateway in replica mode: every mutating operation
-// — begin, exec, write, PUT, DELETE — is refused at the edge while
-// snapshot reads pass through.
-func (g *Gateway) SetReadOnly() { g.readOnly.Store(true) }
+// Role is what the database behind a gateway is now. The gateway asks at
+// each use, so one built before a replica is promoted serves writes and
+// replicas after it.
+type Role interface {
+	// ReadOnly reports a replica: every mutating operation — begin, exec,
+	// write, PUT, DELETE — is refused at the edge while snapshot reads
+	// pass through.
+	ReadOnly() bool
+	// Replicator returns the handler for connections whose Hello asks for
+	// replication (the WAL sender's), or nil to refuse them.
+	Replicator() func(net.Conn)
+}
 
-// SetReplication hands each connection whose Hello asks for replication to
-// serve (the WAL sender's), once answered. Call it before ServeStream.
-func (g *Gateway) SetReplication(serve func(net.Conn)) { g.replicate = serve }
+// SetRole makes the gateway consult role. Call it before serving; without
+// it the gateway is writable and refuses replication.
+func (g *Gateway) SetRole(role Role) { g.role = role }
+
+// primary is the role of a gateway SetRole never reached.
+type primary struct{}
+
+func (primary) ReadOnly() bool             { return false }
+func (primary) Replicator() func(net.Conn) { return nil }
 
 // ChunkBufferHWM returns the high-water mark of the streaming core's
 // in-flight chunk-buffer bytes — the O(chunk-window) bound the edge soak

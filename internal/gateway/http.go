@@ -41,19 +41,21 @@ func (g *Gateway) HTTPHandler() http.Handler {
 
 // httpFS lazily opens the Inversion file system: bootstrapped in its own
 // transaction on the primary, opened read-only on replicas (whose metadata
-// classes arrive via WAL shipping from the primary).
+// classes arrive via WAL shipping from the primary). A replica's read-only
+// file system is opened again, writable, once the replica is promoted.
 func (g *Gateway) httpFS() (*inversion.FS, error) {
 	g.fsMu.Lock()
 	defer g.fsMu.Unlock()
-	if g.fs != nil {
+	readOnly := g.role.ReadOnly()
+	if g.fs != nil && (readOnly || !g.fsReadOnly) {
 		return g.fs, nil
 	}
-	if g.readOnly.Load() {
+	if readOnly {
 		fs, err := inversion.OpenReadOnly(g.store, g.opts.FS)
 		if err != nil {
 			return nil, err
 		}
-		g.fs = fs
+		g.fs, g.fsReadOnly = fs, true
 		return fs, nil
 	}
 	tx := g.store.Pool().Mgr.Begin()
@@ -65,7 +67,7 @@ func (g *Gateway) httpFS() (*inversion.FS, error) {
 	if _, err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	g.fs = fs
+	g.fs, g.fsReadOnly = fs, false
 	return fs, nil
 }
 
@@ -233,7 +235,7 @@ func (g *Gateway) httpGet(w http.ResponseWriter, r *http.Request, path string, w
 		return
 	}
 	defer f.Close()
-	if g.readOnly.Load() {
+	if g.role.ReadOnly() {
 		// Snapshot open served from the replica's own pool.
 		obsReplicaReads.Inc()
 	}
@@ -379,7 +381,7 @@ func mkdirAll(fs *inversion.FS, tx *txn.Txn, dir string) error {
 // path ends in "/"), streaming the body chunk by chunk inside one
 // transaction.
 func (g *Gateway) httpPut(w http.ResponseWriter, r *http.Request, path string, wantDir bool) {
-	if g.readOnly.Load() {
+	if g.role.ReadOnly() {
 		httpFail(w, http.StatusForbidden, errors.New("replica is read-only"))
 		return
 	}
@@ -485,7 +487,7 @@ func (g *Gateway) httpPut(w http.ResponseWriter, r *http.Request, path string, w
 
 // httpDelete removes an object or an empty directory in one transaction.
 func (g *Gateway) httpDelete(w http.ResponseWriter, r *http.Request, path string) {
-	if g.readOnly.Load() {
+	if g.role.ReadOnly() {
 		httpFail(w, http.StatusForbidden, errors.New("replica is read-only"))
 		return
 	}

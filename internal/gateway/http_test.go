@@ -279,7 +279,7 @@ func TestHTTPReadOnlyReplica(t *testing.T) {
 	}
 
 	rg := gateway.New(store, gateway.Options{FS: inversion.Options{SM: storage.Mem}})
-	rg.SetReadOnly()
+	rg.SetRole(role{replica: true})
 	replica := httpServer(t, rg)
 	resp, body := httpDo(t, http.MethodGet, replica.URL+"/b/k", nil, nil)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, payload) {
@@ -302,7 +302,7 @@ func TestHTTPReadOnlyReplica(t *testing.T) {
 func TestHTTPReadOnlyUnbootstrapped(t *testing.T) {
 	_, store, _ := startGateway(t, gateway.Options{})
 	rg := gateway.New(store, gateway.Options{FS: inversion.Options{SM: storage.Mem}})
-	rg.SetReadOnly()
+	rg.SetRole(role{replica: true})
 	replica := httpServer(t, rg)
 	resp, _ := httpDo(t, http.MethodGet, replica.URL+"/b/k", nil, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -318,7 +318,7 @@ func (c *gwConn) greet() bool {
 		return false
 	}
 	if hello.Replication {
-		c.g.replicate(c.conn)
+		c.g.role.Replicator()(c.conn) // negotiate saw one, and a role never loses it
 	}
 	return !hello.Replication
 }
@@ -346,7 +346,7 @@ func (c *gwConn) negotiate(h *Hello) error {
 	if h.Proto != Proto {
 		return fmt.Errorf("protocol %d not supported (want %d)", h.Proto, Proto)
 	}
-	if h.Replication && c.g.replicate == nil {
+	if h.Replication && c.g.role.Replicator() == nil {
 		return errors.New("replication refused: this server is a replica, or a primary opened without a write-ahead log")
 	}
 	if h.Chunk > 0 && h.Chunk < c.chunk {
@@ -551,7 +551,7 @@ func failResp(format string, args ...any) *Resp {
 func (sess *session) dispatchOp(it *reqItem, sw obs.Stopwatch) bool {
 	c := sess.c
 	req := &it.req
-	if sess.g.readOnly.Load() {
+	if sess.g.role.ReadOnly() {
 		switch req.Op {
 		case OpBegin, OpExec:
 			c.respond(it.stream, failResp("replica is read-only: %v refused (read via as-of opens)", req.Op))
@@ -659,7 +659,7 @@ func (sess *session) open(it *reqItem) {
 		return
 	case req.Snapshot:
 		obj, err = sess.g.store.OpenAsOf(req.AsOf, req.Ref)
-		if err == nil && sess.g.readOnly.Load() {
+		if err == nil && sess.g.role.ReadOnly() {
 			// Snapshot open served from the replica's own pool.
 			obsReplicaReads.Inc()
 		}
@@ -855,7 +855,7 @@ func (sess *session) serveWrite(it *reqItem) {
 	var failMsg string
 	var obj core.Object
 	switch h, ok := sess.handles[it.req.Handle]; {
-	case sess.g.readOnly.Load():
+	case sess.g.role.ReadOnly():
 		failMsg = "replica is read-only: write refused"
 	case !ok:
 		failMsg = fmt.Sprintf("bad handle %d", it.req.Handle)

@@ -51,6 +51,16 @@ func startGateway(t testing.TB, opts gateway.Options) (string, *core.Store, *gat
 	return l.Addr().String(), store, g
 }
 
+// role is a fixed gateway.Role: replica marks a read-only replica, and
+// serve, when set, takes replication connections.
+type role struct {
+	replica bool
+	serve   func(net.Conn)
+}
+
+func (r role) ReadOnly() bool             { return r.replica }
+func (r role) Replicator() func(net.Conn) { return r.serve }
+
 func dialStream(t testing.TB, addr string) *client.Stream {
 	t.Helper()
 	s, err := client.DialStream(addr)
@@ -638,7 +648,7 @@ func TestStreamReadOnlyGateway(t *testing.T) {
 	payload := compress.GenFrame(50, 120_000, 0.4)
 	ref := loadObject(t, store, adt.KindFChunk, "fast", payload)
 	ts := store.Pool().Mgr.Now()
-	g.SetReadOnly()
+	g.SetRole(role{replica: true})
 
 	s := dialStream(t, addr)
 	if err := s.Begin(); err == nil || !strings.Contains(err.Error(), "read-only") {
@@ -1398,11 +1408,11 @@ func TestReplicationHelloRefusedWithoutSender(t *testing.T) {
 func TestReplicationHelloHandedOff(t *testing.T) {
 	addr, _, g := startGateway(t, gateway.Options{})
 	handled := make(chan struct{})
-	g.SetReplication(func(conn net.Conn) {
+	g.SetRole(role{serve: func(conn net.Conn) {
 		defer close(handled)
 		conn.Write([]byte("sender"))
 		io.Copy(io.Discard, conn) // until the gateway closes it
-	})
+	}})
 	c, ans, err := dialRaw(t, addr, &gateway.Hello{Proto: gateway.Proto, Replication: true})
 	if err != nil {
 		t.Fatal(err)

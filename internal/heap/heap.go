@@ -87,6 +87,8 @@ type Pool struct {
 	Buf *buffer.Pool
 	Mgr *txn.Manager
 
+	CkptMu sync.Mutex // held by core.Checkpoint: one checkpoint at a time
+
 	relMu sync.Mutex
 	rels  map[relCacheKey]*Relation
 

@@ -12,20 +12,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"postlob/internal/buffer"
 	"postlob/internal/catalog"
 	"postlob/internal/core"
 	"postlob/internal/crcframe"
 	"postlob/internal/gateway"
+	"postlob/internal/heap"
 	"postlob/internal/page"
 	"postlob/internal/storage"
-	"postlob/internal/txn"
 	"postlob/internal/wal"
 )
 
 // defaultCheckpointEvery is how many applied record bytes separate replica
 // checkpoints: frequent enough that reconnect catch-up stays short, rare
-// enough that FlushAll/fsync cost does not dominate replay.
+// enough that checkpoint flush and fsync cost does not dominate replay.
 const defaultCheckpointEvery = 4 << 20
 
 // ctl file: "PRC1" magic, applied LSN u64, CRC-32 (IEEE) over the first 12
@@ -33,7 +32,7 @@ const defaultCheckpointEvery = 4 << 20
 // in. Written via tmp+rename after the pool and commit log are durable, so
 // a ctl that lags its data only ever causes harmless re-replay.
 const (
-	ctlFile  = "pg_repl_ctl"
+	CtlFile  = "pg_repl_ctl"
 	ctlMagic = 0x31435250 // "PRC1"
 	ctlLen   = 16
 )
@@ -44,12 +43,10 @@ type ReceiverConfig struct {
 	Primary string
 	// Name identifies this replica in the primary's slot names and logs.
 	Name string
-	// Dir is the replica's database directory: pg_repl_ctl and pg_log live
-	// here.
+	// Dir is the replica's database directory, where pg_repl_ctl lives.
 	Dir string
 
-	Pool *buffer.Pool
-	Mgr  *txn.Manager
+	Pool *heap.Pool // its manager's log path names the pg_log to save
 	Cat  *catalog.Catalog
 
 	// CheckpointEvery overrides the applied-bytes interval between replica
@@ -80,7 +77,7 @@ type Receiver struct {
 	conn    net.Conn
 	lastErr error
 
-	chkMu sync.Mutex // serialises checkpoints (apply loop vs Stop/facade)
+	ctlMu sync.Mutex // serialises pg_repl_ctl writes; a stale one is skipped
 }
 
 // StartReceiver loads the replica's persisted position and starts the
@@ -95,7 +92,7 @@ func StartReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		readyCh: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
-	at, err := readCtl(filepath.Join(cfg.Dir, ctlFile))
+	at, err := readCtl(filepath.Join(cfg.Dir, CtlFile))
 	if err != nil {
 		return nil, err
 	}
@@ -154,25 +151,26 @@ func (r *Receiver) Kill() {
 	r.wg.Wait()
 }
 
-// Checkpoint makes the replica's applied state durable: flush and sync every
-// pooled page, persist the commit log, then (and only then) advance the
-// on-disk resume position. A crash between any two steps re-replays from the
-// old position — pure idempotent redo. A replica-side background write-back
+// Checkpoint makes the replica's applied state durable: the one checkpoint
+// body (core.Checkpoint, with no log) flushes and syncs every pooled page
+// and saves the commit log, then (and only then) the on-disk resume
+// position advances. A crash between any two steps re-replays from the old
+// position — pure idempotent redo. A replica-side background write-back
 // error fails the checkpoint here, once, like a primary's.
 func (r *Receiver) Checkpoint() error {
-	r.chkMu.Lock()
-	defer r.chkMu.Unlock()
 	at := r.applied.Load()
 	if at == r.durable.Load() {
 		return nil
 	}
-	if err := r.cfg.Pool.FlushAll(); err != nil {
+	if err := core.Checkpoint(r.cfg.Pool, nil); err != nil {
 		return err
 	}
-	if err := r.cfg.Mgr.Save(filepath.Join(r.cfg.Dir, "pg_log")); err != nil {
-		return err
+	r.ctlMu.Lock()
+	defer r.ctlMu.Unlock()
+	if at <= r.durable.Load() {
+		return nil
 	}
-	if err := writeCtl(filepath.Join(r.cfg.Dir, ctlFile), at); err != nil {
+	if err := writeCtl(filepath.Join(r.cfg.Dir, CtlFile), at); err != nil {
 		return err
 	}
 	r.durable.Store(at)
@@ -290,7 +288,7 @@ func (r *Receiver) session(conn net.Conn) error {
 
 	// Shipped records replay through core.Redo, crash recovery's own
 	// dispatcher, so concurrent snapshot reads see each page as it lands.
-	redo := func(rec *wal.Record) error { return core.Redo(r.cfg.Pool, r.cfg.Mgr, rec) }
+	redo := func(rec *wal.Record) error { return core.Redo(r.cfg.Pool.Buf, r.cfg.Pool.Mgr, rec) }
 	var sinceCheckpoint uint64
 	for {
 		k, d, err := w.recvData()
@@ -375,13 +373,13 @@ func (r *Receiver) applyBase(w *wire) error {
 		}
 		switch k {
 		case KindTxnState:
-			if err := r.cfg.Mgr.ApplyState(d.bytes); err != nil {
+			if err := r.cfg.Pool.Mgr.ApplyState(d.bytes); err != nil {
 				return err
 			}
 		case KindBaseBlocks:
 			if !seen[d.rel] {
 				seen[d.rel] = true
-				if err := core.DropRel(r.cfg.Pool, d.rel.SM, d.rel.Rel); err != nil {
+				if err := core.DropRel(r.cfg.Pool.Buf, d.rel.SM, d.rel.Rel); err != nil {
 					return err
 				}
 			}
@@ -389,7 +387,7 @@ func (r *Receiver) applyBase(w *wire) error {
 			rec := wal.Record{Type: wal.TypePageImage, SM: d.rel.SM, Rel: d.rel.Rel, Blk: storage.BlockNum(d.at)}
 			for img := d.bytes; len(img) > 0; img = img[page.Size:] {
 				rec.Image = img[:page.Size]
-				if err := core.Redo(r.cfg.Pool, r.cfg.Mgr, &rec); err != nil {
+				if err := core.Redo(r.cfg.Pool.Buf, r.cfg.Pool.Mgr, &rec); err != nil {
 					return err
 				}
 				rec.Blk++
@@ -411,7 +409,7 @@ func (r *Receiver) applyBase(w *wire) error {
 // clean ground.
 func (r *Receiver) wipe() error {
 	for _, ref := range CatalogRels(r.cfg.Cat) {
-		if err := core.DropRel(r.cfg.Pool, ref.SM, ref.Rel); err != nil {
+		if err := core.DropRel(r.cfg.Pool.Buf, ref.SM, ref.Rel); err != nil {
 			return err
 		}
 	}
@@ -438,36 +436,11 @@ func readCtl(path string) (uint64, error) {
 	return binary.LittleEndian.Uint64(data[4:]), nil
 }
 
-// writeCtl persists the resume position atomically (tmp + rename), syncing
-// the directory so the rename survives a power loss.
+// writeCtl persists the resume position atomically and durably.
 func writeCtl(path string, at uint64) error {
 	buf := make([]byte, ctlLen)
 	binary.LittleEndian.PutUint32(buf, ctlMagic)
 	binary.LittleEndian.PutUint64(buf[4:], at)
 	binary.LittleEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(buf[:12]))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return storage.ReplaceFile(path, buf, true)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"postlob/internal/buffer"
+	"postlob/internal/heap"
 	"postlob/internal/page"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
@@ -21,7 +22,7 @@ func TestCheckpointSurfacesBackgroundWriteError(t *testing.T) {
 	pool := buffer.NewPool(16, sw, nil)
 	pool.StartEngine(buffer.EngineConfig{Manual: true})
 	defer pool.StopEngine()
-	r := &Receiver{cfg: ReceiverConfig{Dir: t.TempDir(), Pool: pool, Mgr: txn.NewManager()}}
+	r := &Receiver{cfg: ReceiverConfig{Dir: t.TempDir(), Pool: &heap.Pool{Buf: pool, Mgr: txn.NewManager()}}}
 
 	img := make([]byte, page.Size)
 	img[0] = 0x5A

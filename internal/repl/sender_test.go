@@ -26,7 +26,7 @@ func serveGateway(t *testing.T, s *Sender, pool *buffer.Pool, mgr *txn.Manager, 
 	store := core.NewStore(&heap.Pool{Buf: pool, Mgr: mgr}, cat, adt.NewRegistry(),
 		core.Config{FilesDir: t.TempDir(), DefaultSM: storage.Mem})
 	g := gateway.New(store, gateway.Options{})
-	g.SetReplication(s.Handle)
+	g.SetRole(primaryRole{s})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +35,13 @@ func serveGateway(t *testing.T, s *Sender, pool *buffer.Pool, mgr *txn.Manager, 
 	t.Cleanup(func() { g.Close() })
 	return l.Addr().String()
 }
+
+// primaryRole is the gateway.Role of a writable primary whose sender
+// serves replicas.
+type primaryRole struct{ s *Sender }
+
+func (primaryRole) ReadOnly() bool               { return false }
+func (r primaryRole) Replicator() func(net.Conn) { return r.s.Handle }
 
 // Close returns only once the sender's work has finished: each handed-over
 // connection's handler, which runs on the gateway's goroutine, and the
@@ -57,7 +64,7 @@ func TestSenderCloseLeavesNoGoroutine(t *testing.T) {
 	addr := serveGateway(t, s, pool, mgr, cat)
 
 	r, err := StartReceiver(ReceiverConfig{Primary: addr, Name: "leak", Dir: t.TempDir(),
-		Pool: newPool(), Mgr: txn.NewManager(), Cat: catalog.NewMemory()})
+		Pool: &heap.Pool{Buf: newPool(), Mgr: txn.NewManager()}, Cat: catalog.NewMemory()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -434,3 +434,34 @@ func (d *DiskManager) Close() error {
 	}
 	return first
 }
+
+// ReplaceFile replaces the file at path with data atomically (a temporary
+// file renamed over it), so a crash leaves the old file or the new. With
+// sync the temporary file is fsynced before the rename and the directory
+// after it, so the new file also survives a power loss.
+func ReplaceFile(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil || !sync {
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

@@ -25,7 +25,8 @@ func buildLog(t *testing.T) (*Manager, string, []byte) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "pg_log")
-	if err := m.Save(path); err != nil {
+	m.SetLogPath(path)
+	if err := m.Save(m.Now()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -104,7 +105,7 @@ func TestXIDBoundPreventsReuseAfterCrash(t *testing.T) {
 	if _, err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(path); err != nil {
+	if err := m.Save(m.Now()); err != nil {
 		t.Fatal(err)
 	}
 	// These transactions crash before any Save: their XIDs exist only in
@@ -131,7 +132,8 @@ func TestXIDBoundPreventsReuseAfterCrash(t *testing.T) {
 }
 
 // Without a log path (a memory-only manager) Begin must not try to touch
-// disk, and Save must still persist a bound covering every issued XID.
+// disk and Save writes nothing; once the path is set, Save must still
+// persist a bound covering every XID issued before.
 func TestSaveBoundsIssuedXIDsWithoutLogPath(t *testing.T) {
 	m := NewManager()
 	var last XID
@@ -142,8 +144,12 @@ func TestSaveBoundsIssuedXIDsWithoutLogPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := m.Save(m.Now()); err != nil {
+		t.Fatalf("Save without a log path: %v", err)
+	}
 	path := filepath.Join(t.TempDir(), "pg_log")
-	if err := m.Save(path); err != nil {
+	m.SetLogPath(path)
+	if err := m.Save(m.Now()); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := Load(path)
@@ -168,27 +174,54 @@ func TestLoadRejectsLegacyMagic(t *testing.T) {
 	}
 }
 
-// A durability hook failure must surface from Commit while the in-memory
-// commit itself stands.
-func TestCommitReturnsDurableHookError(t *testing.T) {
+// Begin's XID reservation rewrites pg_log, but only with the outcomes a
+// checkpoint has made durable: a commit after the last saved cut may have
+// pages the device never got, so it stays out of the file until the next
+// Save, and a crash before that leaves it aborted.
+func TestReservationRecordsOnlySavedCommits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pg_log")
 	m := NewManager()
-	tx := beginWriter(m)
-	boom := errors.New("device on fire")
-	tx.OnCommitDurable(func() error { return boom })
-	ts, err := tx.Commit()
-	if !errors.Is(err, boom) {
-		t.Fatalf("Commit error = %v, want the hook's error", err)
+	m.SetLogPath(path)
+	saved := beginWriter(m)
+	if _, err := saved.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	if ts == InvalidTS {
-		t.Fatal("commit timestamp not assigned despite in-memory commit")
+	if err := m.Save(m.Now()); err != nil {
+		t.Fatal(err)
 	}
-	if m.Status(tx.ID()) != Committed {
-		t.Fatal("transaction not committed in memory")
+	later := beginWriter(m)
+	if _, err := later.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= xidBatch; i++ {
+		if err := m.Begin().Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status := func() (Status, Status) {
+		t.Helper()
+		rec, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Begin().ID() <= later.ID()+xidBatch {
+			t.Fatalf("reservation did not move the XID bound past %d", later.ID()+xidBatch)
+		}
+		return rec.Status(saved.ID()), rec.Status(later.ID())
+	}
+	if s, l := status(); s != Committed || l != Aborted {
+		t.Fatalf("after reservations: saved commit %v, later commit %v; want committed, aborted", s, l)
+	}
+	if err := m.Save(m.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if s, l := status(); s != Committed || l != Committed {
+		t.Fatalf("after the next Save: saved commit %v, later commit %v; want both committed", s, l)
 	}
 }
 
-// Commit-time checkpoints may save the log from many goroutines at once;
-// the writes share one temp-file name, so Save must serialise them. The
+// Saves may run from many goroutines at once; the writes share one
+// temp-file name, so Save must serialise them. The
 // regression this guards: one Save renaming pg_log.tmp away while another
 // was between WriteFile and Rename, failing with "no such file".
 func TestConcurrentSavesDoNotRace(t *testing.T) {
@@ -208,7 +241,7 @@ func TestConcurrentSavesDoNotRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := m.Save(path); err != nil {
+				if err := m.Save(m.Now()); err != nil {
 					errs <- err
 					return
 				}

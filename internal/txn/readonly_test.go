@@ -30,7 +30,8 @@ func (c *countingLog) WaitDurable(uint64) error { c.waits++; return nil }
 
 func logSize(t *testing.T, m *Manager, path string) int64 {
 	t.Helper()
-	if err := m.Save(path); err != nil {
+	m.SetLogPath(path)
+	if err := m.Save(m.Now()); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -106,21 +107,20 @@ func TestReadOnlyTxnsLeaveNoLogEntry(t *testing.T) {
 
 // TestReadOnlyTxnSkipsDurabilityLog: with a durability log attached, a
 // read-only commit or abort appends nothing and waits for no flush, while
-// its commit hooks — Force mode's checkpoint among them — still run.
+// its commit and abort hooks still run.
 func TestReadOnlyTxnSkipsDurabilityLog(t *testing.T) {
 	m := NewManager()
 	dl := &countingLog{}
 	m.SetDurabilityLog(dl)
 
 	tx := m.Begin()
-	var durable, plain bool
-	tx.OnCommitDurable(func() error { durable = true; return nil })
-	tx.OnCommit(func() { plain = true })
+	committed := false
+	tx.OnCommit(func() { committed = true })
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !durable || !plain {
-		t.Fatalf("read-only commit ran durable hook %v, commit hook %v", durable, plain)
+	if !committed {
+		t.Fatal("read-only commit skipped its commit hook")
 	}
 	aborted := false
 	tx = m.Begin()

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"postlob/internal/obs"
+	"postlob/internal/storage"
 )
 
 // Transaction metrics, registered once at package init. For a workload that
@@ -145,7 +146,7 @@ func (s Snapshot) Xmin() XID {
 // DurabilityLog couples transaction completion to a write-ahead log. The
 // manager calls it at the commit and abort boundaries; postlob's WAL
 // durability mode supplies an implementation backed by internal/wal, while a
-// nil log preserves the paper's force/checkpoint disciplines.
+// nil log preserves the paper's checkpoint discipline.
 type DurabilityLog interface {
 	// LogWork captures the transaction's unlogged dirty pages as redo
 	// records. Called before the commit becomes visible, with no manager
@@ -248,7 +249,7 @@ type Manager struct {
 	nextXID  XID           // guarded by mu
 	active   map[XID]bool  // guarded by mu
 	snapXmin map[XID]XID   // guarded by mu; each live txn's snapshot horizon
-	logPath  string        // guarded by mu; "" disables durable XID reservation
+	logPath  string        // guarded by mu; "" disables Save and XID reservation
 	xidBound XID           // guarded by mu; XIDs below this are durably reserved
 	dlog     DurabilityLog // guarded by mu; nil outside WAL mode
 
@@ -265,9 +266,9 @@ type Manager struct {
 
 	// saveMu serialises commit-log file writes (the temp file name is
 	// shared, and renames must not reorder). Acquired after mu; writers
-	// always hold mu — shared or exclusive — across the write, so two
-	// serialised writes always carry identical snapshots.
-	saveMu sync.Mutex
+	// always hold mu — shared or exclusive — across the write.
+	saveMu   sync.Mutex
+	savedCut TS // guarded by saveMu; the newest cut a Save made durable
 }
 
 // NewManager returns an empty transaction manager.
@@ -281,12 +282,12 @@ func NewManager() *Manager {
 	return m
 }
 
-// SetLogPath names the commit-log file used for durable XID reservation.
-// A manager with a log path never hands out an XID that was not first
-// reserved on disk: recovery from a crash then restarts numbering above
-// every XID a lost transaction might have stamped into synced tuples.
-// Without the reservation a recycled XID would commit and make the lost
-// transaction's stray tuples spring back to life.
+// SetLogPath names the commit-log file that Save writes and XID
+// reservations rewrite. A manager with a log path never hands out an XID
+// that was not first reserved on disk: recovery from a crash then restarts
+// numbering above every XID a lost transaction might have stamped into
+// synced tuples. Without the reservation a recycled XID would commit and
+// make the lost transaction's stray tuples spring back to life.
 func (m *Manager) SetLogPath(path string) {
 	m.mu.Lock()
 	m.logPath = path
@@ -314,21 +315,26 @@ func (m *Manager) durabilityLog() DurabilityLog {
 // rewrites the log only once per batch rather than on every transaction.
 const xidBatch = 128
 
-// Begin starts a transaction with a fresh snapshot.
+// Begin starts a transaction with a fresh snapshot. With a log path, one
+// Begin in xidBatch rewrites the commit log to reserve the next batch of
+// XIDs, with only the outcomes at or below the last saved cut: a later
+// commit's pages may not be on the device yet. The write is not synced:
+// every read takes an XID, so a read workload reserves tens of times a
+// second. A power cut can therefore lose a reservation, and recovery then
+// reissue XIDs that pages written since the last checkpoint may carry.
 func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.logPath != "" && m.nextXID >= m.xidBound {
 		bound := m.nextXID + xidBatch
-		buf := m.encodeLocked(bound)
 		m.saveMu.Lock()
-		err := writeLogFile(m.logPath, buf)
+		err := storage.ReplaceFile(m.logPath, m.encodeLocked(bound, m.savedCut), false)
 		m.saveMu.Unlock()
 		if err == nil {
 			m.xidBound = bound
 		}
 		// On failure the bound stays put and the next Begin retries; the
-		// commit-time Save will surface persistent log trouble loudly.
+		// next checkpoint's Save will surface persistent log trouble loudly.
 	}
 	id := m.nextXID
 	m.nextXID++
@@ -552,10 +558,9 @@ type Txn struct {
 	// finishes without it leaves no trace in the commit log or the WAL.
 	writer atomic.Bool
 
-	mu        sync.Mutex
-	onCommit  []func()       // guarded by mu
-	onAbort   []func()       // guarded by mu
-	onDurable []func() error // guarded by mu
+	mu       sync.Mutex
+	onCommit []func() // guarded by mu
+	onAbort  []func() // guarded by mu
 }
 
 // ID returns the transaction's XID.
@@ -594,23 +599,14 @@ func (t *Txn) OnAbort(fn func()) {
 	t.mu.Unlock()
 }
 
-// OnCommitDurable registers a durability hook: it runs at commit, before the
-// plain OnCommit hooks, and its error is returned from Commit. Force-at-
-// commit checkpointing uses this so a failed flush is reported to the caller
-// instead of being swallowed.
-func (t *Txn) OnCommitDurable(fn func() error) {
-	t.mu.Lock()
-	t.onDurable = append(t.onDurable, fn)
-	t.mu.Unlock()
-}
-
 // Commit marks the transaction committed, assigning its commit timestamp.
 // With a durability log attached the transaction's dirty page images and
 // commit record are appended and the call waits for one group flush; a
 // failure before the commit becomes visible turns the transaction into an
 // abort and returns the error. After the commit is visible, a non-nil error
-// reports a durability failure (group flush or OnCommitDurable hook): the
-// transaction is committed in memory but may not survive a crash.
+// reports a failed group flush: the transaction is committed in memory but
+// may not survive a crash. Without a durability log a commit survives a
+// crash once a checkpoint has run after it.
 //
 // A transaction that never stamped a tuple (see MarkWriter) has nothing to
 // make visible or durable: it takes no commit-log entry, no timestamp, no
@@ -624,15 +620,14 @@ func (t *Txn) Commit() (TS, error) {
 	t.done = true
 	hooks := t.onCommit
 	abortHooks := t.onAbort
-	durable := t.onDurable
-	t.onCommit, t.onAbort, t.onDurable = nil, nil, nil
+	t.onCommit, t.onAbort = nil, nil
 	t.mu.Unlock()
 	t.sw.Stop()
 	var ts TS
-	var firstErr error
+	var durErr error
 	if t.writer.Load() {
 		var err error
-		if ts, firstErr, err = t.commitWrites(); err != nil {
+		if ts, durErr, err = t.commitWrites(); err != nil {
 			obsAborts.Inc()
 			for _, fn := range abortHooks {
 				fn()
@@ -644,15 +639,10 @@ func (t *Txn) Commit() (TS, error) {
 		ts = t.mgr.Now()
 	}
 	obsCommits.Inc()
-	for _, fn := range durable {
-		if err := fn(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	for _, fn := range hooks {
 		fn()
 	}
-	return ts, firstErr
+	return ts, durErr
 }
 
 // commitWrites records a writer's commit. err reports a failure before the
@@ -691,7 +681,7 @@ func (t *Txn) Abort() error {
 	}
 	t.done = true
 	hooks := t.onAbort
-	t.onCommit, t.onAbort, t.onDurable = nil, nil, nil
+	t.onCommit, t.onAbort = nil, nil
 	t.mu.Unlock()
 	obsAborts.Inc()
 	t.sw.Stop()
@@ -725,16 +715,19 @@ const (
 )
 
 // encodeLocked serialises the commit log with the given durable XID bound;
-// caller holds m.mu (shared is enough — nothing is mutated). Every decided
-// transaction below nextXID is written; in-progress and unknown XIDs are
-// omitted (after a restart they are implicitly aborted, which is exactly the
-// recovery semantics of a no-overwrite store with a forced log). It runs in
-// two passes over the status table, counting then filling, so the log is
-// built in one exactly-sized buffer.
-func (m *Manager) encodeLocked(bound XID) []byte {
+// caller holds m.mu (shared is enough — nothing is mutated). Every abort
+// and every commit at or below cut is written; later commits, in-progress
+// and unknown XIDs are omitted (after a restart they are implicitly
+// aborted, which is exactly the recovery semantics of a no-overwrite store
+// with a forced log). It runs in two passes over the status table, counting
+// then filling, so the log is built in one exactly-sized buffer.
+func (m *Manager) encodeLocked(bound XID, cut TS) []byte {
+	keep := func(w uint64) bool {
+		return w&3 == stAborted || w&3 == stCommitted && TS(w>>2) <= cut
+	}
 	n := 0
 	for x := firstUserXID; x < m.nextXID; x++ {
-		if st := m.table.load(x) & 3; st == stCommitted || st == stAborted {
+		if keep(m.table.load(x)) {
 			n++
 		}
 	}
@@ -746,13 +739,12 @@ func (m *Manager) encodeLocked(bound XID) []byte {
 	ent := buf[logHdrLen:]
 	for x := firstUserXID; x < m.nextXID; x++ {
 		w := m.table.load(x)
-		st, ts := Committed, TS(w>>2)
-		switch w & 3 {
-		case stCommitted:
-		case stAborted:
-			st, ts = Aborted, InvalidTS
-		default:
+		if !keep(w) {
 			continue
+		}
+		st, ts := Committed, TS(w>>2)
+		if w&3 == stAborted {
+			st, ts = Aborted, InvalidTS
 		}
 		binary.LittleEndian.PutUint32(ent, uint32(x))
 		ent[4] = byte(st)
@@ -763,31 +755,27 @@ func (m *Manager) encodeLocked(bound XID) []byte {
 	return buf
 }
 
-func writeLogFile(path string, buf []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("txn: save: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// Save writes the commit log and counters to path. In-progress transactions
-// are not persisted: after a restart they are implicitly aborted, which is
-// exactly the recovery semantics of a no-overwrite store with a forced log.
-func (m *Manager) Save(path string) error {
-	// Hold the read lock across the write: concurrent Saves then encode
-	// an identical snapshot (any state change needs mu exclusively), so
-	// saveMu may flush them in either order without the log regressing.
-	m.mu.RLock()
+// Save durably writes the commit log to the log path with the commits at or
+// below cut, the newest commit timestamp a checkpoint read before its
+// flush; a later commit's pages may have missed that flush. In-progress
+// transactions are not persisted: after a restart they are implicitly
+// aborted. A manager without a log path has nothing to save, and a cut
+// below one already saved saves that one, so the log never regresses.
+func (m *Manager) Save(cut TS) error {
+	m.mu.RLock() // any state change needs mu exclusive: one moment's state
 	defer m.mu.RUnlock()
-	bound := m.xidBound
-	if m.nextXID > bound {
-		bound = m.nextXID
+	if m.logPath == "" {
+		return nil
 	}
-	buf := m.encodeLocked(bound)
+	bound := max(m.xidBound, m.nextXID)
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()
-	return writeLogFile(path, buf)
+	cut = max(cut, m.savedCut)
+	if err := storage.ReplaceFile(m.logPath, m.encodeLocked(bound, cut), true); err != nil {
+		return fmt.Errorf("txn: save: %w", err)
+	}
+	m.savedCut = cut
+	return nil
 }
 
 // logEntry is one decoded commit-log entry.
@@ -848,6 +836,8 @@ func Load(path string) (*Manager, error) {
 	if int64(nextTS) > m.nextTS.Load() {
 		m.nextTS.Store(int64(nextTS))
 	}
+	// Every loaded commit is durable, and every later one is newer.
+	m.savedCut = m.Now()
 	m.table.growLocked(m.nextXID)
 	for _, e := range ents {
 		m.table.growLocked(e.xid)
@@ -867,11 +857,7 @@ func Load(path string) (*Manager, error) {
 func (m *Manager) EncodeState() []byte {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	bound := m.xidBound
-	if m.nextXID > bound {
-		bound = m.nextXID
-	}
-	return m.encodeLocked(bound)
+	return m.encodeLocked(max(m.xidBound, m.nextXID), m.Now())
 }
 
 // ApplyState merges a snapshot produced by EncodeState (or read from a

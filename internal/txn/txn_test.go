@@ -141,7 +141,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	open := beginWriter(m) // in progress at save time
 
 	path := filepath.Join(t.TempDir(), "pg_log")
-	if err := m.Save(path); err != nil {
+	m.SetLogPath(path)
+	if err := m.Save(m.Now()); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Load(path)
@@ -232,7 +233,7 @@ func TestEncodeLogMatchesTwoCopies(t *testing.T) {
 		}
 	}
 	m.mu.RLock()
-	got, ref := m.encodeLocked(m.nextXID), encodeTwoCopiesLocked(m, m.nextXID)
+	got, ref := m.encodeLocked(m.nextXID, m.Now()), encodeTwoCopiesLocked(m, m.nextXID)
 	m.mu.RUnlock()
 	if !bytes.Equal(got, ref) {
 		t.Fatalf("encodeLocked differs from the two-copy encoder (%d vs %d bytes)", len(got), len(ref))
@@ -242,7 +243,8 @@ func TestEncodeLogMatchesTwoCopies(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "pg_log")
-	if err := m.Save(path); err != nil {
+	m.SetLogPath(path)
+	if err := m.Save(m.Now()); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Load(path)

@@ -22,6 +22,7 @@ package postlob
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,16 +53,14 @@ const (
 	// DurabilityCheckpoint (the default) makes durability checkpoint-
 	// grained: commits are visible immediately but survive a crash only
 	// once a Checkpoint has run — the cheapest mode, and the one the
-	// paper's performance study measures.
+	// paper's performance study measures. Commit followed by Checkpoint is
+	// the POSTGRES force-at-commit discipline. Without a log, a kill while a
+	// transaction has evicted pages can leave committed objects unreadable.
 	DurabilityCheckpoint Durability = iota
 	// DurabilityWAL appends physical page images and a commit record to a
 	// write-ahead log; commit returns once the group-commit flusher has
 	// made the record durable. Crash recovery replays the log on Open.
 	DurabilityWAL
-	// DurabilityForce flushes every dirty page and persists the commit log
-	// before each commit returns — the POSTGRES no-write-ahead-log
-	// discipline. Costs a full checkpoint per commit.
-	DurabilityForce
 )
 
 // Re-exported types so applications rarely import internals directly.
@@ -154,8 +153,8 @@ type Options struct {
 	CPU compress.CPUModel
 
 	// Durability selects the commit discipline: checkpoint-grained (the
-	// zero value), write-ahead logging with group commit, or force-at-
-	// commit. A durability failure at commit is returned from tx.Commit.
+	// zero value) or write-ahead logging with group commit. A durability
+	// failure at commit is returned from tx.Commit.
 	Durability Durability
 	// WALSegBlocks overrides the WAL segment size in 8 KiB blocks
 	// (default 256). Only consulted under DurabilityWAL.
@@ -211,16 +210,14 @@ type DB struct {
 	store  *core.Store
 	engine *query.Engine
 	clock  *vclock.Clock
-	mode   Durability
 	wlog   *wal.Log
-	waldur *core.WALDurability
 
 	vacMu sync.Mutex // guards vac across StartVacuum/StopVacuum/Close
 	vac   *core.VacuumDaemon
 
 	replica atomic.Bool // read-only streaming replica (until Promote)
 	recv    *repl.Receiver
-	sender  *repl.Sender // nil unless opened with DurabilityWAL
+	sender  atomic.Pointer[repl.Sender] // nil unless the database has a WAL
 }
 
 // VacuumOptions configures the online vacuum daemon; see core.VacuumOptions.
@@ -267,8 +264,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	} else {
 		mgr = txn.NewManager()
 	}
-	// Reserve XIDs durably before they are handed out, so a crash can never
-	// lead to a lost transaction's XID being recycled.
+	// Checkpoints save the commit log here, and XIDs are reserved in it
+	// before they are handed out, so a crash can never lead to a lost
+	// transaction's XID being recycled.
 	mgr.SetLogPath(logPath)
 
 	mode := opts.Durability
@@ -294,7 +292,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := core.Recover(pool, wlog, func() error { return mgr.Save(logPath) }); err != nil {
+		if err := core.Recover(pool, wlog); err != nil {
 			return nil, err
 		}
 		if mode != DurabilityWAL {
@@ -332,11 +330,10 @@ func Open(dir string, opts Options) (*DB, error) {
 		store:  store,
 		engine: query.New(store),
 		clock:  opts.Clock,
-		mode:   mode,
 		wlog:   wlog,
 	}
 	if wlog != nil {
-		db.waldur = core.AttachWAL(pool, wlog)
+		core.AttachWAL(pool, wlog)
 	}
 	// The engine starts after AttachWAL so its write-backs honor the flush
 	// ceiling from the first round, and before any workload runs.
@@ -368,8 +365,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			Primary:         opts.ReplicaOf,
 			Name:            name,
 			Dir:             dir,
-			Pool:            pool.Buf,
-			Mgr:             mgr,
+			Pool:            pool,
 			Cat:             cat,
 			CheckpointEvery: opts.ReplCheckpointEvery,
 		})
@@ -387,7 +383,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	if wlog != nil {
-		db.sender = repl.NewSender(wlog, pool.Buf, mgr, cat)
+		db.sender.Store(repl.NewSender(wlog, pool.Buf, mgr, cat))
 	}
 	return db, nil
 }
@@ -407,10 +403,10 @@ func (db *DB) CreateLargeType(t LargeType) error {
 	})
 }
 
-// Begin starts a transaction. Under DurabilityForce its commit flushes dirty
-// pages and the commit log to stable storage before control returns; under
-// DurabilityWAL the transaction manager's durability log (wired at Open)
-// makes the commit record durable instead.
+// Begin starts a transaction. Under DurabilityWAL the transaction manager's
+// durability log (wired at Open) makes its commit record durable before
+// Commit returns; otherwise the commit is durable once a Checkpoint has run
+// after it, and Commit followed by Checkpoint forces it at once.
 //
 // Panics if the database is a read-only replica: local transactions would
 // allocate XIDs that collide with the primary's replayed stream. Use
@@ -419,11 +415,7 @@ func (db *DB) Begin() *Txn {
 	if db.replica.Load() {
 		panic("postlob: Begin on a read-only replica (Promote it, or read via OpenAsOf)")
 	}
-	tx := db.pool.Mgr.Begin()
-	if db.mode == DurabilityForce {
-		tx.OnCommitDurable(db.Checkpoint)
-	}
-	return tx
+	return db.pool.Mgr.Begin()
 }
 
 // RunInTxn executes fn in a transaction, committing on success.
@@ -475,19 +467,28 @@ func (db *DB) Inversion(opts FSOptions) (*FS, error) {
 // (internal/client's DialStream), where remote large-object reads ship
 // stored compressed extents and are decompressed client-side (§3's
 // just-in-time conversion); Gateway.HTTPHandler serves the S3-style object
-// API over the Inversion file system. On a replica the gateway comes up
-// read-only — GETs and snapshot stream reads are served locally, mutations
-// refused at the edge. On a WAL primary the stream frontend also hands
-// replicas (Options.ReplicaOf) to the WAL sender.
+// API over the Inversion file system. The gateway asks the database what it
+// is at each use: on a replica it is read-only — GETs and snapshot stream
+// reads are served locally, mutations refused at the edge — and on a WAL
+// primary the stream frontend also hands replicas (Options.ReplicaOf) to
+// the WAL sender. A gateway built before a Promote serves writes and
+// replicas after it.
 func (db *DB) NewGateway(opts GatewayOptions) *Gateway {
 	gw := gateway.New(db.store, opts)
-	if db.replica.Load() {
-		gw.SetReadOnly()
-	}
-	if db.sender != nil {
-		gw.SetReplication(db.sender.Handle)
-	}
+	gw.SetRole(dbRole{db})
 	return gw
+}
+
+// dbRole is the gateway.Role of a database.
+type dbRole struct{ db *DB }
+
+func (r dbRole) ReadOnly() bool { return r.db.replica.Load() }
+
+func (r dbRole) Replicator() func(net.Conn) {
+	if s := r.db.sender.Load(); s != nil {
+		return s.Handle
+	}
+	return nil
 }
 
 // Checkpoint metrics, registered once at package init. System-wide metrics
@@ -592,31 +593,20 @@ func (db *DB) StopVacuum() error {
 
 // Checkpoint flushes all dirty pages, syncs every relation the pool has
 // touched — class relations and large-object relations alike — and only
-// then persists the commit log. The ordering is the recovery contract: a
-// transaction is durable exactly when its log record is, and the log is
-// never written ahead of the data it describes. Under DurabilityWAL the
-// checkpoint additionally becomes the log-truncation point: segments wholly
-// below the new redo point are dropped.
+// then saves the commit log, with the commits made before the flush began
+// (core.Checkpoint): the log is never written ahead of the data it
+// describes. Under DurabilityWAL the checkpoint is also the log-truncation
+// point: segments wholly below the new redo point are dropped.
 func (db *DB) Checkpoint() error {
 	sw := obsCheckpointDur.Start()
 	defer sw.Stop()
 	if db.recv != nil {
-		// Replica: a checkpoint persists the applied stream position after
-		// flushing the replayed pages — the receiver owns that ordering.
+		// Replica: the same checkpoint, then the applied stream position
+		// is persisted — the receiver owns that ordering.
 		return db.recv.Checkpoint()
 	}
-	saveLog := func() error { return db.pool.Mgr.Save(filepath.Join(db.dir, "pg_log")) }
-	if db.waldur != nil {
-		if err := db.waldur.Checkpoint(saveLog); err != nil {
-			return err
-		}
-	} else {
-		if err := db.store.CheckpointData(); err != nil {
-			return err
-		}
-		if err := saveLog(); err != nil {
-			return err
-		}
+	if err := core.Checkpoint(db.pool, db.wlog); err != nil {
+		return err
 	}
 	obsCheckpoints.Inc()
 	return nil
@@ -627,8 +617,8 @@ func (db *DB) Close() error {
 	// Stop streaming to replicas before the log closes underneath the
 	// sender; replicas see a dropped connection and reconnect elsewhere in
 	// time (or to this database's next incarnation).
-	if db.sender != nil {
-		db.sender.Close()
+	if s := db.sender.Load(); s != nil {
+		s.Close()
 	}
 	// Quiesce the daemons first: the closing checkpoint must see a stable
 	// dirty set, and StopEngine surfaces any sticky async write-back error.
@@ -672,9 +662,10 @@ func (db *DB) WaitReplicaReady(d time.Duration) error {
 // replication control file is removed so a later mis-configured reopen
 // cannot resume a dead timeline, and a fresh write-ahead log is attached so
 // the promoted database runs with the same durability discipline as the
-// primary it replaces. The transaction counters were advanced by every
-// replayed commit, so new transactions allocate fresh XIDs past the
-// primary's history.
+// primary it replaces, with a sender that serves replicas of its own. The
+// transaction counters were advanced by every replayed commit, so new
+// transactions allocate fresh XIDs past the primary's history. Gateways
+// built before Promote serve writes and replicas after it.
 func (db *DB) Promote() error {
 	if !db.replica.Load() {
 		return fmt.Errorf("postlob: Promote on a non-replica")
@@ -683,7 +674,7 @@ func (db *DB) Promote() error {
 		return err
 	}
 	db.recv = nil
-	if err := os.Remove(filepath.Join(db.dir, ctlFileName)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(filepath.Join(db.dir, repl.CtlFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	diskMgr, err := db.sw.Get(storage.Disk)
@@ -698,8 +689,8 @@ func (db *DB) Promote() error {
 		return err
 	}
 	db.wlog = wlog
-	db.waldur = core.AttachWAL(db.pool, wlog)
-	db.mode = DurabilityWAL
+	core.AttachWAL(db.pool, wlog)
+	db.sender.Store(repl.NewSender(wlog, db.pool.Buf, db.pool.Mgr, db.cat))
 	db.replica.Store(false)
 	// Run the orphan-temp sweep the replica open skipped: the promoted
 	// database now owns its temporaries.
@@ -708,7 +699,3 @@ func (db *DB) Promote() error {
 	}
 	return nil
 }
-
-// ctlFileName mirrors internal/repl's control file name for Promote's
-// cleanup; the receiver owns the format.
-const ctlFileName = "pg_repl_ctl"

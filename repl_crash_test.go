@@ -112,7 +112,7 @@ func crashReplPrimary(t *testing.T, pdb *DB, gw *Gateway, cm *storage.CrashManag
 	t.Helper()
 	cm.Crash()
 	gw.Close()
-	pdb.sender.Close()
+	pdb.sender.Load().Close()
 	pdb.pool.Buf.StopEngine()
 	assertDirtyCounted(t, pdb, "crashed primary")
 }

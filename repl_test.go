@@ -408,6 +408,60 @@ func TestPromote(t *testing.T) {
 	}
 }
 
+// TestPromotedGatewayServesWritesAndReplicas: a gateway built while the
+// database was a replica reads the database's role at each use, so once
+// the replica is promoted it accepts writes, and it hands a new replica to
+// the promoted database's own WAL sender.
+func TestPromotedGatewayServesWritesAndReplicas(t *testing.T) {
+	pdb, rdb, _ := replPair(t, Options{}, Options{})
+	defer pdb.Close()
+	inherited := bytes.Repeat([]byte("inherited "), 3000)
+	ref := commitObject(t, pdb, inherited)
+	waitCaughtUp(t, pdb, rdb, 10*time.Second)
+	addr := serveStream(t, rdb, GatewayOptions{})
+	if err := rdb.Promote(); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer rdb.Close()
+
+	c, err := client.DialStream(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Begin(); err != nil {
+		t.Fatalf("Begin through a gateway built before Promote: %v", err)
+	}
+	obj, err := c.Open(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := []byte("written through the gateway after promote")
+	if _, err := obj.Write(patch); err != nil {
+		t.Fatalf("write through a gateway built before Promote: %v", err)
+	}
+	if err := obj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Commit(); err != nil {
+		t.Fatalf("commit through a gateway built before Promote: %v", err)
+	}
+	want := append(append([]byte{}, patch...), inherited[len(patch):]...)
+
+	r2, err := Open(t.TempDir(), Options{ReplicaOf: addr, ReplCheckpointEvery: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if err := r2.WaitReplicaReady(10 * time.Second); err != nil {
+		t.Fatalf("replica of the promoted database: %v (receiver err: %v)", err, r2.recv.LastErr())
+	}
+	waitCaughtUp(t, rdb, r2, 10*time.Second)
+	if got := readReplica(t, r2, ref); !bytes.Equal(got, want) {
+		t.Fatalf("replica of the promoted database: %s", diffDesc(got, want))
+	}
+}
+
 // TestReplicationFanOut runs two replicas off one primary and checks both
 // converge independently.
 func TestReplicationFanOut(t *testing.T) {
