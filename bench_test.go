@@ -111,10 +111,10 @@ func newBenchDB(b *testing.B) *DB {
 	return db
 }
 
-func benchObject(b *testing.B, db *DB, kind StorageKind, codec string, size int) (ObjectRef, *Txn) {
+func benchObject(b *testing.B, db *DB, opts CreateOptions, size int) (ObjectRef, *Txn) {
 	b.Helper()
 	tx := db.Begin()
-	ref, obj, err := db.LargeObjects().Create(tx, CreateOptions{Kind: kind, Codec: codec})
+	ref, obj, err := db.LargeObjects().Create(tx, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func benchObject(b *testing.B, db *DB, kind StorageKind, codec string, size int)
 
 func BenchmarkFChunkSequentialRead(b *testing.B) {
 	db := newBenchDB(b)
-	ref, tx := benchObject(b, db, FChunk, "", 1<<20)
+	ref, tx := benchObject(b, db, CreateOptions{Kind: FChunk}, 1<<20)
 	defer tx.Abort()
 	buf := make([]byte, 4096)
 	b.SetBytes(1 << 20)
@@ -156,7 +156,7 @@ func BenchmarkFChunkSequentialRead(b *testing.B) {
 
 func BenchmarkFChunkRandomRead(b *testing.B) {
 	db := newBenchDB(b)
-	ref, tx := benchObject(b, db, FChunk, "", 1<<20)
+	ref, tx := benchObject(b, db, CreateOptions{Kind: FChunk}, 1<<20)
 	defer tx.Abort()
 	obj, err := db.LargeObjects().Open(tx, ref)
 	if err != nil {
@@ -180,7 +180,7 @@ func BenchmarkFChunkRandomRead(b *testing.B) {
 
 func BenchmarkVSegmentRandomRead(b *testing.B) {
 	db := newBenchDB(b)
-	ref, tx := benchObject(b, db, VSegment, "fast", 1<<20)
+	ref, tx := benchObject(b, db, CreateOptions{Kind: VSegment, Codec: "fast"}, 1<<20)
 	defer tx.Abort()
 	obj, err := db.LargeObjects().Open(tx, ref)
 	if err != nil {
@@ -346,12 +346,12 @@ func BenchmarkRemoteReadWireRatio(b *testing.B) {
 func BenchmarkAblationChunkSize(b *testing.B) {
 	for _, cs := range []int{2000, 4000, 8000} {
 		b.Run(fmt.Sprintf("chunk%d", cs), func(b *testing.B) {
-			db, err := Open(b.TempDir(), Options{ChunkSize: cs})
+			db, err := Open(b.TempDir(), Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer db.Close()
-			ref, tx := benchObject(b, db, FChunk, "", 1<<20)
+			ref, tx := benchObject(b, db, CreateOptions{Kind: FChunk, ChunkSize: cs}, 1<<20)
 			defer tx.Abort()
 			obj, err := db.LargeObjects().Open(tx, ref)
 			if err != nil {
@@ -473,7 +473,7 @@ func BenchmarkAblationCodecChoice(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			db := newBenchDB(b)
-			ref, tx := benchObject(b, db, VSegment, codec, 1<<20)
+			ref, tx := benchObject(b, db, CreateOptions{Kind: VSegment, Codec: codec}, 1<<20)
 			defer tx.Abort()
 			obj, err := db.LargeObjects().Open(tx, ref)
 			if err != nil {

@@ -58,6 +58,12 @@
 #                                  TestCloseAfterCheckpointWritesNothing); the
 #                                  gap-pin cap test
 #                                  (TestBgWriterRoundCapsGapPinsAtHalfPool);
+#                                  the one-handle and one-unlink tests
+#                                  (TestOpenersShareOneHandle in btree and
+#                                  heap, TestUnlinkWaitsOutReaderPin) and
+#                                  TestFlushAllSyncsInFlightWriteBack, a
+#                                  checkpoint racing a write-back already at
+#                                  the device;
 #                                  and
 #                                  TestConcurrentWritersDistinctBlocks at
 #                                  -count=200, whose tiny pool once ran out of
@@ -305,6 +311,8 @@ go test -race -count=20 \
 go test -race -count=20 \
 	-run '^(TestBgWriterLeavesHotFramesDirty|TestBgWriterRoundCapsGapPinsAtHalfPool|TestBgWriterIdleRoundScansNothing|TestExtensionWritesEachBlockOnce|TestIdleEvictionWakesNoWriter|TestWALDirtyListSurvivesRandomOps|TestDirtyCountSurvivesRandomOps|TestFlushAllSweepsPoolOnce|TestFlushAllUnderConcurrentDirtying|TestFlushSyncsOnlyWrittenRelations|TestDroppedRelationHandle|TestAllocWaitsForRelease|TestAllocWaitsForFreeFrame)$' \
 	./internal/buffer
+go test -race -count=20 -run '^(TestOpenersShareOneHandle|TestUnlinkWaitsOutReaderPin|TestFlushAllSyncsInFlightWriteBack)$' \
+	./internal/btree ./internal/heap ./internal/buffer
 go test -race -count=200 -run '^TestConcurrentWritersDistinctBlocks$' ./internal/buffer
 
 echo "== checkpoint cut sweep (-race -count=20)"

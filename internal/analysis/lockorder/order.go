@@ -52,13 +52,10 @@ var Hierarchy = []Level{
 	{Doc: "catalog: name resolution happens before any page access", Classes: []Class{
 		{Name: "catalog.Catalog.mu"},
 	}},
-	{Doc: "access-method handle caches: every opener of a relation must " +
-		"share one handle, so the handle's own lock excludes readers from " +
-		"structural changes", Classes: []Class{
-		{Name: "heap.Pool.relMu"},
-		{Name: "btree.Cache.mu"},
-	}},
-	{Doc: "access-method relation locks (heap and btree are independent)", Classes: []Class{
+	{Doc: "access-method relation locks (heap and btree are independent); " +
+		"every opener of a relation shares the one handle installed on its " +
+		"buffer-pool descriptor, so these locks exclude all its readers " +
+		"from structural changes", Classes: []Class{
 		{Name: "heap.Relation.mu"},
 		{Name: "btree.Tree.mu"},
 	}},

@@ -1,6 +1,6 @@
 // Fixture for the lockorder analyzer: a stub of the real buffer package
-// under its package name, so the class names (buffer.Pool.nbMu level 5,
-// buffer.partition.mu level 6) land in the declared hierarchy.
+// under its package name, so the class names (buffer.Pool.nbMu level 4,
+// buffer.partition.mu level 5) land in the declared hierarchy.
 package buffer
 
 import "sync"
@@ -29,7 +29,7 @@ func (p *Pool) OkForward() {
 func (p *Pool) BadBackward() {
 	part := p.parts[0]
 	part.mu.Lock()
-	p.nbMu.Lock() // want `lock-order: buffer\.Pool\.nbMu \(level 5\) acquired while holding buffer\.partition\.mu \(level 6\), against the declared hierarchy`
+	p.nbMu.Lock() // want `lock-order: buffer\.Pool\.nbMu \(level 4\) acquired while holding buffer\.partition\.mu \(level 5\), against the declared hierarchy`
 	p.nbMu.Unlock()
 	part.mu.Unlock()
 }
@@ -48,7 +48,7 @@ func (p *Pool) BadReentrant() {
 func (p *Pool) BadViaCallee() {
 	part := p.parts[0]
 	part.mu.Lock()
-	p.grow() // want `lock-order: buffer\.Pool\.nbMu \(level 5\) acquired while holding buffer\.partition\.mu \(level 6\), against the declared hierarchy \(buffer\.Pool\.BadViaCallee → buffer\.Pool\.grow\)`
+	p.grow() // want `lock-order: buffer\.Pool\.nbMu \(level 4\) acquired while holding buffer\.partition\.mu \(level 5\), against the declared hierarchy \(buffer\.Pool\.BadViaCallee → buffer\.Pool\.grow\)`
 	part.mu.Unlock()
 }
 
@@ -71,7 +71,7 @@ func (p *Pool) OkBgErrLeaf() {
 // its round is released.
 func (p *Pool) BadLatchUnderBgErr() {
 	p.bgErrMu.Lock()
-	p.parts[0].mu.Lock() // want `lock-order: buffer\.partition\.mu \(level 6\) acquired while holding buffer\.Pool\.bgErrMu \(level 13\), against the declared hierarchy`
+	p.parts[0].mu.Lock() // want `lock-order: buffer\.partition\.mu \(level 5\) acquired while holding buffer\.Pool\.bgErrMu \(level 12\), against the declared hierarchy`
 	p.parts[0].mu.Unlock()
 	p.bgErrMu.Unlock()
 }

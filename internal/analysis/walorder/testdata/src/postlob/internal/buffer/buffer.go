@@ -3,10 +3,15 @@
 // so only the names matter here.
 package buffer
 
-type Pool struct{}
+import "postlob/internal/storage"
+
+type Pool struct{ mgr storage.Manager }
 
 func (p *Pool) FlushAll() error { return nil }
 
 func (p *Pool) FlushRel() error { return nil }
 
 func (p *Pool) ApplyRedoImage(rel string, blk int, img []byte) error { return nil }
+
+// Unlink is the one relation unlink: it may remove the storage.
+func (p *Pool) Unlink(rel string) error { return p.mgr.Unlink(rel) } // allowed

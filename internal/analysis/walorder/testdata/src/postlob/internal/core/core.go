@@ -6,6 +6,7 @@ package core
 
 import (
 	"postlob/internal/buffer"
+	"postlob/internal/storage"
 	"postlob/internal/wal"
 )
 
@@ -34,4 +35,11 @@ func checkpoint(p *buffer.Pool, l *wal.Log) error {
 
 func redo(p *buffer.Pool) error {
 	return p.ApplyRedoImage("rel", 7, nil) // allowed: core.Redo is the one redo dispatcher
+}
+
+func dropOld(p *buffer.Pool, mgr storage.Manager) error {
+	if err := p.Unlink("old"); err != nil { // allowed: the pool's one unlink
+		return err
+	}
+	return mgr.Unlink("old") // want `storage Unlink called from postlob/internal/core`
 }

@@ -1,5 +1,5 @@
 // Package walorder defines an analyzer that enforces the write-ahead-log
-// ordering discipline at its two brittle seams.
+// ordering discipline at its brittle seams.
 //
 // Rule 1: buffer.Pool.FlushRel and FlushAll write dirty pages to their home
 // locations, so every call site must sit below the WAL flush ceiling — the
@@ -27,6 +27,16 @@
 // else it is a page write the log will never describe, silently
 // un-replayable, or a second redo path that can drift from the first.
 //
+// Rule 4: a storage manager's Unlink removes a relation's storage, which is
+// sound only in one order: the relation's buffered pages discarded first (a
+// later write-back would recreate it), then an unlink record appended under
+// a WAL (redo would resurrect it from earlier page images), then the
+// storage removed. buffer.Pool.Unlink is that order, so only
+// postlob/internal/buffer may call a manager's Unlink, besides
+// postlob/internal/wal, which removes its own log segments, and
+// postlob/internal/storage, whose wrapping managers delegate to the manager
+// they wrap.
+//
 // Test files are exempt, as elsewhere in lobvet: tests may exercise flushes
 // and appends directly.
 package walorder
@@ -40,8 +50,9 @@ import (
 )
 
 const (
-	bufferPath = "postlob/internal/buffer"
-	walPath    = "postlob/internal/wal"
+	bufferPath  = "postlob/internal/buffer"
+	walPath     = "postlob/internal/wal"
+	storagePath = "postlob/internal/storage"
 )
 
 // flushPkgs are the packages allowed to call Pool.FlushRel / Pool.FlushAll:
@@ -59,11 +70,20 @@ var redoPkgs = map[string]bool{
 	"postlob/internal/core":   true,
 }
 
-// Analyzer reports flush calls outside the checkpoint layers and discarded
-// wal.Append* LSNs.
+// unlinkPkgs are the packages allowed to call a storage manager's Unlink:
+// the pool, whose Unlink is the one relation unlink, and the storage
+// managers themselves. The WAL, which removes its own segments, is exempt
+// from every rule.
+var unlinkPkgs = map[string]bool{
+	bufferPath:  true,
+	storagePath: true,
+}
+
+// Analyzer reports flush, redo and storage-unlink calls outside their layers
+// and discarded wal.Append* LSNs.
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
-	Doc:  "Pool flushes stay in buffer/core; wal.Append* LSNs must not be discarded",
+	Doc:  "Pool flushes stay in buffer/core; storage unlinks go through buffer.Pool.Unlink; wal.Append* LSNs must not be discarded",
 	Run:  run,
 }
 
@@ -110,6 +130,12 @@ func checkFile(pass *analysis.Pass, file *ast.File) {
 			if fn.Name() == "ApplyRedoImage" && !redoPkgs[pass.Pkg.Path()] {
 				pass.Reportf(call.Pos(),
 					"buffer.Pool.ApplyRedoImage called from %s; physical redo goes through core.Redo, the one dispatcher crash recovery and replication replay share — elsewhere it is a page write the WAL never describes",
+					pass.Pkg.Path())
+			}
+		case storagePath:
+			if fn.Name() == "Unlink" && !unlinkPkgs[pass.Pkg.Path()] {
+				pass.Reportf(call.Pos(),
+					"storage Unlink called from %s; a relation is removed through buffer.Pool.Unlink, which discards its frames and logs the unlink before the storage goes",
 					pass.Pkg.Path())
 			}
 		case walPath:

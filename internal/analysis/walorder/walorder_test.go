@@ -9,5 +9,6 @@ import (
 
 func TestWalOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), walorder.Analyzer,
-		"postlob/internal/core", "postlob/internal/repl", "postlob/internal/txn", "a")
+		"postlob/internal/buffer", "postlob/internal/core", "postlob/internal/repl",
+		"postlob/internal/storage", "postlob/internal/txn", "a")
 }

@@ -148,10 +148,6 @@ type Tree struct {
 	rel *buffer.Rel // the buffer pool's descriptor: name, manager, pages
 	cfg Config
 
-	// cache is the handle cache that installed this tree, nil for handles
-	// opened directly. Written once at install, before the handle is shared.
-	cache *Cache
-
 	// mu is held shared by read-only descents and scans — node pages only
 	// change under the exclusive side, so readers never see a node
 	// mid-modification — and exclusive by Insert/Delete. Writers
@@ -164,9 +160,15 @@ type Tree struct {
 	// entry deletion adds one under mu's exclusive side. A Cursor trusts the
 	// leaf it saved only while gen is unchanged.
 	gen atomic.Uint64
+
+	// metaOK says the metapage has been read and carries the tree's magic.
+	// Until then every Open checks it, so a corrupt tree stays an error for
+	// each opener rather than only for the one that installed the handle.
+	metaOK atomic.Bool
 }
 
-// Create makes a new empty tree in its own relation.
+// Create makes a new empty tree in its own relation and installs its handle
+// on the relation's descriptor, where every later Open finds it.
 func Create(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (*Tree, error) {
 	mgr, err := buf.Switch().Get(sm)
 	if err != nil {
@@ -175,9 +177,10 @@ func Create(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (
 	if err := mgr.Create(name); err != nil {
 		return nil, err
 	}
-	t := &Tree{buf: buf, rel: buf.Rel(sm, name), cfg: cfg}
-	t.rel.SetChecksummer(nodeChecksummer{})
-
+	t, err := install(buf, buf.Rel(sm, name), cfg)
+	if err != nil {
+		return nil, err
+	}
 	meta, blk, err := t.rel.NewBlock()
 	if err != nil {
 		return nil, err
@@ -201,20 +204,32 @@ func Create(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (
 		binary.LittleEndian.PutUint64(m[12:], 0)
 	})
 	meta.Release()
+	t.metaOK.Store(true)
 	return t, nil
 }
 
-// Open returns a handle on an existing tree.
+// Open returns the handle on an existing tree: the one installed on the
+// relation's descriptor, which every opener shares — Tree.mu is the tree's
+// only reader/writer exclusion, so private handles on one relation would
+// race read descents against structural changes. The Config of the opener
+// that installs the handle holds for the handle's life. Until one opener
+// has found the metapage sound, each checks it, so a corrupt tree fails
+// every Open.
 func Open(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (*Tree, error) {
-	mgr, err := buf.Switch().Get(sm)
-	if err != nil {
-		return nil, err
+	rel := buf.Rel(sm, name)
+	if !rel.Installed() {
+		mgr, err := buf.Switch().Get(sm)
+		if err != nil {
+			return nil, err
+		}
+		if !mgr.Exists(name) {
+			return nil, fmt.Errorf("%w: %s", storage.ErrNoRelation, name)
+		}
 	}
-	if !mgr.Exists(name) {
-		return nil, fmt.Errorf("%w: %s", storage.ErrNoRelation, name)
+	t, err := install(buf, rel, cfg)
+	if err != nil || t.metaOK.Load() {
+		return t, err
 	}
-	t := &Tree{buf: buf, rel: buf.Rel(sm, name), cfg: cfg}
-	t.rel.SetChecksummer(nodeChecksummer{})
 	f, err := t.getBlock(0)
 	if err != nil {
 		return nil, err
@@ -223,7 +238,16 @@ func Open(buf *buffer.Pool, sm storage.ID, name storage.RelName, cfg Config) (*T
 	if binary.LittleEndian.Uint32(f.Page()[0:]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad metapage in %s", ErrCorrupt, name)
 	}
+	t.metaOK.Store(true)
 	return t, nil
+}
+
+// install returns rel's tree handle, installing a new one with the node
+// checksummer if it has none.
+func install(buf *buffer.Pool, rel *buffer.Rel, cfg Config) (*Tree, error) {
+	return buffer.Handle(rel, nodeChecksummer{}, func(rel *buffer.Rel) *Tree {
+		return &Tree{buf: buf, rel: rel, cfg: cfg}
+	})
 }
 
 // Name returns the tree's relation name.
@@ -266,25 +290,9 @@ func (t *Tree) Size() (int64, error) {
 	return int64(n) * page.Size, nil
 }
 
-// Drop discards the tree and its storage.
-func (t *Tree) Drop() error {
-	sm, name := t.rel.SM(), t.rel.Name()
-	if err := t.buf.DropRel(sm, name, true); err != nil {
-		return err
-	}
-	mgr, err := t.buf.Switch().Get(sm)
-	if err != nil {
-		return err
-	}
-	// Log the unlink so redo recovery does not resurrect the tree from
-	// earlier page images.
-	t.buf.LogUnlink(sm, name)
-	err = mgr.Unlink(name)
-	if t.cache != nil {
-		t.cache.forget(sm, name)
-	}
-	return err
-}
+// Drop discards the tree and its storage (buffer.Pool.Unlink); the handle
+// goes with the relation's descriptor.
+func (t *Tree) Drop() error { return t.buf.Unlink(t.rel.SM(), t.rel.Name()) }
 
 // --- node accessors ---------------------------------------------------------
 

@@ -1,9 +1,11 @@
 package btree
 
 import (
+	"errors"
 	"testing"
 
 	"postlob/internal/buffer"
+	"postlob/internal/page"
 	"postlob/internal/storage"
 )
 
@@ -110,4 +112,75 @@ func flushTree(t *Tree) error {
 		return err
 	}
 	return mgr.Sync(t.rel.Name())
+}
+
+// TestOpenersShareOneHandle: every opener of a tree gets the one handle
+// installed on its buffer-pool descriptor, Create's or the first Open's, so
+// Tree.mu excludes all of its readers from structural changes. Once the
+// relation is unlinked and created again under its name, the name yields a
+// new handle, and the old one fails with buffer.ErrDropped.
+func TestOpenersShareOneHandle(t *testing.T) {
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, storage.NewMemManager(storage.DeviceModel{}, nil))
+	buf := buffer.NewPool(16, sw, nil)
+	created, err := Create(buf, storage.Mem, "idx", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := created.Insert(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	if opened, err := Open(buf, storage.Mem, "idx", Config{}); err != nil || opened != created {
+		t.Fatalf("Open after Create = %p, %v; want Create's handle %p", opened, err, created)
+	}
+	if err := flushTree(created); err != nil {
+		t.Fatal(err)
+	}
+
+	// A second pool over the same storage: its first Open installs the
+	// handle, and the next one shares it.
+	buf2 := buffer.NewPool(16, sw, nil)
+	a, err := Open(buf2, storage.Mem, "idx", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(buf2, storage.Mem, "idx", Config{})
+	if err != nil || a != b {
+		t.Fatalf("two Opens = %p and %p (%v); want one handle", a, b, err)
+	}
+
+	if err := buf.Unlink(storage.Mem, "idx"); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Create(buf, storage.Mem, "idx", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(buf, storage.Mem, "idx", Config{})
+	if err != nil || opened != again || opened == created {
+		t.Fatalf("Open after re-create = %p, %v; want the new handle %p, not the old %p", opened, err, again, created)
+	}
+	if _, err := created.Lookup(1); !errors.Is(err, buffer.ErrDropped) {
+		t.Fatalf("old handle Lookup = %v, want buffer.ErrDropped", err)
+	}
+}
+
+// A tree whose metapage lacks the magic fails every Open, not only the one
+// that installed the handle.
+func TestOpenBadMetapageFailsEveryOpen(t *testing.T) {
+	mem := storage.NewMemManager(storage.DeviceModel{}, nil)
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, mem)
+	if err := mem.Create("idx"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.WriteBlock("idx", 0, make([]byte, page.Size)); err != nil {
+		t.Fatal(err)
+	}
+	buf := buffer.NewPool(16, sw, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := Open(buf, storage.Mem, "idx", Config{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open #%d = %v, want ErrCorrupt", i+1, err)
+		}
+	}
 }

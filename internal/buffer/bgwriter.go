@@ -215,7 +215,7 @@ func (p *Pool) BgWriterRound(maxPages int) (int, error) {
 // collectColdDirty pins up to max dirty unpinned frames from the cold end of
 // each partition's LRU list: only from its coldest quarter, rounded up
 // (bgColdShare). The frames are flagged evicting — the same private-pin
-// protocol as a foreground eviction write-back — so DropRel waits them out
+// protocol as a foreground eviction write-back — so a drop waits them out
 // instead of failing.
 //
 // The window is what makes a write-back a page's last one before eviction.
@@ -538,10 +538,10 @@ func (p *Pool) writeRun(run []*Frame, gapPins *atomic.Int64) (int, error) {
 	}
 	err = mgr.WriteBlocks(r.name, lo, imgs)
 	// Whatever the outcome, part of the write may be on the device now, and
-	// only a sync makes it durable. Marked after the write returns and
-	// before wbEnd: a flush that clears the mark after draining the gate
-	// then syncs this write, and one that cleared it while the write was
-	// in flight leaves the mark for the next flush.
+	// only a sync makes it durable. Marked again (wbBegin marked it first)
+	// after the write returns and before wbEnd: a flush that clears the mark
+	// after draining the gate then syncs this write, and one that cleared it
+	// while the write was in flight leaves the mark for the next flush.
 	r.unsynced.Store(true)
 	if err != nil {
 		redirty()
@@ -557,7 +557,7 @@ func (p *Pool) writeRun(run []*Frame, gapPins *atomic.Int64) (int, error) {
 
 // pinGap pins the resident, unpinned frames of r's blocks from lo up to hi,
 // for writeRun to write with the run starting at hi. They are flagged
-// evicting, as a writer round's frames are, so DropRel waits them out. The
+// evicting, as a writer round's frames are, so a drop waits them out. The
 // result is indexed by block - lo, nil where no frame was pinned. Each pin
 // takes one from budget, and none is taken once it is spent: the batch
 // holds its own frames' pins too, and together they stay within half the
@@ -777,7 +777,7 @@ func (p *Pool) evictCleanOnly() *Frame {
 }
 
 // installPrefetched publishes a prefetched page unpinned at the warm end of
-// its LRU list. The nbMu hold serialises against DropRel: a relation dropped
+// its LRU list. The nbMu hold serialises against Unlink: a relation dropped
 // while the read was in flight must not reappear as a ghost page, so the
 // install happens only while its descriptor is live. A lost race against a
 // foreground install discards the duplicate.

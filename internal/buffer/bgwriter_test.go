@@ -354,7 +354,7 @@ func TestPrefetchInstallsAndTurnsReadsIntoHits(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DropRel(storage.Mem, rel, false); err != nil {
+	if err := p.DropRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -458,7 +458,7 @@ func TestPrefetchContentMatchesDevice(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DropRel(storage.Mem, rel, false); err != nil {
+	if err := p.DropRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Rel(storage.Mem, rel).NBlocks(); err != nil {
@@ -536,16 +536,13 @@ func TestPrefetchDiscardsWindowForDroppedRelation(t *testing.T) {
 	p.Rel(storage.Mem, rel).Prefetch(0, 4)
 	// The relation is dropped (and unlinked) while the window is queued; the
 	// drain must not resurrect ghost pages.
-	if err := p.DropRel(storage.Mem, rel, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Unlink(rel); err != nil {
+	if err := p.Unlink(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
 	installed := obsPfInstalled.Load()
 	p.DrainPrefetch()
 	if got := obsPfInstalled.Load() - installed; got != 0 {
-		t.Fatalf("prefetch installed %d ghost pages after DropRel", got)
+		t.Fatalf("prefetch installed %d ghost pages after Unlink", got)
 	}
 }
 

@@ -393,7 +393,7 @@ type Pool struct {
 	free   []*Frame // guarded by freeMu; allocated frames resident nowhere
 
 	// nbMu guards the relation registry and every descriptor's length. It
-	// also serialises extension (NewBlock) against DropRel and against a
+	// also serialises extension (NewBlock) against a drop and against a
 	// prefetched page's install.
 	nbMu sync.Mutex
 	rels map[relKey]*Rel // guarded by nbMu; live descriptors by name
@@ -476,9 +476,14 @@ func NewPool(nframes int, sw *storage.Switch, clock *vclock.Clock) *Pool {
 	return p
 }
 
-// wbBegin signs a device write-back of r's pages into the drain gate.
-// Must precede the dirty-bit clear; pair with wbEnd on every path.
+// wbBegin signs a device write-back of r's pages into the drain gate and
+// marks r unsynced. Must precede the dirty-bit clear; pair with wbEnd on
+// every path. A checkpoint whose sweep finds the page already clean then
+// still finds the relation unsynced, so it drains this write and syncs the
+// relation: without the mark it would pass the relation by, and its redo
+// point would pass a page that is on no durable medium.
 func (p *Pool) wbBegin(r *Rel) {
+	r.unsynced.Store(true)
 	p.wbMu.Lock()
 	r.wbInFlight++
 	p.wbTotal++
@@ -1053,24 +1058,10 @@ func (p *Pool) logImage(f *Frame, img []byte, xid uint32) (wal.LSN, error) {
 	return lsn, err
 }
 
-// LogUnlink records a relation drop in the attached log (a no-op without
-// one), so replay never resurrects storage that was deliberately removed
-// after its pages were logged. The record rides with the next group flush —
-// losing it merely leaves an orphaned relation no catalog entry points at.
-func (p *Pool) LogUnlink(sm storage.ID, rel storage.RelName) {
-	if p.wal == nil {
-		return
-	}
-	lsn, err := p.wal.AppendUnlink(sm, rel)
-	if err == nil {
-		p.wal.FlushLazy(lsn)
-	}
-}
-
 // A Checksummer stamps a device-bound page image with a checksum and
 // verifies an image read back from the device, using whatever header slot
 // the relation's page layout reserves. Access methods register one per
-// relation (Rel.SetChecksummer); the pool itself stays ignorant of page
+// relation with their handle (Handle); the pool itself stays ignorant of page
 // layouts. Verify must accept unstamped images — blocks written before the
 // relation had a checksummer — and must return an error for a stamped image
 // whose contents no longer match, which is how a torn block left by a crash
@@ -1286,21 +1277,70 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
-// DropRel invalidates every buffered page of a relation. With discard, dirty
-// pages are thrown away and the descriptor is retired (the relation is
-// being unlinked): handles still holding it get ErrDropped, and the name
-// resolves to a fresh descriptor. Without discard, dirty pages are flushed
-// first and the descriptor stays live, so the next access starts cold.
-// Fails if any page of the relation is caller-pinned; pins held briefly by
-// a racing eviction write-back are waited out. Callers must not access the
-// relation concurrently with dropping it.
-func (p *Pool) DropRel(sm storage.ID, rel storage.RelName, discard bool) error {
+// DropRel evicts every buffered page of a relation, writing dirty ones back
+// first, so the next access starts cold; the descriptor and its handle stay
+// live. Fails at once if any page of the relation is caller-pinned; pins
+// held briefly by a racing eviction write-back are waited out. Callers must
+// not mutate the relation concurrently with dropping it.
+func (p *Pool) DropRel(sm storage.ID, rel storage.RelName) error {
 	r := p.lookupRel(sm, rel)
 	if r == nil {
 		return nil // the pool holds nothing of it
 	}
+	return p.dropRel(r, false)
+}
+
+// Unlink removes a relation, in three steps. It discards the relation's
+// frames, dirty ones included, and retires its descriptor: handles still
+// holding it get ErrDropped, and the name resolves to a fresh descriptor.
+// It appends an unlink record to the attached log, if any, so redo never
+// resurrects storage removed after its pages were logged; the record rides
+// with the next group flush, and losing it merely leaves an orphaned
+// relation no catalog entry points at. Crash recovery and a replica's
+// replay run with no log attached. Last, it unlinks the storage, if it
+// exists. A reader's pin is waited out up to pinWaitBound; one held longer
+// fails with ErrPinned and leaves the relation in place. This is the one
+// unlink: access-method drops, migration, redo and a replica's wipe all go
+// through it.
+func (p *Pool) Unlink(sm storage.ID, rel storage.RelName) error {
+	if r := p.lookupRel(sm, rel); r != nil {
+		if err := p.dropRel(r, true); err != nil {
+			return err
+		}
+	}
+	mgr, err := p.sw.Get(sm)
+	if err != nil {
+		return err
+	}
+	if p.wal != nil {
+		if lsn, err := p.wal.AppendUnlink(sm, rel); err == nil {
+			p.wal.FlushLazy(lsn)
+		}
+	}
+	if !mgr.Exists(rel) {
+		return nil
+	}
+	return mgr.Unlink(rel)
+}
+
+// dropRel evicts r's frames, and with discard throws dirty ones away and
+// retires the descriptor. A pin held by a racing eviction write-back is
+// gone momentarily. Any other pin fails an evicting drop at once; a
+// discarding one, which Unlink makes, waits it out through the pool's unpin
+// signal until pinWaitBound runs out, then fails with ErrPinned. The wait is
+// taken in millisecond slices, so a wakeup another waiter consumed costs a
+// millisecond, never the whole bound.
+func (p *Pool) dropRel(r *Rel, discard bool) error {
+	deadline := time.Now()
+	if discard {
+		deadline = deadline.Add(pinWaitBound)
+	}
 	for {
 		retry, err := p.dropRelOnce(r, discard)
+		if errors.Is(err, ErrPinned) && time.Now().Before(deadline) {
+			p.waitUnpin(time.Now().Add(time.Millisecond))
+			continue
+		}
 		if !retry {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"postlob/internal/page"
 	"postlob/internal/storage"
@@ -199,8 +200,11 @@ func TestOutOfOrderEvictionFillsHoles(t *testing.T) {
 }
 
 func TestDropRelDiscard(t *testing.T) {
-	p, mem := newTestPool(t, 8)
-	if err := mem.Create(rel); err != nil {
+	wm := &writeCallMgr{Manager: storage.NewMemManager(storage.DeviceModel{}, nil)}
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, wm)
+	p := NewPool(8, sw, nil)
+	if err := wm.Create(rel); err != nil {
 		t.Fatal(err)
 	}
 	f, _, err := p.Rel(storage.Mem, rel).NewBlock()
@@ -210,17 +214,30 @@ func TestDropRelDiscard(t *testing.T) {
 	f.Page().Init(0)
 	f.MarkDirty()
 
-	// Pinned: DropRel must refuse.
-	if err := p.DropRel(storage.Mem, rel, true); !errors.Is(err, ErrPinned) {
-		t.Fatalf("err = %v", err)
+	// Pinned: an evicting drop refuses at once, Unlink after the wait bound.
+	start := time.Now()
+	if err := p.DropRel(storage.Mem, rel); !errors.Is(err, ErrPinned) {
+		t.Fatalf("DropRel err = %v", err)
+	}
+	if d := time.Since(start); d >= pinWaitBound {
+		t.Fatalf("DropRel took %v to refuse a pinned page, the whole wait bound", d)
+	}
+	if err := p.Unlink(storage.Mem, rel); !errors.Is(err, ErrPinned) {
+		t.Fatalf("Unlink err = %v", err)
 	}
 	f.Release()
-	if err := p.DropRel(storage.Mem, rel, true); err != nil {
+	if err := p.Unlink(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
-	// Discarded: the device never saw the block.
-	if n, _ := mem.NBlocks(rel); n != 0 {
-		t.Fatalf("device nblocks = %d after discard", n)
+	// Discarded: the dirty block never reached the device.
+	if len(wm.calls) != 0 {
+		t.Fatalf("device writes = %v, want none", wm.calls)
+	}
+	if wm.Exists(rel) {
+		t.Fatal("storage survived Unlink")
+	}
+	if err := wm.Create(rel); err != nil {
+		t.Fatal(err)
 	}
 	if n, _ := p.Rel(storage.Mem, rel).NBlocks(); n != 0 {
 		t.Fatalf("virtual nblocks = %d after discard", n)
@@ -252,7 +269,7 @@ func TestFlushAndDropGatherContiguousPages(t *testing.T) {
 		flush func(p *Pool) error
 	}{
 		{"FlushRel", func(p *Pool) error { return p.FlushRel(storage.Mem, rel) }},
-		{"DropRel", func(p *Pool) error { return p.DropRel(storage.Mem, rel, false) }},
+		{"DropRel", func(p *Pool) error { return p.DropRel(storage.Mem, rel) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wm := &writeCallMgr{Manager: storage.NewMemManager(storage.DeviceModel{}, nil)}

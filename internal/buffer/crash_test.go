@@ -95,11 +95,20 @@ func readItem(t *testing.T, p *Pool, blk storage.BlockNum) []byte {
 	return append([]byte(nil), item...)
 }
 
+// installCS installs a slotted-page checksummer with rel's handle, as an
+// access method's open does.
+func installCS(t *testing.T, p *Pool) {
+	t.Helper()
+	if _, err := Handle(p.Rel(storage.Mem, rel), slottedCS{}, func(r *Rel) *Rel { return r }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Write-back alone moves pages only into the volatile cache: a crash before
 // Sync must erase every trace of them, relation included.
 func TestWriteBackAloneIsNotDurable(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 1})
-	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p)
 	writeRelPages(t, p, 8, 0xA0)
 	writeBackAll(t, p)
 	if durable.Exists(rel) {
@@ -115,7 +124,7 @@ func TestWriteBackAloneIsNotDurable(t *testing.T) {
 // be readable through a fresh pool, byte for byte.
 func TestFlushSyncCrashRecoversImage(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 2})
-	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p)
 	writeRelPages(t, p, 8, 0xB0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -123,7 +132,7 @@ func TestFlushSyncCrashRecoversImage(t *testing.T) {
 	cm.Crash()
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p2)
 	for i := 0; i < 8; i++ {
 		want := bytes.Repeat([]byte{0xB0, byte(i)}, 64)
 		if got := readItem(t, p2, storage.BlockNum(i)); !bytes.Equal(got, want) {
@@ -136,7 +145,7 @@ func TestFlushSyncCrashRecoversImage(t *testing.T) {
 // synced committed image: after the crash, the old version is intact.
 func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 3})
-	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p)
 	writeRelPages(t, p, 6, 0xC0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -162,7 +171,7 @@ func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 	cm.Crash()
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p2)
 	for i := 0; i < 6; i++ {
 		want := bytes.Repeat([]byte{0xC0, byte(i)}, 64)
 		if got := readItem(t, p2, storage.BlockNum(i)); !bytes.Equal(got, want) {
@@ -176,7 +185,7 @@ func TestCrashBeforeSyncKeepsCommittedImage(t *testing.T) {
 // checksum rejects anything in between — and never a mix within one page.
 func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 4})
-	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p)
 	writeRelPages(t, p, 6, 0xE0)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -202,7 +211,7 @@ func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 	}
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p2)
 	sawOld, sawNew := false, false
 	for i := 0; i < 6; i++ {
 		got := readItem(t, p2, storage.BlockNum(i))
@@ -224,7 +233,7 @@ func TestCrashMidSyncBlocksAreAtomic(t *testing.T) {
 // parse as a page.
 func TestTornBlockDetectedByChecksum(t *testing.T) {
 	p, cm, durable := newCrashPool(t, 4, storage.CrashConfig{Seed: 99, TearWrites: true})
-	p.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p)
 	writeRelPages(t, p, 2, 0x5A)
 	if err := p.FlushRel(storage.Mem, rel); err != nil {
 		t.Fatal(err)
@@ -251,7 +260,7 @@ func TestTornBlockDetectedByChecksum(t *testing.T) {
 	}
 
 	p2 := rewrapPool(t, 4, durable)
-	p2.Rel(storage.Mem, rel).SetChecksummer(slottedCS{})
+	installCS(t, p2)
 	_, err = p2.Get(Tag{SM: storage.Mem, Rel: rel, Blk: torn.Blk})
 	if !errors.Is(err, page.ErrChecksum) {
 		t.Fatalf("torn block read error = %v, want page.ErrChecksum", err)

@@ -99,19 +99,24 @@ func TestDirtyCountSurvivesRandomOps(t *testing.T) {
 				// the counts matter here, not whether this flush got through.
 				pool.FlushAll()
 			case op < 14: // drop and recreate, keeping or discarding dirty pages
-				discard := !healthy || rng.Intn(2) == 0
-				err := pool.DropRel(storage.Mem, rel, discard)
+				drop := func() error { return pool.DropRel(storage.Mem, rel) }
+				if !healthy || rng.Intn(2) == 0 {
+					drop = func() error { return pool.Unlink(storage.Mem, rel) }
+				}
+				err := drop()
 				for errors.Is(err, ErrPinned) {
 					// A checkpoint pins the relation's dirty frames while it
 					// writes them; the drop's caller retries.
 					runtime.Gosched()
-					err = pool.DropRel(storage.Mem, rel, discard)
+					err = drop()
 				}
 				if err != nil {
-					return fmt.Errorf("DropRel: %w", err)
+					return fmt.Errorf("drop: %w", err)
 				}
-				if err := dev.Unlink(rel); err != nil {
-					return err
+				if dev.Exists(rel) {
+					if err := dev.Unlink(rel); err != nil {
+						return err
+					}
 				}
 				if err := dev.Create(rel); err != nil {
 					return err

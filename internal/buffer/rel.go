@@ -19,12 +19,12 @@ type relKey struct {
 }
 
 // Rel is the pool's descriptor of one relation: its identity, length,
-// extension lock, checksummer, and write-back and dirty counts. Pool.Rel
-// creates it once per (storage manager, name); access methods hold it for
-// the life of their handle, prefetch requests carry it, and every frame
-// holding one of its pages points at it. The id lives only in this process:
-// the log, base backups and every sort order name a relation by storage
-// manager and name.
+// extension lock, access-method handle and checksummer, and write-back and
+// dirty counts. Pool.Rel creates it once per (storage manager, name); the
+// access method's handle lives on it (Handle), prefetch requests carry it,
+// and every frame holding one of its pages points at it. The id lives only
+// in this process: the log, base backups and every sort order name a
+// relation by storage manager and name.
 type Rel struct {
 	pool *Pool
 	id   uint32
@@ -37,17 +37,18 @@ type Rel struct {
 	// use (nbKnown).
 	nblocks storage.BlockNum // guarded by pool.nbMu
 	nbKnown bool             // guarded by pool.nbMu
-	// dropped is set, under pool.nbMu, once DropRel has discarded the
+	// dropped is set, under pool.nbMu, once Unlink has discarded the
 	// relation. The descriptor then refuses reads and extension: a handle
 	// that outlived its relation gets ErrDropped, never a page of a relation
-	// created later under the same name (which gets a descriptor of its own).
+	// created later under the same name (which gets a descriptor, and a
+	// handle, of its own).
 	dropped atomic.Bool
 
 	// ext is the extension lock, which serialises device growth (the
 	// no-holes invariant needs a stable view of the physical length).
 	ext sync.Mutex
 
-	cs atomic.Pointer[csBox] // the page checksummer; nil for none
+	am atomic.Pointer[accessMethod] // set once, by Handle's install
 
 	wbInFlight int // guarded by pool.wbMu; write-backs signed into the drain gate
 
@@ -56,15 +57,22 @@ type Rel struct {
 	// with nothing dirty visits no frames.
 	ndirty atomic.Int64
 	// unsynced records that a device write of the relation may have
-	// completed since its last sync. writeRun sets it once its write has
-	// returned; FlushRel clears it after the drain gate and syncs only if it
-	// was set. A fresh descriptor starts with it set: the pool cannot vouch
+	// started since its last sync. A write-back sets it as it signs into the
+	// drain gate (wbBegin), before it clears any dirty bit, and again once
+	// its write has returned; FlushRel clears it after the drain gate and
+	// syncs only if it was set. A fresh descriptor starts with it set: the pool cannot vouch
 	// for the relation's creation or for writes made before it knew the
 	// relation.
 	unsynced atomic.Bool
 }
 
-type csBox struct{ cs Checksummer }
+// accessMethod is what an access method installs on a descriptor: its
+// handle, which every opener of the relation shares, and its page
+// checksummer (nil for none).
+type accessMethod struct {
+	handle any
+	cs     Checksummer
+}
 
 // FNV-1a, 64-bit.
 const (
@@ -73,7 +81,7 @@ const (
 )
 
 // Rel returns the descriptor of (sm, name), creating it on first use. After
-// DropRel has discarded a relation, the name resolves to a fresh descriptor
+// Unlink has discarded a relation, the name resolves to a fresh descriptor
 // with a new id.
 func (p *Pool) Rel(sm storage.ID, name storage.RelName) *Rel {
 	p.nbMu.Lock()
@@ -107,7 +115,7 @@ func (r *Rel) Name() storage.RelName { return r.name }
 // SM returns the storage manager holding the relation.
 func (r *Rel) SM() storage.ID { return r.sm }
 
-// Dropped reports whether DropRel has discarded the relation.
+// Dropped reports whether Unlink has discarded the relation.
 func (r *Rel) Dropped() bool { return r.dropped.Load() }
 
 // key is the page-table key of block blk: one word, so a lookup hashes and
@@ -132,20 +140,40 @@ func cmpRel(a, b *Rel) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// SetChecksummer registers the relation's page checksummer; nil disables
-// checksumming. Registration must precede reads for verification to happen,
-// so access methods call this when a relation is created or opened.
-func (r *Rel) SetChecksummer(cs Checksummer) {
-	if cs == nil {
-		r.cs.Store(nil)
-		return
+// Handle returns the relation's access-method handle, installing the one mk
+// builds, with cs as the page checksummer (nil for none), if none is
+// installed yet; a racing opener's install wins by compare-and-swap, and
+// both get the same handle. Every opener of a relation must share one
+// handle: a B-tree's lock is its only reader/writer exclusion, and a heap's
+// handle holds its insert hints and free-space map. The checksummer is
+// registered in the same install, before the handle reaches any reader, so
+// no read through a handle goes unverified. The handle lives as long as the
+// descriptor: once Unlink retires it, holders get ErrDropped and the name
+// resolves to a fresh descriptor with no handle. A handle of another type
+// (the relation is open under another access method) is an error.
+func Handle[H any](r *Rel, cs Checksummer, mk func(*Rel) H) (H, error) {
+	am := r.am.Load()
+	if am == nil {
+		mine := &accessMethod{handle: mk(r), cs: cs}
+		if r.am.CompareAndSwap(nil, mine) {
+			am = mine
+		} else {
+			am = r.am.Load()
+		}
 	}
-	r.cs.Store(&csBox{cs})
+	h, ok := am.handle.(H)
+	if !ok {
+		return h, fmt.Errorf("buffer: %s is open as %T", r.name, am.handle)
+	}
+	return h, nil
 }
 
+// Installed reports whether an access method has installed its handle.
+func (r *Rel) Installed() bool { return r.am.Load() != nil }
+
 func (r *Rel) checksummer() Checksummer {
-	if b := r.cs.Load(); b != nil {
-		return b.cs
+	if am := r.am.Load(); am != nil {
+		return am.cs
 	}
 	return nil
 }

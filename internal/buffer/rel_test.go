@@ -2,7 +2,7 @@ package buffer
 
 // Tests for relation descriptors: pages keyed by descriptor id, checkpoints
 // that sweep the pool once, syncs only of relations written since their
-// last sync, and handles that outlive a drop.
+// last sync, handles that outlive a drop, and the one unlink.
 
 import (
 	"errors"
@@ -14,6 +14,7 @@ import (
 
 	"postlob/internal/page"
 	"postlob/internal/storage"
+	"postlob/internal/wal"
 )
 
 // fillRels creates nrels relations of blocks pages each through p and
@@ -196,7 +197,7 @@ func TestFlushSyncsOnlyWrittenRelations(t *testing.T) {
 	// A page written back outside a checkpoint (here by an eviction of the
 	// relation) is not dirty at the checkpoint, yet the checkpoint must
 	// still sync its relation.
-	if err := p.DropRel(storage.Mem, rels[2].Name(), false); err != nil {
+	if err := p.DropRel(storage.Mem, rels[2].Name()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.FlushAll(); err != nil {
@@ -225,10 +226,7 @@ func TestDroppedRelationHandle(t *testing.T) {
 		f.MarkDirty()
 		f.Release()
 	}
-	if err := p.DropRel(storage.Mem, rel, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Unlink(rel); err != nil {
+	if err := p.Unlink(storage.Mem, rel); err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.Create(rel); err != nil {
@@ -388,5 +386,212 @@ func BenchmarkFlushAllClean(b *testing.B) {
 		if err := p.FlushAll(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestUnlinkWaitsOutReaderPin: Unlink waits for a reader's pin released
+// within the bound; a pin held past it fails the unlink with ErrPinned and
+// leaves the relation in place. With a log attached it appends exactly one
+// unlink record, and with the log open but not attached (crash recovery, a
+// replica) none.
+func TestUnlinkWaitsOutReaderPin(t *testing.T) {
+	pinned := func(t *testing.T, p *Pool, mgr storage.Manager) *Frame {
+		t.Helper()
+		if err := mgr.Create(rel); err != nil {
+			t.Fatal(err)
+		}
+		dirtyBlocks(t, p, storage.Mem, rel, 2)
+		f, err := p.Rel(storage.Mem, rel).Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	t.Run("released", func(t *testing.T) {
+		p, mem := newTestPool(t, 8)
+		f := pinned(t, p, mem)
+		old := p.Rel(storage.Mem, rel)
+		released := make(chan struct{}, 1)
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			released <- struct{}{}
+			f.Release()
+		}()
+		if err := p.Unlink(storage.Mem, rel); err != nil {
+			t.Fatalf("Unlink with a pin released mid-wait: %v", err)
+		}
+		select {
+		case <-released:
+		default:
+			t.Fatal("Unlink returned while the pin was held")
+		}
+		if mem.Exists(rel) || !old.Dropped() {
+			t.Fatalf("after Unlink: storage exists %v, descriptor dropped %v", mem.Exists(rel), old.Dropped())
+		}
+	})
+
+	t.Run("held", func(t *testing.T) {
+		p, mem := newTestPool(t, 8)
+		f := pinned(t, p, mem)
+		defer f.Release()
+		start := time.Now()
+		err := p.Unlink(storage.Mem, rel)
+		if !errors.Is(err, ErrPinned) {
+			t.Fatalf("Unlink with a pin held past the bound = %v, want ErrPinned", err)
+		}
+		if waited := time.Since(start); waited < pinWaitBound {
+			t.Fatalf("Unlink gave up after %v, before the %v bound", waited, pinWaitBound)
+		}
+		if !mem.Exists(rel) || p.Rel(storage.Mem, rel).Dropped() {
+			t.Fatal("a refused Unlink removed the relation")
+		}
+		if f.Page()[0] != 'B' {
+			t.Fatalf("pinned page changed under a refused Unlink: %q", f.Page()[0])
+		}
+	})
+
+	for _, attached := range []bool{true, false} {
+		t.Run(fmt.Sprintf("log/attached=%v", attached), func(t *testing.T) {
+			mem := storage.NewMemManager(storage.DeviceModel{}, nil)
+			sw := storage.NewSwitch()
+			sw.Register(storage.Mem, mem)
+			p := NewPool(8, sw, nil)
+			log, err := wal.Open(mem, wal.Config{SegBlocks: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attached {
+				p.AttachWAL(log)
+			}
+			pinned(t, p, mem).Release()
+			if err := p.Unlink(storage.Mem, rel); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log, err = wal.Open(mem, wal.Config{SegBlocks: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			unlinks := 0
+			err = log.Replay(func(r *wal.Record) error {
+				if r.Type == wal.TypeUnlink && r.SM == storage.Mem && r.Rel == rel {
+					unlinks++
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			if attached {
+				want = 1
+			}
+			if unlinks != want {
+				t.Fatalf("log holds %d unlink records of %s, want %d", unlinks, rel, want)
+			}
+		})
+	}
+}
+
+// parkWriteMgr parks the next device write once park is set, until release
+// is closed, and records every completed write and sync in order.
+type parkWriteMgr struct {
+	storage.Manager
+	park    atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	events  []string
+}
+
+func (m *parkWriteMgr) note(ev string) {
+	m.mu.Lock()
+	m.events = append(m.events, ev)
+	m.mu.Unlock()
+}
+
+func (m *parkWriteMgr) WriteBlock(rel storage.RelName, blk storage.BlockNum, buf []byte) error {
+	return m.WriteBlocks(rel, blk, [][]byte{buf})
+}
+
+func (m *parkWriteMgr) WriteBlocks(rel storage.RelName, blk storage.BlockNum, bufs [][]byte) error {
+	if m.park.CompareAndSwap(true, false) {
+		close(m.parked)
+		<-m.release
+	}
+	err := m.Manager.WriteBlocks(rel, blk, bufs)
+	m.note("write:" + string(rel))
+	return err
+}
+
+func (m *parkWriteMgr) Sync(rel storage.RelName) error {
+	m.note("sync:" + string(rel))
+	return m.Manager.Sync(rel)
+}
+
+// TestFlushAllSyncsInFlightWriteBack: a writer round has cleared a page's
+// dirty bit and is at the device when a checkpoint sweeps the pool, so the
+// sweep finds the page clean. The checkpoint must still drain that write
+// and sync the relation; passing the relation by lets its redo point pass a
+// page that is on no durable medium (the replica sweep's lost index and
+// chunk pages).
+func TestFlushAllSyncsInFlightWriteBack(t *testing.T) {
+	m := &parkWriteMgr{
+		Manager: storage.NewMemManager(storage.DeviceModel{}, nil),
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	sw := storage.NewSwitch()
+	sw.Register(storage.Mem, m)
+	p := NewPool(8, sw, nil)
+	if err := m.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBlocks(t, p, storage.Mem, rel, 1)
+	if err := p.FlushAll(); err != nil { // the relation is synced and clean
+		t.Fatal(err)
+	}
+	f, err := p.Rel(storage.Mem, rel).Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.LockContent()
+	f.Page()[1] = 'x'
+	f.MarkDirty()
+	f.UnlockContent()
+	f.Release()
+
+	m.park.Store(true)
+	round := make(chan error, 1)
+	go func() {
+		_, err := p.BgWriterRound(8)
+		round <- err
+	}()
+	<-m.parked
+	flushed := make(chan error, 1)
+	go func() { flushed <- p.FlushAll() }()
+	select {
+	case err := <-flushed:
+		close(m.release)
+		<-round
+		t.Fatalf("FlushAll returned (%v) while a write-back of %s was in flight", err, rel)
+	case <-time.After(50 * time.Millisecond):
+		// Draining the write, as it must; let the write land.
+	}
+	close(m.release)
+	if err := <-round; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.events); n < 2 || m.events[n-2] != "write:"+string(rel) || m.events[n-1] != "sync:"+string(rel) {
+		t.Fatalf("device events %v: want the parked write, then a sync of %s", m.events, rel)
 	}
 }

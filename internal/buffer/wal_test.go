@@ -257,7 +257,7 @@ func TestDropRelFlushesDirtyUnderWAL(t *testing.T) {
 	dirtyBlock(t, pool, "rel_g", 0x88) // a sibling dirty page rides the batch
 
 	done := make(chan error, 1)
-	go func() { done <- pool.DropRel(storage.Mem, "rel_f", false) }()
+	go func() { done <- pool.DropRel(storage.Mem, "rel_f") }()
 	select {
 	case err := <-done:
 		if err != nil {

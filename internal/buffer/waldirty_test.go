@@ -164,19 +164,24 @@ func TestWALDirtyListSurvivesRandomOps(t *testing.T) {
 					return fmt.Errorf("FlushRel: %w", err)
 				}
 			case op < 14: // drop and recreate, keeping or discarding dirty pages
-				discard := !healthy || rng.Intn(2) == 0
-				err := pool.DropRel(storage.Mem, rel, discard)
+				drop := func() error { return pool.DropRel(storage.Mem, rel) }
+				if !healthy || rng.Intn(2) == 0 {
+					drop = func() error { return pool.Unlink(storage.Mem, rel) }
+				}
+				err := drop()
 				for errors.Is(err, ErrPinned) {
 					// Another worker's LogDirtyPages holds a pin for as long
 					// as it takes to copy the page; the drop's caller retries.
 					runtime.Gosched()
-					err = pool.DropRel(storage.Mem, rel, discard)
+					err = drop()
 				}
 				if err != nil {
-					return fmt.Errorf("DropRel: %w", err)
+					return fmt.Errorf("drop: %w", err)
 				}
-				if err := mgr.Unlink(rel); err != nil {
-					return err
+				if mgr.Exists(rel) {
+					if err := mgr.Unlink(rel); err != nil {
+						return err
+					}
 				}
 				if err := mgr.Create(rel); err != nil {
 					return err

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"postlob/internal/adt"
-	"postlob/internal/btree"
 	"postlob/internal/catalog"
 	"postlob/internal/compress"
 	"postlob/internal/heap"
@@ -71,10 +70,9 @@ type Object interface {
 
 // Store manages large objects: creation, opening, deletion, temporaries.
 type Store struct {
-	pool   *heap.Pool
-	cat    *catalog.Catalog
-	reg    *adt.Registry
-	btrees *btree.Cache
+	pool *heap.Pool
+	cat  *catalog.Catalog
+	reg  *adt.Registry
 
 	// FilesDir is where p-files are allocated by NewFilename.
 	filesDir string
@@ -119,7 +117,6 @@ func NewStore(pool *heap.Pool, cat *catalog.Catalog, reg *adt.Registry, cfg Conf
 		pool:      pool,
 		cat:       cat,
 		reg:       reg,
-		btrees:    btree.NewCache(pool.Buf),
 		filesDir:  cfg.FilesDir,
 		clock:     cfg.Clock,
 		cpu:       cfg.CPU,
@@ -136,12 +133,6 @@ func (s *Store) Catalog() *catalog.Catalog { return s.cat }
 // operates on, so sibling subsystems (the Inversion file system, the query
 // executor) share its caches and visibility machinery.
 func (s *Store) Pool() *heap.Pool { return s.pool }
-
-// Btrees returns the shared B-tree handle cache. Every opener of an index
-// relation must go through it: Tree.mu is the tree's only reader/writer
-// exclusion, so private handles on one relation would race read descents
-// against structural changes.
-func (s *Store) Btrees() *btree.Cache { return s.btrees }
 
 // Registry returns the store's type registry.
 func (s *Store) Registry() *adt.Registry { return s.reg }
@@ -485,7 +476,7 @@ func (s *Store) EvictFromPool(ref adt.ObjectRef) error {
 		if rel == "" {
 			continue
 		}
-		if err := s.pool.Buf.DropRel(meta.SM, rel, false); err != nil {
+		if err := s.pool.Buf.DropRel(meta.SM, rel); err != nil {
 			return err
 		}
 	}

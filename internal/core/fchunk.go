@@ -135,7 +135,7 @@ func (s *Store) createFChunkStorage(tx *txn.Txn, meta *catalog.LargeObjectMeta) 
 	if err != nil {
 		return err
 	}
-	idx, err := s.btrees.Create(meta.SM, meta.IdxRel, s.btreeConfig())
+	idx, err := btree.Create(s.pool.Buf, meta.SM, meta.IdxRel, s.btreeConfig())
 	if err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ func (s *Store) dropFChunkStorage(meta *catalog.LargeObjectMeta) error {
 	if err := rel.Drop(); err != nil {
 		return err
 	}
-	idx, err := s.btrees.Open(meta.SM, meta.IdxRel, s.btreeConfig())
+	idx, err := btree.Open(s.pool.Buf, meta.SM, meta.IdxRel, s.btreeConfig())
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func (s *Store) openFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, me
 	if err != nil {
 		return nil, err
 	}
-	idx, err := s.btrees.Open(meta.SM, meta.IdxRel, s.btreeConfig())
+	idx, err := btree.Open(s.pool.Buf, meta.SM, meta.IdxRel, s.btreeConfig())
 	if err != nil {
 		return nil, err
 	}

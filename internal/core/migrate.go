@@ -116,15 +116,7 @@ func (s *Store) dropOldAfterMigrate(oldSM storage.ID, meta *catalog.LargeObjectM
 		if old == rel {
 			continue
 		}
-		if err := s.pool.Buf.DropRel(oldSM, old, true); err != nil {
-			return err
-		}
-		mgr, err := s.pool.Buf.Switch().Get(oldSM)
-		if err != nil {
-			return err
-		}
-		s.pool.Buf.LogUnlink(oldSM, old)
-		if err := mgr.Unlink(old); err != nil {
+		if err := s.pool.Buf.Unlink(oldSM, old); err != nil {
 			return err
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"postlob/internal/adt"
+	"postlob/internal/btree"
 	"postlob/internal/catalog"
 	"postlob/internal/compress"
 	"postlob/internal/txn"
@@ -183,7 +184,7 @@ func TestFChunkReadPrunesRecycledSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := s.btrees.Open(meta.SM, meta.IdxRel, s.btreeConfig())
+	idx, err := btree.Open(s.pool.Buf, meta.SM, meta.IdxRel, s.btreeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

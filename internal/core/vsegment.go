@@ -121,7 +121,7 @@ func (s *Store) createVSegmentStorage(tx *txn.Txn, meta *catalog.LargeObjectMeta
 	if err != nil {
 		return err
 	}
-	segIdx, err := s.btrees.Create(meta.SM, meta.SegIdxRel, s.btreeConfig())
+	segIdx, err := btree.Create(s.pool.Buf, meta.SM, meta.SegIdxRel, s.btreeConfig())
 	if err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func (s *Store) dropVSegmentStorage(meta *catalog.LargeObjectMeta) error {
 	if err := segRel.Drop(); err != nil {
 		return err
 	}
-	segIdx, err := s.btrees.Open(meta.SM, meta.SegIdxRel, s.btreeConfig())
+	segIdx, err := btree.Open(s.pool.Buf, meta.SM, meta.SegIdxRel, s.btreeConfig())
 	if err != nil {
 		return err
 	}
@@ -152,7 +152,7 @@ func (s *Store) openVSegment(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, 
 	if err != nil {
 		return nil, err
 	}
-	segIdx, err := s.btrees.Open(meta.SM, meta.SegIdxRel, s.btreeConfig())
+	segIdx, err := btree.Open(s.pool.Buf, meta.SM, meta.SegIdxRel, s.btreeConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -9,13 +9,10 @@ package core
 // cannot drift apart.
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"postlob/internal/buffer"
 	"postlob/internal/heap"
-	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/wal"
 )
@@ -134,7 +131,8 @@ func Recover(pool *heap.Pool, log *wal.Log) error {
 
 // Redo applies one WAL record: a page image is installed in the pool as a
 // dirty frame (blocks below it that no image has reached yet materialise as
-// zero pages), an unlink drops the relation (DropRel), and commit, abort and
+// zero pages), an unlink removes the relation (buffer.Pool.Unlink, with no
+// log attached, so it appends nothing), and commit, abort and
 // checkpoint records rebuild transaction outcomes and push the manager's
 // counters past everything the logged epoch issued. It is the one redo
 // dispatcher: crash recovery and a replica's receiver both replay through it.
@@ -144,7 +142,7 @@ func Redo(buf *buffer.Pool, mgr *txn.Manager, rec *wal.Record) error {
 	case wal.TypePageImage:
 		err = buf.ApplyRedoImage(rec.SM, rec.Rel, rec.Blk, rec.Image)
 	case wal.TypeUnlink:
-		err = DropRel(buf, rec.SM, rec.Rel)
+		err = buf.Unlink(rec.SM, rec.Rel)
 	case wal.TypeCommit:
 		mgr.ApplyRecoveredCommit(txn.XID(rec.XID), txn.TS(rec.TS))
 	case wal.TypeAbort:
@@ -155,33 +153,6 @@ func Redo(buf *buffer.Pool, mgr *txn.Manager, rec *wal.Record) error {
 	}
 	if err != nil {
 		return fmt.Errorf("core: redo %v of %s: %w", rec.Type, rec.Rel, err)
-	}
-	return nil
-}
-
-// DropRel discards a relation's pooled pages, dirty ones included, and
-// unlinks its storage: the redo of an unlink record, and a replica's clean
-// slate before a base backup reinstalls the relation. A replica's snapshot
-// readers may hold brief pins; those are waited out rather than failed,
-// since replay is the only writer and readers always release.
-func DropRel(buf *buffer.Pool, sm storage.ID, rel storage.RelName) error {
-	var err error
-	for attempt := 0; attempt < 200; attempt++ {
-		err = buf.DropRel(sm, rel, true)
-		if !errors.Is(err, buffer.ErrPinned) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err != nil {
-		return err
-	}
-	m, err := buf.Switch().Get(sm)
-	if err != nil {
-		return err
-	}
-	if m.Exists(rel) {
-		return m.Unlink(rel)
 	}
 	return nil
 }

@@ -80,17 +80,12 @@ func DecodeTID(v uint64) TID {
 }
 
 // Pool bundles the buffer pool with the transaction manager; every access
-// method in the system shares one. Open relations are cached so every
-// opener shares one Relation instance — and with it the insert-target hint,
-// the free-space map, and the tuple-mutation mutex.
+// method in the system shares one.
 type Pool struct {
 	Buf *buffer.Pool
 	Mgr *txn.Manager
 
 	CkptMu sync.Mutex // held by core.Checkpoint: one checkpoint at a time
-
-	relMu sync.Mutex
-	rels  map[relCacheKey]*Relation
 
 	stamps     atomic.Uint64 // versions stamped deleted, pool-wide
 	stampWatch atomic.Pointer[stampWatch]
@@ -121,34 +116,6 @@ func (p *Pool) noteStamp() {
 	}
 }
 
-type relCacheKey struct {
-	sm  storage.ID
-	rel storage.RelName
-}
-
-// cached returns the shared Relation for (sm, name), creating the handle on
-// first use. A cached handle whose relation the buffer pool has since
-// dropped (a replica's redo of an unlink, or its wipe before a base backup)
-// is replaced: the name now resolves to the relation created after it.
-func (p *Pool) cached(sm storage.ID, name storage.RelName) *Relation {
-	p.relMu.Lock()
-	defer p.relMu.Unlock()
-	if p.rels == nil {
-		p.rels = make(map[relCacheKey]*Relation)
-	}
-	key := relCacheKey{sm, name}
-	if r, ok := p.rels[key]; ok && !r.rel.Dropped() {
-		return r
-	}
-	r := &Relation{pool: p, rel: p.Buf.Rel(sm, name)}
-	p.rels[key] = r
-	// Heap relations are slotted pages; have the pool stamp and verify the
-	// page-header write-back checksum so a torn block left by a crash is
-	// detected on read instead of parsed as tuples.
-	r.rel.SetChecksummer(slottedChecksummer{})
-	return r
-}
-
 // slottedChecksummer checksums slotted pages via their reserved header slot.
 type slottedChecksummer struct{}
 
@@ -156,14 +123,9 @@ func (slottedChecksummer) Stamp(img []byte)             { page.Page(img).SetChec
 func (slottedChecksummer) Verify(img []byte) error      { return page.Page(img).VerifyChecksum() }
 func (slottedChecksummer) Hole(img []byte) (off, n int) { return page.Page(img).Hole() }
 
-// forget drops a cached relation handle (after Drop).
-func (p *Pool) forget(sm storage.ID, name storage.RelName) {
-	p.relMu.Lock()
-	defer p.relMu.Unlock()
-	delete(p.rels, relCacheKey{sm, name})
-}
-
-// Relation is an open heap relation.
+// Relation is an open heap relation. Its handle lives on the relation's
+// buffer-pool descriptor, so every opener shares one — and with it the
+// insert-target hint, the free-space map, and the tuple-mutation mutex.
 type Relation struct {
 	pool *Pool
 	rel  *buffer.Rel // the buffer pool's descriptor: name, manager, pages
@@ -241,19 +203,32 @@ func Create(p *Pool, sm storage.ID, name storage.RelName) (*Relation, error) {
 	if err := mgr.Create(name); err != nil {
 		return nil, err
 	}
-	return p.cached(sm, name), nil
+	return p.handle(p.Buf.Rel(sm, name))
 }
 
 // Open returns the shared handle on an existing heap relation.
 func Open(p *Pool, sm storage.ID, name storage.RelName) (*Relation, error) {
-	mgr, err := p.Buf.Switch().Get(sm)
-	if err != nil {
-		return nil, err
+	rel := p.Buf.Rel(sm, name)
+	if !rel.Installed() {
+		mgr, err := p.Buf.Switch().Get(sm)
+		if err != nil {
+			return nil, err
+		}
+		if !mgr.Exists(name) {
+			return nil, fmt.Errorf("%w: %s", storage.ErrNoRelation, name)
+		}
 	}
-	if !mgr.Exists(name) {
-		return nil, fmt.Errorf("%w: %s", storage.ErrNoRelation, name)
-	}
-	return p.cached(sm, name), nil
+	return p.handle(rel)
+}
+
+// handle returns the Relation installed on rel, installing one on first
+// use. Heap relations are slotted pages; the install has the pool stamp and
+// verify the page-header write-back checksum, so a torn block left by a
+// crash is detected on read instead of parsed as tuples.
+func (p *Pool) handle(rel *buffer.Rel) (*Relation, error) {
+	return buffer.Handle(rel, slottedChecksummer{}, func(rel *buffer.Rel) *Relation {
+		return &Relation{pool: p, rel: rel}
+	})
 }
 
 // Name returns the relation's storage name.
@@ -1084,18 +1059,4 @@ func (r *Relation) vacuumBlock(blk storage.BlockNum, horizon txn.XID, keepHistor
 
 // Drop removes the relation: buffered pages are discarded and the underlying
 // storage unlinked.
-func (r *Relation) Drop() error {
-	sm, name := r.rel.SM(), r.rel.Name()
-	if err := r.pool.Buf.DropRel(sm, name, true); err != nil {
-		return err
-	}
-	mgr, err := r.pool.Buf.Switch().Get(sm)
-	if err != nil {
-		return err
-	}
-	r.pool.forget(sm, name)
-	// Log the unlink before performing it so redo recovery does not
-	// resurrect the relation from earlier page images.
-	r.pool.Buf.LogUnlink(sm, name)
-	return mgr.Unlink(name)
-}
+func (r *Relation) Drop() error { return r.pool.Buf.Unlink(r.rel.SM(), r.rel.Name()) }

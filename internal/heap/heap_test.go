@@ -570,3 +570,40 @@ func flushRelation(r *Relation) error {
 	}
 	return mgr.Sync(r.Name())
 }
+
+// TestOpenersShareOneHandle: every opener of a heap relation gets the one
+// handle installed on its buffer-pool descriptor, Create's or the first
+// Open's, and with it one set of insert hints and one free-space map. Once
+// the relation is unlinked and created again under its name, the name
+// yields a new handle, and the old one fails with buffer.ErrDropped.
+func TestOpenersShareOneHandle(t *testing.T) {
+	p := newTestPool(t, 16)
+	created := mustCreate(t, p, "r")
+	if opened, err := Open(p, storage.Mem, "r"); err != nil || opened != created {
+		t.Fatalf("Open after Create = %p, %v; want Create's handle %p", opened, err, created)
+	}
+
+	// A second pool over the same storage: its first Open installs the
+	// handle, and the next one shares it.
+	p2 := &Pool{Buf: buffer.NewPool(16, p.Buf.Switch(), nil), Mgr: p.Mgr}
+	a, err := Open(p2, storage.Mem, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(p2, storage.Mem, "r")
+	if err != nil || a != b {
+		t.Fatalf("two Opens = %p and %p (%v); want one handle", a, b, err)
+	}
+
+	if err := created.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	again := mustCreate(t, p, "r")
+	opened, err := Open(p, storage.Mem, "r")
+	if err != nil || opened != again || opened == created {
+		t.Fatalf("Open after re-create = %p, %v; want the new handle %p, not the old %p", opened, err, again, created)
+	}
+	if _, err := created.NBlocks(); !errors.Is(err, buffer.ErrDropped) {
+		t.Fatalf("old handle NBlocks = %v, want buffer.ErrDropped", err)
+	}
+}

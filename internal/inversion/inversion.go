@@ -146,10 +146,10 @@ func open(tx *txn.Txn, store *core.Store, opts Options) (*FS, error) {
 	}
 
 	open := heap.Open
-	mk := store.Btrees().Open
+	mk := btree.Open
 	if fresh {
 		open = heap.Create
-		mk = store.Btrees().Create
+		mk = btree.Create
 	}
 	if fs.dir, err = open(fs.pool, opts.SM, dirClass.Rel); err != nil {
 		return nil, err
@@ -161,13 +161,13 @@ func open(tx *txn.Txn, store *core.Store, opts Options) (*FS, error) {
 		return nil, err
 	}
 	cfg := btree.Config{}
-	if fs.dirIdx, err = mk(opts.SM, relDirIdx, cfg); err != nil {
+	if fs.dirIdx, err = mk(fs.pool.Buf, opts.SM, relDirIdx, cfg); err != nil {
 		return nil, err
 	}
-	if fs.storIdx, err = mk(opts.SM, relStorIdx, cfg); err != nil {
+	if fs.storIdx, err = mk(fs.pool.Buf, opts.SM, relStorIdx, cfg); err != nil {
 		return nil, err
 	}
-	if fs.statIdx, err = mk(opts.SM, relStatIdx, cfg); err != nil {
+	if fs.statIdx, err = mk(fs.pool.Buf, opts.SM, relStatIdx, cfg); err != nil {
 		return nil, err
 	}
 	if fresh {

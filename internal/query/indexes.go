@@ -59,7 +59,7 @@ func (e *Engine) execDefineIndex(tx *txn.Txn, st *defineIndexStmt) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	idx, err := e.store.Btrees().Create(cls.SM, def.Rel, btree.Config{})
+	idx, err := btree.Create(e.store.Pool().Buf, cls.SM, def.Rel, btree.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func (e *Engine) maintainIndexes(ev *env, cls *catalog.Class, row []adt.Value, t
 		if err != nil {
 			return err
 		}
-		idx, err := e.store.Btrees().Open(cls.SM, def.Rel, btree.Config{})
+		idx, err := btree.Open(e.store.Pool().Buf, cls.SM, def.Rel, btree.Config{})
 		if err != nil {
 			return err
 		}
@@ -191,7 +191,7 @@ func exprIsRowFree(x expr) bool {
 // indexScan drives a retrieve through an index probe: candidates from the
 // B-tree, visibility via heap fetch, then full qualification re-check.
 func (e *Engine) indexScan(ev *env, entry *scopeEntry, rel *heap.Relation, probe *indexProbe, qual expr, visit func() error) error {
-	idx, err := e.store.Btrees().Open(entry.cls.SM, probe.def.Rel, btree.Config{})
+	idx, err := btree.Open(e.store.Pool().Buf, entry.cls.SM, probe.def.Rel, btree.Config{})
 	if err != nil {
 		return err
 	}

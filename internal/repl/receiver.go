@@ -379,7 +379,7 @@ func (r *Receiver) applyBase(w *wire) error {
 		case KindBaseBlocks:
 			if !seen[d.rel] {
 				seen[d.rel] = true
-				if err := core.DropRel(r.cfg.Pool.Buf, d.rel.SM, d.rel.Rel); err != nil {
+				if err := r.cfg.Pool.Buf.Unlink(d.rel.SM, d.rel.Rel); err != nil {
 					return err
 				}
 			}
@@ -409,7 +409,7 @@ func (r *Receiver) applyBase(w *wire) error {
 // clean ground.
 func (r *Receiver) wipe() error {
 	for _, ref := range CatalogRels(r.cfg.Cat) {
-		if err := core.DropRel(r.cfg.Pool.Buf, ref.SM, ref.Rel); err != nil {
+		if err := r.cfg.Pool.Buf.Unlink(ref.SM, ref.Rel); err != nil {
 			return err
 		}
 	}

@@ -52,10 +52,12 @@ type Durability int
 const (
 	// DurabilityCheckpoint (the default) makes durability checkpoint-
 	// grained: commits are visible immediately but survive a crash only
-	// once a Checkpoint has run — the cheapest mode, and the one the
-	// paper's performance study measures. Commit followed by Checkpoint is
-	// the POSTGRES force-at-commit discipline. Without a log, a kill while a
-	// transaction has evicted pages can leave committed objects unreadable.
+	// once a Checkpoint has run. It is the cheapest mode, for loads and
+	// tools that can redo work lost since the last checkpoint; lobjserve,
+	// postql and invsh open in it unless given -wal. Commit followed by
+	// Checkpoint is the POSTGRES force-at-commit discipline. Without a log,
+	// a kill while a transaction has evicted pages can leave committed
+	// objects unreadable.
 	DurabilityCheckpoint Durability = iota
 	// DurabilityWAL appends physical page images and a commit record to a
 	// write-ahead log; commit returns once the group-commit flusher has
@@ -137,16 +139,12 @@ type Options struct {
 	BufferPoolPages int
 	// DefaultSM is the storage manager used when unspecified (default Disk).
 	DefaultSM *storage.ID
-	// ChunkSize overrides the 8000-byte f-chunk payload (tests/ablations).
-	ChunkSize int
 
 	// Clock, when set, receives modelled device and codec costs; the
 	// benchmark harness uses it to report era-calibrated elapsed times.
 	Clock *vclock.Clock
 	// DiskModel charges magnetic-disk costs for DB page I/O.
 	DiskModel storage.DeviceModel
-	// FileModel charges native-file costs for u-file/p-file objects.
-	FileModel storage.DeviceModel
 	// WormConfig, when non-nil, registers the WORM jukebox manager.
 	WormConfig *storage.WormConfig
 	// CPU converts compression instruction counts to virtual time.
@@ -316,10 +314,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	store := core.NewStore(pool, cat, reg, core.Config{
 		FilesDir:  filepath.Join(dir, "pfiles"),
 		DefaultSM: defaultSM,
-		ChunkSize: opts.ChunkSize,
 		Clock:     opts.Clock,
 		CPU:       opts.CPU,
-		FileModel: opts.FileModel,
 	})
 	db := &DB{
 		dir:    dir,
