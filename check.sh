@@ -63,7 +63,16 @@
 #                                  heap, TestUnlinkWaitsOutReaderPin) and
 #                                  TestFlushAllSyncsInFlightWriteBack, a
 #                                  checkpoint racing a write-back already at
-#                                  the device;
+#                                  the device; the run-read tests
+#                                  (TestCursorRunMatchesRange,
+#                                  TestCursorRunPinsEachLeafOnce,
+#                                  TestReadSeesChunkItFlushed, a read that
+#                                  flushes the handle's own chunk, and
+#                                  TestRunReadSurvivesSlotRecycling, a run
+#                                  outdated by vacuum and slot reuse) and the
+#                                  prefetch-gate tests
+#                                  (TestPrefetchSkipsResidentWindow,
+#                                  TestPrefetchPostsEvictedWindow);
 #                                  and
 #                                  TestConcurrentWritersDistinctBlocks at
 #                                  -count=200, whose tiny pool once ran out of
@@ -101,7 +110,7 @@
 #                                  exercised end to end on every run
 #
 #   6b. BenchmarkFChunkRead        one-iteration smoke run of the f-chunk
-#                                  read path (one index descent per object,
+#                                  read path (one leaf walk per read,
 #                                  chunks decoded from the pinned page into
 #                                  the caller's buffer) with its allocations
 #                                  reported: the benchmark's scan_hot op in
@@ -313,6 +322,9 @@ go test -race -count=20 \
 	./internal/buffer
 go test -race -count=20 -run '^(TestOpenersShareOneHandle|TestUnlinkWaitsOutReaderPin|TestFlushAllSyncsInFlightWriteBack)$' \
 	./internal/btree ./internal/heap ./internal/buffer
+go test -race -count=20 \
+	-run '^(TestCursorRunMatchesRange|TestCursorRunPinsEachLeafOnce|TestReadSeesChunkItFlushed|TestRunReadSurvivesSlotRecycling|TestPrefetchSkipsResidentWindow|TestPrefetchPostsEvictedWindow)$' \
+	./internal/btree ./internal/core ./internal/buffer
 go test -race -count=200 -run '^TestConcurrentWritersDistinctBlocks$' ./internal/buffer
 
 echo "== checkpoint cut sweep (-race -count=20)"

@@ -40,6 +40,7 @@ var (
 
 	obsPfPosted    = obs.NewCounter("buffer.prefetch.posted")
 	obsPfDropped   = obs.NewCounter("buffer.prefetch.dropped")
+	obsPfResident  = obs.NewCounter("buffer.prefetch.resident_windows")
 	obsPfPages     = obs.NewCounter("buffer.prefetch.pages_read")
 	obsPfInstalled = obs.NewCounter("buffer.prefetch.installed")
 	obsPfSkipped   = obs.NewCounter("buffer.prefetch.skipped")
@@ -592,15 +593,30 @@ func (p *Pool) releaseGap(gap []*Frame, budget *atomic.Int64) {
 
 // Prefetch posts a read-ahead window of up to n blocks starting at blk.
 // Advisory and non-blocking: with no engine it is a no-op, and a full queue
-// drops the request. Safe to call from scan loops holding access-method
-// locks — it never touches pool state. The window is queued before the
-// prefetcher is kicked, so a round that the kick buys always sees it.
+// drops the request. A window whose first and last blocks, clamped to the
+// relation's length, are both resident is not posted at all (it is counted
+// in buffer.prefetch.resident_windows): a hot reader would otherwise wake
+// the prefetcher only to find its window in the pool, under the partition
+// latches the reader itself takes. A block missing in between is the
+// foreground Get's to read. Safe to call from scan loops holding
+// access-method locks, but not under a frame latch: the check takes the
+// descriptor's length and two partition latches. The window is queued
+// before the prefetcher is kicked, so a round that the kick buys always
+// sees it.
 func (r *Rel) Prefetch(blk storage.BlockNum, n int) {
 	e := r.pool.eng.Load()
 	if e == nil || n <= 0 {
 		return
 	}
 	n = min(n, PrefetchWindow)
+	nb, err := r.NBlocks()
+	if err != nil || blk >= nb {
+		return // dropped, or nothing there to read ahead
+	}
+	if last := min(blk+storage.BlockNum(n), nb) - 1; r.pool.resident(r, blk) && r.pool.resident(r, last) {
+		obsPfResident.Inc()
+		return
+	}
 	select {
 	case e.pf <- prefetchReq{rel: r, blk: blk, n: n}:
 		obsPfPosted.Inc()
@@ -639,9 +655,10 @@ func (p *Pool) DrainPrefetch() {
 func (p *Pool) prefetchOne(s *prefetchScratch, req prefetchReq) {
 	r := req.rel
 	start, end := req.blk, req.blk+storage.BlockNum(req.n)
-	// A hot pool usually holds the whole range already: settle that from the
-	// lookup tables before asking the device, whose Exists and NBlocks stat
-	// the file and allocate.
+	// The poster found an end of the window absent, but the reader's own
+	// Gets may have filled its head since: settle that from the lookup
+	// tables before asking the device, whose Exists and NBlocks stat the
+	// file and allocate.
 	for start < end && p.resident(r, start) {
 		obsPfSkipped.Inc()
 		start++

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"postlob/internal/daemon"
 	"postlob/internal/page"
 	"postlob/internal/storage"
 )
@@ -533,7 +534,15 @@ func TestPrefetchDiscardsWindowForDroppedRelation(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	// Out of the pool, so the window is posted rather than found resident.
+	if err := p.DropRel(storage.Mem, rel); err != nil {
+		t.Fatal(err)
+	}
+	posted := obsPfPosted.Load()
 	p.Rel(storage.Mem, rel).Prefetch(0, 4)
+	if obsPfPosted.Load() == posted {
+		t.Fatal("the window over an evicted relation was not posted")
+	}
 	// The relation is dropped (and unlinked) while the window is queued; the
 	// drain must not resurrect ghost pages.
 	if err := p.Unlink(storage.Mem, rel); err != nil {
@@ -543,6 +552,108 @@ func TestPrefetchDiscardsWindowForDroppedRelation(t *testing.T) {
 	p.DrainPrefetch()
 	if got := obsPfInstalled.Load() - installed; got != 0 {
 		t.Fatalf("prefetch installed %d ghost pages after Unlink", got)
+	}
+}
+
+// parkPrefetcher swaps the engine's prefetcher for a live loop whose round
+// parks until release, and returns once that round is running. From then on
+// the loop's Kick reports true exactly when nothing else has kicked it. The
+// returned release stops the loop, and the test drains windows itself.
+func parkPrefetcher(t *testing.T, p *Pool) (kicked func() bool, release func()) {
+	t.Helper()
+	e := p.eng.Load()
+	running, hold := make(chan struct{}, 1), make(chan struct{})
+	l := daemon.Start(func() error {
+		select {
+		case running <- struct{}{}:
+		default:
+		}
+		<-hold
+		return nil
+	}, 0)
+	l.Kick()
+	<-running
+	e.prefetcher = l
+	return func() bool { return !l.Kick() }, func() {
+		close(hold)
+		if err := l.Stop(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// A window the pool already holds end to end is settled on the poster's
+// side: nothing is queued, the prefetcher is not woken, and the skip is
+// counted once. A window that runs past the relation's end is clamped to it
+// before its last block is checked.
+func TestPrefetchSkipsResidentWindow(t *testing.T) {
+	p, mem := newTestPool(t, 16)
+	p.StartEngine(EngineConfig{Manual: true})
+	defer p.StopEngine()
+	if err := mem.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBlocks(t, p, storage.Mem, rel, 10)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	kicked, release := parkPrefetcher(t, p)
+	defer release()
+
+	posted, resident := obsPfPosted.Load(), obsPfResident.Load()
+	p.Rel(storage.Mem, rel).Prefetch(2, PrefetchWindow) // blocks 2..17, clamped to 2..9
+	if got := obsPfPosted.Load() - posted; got != 0 {
+		t.Errorf("a resident window posted %d times", got)
+	}
+	if n := len(p.eng.Load().pf); n != 0 {
+		t.Errorf("%d windows queued, want none", n)
+	}
+	if kicked() {
+		t.Error("a resident window woke the prefetcher")
+	}
+	if got := obsPfResident.Load() - resident; got != 1 {
+		t.Errorf("buffer.prefetch.resident_windows counted %d, want 1", got)
+	}
+}
+
+// A window over evicted blocks is posted, wakes the prefetcher, and its
+// drain installs every block of it.
+func TestPrefetchPostsEvictedWindow(t *testing.T) {
+	p, mem := newTestPool(t, 16)
+	p.StartEngine(EngineConfig{Manual: true})
+	defer p.StopEngine()
+	if err := mem.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBlocks(t, p, storage.Mem, rel, 10)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DropRel(storage.Mem, rel); err != nil {
+		t.Fatal(err)
+	}
+	kicked, release := parkPrefetcher(t, p)
+
+	posted, resident, installed := obsPfPosted.Load(), obsPfResident.Load(), obsPfInstalled.Load()
+	p.Rel(storage.Mem, rel).Prefetch(1, 8)
+	if got := obsPfPosted.Load() - posted; got != 1 {
+		t.Errorf("an evicted window posted %d times, want 1", got)
+	}
+	if !kicked() {
+		t.Error("an evicted window did not wake the prefetcher")
+	}
+	release()
+	p.DrainPrefetch()
+	if got := obsPfInstalled.Load() - installed; got != 8 {
+		t.Errorf("the drain installed %d pages, want 8", got)
+	}
+	if got := obsPfResident.Load() - resident; got != 0 {
+		t.Errorf("buffer.prefetch.resident_windows counted %d for an evicted window", got)
+	}
+	for blk := storage.BlockNum(1); blk <= 8; blk++ {
+		if !p.resident(p.Rel(storage.Mem, rel), blk) {
+			t.Errorf("block %d not resident after the drain", blk)
+		}
 	}
 }
 

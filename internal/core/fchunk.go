@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,8 +91,9 @@ type fchunkObject struct {
 	// enc is reused from chunk to chunk to build each stored chunk's tuple
 	// payload: the chunk header, then the encoded bytes (see storeChunk).
 	enc []byte
-	// bufs holds curData's and enc's backing arrays, taken from chunkBufs
-	// the first time either is needed (see lend) and returned by Close.
+	// bufs holds curData's and enc's backing arrays and the index run of
+	// the read in progress, taken from chunkBufs the first time one is
+	// needed (see lend) and returned by Close.
 	bufs *chunkBuf
 
 	// Sequential read-ahead (see step): lastSeq is the chunk the read path
@@ -113,10 +115,19 @@ var _ Object = (*fchunkObject)(nil)
 // otherwise grow both afresh every time.
 var chunkBufs = sync.Pool{New: func() any { return new(chunkBuf) }}
 
-type chunkBuf struct{ data, enc []byte }
+type chunkBuf struct {
+	data, enc []byte
+
+	// The index run of a read that spans more than one chunk (see span):
+	// the entries of every key in [runLo, runEnd), in key order, collected
+	// by one cursor walk when runOK. Outside a read the span is empty.
+	run           []btree.Entry
+	runLo, runEnd uint64
+	runOK         bool
+}
 
 // lend gives the handle its buffers on first use, so a handle that never
-// caches or stores a chunk — a whole-chunk read, a raw visit — leaves the
+// caches or stores a chunk, nor reads more than one at a time, leaves the
 // pool alone.
 func (o *fchunkObject) lend() {
 	if o.bufs == nil {
@@ -210,33 +221,101 @@ func (o *fchunkObject) chunkSize() int64 { return int64(o.meta.ChunkSize) }
 // Superseded versions stay in the index (the no-overwrite philosophy) and
 // are filtered here by tuple visibility; entries whose heap slot vacuum
 // recycled for a different record are detected by tag mismatch and pruned.
-// The lookup goes through the handle's cursor, so reading chunk after chunk
-// descends the index once.
+// A key inside the span of the read in progress takes its entries from the
+// span's run, which one cursor walk collected for every key of the span;
+// any other key, the metadata key always, is looked up through the handle's
+// cursor, so reading chunk after chunk descends the index once.
 func (o *fchunkObject) visit(key uint64, use func(payload []byte) error) (heap.TID, error) {
+	// Newest entries are most likely visible; probe from the end.
+	if b := o.bufs; b != nil && key >= b.runLo && key < b.runEnd {
+		run, err := o.runOf(key)
+		if err != nil {
+			return heap.InvalidTID, err
+		}
+		for i := len(run) - 1; i >= 0; i-- {
+			if tid, done, err := o.probe(key, run[i].Val, use); done {
+				return tid, err
+			}
+		}
+		return heap.InvalidTID, nil
+	}
 	vals, err := o.ix.Lookup(key)
 	if err != nil {
 		return heap.InvalidTID, err
 	}
-	// Newest entries are most likely visible; scan from the end.
 	for i := len(vals) - 1; i >= 0; i-- {
-		tid := heap.DecodeTID(vals[i])
-		matched := false
-		var useErr error
-		err := o.rel.ViewSnap(o.snap, tid, func(payload []byte) {
-			if matched = payloadMatches(key, payload); matched && use != nil {
-				useErr = use(payload)
-			}
-		})
-		switch {
-		case err == nil && matched:
-			return tid, useErr
-		case err == nil || errors.Is(err, heap.ErrNoTuple):
-			o.pruneStale(key, vals[i])
-		case !errors.Is(err, heap.ErrNotVisible):
-			return heap.InvalidTID, err
+		if tid, done, err := o.probe(key, vals[i], use); done {
+			return tid, err
 		}
 	}
 	return heap.InvalidTID, nil
+}
+
+// probe tries the index entry (key, val) for visit: done once the entry's
+// tuple is the version the snapshot sees (use ran on it) or an error ends
+// the search. An entry whose tuple is gone or is another record is pruned.
+func (o *fchunkObject) probe(key, val uint64, use func(payload []byte) error) (tid heap.TID, done bool, err error) {
+	tid = heap.DecodeTID(val)
+	matched := false
+	var useErr error
+	err = o.rel.ViewSnap(o.snap, tid, func(payload []byte) {
+		if matched = payloadMatches(key, payload); matched && use != nil {
+			useErr = use(payload)
+		}
+	})
+	switch {
+	case err == nil && matched:
+		return tid, true, useErr
+	case err == nil || errors.Is(err, heap.ErrNoTuple):
+		o.pruneStale(key, val)
+	case !errors.Is(err, heap.ErrNotVisible):
+		return heap.InvalidTID, true, err
+	}
+	return heap.InvalidTID, false, nil
+}
+
+// span declares that the read in progress visits chunks lo..hi in
+// ascending order, until endSpan. The span's first index visit collects the
+// entries of every key from its own to hi in one walk of the leaf chain
+// (runOf), so the read pins each leaf once instead of once per chunk. A
+// span of one chunk is left to Lookup, and a read served from the one-chunk
+// cache collects nothing.
+func (o *fchunkObject) span(lo, hi int64) {
+	if hi > lo {
+		o.lend()
+		o.bufs.runLo, o.bufs.runEnd, o.bufs.runOK = uint64(lo), uint64(hi)+1, false
+	}
+}
+
+// endSpan ends the read's span: later visits look their keys up again.
+func (o *fchunkObject) endSpan() {
+	if b := o.bufs; b != nil {
+		b.runLo, b.runEnd, b.runOK = 0, 0, false
+	}
+}
+
+// runOf returns the run's entries for key, which lies in the span,
+// collecting the run from key on first. The run is a copy taken under the
+// tree's shared lock and trusted for the rest of the read; DESIGN §13 says
+// why the entries of a run that vacuum or a concurrent writer outdates are
+// still safe to probe and to prune. Only the handle's own store can add a
+// version the read must see, and storeChunk drops the run.
+func (o *fchunkObject) runOf(key uint64) ([]btree.Entry, error) {
+	b := o.bufs
+	if !b.runOK {
+		// A live chunk has one entry: size the run for that in one step.
+		run, err := o.ix.Run(key, b.runEnd-1, slices.Grow(b.run[:0], int(b.runEnd-key)))
+		if err != nil {
+			return nil, err
+		}
+		b.run, b.runLo, b.runOK = run, key, true
+	}
+	i, _ := slices.BinarySearchFunc(b.run, key, func(e btree.Entry, k uint64) int { return cmp.Compare(e.Key, k) })
+	j := i
+	for j < len(b.run) && b.run[j].Key == key {
+		j++
+	}
+	return b.run[i:j], nil
 }
 
 // decodeChunk appends the bytes of chunk seq, decoded from its stored
@@ -469,6 +548,7 @@ func (o *fchunkObject) overwriteChunk(seq int64, data []byte) error {
 // builds the tuple from it on the page: the one copy from here to the pool.
 func (o *fchunkObject) storeChunk(seq int64, data []byte, tid heap.TID, has bool) (heap.TID, error) {
 	o.lend()
+	o.bufs.runOK = false // the new version is not in the run
 	payload := binary.LittleEndian.AppendUint32(o.enc[:0], uint32(seq))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(data)))
 	payload, err := compress.AppendEncode(payload, o.codec, data)
@@ -525,6 +605,8 @@ func (o *fchunkObject) Read(p []byte) (int, error) {
 	if max := o.size - o.pos; int64(len(p)) > max {
 		p = p[:max]
 	}
+	o.span(o.pos/o.chunkSize(), (o.pos+int64(len(p))-1)/o.chunkSize())
+	defer o.endSpan()
 	total := 0
 	for len(p) > 0 {
 		seq := o.pos / o.chunkSize()

@@ -20,7 +20,8 @@ import (
 // them: no chunk is fetched into the cache, and a sequential Write never
 // arms the scan prefetcher, whose windows would follow versions that live in
 // recycled, scattered blocks. The partial chunks at the edges are still
-// read, and a sequential Read still reads ahead.
+// read, and a sequential Read of an object the pool does not hold still
+// reads ahead.
 func TestFChunkOverwriteNeitherLoadsNorPrefetches(t *testing.T) {
 	s := newTestStore(t)
 	s.pool.Buf.StartEngine(buffer.EngineConfig{Manual: true})
@@ -80,6 +81,10 @@ func TestFChunkOverwriteNeitherLoadsNorPrefetches(t *testing.T) {
 		t.Errorf("unaligned overwrite: %d chunk loads, %d prefetch windows posted; want the 2 edge chunks and no window", loads, posted)
 	}
 
+	// Read-ahead posts only windows the pool lacks: start cold.
+	if err := s.EvictFromPool(ref); err != nil {
+		t.Fatal(err)
+	}
 	rtx := s.mgr().Begin()
 	defer rtx.Abort()
 	robj, err := s.Open(rtx, ref)

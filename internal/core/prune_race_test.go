@@ -11,6 +11,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"postlob/internal/adt"
@@ -222,5 +223,117 @@ func TestPruneStaleSlotRecycledForOtherChunk(t *testing.T) {
 				t.Fatal("the object reads back wrong after the prune")
 			}
 		})
+	}
+}
+
+// A read collects its span's index entries in one walk before it visits the
+// heap (fchunkObject.runOf), so between the walk and the visits vacuum may
+// reclaim a dead version and the heap recycle its slot for a newer version
+// of the same chunk. The run then names a slot that holds a version the
+// reader must not see: the probe has to skip it as invisible rather than
+// prune it, and find the snapshot's own version among the run's other
+// entries.
+func TestRunReadSurvivesSlotRecycling(t *testing.T) {
+	s := newTestStore(t)
+	cs := s.chunkSize
+	chunk := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, cs) }
+	// Chunk 1 keeps one version throughout; chunk 0 gets three.
+	gen1, gen2, gen3, tail := chunk(0x11), chunk(0x22), chunk(0x33), chunk(0x44)
+	ref := createFChunk(t, s, "", slices.Concat(gen1, tail))
+	rewrite := func(data []byte) {
+		t.Helper()
+		tx := s.mgr().Begin()
+		obj, err := s.Open(tx, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obj.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := obj.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunkTID := func() heap.TID {
+		t.Helper()
+		rtx := s.mgr().Begin()
+		defer rtx.Abort()
+		h, err := s.Open(rtx, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		tid, err := h.(*fchunkObject).visit(0, nil)
+		if err != nil || !tid.Valid() {
+			t.Fatalf("chunk 0: %v, %v", tid, err)
+		}
+		return tid
+	}
+	gen1TID := chunkTID()
+	rewrite(gen2) // gen1 is dead but not yet reclaimed
+
+	// The reader's snapshot sees gen2; its run holds gen1's entry, gen2's
+	// and chunk 1's.
+	rtx := s.mgr().Begin()
+	defer rtx.Abort()
+	h, err := s.Open(rtx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	fo := h.(*fchunkObject)
+	fo.span(0, 1)
+	if _, err := fo.runOf(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fo.bufs.run); n != 3 {
+		t.Fatalf("run holds %d entries, want 3: two versions of chunk 0, one of chunk 1", n)
+	}
+
+	// Before the reader visits the heap: reclaim gen1, then let gen3 recycle
+	// its slot.
+	if n, err := s.Vacuum(false); err != nil {
+		t.Fatal(err)
+	} else if n == 0 {
+		t.Fatal("vacuum reclaimed nothing; gen1 should be dead")
+	}
+	rewrite(gen3)
+	if tid := chunkTID(); tid != gen1TID {
+		t.Skipf("gen3 did not recycle gen1's slot (got %v, want %v); scenario not reproducible", tid, gen1TID)
+	}
+
+	var got []byte
+	for seq := int64(0); seq < 2; seq++ {
+		tid, err := fo.visit(uint64(seq), func(payload []byte) (err error) {
+			got, err = fo.decodeChunk(seq, got, payload)
+			return err
+		})
+		if err != nil || !tid.Valid() {
+			t.Fatalf("chunk %d from the run: %v, %v", seq, tid, err)
+		}
+	}
+	fo.endSpan()
+	if want := slices.Concat(gen2, tail); !bytes.Equal(got, want) {
+		t.Fatalf("read through a run outdated by slot recycling: got %x..., want the snapshot's %x...", got[:4], want[:4])
+	}
+	// The entry naming the recycled slot, now gen3's, survived the probe;
+	// the reader's snapshot still reads gen2 and a new one reads gen3.
+	vals, err := fo.idx.Lookup(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(vals, heap.EncodeTID(gen1TID)) {
+		t.Fatalf("the index entry of gen3, the live version at %v, was pruned", gen1TID)
+	}
+	if got := readAll(t, s, rtx, ref); !bytes.Equal(got, slices.Concat(gen2, tail)) {
+		t.Fatalf("the reader's snapshot reads %x..., want gen2 %x...", got[:4], gen2[:4])
+	}
+	ntx := s.mgr().Begin()
+	defer ntx.Abort()
+	if got := readAll(t, s, ntx, ref); !bytes.Equal(got, slices.Concat(gen3, tail)) {
+		t.Fatalf("a new snapshot reads %x..., want gen3 %x...", got[:4], gen3[:4])
 	}
 }

@@ -1,9 +1,9 @@
 package core
 
 // Tests of the f-chunk read path: one index descent per run of sequential
-// chunks (the handle's btree.Cursor), one copy from the pinned heap page into
-// the caller's buffer, and a one-chunk cache only for partial spans and the
-// handle's own unflushed writes.
+// chunks and one leaf walk per read (the handle's btree.Cursor), one copy
+// from the pinned heap page into the caller's buffer, and a one-chunk cache
+// only for partial spans and the handle's own unflushed writes.
 
 import (
 	"bytes"
@@ -116,6 +116,52 @@ func TestFChunkReadAfterOwnWrite(t *testing.T) {
 
 	if after := fchunkMetrics.readBytes.Load() - fchunkChunkReadBytes.Load(); after != before {
 		t.Fatalf("read_bytes - chunk_read_bytes moved from %d to %d", before, after)
+	}
+}
+
+// TestReadSeesChunkItFlushed: a Read over chunks k-1..k+1 that begins
+// inside chunk k-1 loads that chunk into the one-chunk cache, which flushes
+// the handle's dirty chunk k as a new version first; the same Read then
+// visits chunk k. A read that took its index entries before the flush would
+// find only the version the flush superseded, which the handle's own
+// transaction no longer sees, and return chunk k as zeros. The run is
+// dropped by every store, so chunk k reads back as just written, whichever
+// chunk the Read starts or ends in.
+func TestReadSeesChunkItFlushed(t *testing.T) {
+	s := newTestStore(t)
+	cs := s.chunkSize
+	const k = 3
+	data := compress.GenFrame(7, 6*cs, 0)
+	ref := createFChunk(t, s, "", data)
+	for _, sp := range [][2]int{
+		{(k-1)*cs + 100, 2*cs + 100}, // partial k-1, whole k, partial k+1
+		{(k - 1) * cs, 2*cs + 100},   // whole k-1, cached k, partial k+1
+		{(k-1)*cs + 100, 3*cs - 100}, // partial k-1, whole k and k+1
+	} {
+		tx := s.mgr().Begin()
+		obj, err := s.Open(tx, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Clone(data)
+		patch := compress.GenFrame(8, 50, 0)
+		copy(want[k*cs+10:], patch)
+		if _, err := obj.Seek(int64(k*cs+10), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obj.Write(patch); err != nil {
+			t.Fatal(err)
+		}
+		if got := readAt(t, obj, int64(sp[0]), sp[1]); !bytes.Equal(got, want[sp[0]:sp[0]+sp[1]]) {
+			t.Fatalf("read %d+%d after writing into chunk %d differs from what was written", sp[0], sp[1], k)
+		}
+		if got := readAt(t, obj, 0, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("whole read after the %d+%d read differs from what was written", sp[0], sp[1])
+		}
+		if err := obj.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tx.Abort()
 	}
 }
 
@@ -378,8 +424,12 @@ func TestFileVisitRawMatchesRead(t *testing.T) {
 
 // TestFChunkReadAllocs pins the read path's allocations: none for a whole
 // object read of a pool-resident, codec-less object on an open handle, and
-// at most one per chunk with the fast codec.
+// at most one per chunk with the fast codec. The benchmark's scan_hot op —
+// begin, open, read the whole object, close, commit — allocates at most
+// opAllocs times with either codec: the transaction and the handle, never
+// the read, whose index run and buffers the handle borrows from a pool.
 func TestFChunkReadAllocs(t *testing.T) {
+	const opAllocs = 4
 	for _, tc := range []struct {
 		codec string
 		max   float64 // allocations per chunk
@@ -411,6 +461,33 @@ func TestFChunkReadAllocs(t *testing.T) {
 			}
 			if !bytes.Equal(buf, data) {
 				t.Fatal("read returned the wrong bytes")
+			}
+			// With no other transaction open, as in the benchmark: a
+			// snapshot taken beside one allocates its list.
+			if err := obj.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+
+			op := func() {
+				tx := s.mgr().Begin()
+				obj, err := s.Open(tx, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(obj, buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := obj.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			op()
+			if got := testing.AllocsPerRun(20, op); got > opAllocs {
+				t.Errorf("begin, open, read %d chunks, close, commit allocates %v times, want at most %d", chunks+1, got, opAllocs)
 			}
 		})
 	}

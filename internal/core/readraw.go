@@ -128,6 +128,8 @@ func (s *Store) visitRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef
 		return nil
 	}
 	cs := fo.chunkSize()
+	fo.span(off/cs, (end-1)/cs)
+	defer fo.endSpan()
 	var e RawExtent
 	// A chunk with no visible version is sparse (zeros) and yields nothing;
 	// every other chunk's envelope is shown to fn in place on its page.

@@ -244,7 +244,8 @@ func (r *Relation) NBlocks() (storage.BlockNum, error) {
 
 // Prefetch posts an advisory read-ahead window to the buffer pool's
 // background engine (a no-op without one): the caller expects to read up to
-// n blocks starting at blk soon. Never blocks.
+// n blocks starting at blk soon. Never waits for I/O, and posts nothing
+// when the pool already holds the window (buffer.Rel.Prefetch).
 func (r *Relation) Prefetch(blk storage.BlockNum, n int) {
 	r.rel.Prefetch(blk, n)
 }
@@ -698,7 +699,8 @@ func (r *Relation) scan(vis func([]byte, *buffer.Frame) bool, fn func(TID, []byt
 	// Physical-order scans are perfectly predictable: keep a read-ahead
 	// window posted to the pool's prefetcher (a no-op without an engine) so
 	// the next Get finds its block resident. Windows overlap on purpose —
-	// resident blocks are skipped — and the post itself never blocks.
+	// resident blocks are skipped, and a window resident end to end is not
+	// even posted — and the post itself never waits for I/O.
 	const readAhead = buffer.PrefetchWindow
 	for blk := storage.BlockNum(0); blk < n; blk++ {
 		if blk%(readAhead/2) == 0 && blk+1 < n {
